@@ -113,6 +113,7 @@ from .frames import (
     ReconstructionDivergence,
     ReconstructionReport,
     atom_certificate,
+    atom_kernel,
     besov_exponent,
     design_lattice,
     frame_bounds_empirical,

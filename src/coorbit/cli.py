@@ -5,7 +5,8 @@ overrides), runs one library pipeline, and writes JSON artifacts into
 ``--out-dir``.  The CLI adds no computation of its own; every number in
 an output file is reproducible by the corresponding library call.
 
-Exit codes: 0 success/pass, 2 I/O or config errors, 3 certification
+Exit codes: 0 success/pass, 2 I/O or config errors (including a
+non-finite number in an output, which is never written), 3 certification
 failure (including non-admissible windows), 4 numerical divergence.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +25,9 @@ from .fields import NeighborhoodSpec, lpm_norm, unit_weight
 from .frames import (
     DesignSearchError,
     ReconstructionDivergence,
+    _certificate_from_kernel,
     atom_certificate,
+    atom_kernel,
     design_lattice,
     frame_bounds_empirical,
     neumann_reconstruct,
@@ -63,10 +67,21 @@ def _canon(obj):
 
 
 def _write_json(path: Path, obj) -> None:
+    """Stream ``obj`` to ``path``; a non-finite number raises and leaves no file.
+
+    The JSON goes to a temporary file in the same directory, which
+    replaces ``path`` only once it is complete.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(_canon(obj), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(_canon(obj), fh, sort_keys=True, indent=1, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_json(path) -> dict:
@@ -278,14 +293,11 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
     stem = cfg.get("out", "reconstruct")
 
     try:
-        cert = atom_certificate(psi, quad, weight, U)
+        K = atom_kernel(psi, quad)
     except NotAdmissibleError as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return _EXIT_CERT
-    from .voice import normalize_admissible
-
-    psi_n = normalize_admissible(psi)
-    K = cwt(psi_n, psi_n, quad)
+    cert = _certificate_from_kernel(K, weight, U, quad.to_dict())
     bupu = build_bupu(lat, U, quad)
     samples = sample_field(truth, lat)
     try:

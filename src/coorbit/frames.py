@@ -69,6 +69,7 @@ __all__ = [
     "ReconstructionDivergence",
     "DesignSearchError",
     "DesignResult",
+    "atom_kernel",
     "atom_certificate",
     "wavelet_atom_sufficient",
     "stft_window_sufficient",
@@ -127,6 +128,9 @@ class ReconstructionReport:
     residual_history: tuple
     converged: bool
     final_relative_error: float | None = None
+    lattice_points: int | None = None
+    active_tiles: int | None = None
+    uncovered_nodes: int | None = None
 
     def contraction_ratios(self) -> np.ndarray:
         h = np.asarray(self.residual_history)
@@ -141,6 +145,9 @@ class ReconstructionReport:
             "residual_history": list(self.residual_history),
             "converged": self.converged,
             "final_relative_error": self.final_relative_error,
+            "lattice_points": self.lattice_points,
+            "active_tiles": self.active_tiles,
+            "uncovered_nodes": self.uncovered_nodes,
         }
 
 
@@ -165,29 +172,32 @@ def _certificate_from_kernel(K, w, U, chart) -> FrameCertificate:
     return FrameCertificate(kernel_l1w, osc_l1w, q, U, w, chart, bool(q < 1.0))
 
 
-def atom_certificate(
-    psi: SampledSignal, quad: GroupQuadrature, w: WeightSpec, U: NeighborhoodSpec
-) -> FrameCertificate:
-    """Certificate for the self-kernel of ``psi`` on the given chart.
+def atom_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
+    """Self-kernel of ``psi`` on the chart, after normalizing the window.
 
-    The window is normalized to admissibility constant one first (the
-    kernel must be convolution idempotent for the certificate to mean
-    anything); non-admissible windows raise.
+    Affine charts normalize to admissibility constant one (the kernel
+    must be convolution idempotent for a certificate to mean anything),
+    TF charts to unit L2 norm; non-admissible windows raise.
     """
     if quad.kind == "affine":
         psi_n = normalize_admissible(psi)
-        K = cwt(psi_n, psi_n, quad)
-    else:
-        norm = l2_norm(psi)
-        if norm == 0.0:
-            raise NotAdmissibleError("zero window")
-        psi_n = psi.with_values(psi.values / norm)
-        K = stft(
-            psi_n, psi_n,
-            (quad.x0, quad.dx, quad.n_x),
-            (quad.w0, quad.dw, quad.n_w),
-        )
-    return _certificate_from_kernel(K, w, U, quad.to_dict())
+        return cwt(psi_n, psi_n, quad)
+    norm = l2_norm(psi)
+    if norm == 0.0:
+        raise NotAdmissibleError("zero window")
+    psi_n = psi.with_values(psi.values / norm)
+    return stft(
+        psi_n, psi_n,
+        (quad.x0, quad.dx, quad.n_x),
+        (quad.w0, quad.dw, quad.n_w),
+    )
+
+
+def atom_certificate(
+    psi: SampledSignal, quad: GroupQuadrature, w: WeightSpec, U: NeighborhoodSpec
+) -> FrameCertificate:
+    """Certificate for the self-kernel (``atom_kernel``) of ``psi`` on the chart."""
+    return _certificate_from_kernel(atom_kernel(psi, quad), w, U, quad.to_dict())
 
 
 @dataclass(frozen=True)
@@ -409,7 +419,9 @@ def neumann_reconstruct(
     the certificate's q is below one.  Divergence (three consecutive
     residual increases) raises, carrying the report; the q bound is a
     chart-truncated estimate and may be optimistic, so garbage is never
-    returned silently.
+    returned silently.  Each iteration reads F only at the tiles that
+    hold chart nodes (``BUPU.sample_synthesize``); the report carries
+    the partition's tile counts.
     """
     if certificate is None and not allow_uncertified:
         raise ValueError(
@@ -420,14 +432,15 @@ def neumann_reconstruct(
     if bupu.quad.to_dict() != K.quad.to_dict():
         raise ValueError("partition chart must match the kernel chart")
 
-    def apply_T_from_seq(seq_values) -> GroupField:
-        synth = bupu_synthesize(seq_values, bupu)
-        return convolve(synth, K, method=method)
-
-    Y = apply_T_from_seq(samples)
+    tiles = {
+        "lattice_points": bupu.lattice.n_points,
+        "active_tiles": int(bupu.active_tiles.size),
+        "uncovered_nodes": bupu.uncovered_nodes,
+    }
+    Y = convolve(bupu_synthesize(samples, bupu), K, method=method)
     norm_y = field_l2_norm(Y)
     if norm_y == 0.0:
-        report = ReconstructionReport(1, (0.0,), True, None)
+        report = ReconstructionReport(1, (0.0,), True, None, **tiles)
         return Y, report
 
     F = Y
@@ -437,8 +450,7 @@ def neumann_reconstruct(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        seq = sample_field(F, bupu.lattice)
-        TF = apply_T_from_seq(seq)
+        TF = convolve(bupu.sample_synthesize(F), K, method=method)
         F_next = GroupField(K.quad, Y.values + F.values - TF.values)
         res = field_l2_norm(GroupField(K.quad, F_next.values - F.values))
         history.append(res)
@@ -448,7 +460,7 @@ def neumann_reconstruct(
         prev = res
         F = F_next
         if streak >= 3:
-            report = ReconstructionReport(iterations, tuple(history), False, None)
+            report = ReconstructionReport(iterations, tuple(history), False, None, **tiles)
             raise ReconstructionDivergence(
                 "residual grew for three consecutive iterations", report
             )
@@ -462,7 +474,7 @@ def neumann_reconstruct(
             final_err = field_l2_norm(
                 GroupField(K.quad, F.values - ground_truth.values)
             ) / denom
-    report = ReconstructionReport(iterations, tuple(history), converged, final_err)
+    report = ReconstructionReport(iterations, tuple(history), converged, final_err, **tiles)
     return F, report
 
 
@@ -517,8 +529,7 @@ def design_lattice(
                 f"window has {suff.vanishing_moments} vanishing moments; "
                 f"needs rho={w.rho} < {suff.rho_bound}"
             )
-    psi_n = normalize_admissible(psi)
-    K = cwt(psi_n, psi_n, quad)
+    K = atom_kernel(psi, quad)
     kernel_l1w = lpm_norm(K, 1.0, w)
     chart = quad.to_dict()
     q_history = []

@@ -107,13 +107,15 @@ class AffineLattice:
             for k in range(self.k_min, self.k_max + 1)
         ]
 
-    def point_arrays(self):
-        eps = np.repeat(np.asarray(self.signs, dtype=float), self.n_j * self.n_k)
-        j = np.tile(np.repeat(np.arange(self.j_min, self.j_max + 1), self.n_k),
-                    len(self.signs))
-        k = np.tile(np.arange(self.k_min, self.k_max + 1), len(self.signs) * self.n_j)
-        a = eps * self.alpha**j.astype(float)
-        b = a * self.beta * k.astype(float)
+    def point_arrays(self, flat=None):
+        """Points ``(b, a)`` in canonical order, or at the given flat indices."""
+        if flat is None:
+            flat = np.arange(self.n_points)
+        eps_idx, rest = np.divmod(np.asarray(flat, dtype=np.int64), self.n_j * self.n_k)
+        j, k = np.divmod(rest, self.n_k)
+        eps = np.asarray(self.signs, dtype=float)[eps_idx]
+        a = eps * self.alpha ** (j + self.j_min).astype(float)
+        b = a * self.beta * (k + self.k_min).astype(float)
         return b, a
 
     def to_dict(self) -> dict:
@@ -176,12 +178,12 @@ class TFLattice:
             for n2 in range(self.n2_min, self.n2_max + 1)
         ]
 
-    def point_arrays(self):
-        n1 = np.repeat(np.arange(self.n1_min, self.n1_max + 1),
-                       self.n2_max - self.n2_min + 1)
-        n2 = np.tile(np.arange(self.n2_min, self.n2_max + 1),
-                     self.n1_max - self.n1_min + 1)
-        pts = self.scale * (self.generator @ np.vstack([n1, n2]))
+    def point_arrays(self, flat=None):
+        """Points ``(x, w)`` in canonical order, or at the given flat indices."""
+        if flat is None:
+            flat = np.arange(self.n_points)
+        n1, n2 = np.divmod(np.asarray(flat, dtype=np.int64), self.n2_max - self.n2_min + 1)
+        pts = self.scale * (self.generator @ np.vstack([n1 + self.n1_min, n2 + self.n2_min]))
         return pts[0], pts[1]
 
     def flat_index(self, n1, n2):
@@ -212,8 +214,8 @@ def lattice_points(lat):
 # tile membership machinery
 # ---------------------------------------------------------------------------
 
-def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a, coeffs=None):
-    """Cover counts (and optional coefficient sums) at arbitrary points.
+def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
+    """Tile-membership pairs ``(point, lattice flat index)``, one array each per pass.
 
     A point ``(b, a)`` lies in the tile ``x_{j,k,eps} U`` iff the sign
     matches, ``alpha^{-j} |a|`` lies in ``[alpha_U^{-1/2}, alpha_U^{1/2}]``
@@ -222,10 +224,7 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a, coeffs=None):
     """
     if U.kind != "affine":
         raise ValueError("affine lattice needs an affine neighbourhood")
-    b = np.asarray(b, dtype=float).ravel()
-    a = np.asarray(a, dtype=float).ravel()
-    counts = np.zeros(b.size, dtype=np.int64)
-    sums = np.zeros(b.size, dtype=np.complex128) if coeffs is not None else None
+    nodes, tiles = [], []
     ln_alpha = math.log(lat.alpha)
     half_u = math.log(U.alpha) / (2 * ln_alpha)
     half_b = U.beta / (2 * lat.beta)
@@ -255,24 +254,20 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a, coeffs=None):
                 ok_k = (k <= k_hi) & (k >= lat.k_min) & (k <= lat.k_max)
                 if not np.any(ok_k):
                     continue
-                hit = idx_j[ok_k]
-                counts[hit] += 1
-                if sums is not None:
-                    flat = lat.flat_index(jj[ok_k], k[ok_k], s_idx)
-                    sums[hit] += np.asarray(coeffs)[flat]
-    return counts, sums
+                nodes.append(idx_j[ok_k])
+                tiles.append(lat.flat_index(jj[ok_k], k[ok_k], s_idx))
+    return nodes, tiles
 
 
-def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w, coeffs=None):
+def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     if U.kind != "tf":
         raise ValueError("tf lattice needs a tf neighbourhood")
-    x = np.asarray(x, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    counts = np.zeros(x.size, dtype=np.int64)
-    sums = np.zeros(x.size, dtype=np.complex128) if coeffs is not None else None
+    nodes, tiles = [], []
     gen_inv = np.linalg.inv(lat.scale * lat.generator)
     # integer coordinates of candidate lattice points around each query
     base = gen_inv @ np.vstack([x, w])
+    n1_near = np.round(base[0]).astype(np.int64)
+    n2_near = np.round(base[1]).astype(np.int64)
     # radius in index space needed to cover the box U
     corners = np.array(
         [[sx * U.beta_x / 2, sw * U.beta_w / 2] for sx in (-1, 1) for sw in (-1, 1)]
@@ -282,8 +277,8 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w, coeffs=None):
     gen = lat.scale * lat.generator
     for d1 in range(-r1, r1 + 1):
         for d2 in range(-r2, r2 + 1):
-            n1 = np.round(base[0]).astype(np.int64) + d1
-            n2 = np.round(base[1]).astype(np.int64) + d2
+            n1 = n1_near + d1
+            n2 = n2_near + d2
             ok = (
                 (n1 >= lat.n1_min) & (n1 <= lat.n1_max)
                 & (n2 >= lat.n2_min) & (n2 <= lat.n2_max)
@@ -292,34 +287,60 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w, coeffs=None):
                 continue
             px = gen[0, 0] * n1 + gen[0, 1] * n2
             pw = gen[1, 0] * n1 + gen[1, 1] * n2
-            inside = (
+            inside = np.flatnonzero(
                 ok
                 & (np.abs(x - px) <= U.beta_x / 2 + _TIE_EPS)
                 & (np.abs(w - pw) <= U.beta_w / 2 + _TIE_EPS)
             )
-            if not np.any(inside):
-                continue
-            counts[inside] += 1
-            if sums is not None:
-                flat = lat.flat_index(n1[inside], n2[inside])
-                sums[inside] += np.asarray(coeffs)[flat]
-    return counts, sums
+            if inside.size:
+                nodes.append(inside)
+                tiles.append(lat.flat_index(n1[inside], n2[inside]))
+    return nodes, tiles
+
+
+def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
+    """Every ``(point, tile)`` incidence of the query points, and their number.
+
+    The order is fixed, pass by pass over the tile offsets, and every sum
+    over a point's tiles adds them in this order.  This is the one
+    membership code path behind cover counts, cover sums and the
+    partition's stored map.
+    """
+    c1 = np.asarray(c1, dtype=float).ravel()
+    c2 = np.asarray(c2, dtype=float).ravel()
+    cover = _affine_cover if isinstance(lat, AffineLattice) else _tf_cover
+    nodes, tiles = cover(lat, U, c1, c2)
+    empty = [np.zeros(0, dtype=np.int64)]
+    return np.concatenate(empty + nodes), np.concatenate(empty + tiles), c1.size
+
+
+def _pair_sum(nodes, values, n: int) -> np.ndarray:
+    """Per-point sums of the pair values, added in pair order from zero."""
+    values = np.asarray(values)
+    out = np.empty(n, dtype=np.complex128)
+    out.real = np.bincount(nodes, weights=values.real, minlength=n)
+    out.imag = np.bincount(nodes, weights=values.imag, minlength=n)
+    return out
+
+
+def _tile_average(counts, sums) -> np.ndarray:
+    """Sums over covering tiles divided by their number; zero where uncovered."""
+    out = np.zeros(counts.size, dtype=np.complex128)
+    hit = counts > 0
+    out[hit] = sums[hit] / counts[hit]
+    return out
 
 
 def cover_counts(lat, U: NeighborhoodSpec, c1, c2):
     """Number of lattice tiles ``x_i U`` containing each query point."""
-    if isinstance(lat, AffineLattice):
-        return _affine_cover(lat, U, c1, c2)[0]
-    return _tf_cover(lat, U, c1, c2)[0]
+    nodes, _, n = _cover_pairs(lat, U, c1, c2)
+    return np.bincount(nodes, minlength=n)
 
 
 def cover_sum(lat, U: NeighborhoodSpec, c1, c2, coeffs):
     """``sum_i coeffs_i * chi_{x_i U}`` (and counts) at the query points."""
-    if isinstance(lat, AffineLattice):
-        counts, sums = _affine_cover(lat, U, c1, c2, coeffs)
-    else:
-        counts, sums = _tf_cover(lat, U, c1, c2, coeffs)
-    return counts, sums
+    nodes, tiles, n = _cover_pairs(lat, U, c1, c2)
+    return np.bincount(nodes, minlength=n), _pair_sum(nodes, np.asarray(coeffs)[tiles], n)
 
 
 @dataclass(frozen=True)
@@ -412,16 +433,19 @@ class SampledSequence:
         }
 
 
-def sample_field(F, lat) -> SampledSequence:
-    """Interpolated field values at the lattice points (out-of-chart flagged)."""
-    b, a = lat.point_arrays()
+def _interpolate_at(F, lat, c1, c2):
+    """Field values at points of ``lat``'s group, with the in-chart mask."""
     if isinstance(lat, AffineLattice):
         if not isinstance(F, GroupField) or F.quad.kind != "affine":
             raise ValueError("affine lattice samples an affine field")
-        vals, mask = affine_field_interpolate(F, b, a, with_mask=True)
-    else:
-        base = F.as_group_field() if isinstance(F, TFField) else F
-        vals, mask = tf_field_interpolate(base, b, a, with_mask=True)
+        return affine_field_interpolate(F, c1, c2, with_mask=True)
+    base = F.as_group_field() if isinstance(F, TFField) else F
+    return tf_field_interpolate(base, c1, c2, with_mask=True)
+
+
+def sample_field(F, lat) -> SampledSequence:
+    """Interpolated field values at the lattice points (out-of-chart flagged)."""
+    vals, mask = _interpolate_at(F, lat, *lat.point_arrays())
     return SampledSequence(lat, vals, mask, {"coverage": float(np.mean(mask))})
 
 
@@ -566,27 +590,50 @@ def norm_equivalence_check(
 class BUPU:
     """Indicator partition of unity ``phi_i = chi_{x_i U} / sum_j chi_{x_j U}``.
 
-    Evaluation is lazy: cover counts realize the normalization exactly,
-    so ``0 <= phi_i <= 1``, ``supp phi_i`` is the tile, and the partition
-    sums to one at every covered point (points on shared boundaries are
-    split evenly among the covering tiles).
+    Cover counts realize the normalization exactly, so ``0 <= phi_i <= 1``,
+    ``supp phi_i`` is the tile, and the partition sums to one at every
+    covered point (points on shared boundaries are split evenly among the
+    covering tiles).
+
+    The partition stores its map from chart nodes to covering tiles:
+    ``(pair_nodes, pair_tiles)`` are the (flat chart node, lattice flat
+    index) incidences in accumulation order.  ``active_tiles`` are the
+    distinct lattice indices that hold a chart node, ``active_points``
+    their lattice points, and ``pair_active`` the position of each pair's
+    tile among them.  Synthesis on the chart reads only these tiles.
     """
 
     lattice: object
     U: NeighborhoodSpec
     quad: GroupQuadrature
     counts: np.ndarray
+    pair_nodes: np.ndarray
+    pair_tiles: np.ndarray
+    active_tiles: np.ndarray
+    active_points: tuple
+    pair_active: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def uncovered_nodes(self) -> int:
+        """Chart nodes that no tile covers."""
+        return int(np.count_nonzero(self.counts == 0))
 
     def partition_sum(self, c1, c2, coeffs=None):
         """``sum_i coeffs_i phi_i`` at arbitrary points (ones by default)."""
         if coeffs is None:
             coeffs = np.ones(self.lattice.n_points)
-        counts, sums = cover_sum(self.lattice, self.U, c1, c2, coeffs)
-        out = np.zeros(counts.size, dtype=np.complex128)
-        hit = counts > 0
-        out[hit] = sums[hit] / counts[hit]
-        return out
+        return _tile_average(*cover_sum(self.lattice, self.U, c1, c2, coeffs))
+
+    def sample_synthesize(self, F) -> GroupField:
+        """``sum_i F(x_i) phi_i``, reading F only at the active tiles.
+
+        Bit for bit ``bupu_synthesize(sample_field(F, lattice), self)``:
+        the active points come from ``point_arrays``, are interpolated by
+        the same kernel, and are summed in the same order.
+        """
+        vals, _ = _interpolate_at(F, self.lattice, *self.active_points)
+        return _synthesize_pairs(self, vals[self.pair_active])
 
 
 def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
@@ -629,8 +676,19 @@ def build_bupu(lat, U: NeighborhoodSpec, quad: GroupQuadrature) -> BUPU:
             f"lattice is not U-dense on the working region; witness {report.witness}"
         )
     pts = quad.node_points()
-    counts = cover_counts(lat, U, pts[0], pts[1]).reshape(quad.shape)
-    return BUPU(lat, U, quad, counts, {"probe_size": report.n_probe})
+    nodes, tiles, n = _cover_pairs(lat, U, pts[0], pts[1])
+    counts = np.bincount(nodes, minlength=n).reshape(quad.shape)
+    active, pair_active = np.unique(tiles, return_inverse=True)
+    return BUPU(lat, U, quad, counts, nodes, tiles, active, lat.point_arrays(active),
+                pair_active, {"probe_size": report.n_probe})
+
+
+def _synthesize_pairs(bupu: BUPU, pair_values) -> GroupField:
+    """``sum_i c_i phi_i`` on the chart from one coefficient per stored pair."""
+    counts = bupu.counts.ravel()
+    out = _tile_average(counts, _pair_sum(bupu.pair_nodes, pair_values, counts.size))
+    return GroupField(bupu.quad, out.reshape(bupu.quad.shape),
+                      {"uncovered_fraction": float(np.mean(counts == 0))})
 
 
 def bupu_synthesize(c, bupu: BUPU) -> GroupField:
@@ -638,12 +696,4 @@ def bupu_synthesize(c, bupu: BUPU) -> GroupField:
     vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
     if vals.size != bupu.lattice.n_points:
         raise ValueError("coefficient length does not match the lattice")
-    pts = bupu.quad.node_points()
-    counts, sums = cover_sum(bupu.lattice, bupu.U, pts[0], pts[1], vals)
-    counts = counts.reshape(bupu.quad.shape)
-    sums = sums.reshape(bupu.quad.shape)
-    out = np.zeros(bupu.quad.shape, dtype=np.complex128)
-    hit = counts > 0
-    out[hit] = sums[hit] / counts[hit]
-    uncovered = float(np.mean(~hit))
-    return GroupField(bupu.quad, out, {"uncovered_fraction": uncovered})
+    return _synthesize_pairs(bupu, vals[bupu.pair_tiles])

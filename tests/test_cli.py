@@ -63,6 +63,25 @@ class TestCwtCommand:
         assert stats["l1"] == lpm_norm(field, 1.0)
         assert stats["linf"] == lpm_norm(field, math.inf)
 
+    def test_nan_sample_never_written(self, tmp_path, mexhat_file):
+        atom_path, psi = mexhat_file
+        vals = psi.values.copy()
+        vals[300] = np.nan
+        sig_path = tmp_path / "nan_signal.json"
+        write_json(sig_path, psi.with_values(vals).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "cwt",
+            "signal": str(sig_path), "atom": str(atom_path), "quadrature": quad_dict(),
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["cwt", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        # nothing half-written, and no NaN token in whatever is left
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+        for path in out.iterdir():
+            assert "NaN" not in path.read_text()
+
     def test_missing_file_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {
@@ -255,7 +274,7 @@ class TestDesignCommand:
 
 
 class TestReconstructCommand:
-    def test_reconstruct_kernel_samples(self, tmp_path):
+    def test_reconstruct_kernel_samples(self, tmp_path, monkeypatch):
         # in-space field (the kernel itself): final error within tolerance
         psi = cb.signal_from_spectrum_profile(
             lambda w: np.exp(-(w**2 + np.where(w != 0, w**-2.0, np.inf))),
@@ -285,10 +304,27 @@ class TestReconstructCommand:
                          "signs": [1, -1]},
             "field": str(field_path), "tol": 1e-4, "max_iter": 100,
         })
+        # the self-kernel is built once, for the certificate and the loop
+        calls = []
+        cwt_once = cb.frames.cwt
+
+        def counting_cwt(*args, **kwargs):
+            calls.append(1)
+            return cwt_once(*args, **kwargs)
+
+        monkeypatch.setattr(cb.frames, "cwt", counting_cwt)
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 0
+        assert len(calls) == 1
         rep = json.loads((tmp_path / "reconstruct.report.json").read_text())
         assert rep["converged"] is True
         # the fixed-point gap scales like tol * q/(1-q) at this certificate's q
         assert rep["final_relative_error"] <= 1e-2
         assert rep["certificate"]["pass"] is True
+        # tile counts read off the partition's node-to-tile map
+        lat = cb.AffineLattice(alpha, beta, -j_span, j_span, -k_span, k_span, (1, -1))
+        bupu = cb.build_bupu(lat, cb.affine_box(beta, alpha), qobj)
+        assert rep["lattice_points"] == lat.n_points == 2 * (2 * j_span + 1) * (2 * k_span + 1)
+        assert rep["active_tiles"] == bupu.active_tiles.size
+        assert 0 < rep["active_tiles"] < rep["lattice_points"]
+        assert rep["uncovered_nodes"] == int(np.sum(bupu.counts == 0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.fields import affine_box, tf_box
+from coorbit.fields import affine_box, convolve, field_l2_norm, tf_box
 from coorbit.frames import (
     DesignSearchError,
     ReconstructionDivergence,
@@ -23,8 +23,14 @@ from coorbit.frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from coorbit.groups import build_affine_quadrature, build_tf_quadrature
-from coorbit.lattices import AffineLattice, TFLattice, build_bupu, sample_field
+from coorbit.groups import GroupField, build_affine_quadrature, build_tf_quadrature
+from coorbit.lattices import (
+    AffineLattice,
+    TFLattice,
+    build_bupu,
+    bupu_synthesize,
+    sample_field,
+)
 from coorbit.signals import inner
 from coorbit.voice import NotAdmissibleError, cwt
 
@@ -257,6 +263,41 @@ class TestNeumann:
             neumann_reconstruct(samples, bupu, bad_K, tol=1e-6, max_iter=50,
                                 allow_uncertified=True)
         assert exc.value.report.iterations >= 3
+
+
+    def test_matches_public_reference_loop(self, s0_atom_normalized):
+        # the loop written out from the public sample -> synthesize ->
+        # convolve steps gives the same field and residuals, bit for bit
+        psi = s0_atom_normalized
+        quad = build_affine_quadrature(-2, 2, 128, 1 / 4, 4, 25, (1, -1))
+        K = cwt(psi, psi, quad)
+        beta, alpha = 0.7**8, 1 + 0.7**8
+        j_span = int(math.ceil(math.log(4) / math.log(alpha)))
+        k_span = int(math.ceil(2 / (beta * 0.25)))
+        lat = AffineLattice(alpha, beta, -j_span, j_span, -k_span, k_span, (1, -1))
+        bupu = build_bupu(lat, affine_box(beta, alpha), quad)
+        f = random_bandlimited_signal(psi, (0.45, 1.1), np.random.default_rng(3),
+                                      envelope_width=0.6)
+        W = cwt(f, psi, quad)
+        samples = sample_field(W, lat)
+        n_iter = 4
+        rec, rep = neumann_reconstruct(samples, bupu, K, tol=0.0, max_iter=n_iter,
+                                       allow_uncertified=True)
+
+        Y = convolve(bupu_synthesize(samples, bupu), K)
+        F = Y
+        history = []
+        for _ in range(n_iter):
+            TF = convolve(bupu_synthesize(sample_field(F, lat), bupu), K)
+            F_next = GroupField(quad, Y.values + F.values - TF.values)
+            history.append(field_l2_norm(GroupField(quad, F_next.values - F.values)))
+            F = F_next
+        assert rep.iterations == n_iter
+        assert rep.residual_history == tuple(history)
+        assert np.array_equal(rec.values.view(np.int64), F.values.view(np.int64))
+        assert rep.lattice_points == lat.n_points
+        assert rep.active_tiles == bupu.active_tiles.size < lat.n_points
+        assert rep.uncovered_nodes == bupu.uncovered_nodes
 
 
 class TestDesign:

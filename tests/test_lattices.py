@@ -5,7 +5,7 @@ import pytest
 
 import coorbit as cb
 from coorbit.fields import affine_box, tf_box
-from coorbit.groups import GroupField, build_affine_quadrature
+from coorbit.groups import GroupField, build_affine_quadrature, build_tf_quadrature
 from coorbit.lattices import (
     AffineLattice,
     TFLattice,
@@ -257,6 +257,65 @@ class TestBUPU:
             lhs = lpm_norm(F, 2.0, m)
             rhs = rep.window[1] * seq_lpm_norm(c, 2.0, m, lat12)
             assert lhs <= rhs * 1.02
+
+
+def _random_field(quad, seed):
+    rng = np.random.default_rng(seed)
+    return GroupField(quad, rng.normal(size=quad.shape) + 1j * rng.normal(size=quad.shape))
+
+
+def _assert_step_bit_identical(F, lat, bupu):
+    ref = bupu_synthesize(sample_field(F, lat), bupu)
+    step = bupu.sample_synthesize(F)
+    # compare the bits of real and imaginary parts, not values up to roundoff
+    assert np.array_equal(ref.values.view(np.int64), step.values.view(np.int64))
+    assert step.meta == ref.meta
+
+
+class TestCompiledStep:
+    """``BUPU.sample_synthesize`` reproduces sample-then-synthesize bit for bit."""
+
+    def test_two_sign_affine_chart(self):
+        lat = AffineLattice(1.3, 0.4, -4, 4, -20, 20, (1, -1))
+        quad = build_affine_quadrature(-2, 2, 64, 0.5, 2, 9, (1, -1))
+        bupu = build_bupu(lat, affine_box(0.4, 1.3), quad)
+        assert 0 < bupu.active_tiles.size < lat.n_points
+        _assert_step_bit_identical(_random_field(quad, 1), lat, bupu)
+
+    def test_tile_boundaries_on_chart_nodes(self):
+        # tile edges of the dyadic lattice sit at b = a (k +- 1/2) and
+        # a = 2^(j +- 1/2): grid steps 1/4 in b and half a level in log a,
+        # so edge nodes lie in two tiles and level-corner nodes in three
+        lat = AffineLattice(2.0, 1.0, -3, 3, -8, 8, (1, -1))
+        quad = build_affine_quadrature(-2, 2, 16, 2**-1.5, 2**1.5, 7, (1, -1))
+        bupu = build_bupu(lat, affine_box(1.0, 2.0), quad)
+        assert int(np.max(bupu.counts)) == 3
+        for seed in range(3):
+            _assert_step_bit_identical(_random_field(quad, seed), lat, bupu)
+
+    def test_chart_past_lattice_window(self):
+        lat = AffineLattice(2.0, 1.0, -1, 1, -2, 2, (1, -1))
+        quad = build_affine_quadrature(-4, 4, 32, 1 / 8, 8, 13, (1, -1))
+        bupu = build_bupu(lat, affine_box(1.0, 2.0), quad)
+        assert bupu.uncovered_nodes == int(np.sum(bupu.counts == 0)) > 0
+        _assert_step_bit_identical(_random_field(quad, 4), lat, bupu)
+
+    def test_tf_lattice(self):
+        lat = TFLattice(np.array([[0.5, 0.1], [0.0, 0.4]]), 1.0, -12, 12, -12, 12)
+        quad = build_tf_quadrature(-3, 0.125, 49, -2.5, 0.125, 41)
+        bupu = build_bupu(lat, tf_box(0.5, 0.4), quad)
+        assert int(np.max(bupu.counts)) > 1
+        _assert_step_bit_identical(_random_field(quad, 5), lat, bupu)
+
+    def test_map_matches_cover_machinery(self, lat12, quad12):
+        U = affine_box(1.0, 2.0)
+        bupu = build_bupu(lat12, U, quad12)
+        b, a = quad12.node_points()
+        assert np.array_equal(bupu.counts.ravel(), cover_counts(lat12, U, b, a))
+        assert np.array_equal(bupu.active_tiles[bupu.pair_active], bupu.pair_tiles)
+        pb, pa = lat12.point_arrays()
+        assert np.array_equal(bupu.active_points[0], pb[bupu.active_tiles])
+        assert np.array_equal(bupu.active_points[1], pa[bupu.active_tiles])
 
 
 class TestSerialization:
