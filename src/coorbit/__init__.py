@@ -65,7 +65,6 @@ from .signals import (
 from .voice import (
     NotAdmissible,
     NotAdmissibleError,
-    TFField,
     admissibility_constant,
     cwt,
     duflo_moore_wavelet,

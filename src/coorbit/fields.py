@@ -1,10 +1,9 @@
 """Weighted L^p_m calculus on group fields.
 
 Norms, involutions, group convolution, U-oscillation and the Young
-inequality checks all live here.  Fields are either affine
-:class:`~coorbit.groups.GroupField` objects or plane
-:class:`~coorbit.voice.TFField` objects; every operation dispatches on
-the type.
+inequality checks all live here.  Every field is a
+:class:`~coorbit.groups.GroupField`; its quadrature's ``kind`` says
+whether it lives on the affine chart or the time-frequency plane.
 
 Group convolution on the affine chart,
 
@@ -33,7 +32,6 @@ from .groups import (
     affine_field_interpolate,
     tf_field_interpolate,
 )
-from .voice import TFField
 from .weights import (
     WeightSpec,
     custom_weight,
@@ -173,78 +171,44 @@ def weight_reciprocal(w: WeightSpec) -> WeightSpec:
     return custom_weight(lambda *args: 1.0 / ev(*args), w.group)
 
 
-def _field_kind(F) -> str:
-    if isinstance(F, GroupField):
-        return F.quad.kind
-    if isinstance(F, TFField):
-        return "tf"
-    raise TypeError(f"not a field: {type(F)!r}")
-
-
-def _field_parts(F):
-    """(values, haar weights, weight evaluation arrays) for either field type."""
-    if isinstance(F, GroupField):
-        quad = F.quad
-        wts = quad.node_weights()
-        if quad.kind == "affine":
-            b, a = quad.node_points()
-            return F.values, wts, ("affine", b, a)
-        x, w = quad.node_points()
-        return F.values, wts, ("tf", x, w)
-    if isinstance(F, TFField):
-        wts = np.full(F.values.shape, F.cell)
-        x = np.broadcast_to(F.x_grid()[:, None], F.values.shape)
-        w = np.broadcast_to(F.w_grid()[None, :], F.values.shape)
-        return F.values, wts, ("tf", x, w)
-    raise TypeError(f"not a field: {type(F)!r}")
-
-
-def _weight_at_nodes(m: WeightSpec, coords) -> np.ndarray:
-    kind, c1, c2 = coords
-    if m.group_kind != kind:
-        raise ValueError(f"weight on {m.group_kind!r} applied to a {kind!r} field")
-    if kind == "affine":
+def _weight_at_nodes(m: WeightSpec, quad) -> np.ndarray:
+    if m.group_kind != quad.kind:
+        raise ValueError(f"weight on {m.group_kind!r} applied to a {quad.kind!r} field")
+    c1, c2 = quad.node_points()
+    if quad.kind == "affine":
         return np.asarray(eval_weight_affine(m, c1, c2), dtype=float)
     return np.asarray(eval_weight_tf(m, c1, c2), dtype=float)
 
 
-def lpm_norm(F, p: float, m: WeightSpec | None = None) -> float:
+def lpm_norm(F: GroupField, p: float, m: WeightSpec | None = None) -> float:
     """Weighted norm ``||F m||_{L^p}``; the grid max realizes p = inf."""
-    vals, wts, coords = _field_parts(F)
+    quad = F.quad
     if m is None:
-        m = unit_weight(coords[0])
-    mw = _weight_at_nodes(m, coords)
-    a = np.abs(vals) * mw
+        m = unit_weight(quad.kind)
+    a = np.abs(F.values) * _weight_at_nodes(m, quad)
     if math.isinf(p):
         return float(np.max(a))
     if p < 1:
         raise ValueError("p must lie in [1, inf]")
-    return float(np.sum(a**p * wts) ** (1.0 / p))
+    return float(np.sum(a**p * quad.node_weights()) ** (1.0 / p))
 
 
-def field_l2_norm(F) -> float:
+def field_l2_norm(F: GroupField) -> float:
     return lpm_norm(F, 2.0)
 
 
-def involute(F, kind: str = "nabla"):
+def involute(F: GroupField, kind: str = "nabla") -> GroupField:
     """``F^v(x) = F(x^{-1})`` or ``F^nabla(x) = conj F(x^{-1})`` by interpolation."""
     if kind not in ("v", "vee", "nabla"):
         raise ValueError("kind must be 'vee' or 'nabla'")
-    conj = kind == "nabla"
-    if isinstance(F, GroupField) and F.quad.kind == "affine":
-        b, a = F.quad.node_points()
-        vals = affine_field_interpolate(F, -b / a, 1.0 / a)
-    elif isinstance(F, GroupField):
-        x, w = F.quad.node_points()
-        vals = tf_field_interpolate(F, -x, -w)
+    c1, c2 = F.quad.node_points()
+    if F.quad.kind == "affine":
+        vals = affine_field_interpolate(F, -c1 / c2, 1.0 / c2)
     else:
-        vals = tf_field_interpolate(F.as_group_field(), -F.x_grid()[:, None],
-                                    -F.w_grid()[None, :])
-    if conj:
+        vals = tf_field_interpolate(F, -c1, -c2)
+    if kind == "nabla":
         vals = np.conj(vals)
-    if isinstance(F, GroupField):
-        return GroupField(F.quad, vals)
-    return F.with_values(vals)
+    return GroupField(F.quad, vals)
 
 
 def _check_same_quadrature(F: GroupField, G: GroupField):
@@ -372,14 +336,14 @@ def convolve(F: GroupField, G: GroupField, method: str = "auto") -> GroupField:
     return GroupField(F.quad, vals, meta)
 
 
-def tf_convolve(F: TFField, G: TFField) -> TFField:
-    """Abelian plane convolution, ``dx*dw``-scaled, grids matching."""
-    if not isinstance(F, TFField) or not isinstance(G, TFField):
+def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
+    """Abelian plane convolution, ``dx*dw``-scaled, charts matching."""
+    if F.quad.kind != "tf" or G.quad.kind != "tf":
         raise ValueError("tf_convolve needs two TF fields")
-    if not F.same_grid(G):
-        raise ValueError("tf_convolve needs matching grids")
-    ox = -F.x0 / F.dx
-    ow = -F.w0 / F.dw
+    _check_same_quadrature(F, G)
+    quad = F.quad
+    ox = -quad.x0 / quad.dx
+    ow = -quad.w0 / quad.dw
     if abs(ox - round(ox)) > 1e-6 or abs(ow - round(ow)) > 1e-6:
         raise ValueError("grid origins must be integer multiples of the steps")
     ox, ow = int(round(ox)), int(round(ow))
@@ -388,15 +352,15 @@ def tf_convolve(F: TFField, G: TFField) -> TFField:
     full = fftconvolve(F.values, G.values, mode="full")
     out = np.zeros_like(F.values)
     # clip the needed window of the full convolution against its bounds
-    x_sel = np.arange(F.n_x) + ox
-    w_sel = np.arange(F.n_w) + ow
+    x_sel = np.arange(quad.n_x) + ox
+    w_sel = np.arange(quad.n_w) + ow
     x_ok = (x_sel >= 0) & (x_sel < full.shape[0])
     w_ok = (w_sel >= 0) & (w_sel < full.shape[1])
     out[np.ix_(x_ok, w_ok)] = full[np.ix_(x_sel[x_ok], w_sel[w_ok])]
-    return F.with_values(out * F.cell)
+    return F.with_values(out * (quad.dx * quad.dw))
 
 
-def oscillation(G, U: NeighborhoodSpec):
+def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     """Pointwise ``max_u |G(u x) - G(x)|`` over the U sample points.
 
     The essential supremum is approximated on the finite offset grid of
@@ -404,30 +368,18 @@ def oscillation(G, U: NeighborhoodSpec):
     oscillation near the chart edge (the safe direction for every
     certificate built on top of it).
     """
-    kind = _field_kind(G)
-    if U.kind != kind:
+    quad = G.quad
+    if U.kind != quad.kind:
         raise ValueError("neighbourhood and field live on different groups")
-    if kind == "affine":
-        b, a = G.quad.node_points()
-        osc = np.zeros(G.values.shape, dtype=float)
-        deltas, taus = U.offsets()
-        for d, t in zip(deltas, taus):
-            vals = affine_field_interpolate(G, d + t * b, t * a)
-            np.maximum(osc, np.abs(vals - G.values), out=osc)
-        return GroupField(G.quad, osc.astype(np.complex128))
-    if isinstance(G, TFField):
-        base = G.as_group_field()
-    else:
-        base = G
-    x, w = base.quad.node_points()
-    osc = np.zeros(base.values.shape, dtype=float)
-    dxs, dws = U.offsets()
-    for d, t in zip(dxs, dws):
-        vals = tf_field_interpolate(base, x + d, w + t)
-        np.maximum(osc, np.abs(vals - base.values), out=osc)
-    if isinstance(G, TFField):
-        return G.with_values(osc.astype(np.complex128))
-    return GroupField(base.quad, osc.astype(np.complex128))
+    c1, c2 = quad.node_points()
+    osc = np.zeros(G.values.shape, dtype=float)
+    for d, t in zip(*U.offsets()):
+        if quad.kind == "affine":
+            vals = affine_field_interpolate(G, d + t * c1, t * c2)
+        else:
+            vals = tf_field_interpolate(G, c1 + d, c2 + t)
+        np.maximum(osc, np.abs(vals - G.values), out=osc)
+    return GroupField(quad, osc.astype(np.complex128))
 
 
 @dataclass(frozen=True)

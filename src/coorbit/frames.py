@@ -164,10 +164,11 @@ class DesignSearchError(RuntimeError):
         self.q_history = q_history
 
 
-def _certificate_from_kernel(K, w, U, chart) -> FrameCertificate:
-    kernel_l1w = lpm_norm(K, 1.0, w)
-    osc = oscillation(K, U)
-    osc_l1w = lpm_norm(osc, 1.0, w)
+def _certificate_from_kernel(K, w, U, chart, kernel_l1w=None) -> FrameCertificate:
+    """Certificate of kernel ``K`` for ``U``; ``kernel_l1w`` skips recomputing the norm."""
+    if kernel_l1w is None:
+        kernel_l1w = lpm_norm(K, 1.0, w)
+    osc_l1w = lpm_norm(oscillation(K, U), 1.0, w)
     q = kernel_l1w * osc_l1w
     return FrameCertificate(kernel_l1w, osc_l1w, q, U, w, chart, bool(q < 1.0))
 
@@ -538,14 +539,10 @@ def design_lattice(
         alpha_n = 1.0 + (alpha0 - 1.0) * gamma**n
         beta_n = beta0 * gamma**n
         U = affine_box(beta_n, alpha_n, n_samples)
-        osc_l1w = lpm_norm(oscillation(K, U), 1.0, w)
-        q = kernel_l1w * osc_l1w
-        q_history.append(q)
-        best_q = min(best_q, q)
-        if q < 1.0:
-            cert = FrameCertificate(
-                kernel_l1w, osc_l1w, q, U, w, chart, True
-            )
+        cert = _certificate_from_kernel(K, w, U, chart, kernel_l1w)
+        q_history.append(cert.q)
+        best_q = min(best_q, cert.q)
+        if cert.passed:
             return DesignResult(alpha_n, beta_n, cert, n + 1, tuple(q_history))
     raise DesignSearchError(
         f"no passing certificate in {max_steps} steps (best q = {best_q:.4g})",

@@ -317,7 +317,7 @@ def build_tf_quadrature(
     x0: float, dx: float, n_x: int, w0: float, dw: float, n_w: int
 ) -> GroupQuadrature:
     """Uniform chart of the time-frequency plane, weight ``dx*dw``."""
-    if dx <= 0 or dw <= 0 or n_x < 2 or n_w < 2:
+    if dx <= 0 or dw <= 0 or n_x < 1 or n_w < 1:
         raise ValueError("invalid TF grid")
     return GroupQuadrature(
         kind="tf", x0=float(x0), dx=float(dx), n_x=int(n_x),
@@ -366,6 +366,35 @@ def haar_integral(F: GroupField) -> complex:
     return complex(np.sum(F.values * F.quad.node_weights()))
 
 
+def _bilinear(plane: np.ndarray, f0, f1):
+    """Bilinear read of ``plane`` at fractional node indices ``(f0, f1)``.
+
+    ``f0`` indexes axis 0 and ``f1`` axis 1.  Points further than the
+    snap outside the node range read as zero.  Returns the values and
+    the in-chart mask, both shaped like ``f0``.
+    """
+    n0, n1 = plane.shape
+    ok = (
+        (f0 >= -_CHART_SNAP)
+        & (f0 <= n0 - 1 + _CHART_SNAP)
+        & (f1 >= -_CHART_SNAP)
+        & (f1 <= n1 - 1 + _CHART_SNAP)
+    )
+    out = np.zeros(f0.shape, dtype=np.complex128)
+    if np.any(ok):
+        g0 = np.clip(f0[ok], 0.0, n0 - 1.0)
+        g1 = np.clip(f1[ok], 0.0, n1 - 1.0)
+        i0 = np.minimum(g0.astype(int), n0 - 2)
+        i1 = np.minimum(g1.astype(int), n1 - 2)
+        t0 = g0 - i0
+        t1 = g1 - i1
+        out[ok] = (
+            (1 - t0) * ((1 - t1) * plane[i0, i1] + t1 * plane[i0, i1 + 1])
+            + t0 * ((1 - t1) * plane[i0 + 1, i1] + t1 * plane[i0 + 1, i1 + 1])
+        )
+    return out, ok
+
+
 def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
     """Evaluate an affine field at arbitrary chart points.
 
@@ -376,51 +405,20 @@ def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
     quad = F.quad
     if quad.kind != "affine":
         raise ValueError("affine interpolation on a non-affine field")
-    b_q = np.asarray(b_q, dtype=float)
-    a_q = np.asarray(a_q, dtype=float)
-    out = np.zeros(np.broadcast(b_q, a_q).shape, dtype=np.complex128)
-    b_q, a_q = np.broadcast_arrays(b_q, a_q)
-
-    inside_total = np.zeros(out.shape, dtype=bool)
-    db, du = quad.db, quad.du
-    n_b, n_u = quad.n_b, quad.n_scales
+    b_q, a_q = np.broadcast_arrays(
+        np.asarray(b_q, dtype=float), np.asarray(a_q, dtype=float)
+    )
+    out = np.zeros(b_q.shape, dtype=np.complex128)
+    inside = np.zeros(b_q.shape, dtype=bool)
     for s_idx, sgn in enumerate(quad.signs):
         sel = (np.sign(a_q) == sgn) & (a_q != 0)
         if not np.any(sel):
             continue
-        u = np.log(np.abs(a_q[sel]))
-        fb = (b_q[sel] - quad.b_lo) / db
-        fu = (u - quad.u_lo) / du
-        ok = (
-            (fb >= -_CHART_SNAP)
-            & (fb <= n_b - 1 + _CHART_SNAP)
-            & (fu >= -_CHART_SNAP)
-            & (fu <= n_u - 1 + _CHART_SNAP)
-        )
-        if not np.any(ok):
-            continue
-        fb = np.clip(fb[ok], 0.0, n_b - 1.0)
-        fu = np.clip(fu[ok], 0.0, n_u - 1.0)
-        ib = np.minimum(fb.astype(int), n_b - 2)
-        iu = np.minimum(fu.astype(int), n_u - 2)
-        tb = fb - ib
-        tu = fu - iu
-        plane = F.values[s_idx]
-        v00 = plane[iu, ib]
-        v01 = plane[iu, ib + 1]
-        v10 = plane[iu + 1, ib]
-        v11 = plane[iu + 1, ib + 1]
-        vals = (
-            (1 - tu) * ((1 - tb) * v00 + tb * v01)
-            + tu * ((1 - tb) * v10 + tb * v11)
-        )
-        idx = np.flatnonzero(sel)
-        out.flat[idx[ok]] = vals
-        mask = np.zeros(out.shape, dtype=bool)
-        mask.flat[idx[ok]] = True
-        inside_total |= mask
+        fu = (np.log(np.abs(a_q[sel])) - quad.u_lo) / quad.du
+        fb = (b_q[sel] - quad.b_lo) / quad.db
+        out[sel], inside[sel] = _bilinear(F.values[s_idx], fu, fb)
     if with_mask:
-        return out, inside_total
+        return out, inside
     return out
 
 
@@ -429,31 +427,10 @@ def tf_field_interpolate(F: GroupField, x_q, w_q, with_mask: bool = False):
     quad = F.quad
     if quad.kind != "tf":
         raise ValueError("tf interpolation on a non-tf field")
-    x_q = np.asarray(x_q, dtype=float)
-    w_q = np.asarray(w_q, dtype=float)
-    x_q, w_q = np.broadcast_arrays(x_q, w_q)
-    fx = (x_q - quad.x0) / quad.dx
-    fw = (w_q - quad.w0) / quad.dw
-    ok = (
-        (fx >= -_CHART_SNAP)
-        & (fx <= quad.n_x - 1 + _CHART_SNAP)
-        & (fw >= -_CHART_SNAP)
-        & (fw <= quad.n_w - 1 + _CHART_SNAP)
+    x_q, w_q = np.broadcast_arrays(
+        np.asarray(x_q, dtype=float), np.asarray(w_q, dtype=float)
     )
-    out = np.zeros(x_q.shape, dtype=np.complex128)
-    if np.any(ok):
-        fxo = np.clip(fx[ok], 0.0, quad.n_x - 1.0)
-        fwo = np.clip(fw[ok], 0.0, quad.n_w - 1.0)
-        ix = np.minimum(fxo.astype(int), quad.n_x - 2)
-        iw = np.minimum(fwo.astype(int), quad.n_w - 2)
-        tx = fxo - ix
-        tw = fwo - iw
-        v = F.values
-        vals = (
-            (1 - tx) * ((1 - tw) * v[ix, iw] + tw * v[ix, iw + 1])
-            + tx * ((1 - tw) * v[ix + 1, iw] + tw * v[ix + 1, iw + 1])
-        )
-        out[ok] = vals
+    out, ok = _bilinear(F.values, (x_q - quad.x0) / quad.dx, (w_q - quad.w0) / quad.dw)
     if with_mask:
         return out, ok
     return out

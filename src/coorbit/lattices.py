@@ -29,7 +29,6 @@ from .groups import (
     build_affine_quadrature,
     tf_field_interpolate,
 )
-from .voice import TFField
 from .weights import WeightSpec, eval_weight_affine, eval_weight_tf
 
 __all__ = [
@@ -433,17 +432,14 @@ class SampledSequence:
         }
 
 
-def _interpolate_at(F, lat, c1, c2):
+def _interpolate_at(F: GroupField, lat, c1, c2):
     """Field values at points of ``lat``'s group, with the in-chart mask."""
     if isinstance(lat, AffineLattice):
-        if not isinstance(F, GroupField) or F.quad.kind != "affine":
-            raise ValueError("affine lattice samples an affine field")
         return affine_field_interpolate(F, c1, c2, with_mask=True)
-    base = F.as_group_field() if isinstance(F, TFField) else F
-    return tf_field_interpolate(base, c1, c2, with_mask=True)
+    return tf_field_interpolate(F, c1, c2, with_mask=True)
 
 
-def sample_field(F, lat) -> SampledSequence:
+def sample_field(F: GroupField, lat) -> SampledSequence:
     """Interpolated field values at the lattice points (out-of-chart flagged)."""
     vals, mask = _interpolate_at(F, lat, *lat.point_arrays())
     return SampledSequence(lat, vals, mask, {"coverage": float(np.mean(mask))})
@@ -625,7 +621,7 @@ class BUPU:
             coeffs = np.ones(self.lattice.n_points)
         return _tile_average(*cover_sum(self.lattice, self.U, c1, c2, coeffs))
 
-    def sample_synthesize(self, F) -> GroupField:
+    def sample_synthesize(self, F: GroupField) -> GroupField:
         """``sum_i F(x_i) phi_i``, reading F only at the active tiles.
 
         Bit for bit ``bupu_synthesize(sample_field(F, lattice), self)``:

@@ -22,7 +22,7 @@ by :func:`schrodinger_atom` for group-law level tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .signals import (
 )
 
 __all__ = [
-    "TFField",
     "NotAdmissible",
     "NotAdmissibleError",
     "cwt",
@@ -72,79 +71,6 @@ class NotAdmissible:
 
 class NotAdmissibleError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TFField:
-    """Complex values ``V(x, w)`` on a uniform time-frequency grid (x-major)."""
-
-    x0: float
-    dx: float
-    n_x: int
-    w0: float
-    dw: float
-    n_w: int
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.n_x, self.n_w):
-            raise ValueError("TF values must have shape (n_x, n_w)")
-        object.__setattr__(self, "values", vals)
-
-    def x_grid(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n_x)
-
-    def w_grid(self) -> np.ndarray:
-        return self.w0 + self.dw * np.arange(self.n_w)
-
-    @property
-    def cell(self) -> float:
-        return self.dx * self.dw
-
-    def same_grid(self, other: "TFField") -> bool:
-        return (
-            self.n_x == other.n_x
-            and self.n_w == other.n_w
-            and abs(self.x0 - other.x0) < 1e-12 * max(1, abs(self.x0))
-            and abs(self.w0 - other.w0) < 1e-12 * max(1, abs(self.w0))
-            and abs(self.dx - other.dx) < 1e-12 * self.dx
-            and abs(self.dw - other.dw) < 1e-12 * self.dw
-        )
-
-    def with_values(self, values, **meta) -> "TFField":
-        merged = dict(self.meta)
-        merged.update(meta)
-        return TFField(
-            self.x0, self.dx, self.n_x, self.w0, self.dw, self.n_w, values, merged
-        )
-
-    def as_quadrature(self) -> GroupQuadrature:
-        return build_tf_quadrature(self.x0, self.dx, self.n_x, self.w0, self.dw, self.n_w)
-
-    def as_group_field(self) -> GroupField:
-        return GroupField(self.as_quadrature(), self.values)
-
-    def to_dict(self) -> dict:
-        flat = self.values.ravel()
-        return {
-            "grid": {
-                "x0": self.x0, "dx": self.dx, "n_x": self.n_x,
-                "w0": self.w0, "dw": self.dw, "n_w": self.n_w,
-            },
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TFField":
-        g = d["grid"]
-        vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return TFField(
-            g["x0"], g["dx"], g["n_x"], g["w0"], g["dw"], g["n_w"],
-            vals.reshape(g["n_x"], g["n_w"]),
-        )
 
 
 def _check_edge_decay(f: SampledSignal, meta: dict, name: str):
@@ -283,40 +209,16 @@ def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> Sampl
     return inverse_fourier(Spectrum(w[0], dw, acc, t_origin=quad.b_lo))
 
 
-def _shift_matrix(g: SampledSignal, x_grid: np.ndarray) -> np.ndarray:
-    """Rows ``g(t - x)`` for each x; exact rolls on grid-aligned shifts."""
-    n = g.n
-    out = np.zeros((x_grid.size, n), dtype=np.complex128)
-    t = g.grid()
-    for i, x in enumerate(x_grid):
-        steps = x / g.dt
-        k = round(steps)
-        if abs(steps - k) < 1e-9:
-            if 0 <= k:
-                if k < n:
-                    out[i, k:] = g.values[: n - k]
-            else:
-                if -k < n:
-                    out[i, :k] = g.values[-k:]
-        else:
-            re = np.interp(t - x, t, g.values.real, left=0.0, right=0.0)
-            im = np.interp(t - x, t, g.values.imag, left=0.0, right=0.0)
-            out[i] = re + 1j * im
-    return out
+def _shifted_rows(g: SampledSignal, xs: np.ndarray) -> np.ndarray:
+    """Rows ``g(t - x)``, one per shift ``x``."""
+    rows = np.empty((xs.size, g.n), dtype=np.complex128)
+    for i, x in enumerate(xs):
+        rows[i] = translate(g, x).values
+    return rows
 
 
-def _tf_grids(x_grid, w_grid):
-    def expand(spec):
-        origin, step, count = spec
-        return origin + step * np.arange(int(count)), float(origin), float(step), int(count)
-
-    xs, x0, dx, n_x = expand(x_grid)
-    ws, w0, dw, n_w = expand(w_grid)
-    return xs, ws, (x0, dx, n_x), (w0, dw, n_w)
-
-
-def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> TFField:
-    """Short-time Fourier transform on a rectangular (x, w) grid.
+def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
+    """Short-time Fourier transform on a rectangular (x, w) chart.
 
     ``x_grid`` and ``w_grid`` are ``(origin, step, count)`` triples.  The
     window must live on the signal's grid; shifts aligned to the grid
@@ -324,27 +226,28 @@ def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> TFField:
     """
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
-    xs, ws, xspec, wspec = _tf_grids(x_grid, w_grid)
-    H = np.conj(_shift_matrix(g, xs)) * f.values[None, :]
-    E = np.exp(-2j * np.pi * np.outer(f.grid(), ws)) * f.dt
-    V = H @ E
-    return TFField(xspec[0], xspec[1], xspec[2], wspec[0], wspec[1], wspec[2], V)
+    quad = build_tf_quadrature(*x_grid, *w_grid)
+    H = np.conj(_shifted_rows(g, quad.x_grid())) * f.values[None, :]
+    E = np.exp(-2j * np.pi * np.outer(f.grid(), quad.w_grid())) * f.dt
+    return GroupField(quad, H @ E)
 
 
-def istft(V: TFField, g: SampledSignal) -> SampledSignal:
+def istft(V: GroupField, g: SampledSignal) -> SampledSignal:
     """Adjoint-based synthesis ``|g|^-2 sum V(x,w) M_w T_x g dx dw``."""
+    quad = V.quad
+    if quad.kind != "tf":
+        raise ValueError("istft needs a TF field")
     gnorm2 = l2_norm(g) ** 2
     if gnorm2 == 0.0:
         raise ValueError("zero window")
-    t = g.grid()
-    E = np.exp(2j * np.pi * np.outer(V.w_grid(), t))
+    E = np.exp(2j * np.pi * np.outer(quad.w_grid(), g.grid()))
     P = V.values @ E  # (n_x, n_t): per-shift modulated sums
-    G = _shift_matrix(g, V.x_grid())
-    vals = np.sum(P * G, axis=0) * V.cell / gnorm2
+    G = _shifted_rows(g, quad.x_grid())
+    vals = np.sum(P * G, axis=0) * (quad.dx * quad.dw) / gnorm2
     return SampledSignal(g.t0, g.dt, vals)
 
 
-def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature):
+def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     """Self-transform kernel: ``cwt(psi, psi)`` or ``V_gg`` on a TF chart."""
     if quad.kind == "affine":
         c = admissibility_constant(psi)

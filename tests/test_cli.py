@@ -139,7 +139,12 @@ class TestOtherCommands:
         })
         assert main(["stft", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
         field = json.loads((tmp_path / "stft.field.json").read_text())
-        assert field["grid"]["n_x"] == 17
+        assert field["quadrature"]["group"] == "tf"
+        assert field["quadrature"]["n_x"] == 17
+        V = GroupField.from_dict(field)
+        expected = cb.stft(g, g, (-4.0, 0.5, 17), (-2.0, 0.25, 17))
+        assert V.quad == expected.quad
+        assert V.values.tobytes() == expected.values.tobytes()
 
     def test_admissibility(self, tmp_path, mexhat_file, gauss_file):
         path, _ = mexhat_file

@@ -18,7 +18,7 @@ from coorbit.fields import (
     young_check,
 )
 from coorbit.groups import GroupField, build_affine_quadrature, haar_integral
-from coorbit.voice import TFField, cwt
+from coorbit.voice import cwt
 
 from conftest import bump_field, rel_l2
 
@@ -198,10 +198,7 @@ class TestTFConvolve:
     @staticmethod
     def _gauss_field(quad, sx, sw):
         x, w = quad.node_points()
-        return TFField(
-            quad.x0, quad.dx, quad.n_x, quad.w0, quad.dw, quad.n_w,
-            np.exp(-(x / sx) ** 2 - (w / sw) ** 2),
-        )
+        return GroupField(quad, np.exp(-(x / sx) ** 2 - (w / sw) ** 2))
 
     def test_commutativity(self):
         quad = cb.build_tf_quadrature(-6, 0.125, 97, -6, 0.125, 97)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coorbit as cb
 from coorbit.groups import (
@@ -9,12 +11,14 @@ from coorbit.groups import (
     affine_inv,
     affine_modular,
     affine_mul,
+    affine_field_interpolate,
     build_affine_quadrature,
     haar_integral,
     heis_identity,
     heis_inv,
     heis_mul,
     left_translate_field,
+    tf_field_interpolate,
 )
 
 from conftest import bump_field
@@ -239,3 +243,84 @@ class TestLeftTranslation:
         F = cb.GroupField(quad, np.exp(-(x**2) - w**2))
         G = left_translate_field(F, (0.125 * 4, -0.125 * 2))
         assert np.allclose(G.values[4:, :-2], F.values[:-4, 2:], atol=1e-12)
+
+
+# Both chart maps share one bilinear kernel; these properties hold it at
+# the nodes and past the chart edge, on random small charts.
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+_SIGNS = st.sampled_from([(1,), (-1,), (1, -1), (-1, 1)])
+_BEYOND = st.floats(1e-6, 3.0)  # index-space distance past the last node
+
+
+def _random_values(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _affine_chart(b_lo, width, n_b, a_min, ratio, n_scales, signs):
+    return build_affine_quadrature(b_lo, b_lo + width, n_b, a_min, a_min * ratio,
+                                   n_scales, signs)
+
+
+_AFFINE_CHART = st.builds(
+    _affine_chart,
+    st.floats(-5, 5), st.floats(0.5, 10), st.integers(2, 12),
+    st.floats(0.05, 2), st.floats(1.1, 20), st.integers(2, 8), _SIGNS,
+)
+_TF_CHART = st.builds(
+    cb.build_tf_quadrature,
+    st.floats(-5, 5), st.floats(0.05, 1), st.integers(1, 12),
+    st.floats(-5, 5), st.floats(0.05, 1), st.integers(1, 12),
+)
+
+
+def _assert_reads_nodes(vals, mask, expected):
+    assert np.all(mask)
+    assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestBilinearKernel:
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
+    def test_affine_nodes_read_node_values(self, quad, seed):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        _assert_reads_nodes(*affine_field_interpolate(F, *quad.node_points(), with_mask=True),
+                            F.values)
+
+    @_PROPERTY
+    @given(_TF_CHART, st.integers(0, 2**32 - 1))
+    def test_tf_nodes_read_node_values(self, quad, seed):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        _assert_reads_nodes(*tf_field_interpolate(F, *quad.node_points(), with_mask=True),
+                            F.values)
+
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1), _BEYOND, st.floats(0, 1))
+    def test_affine_beyond_chart_reads_zero(self, quad, seed, d, t):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        fb_in = t * (quad.n_b - 1)
+        fu_in = t * (quad.n_scales - 1)
+        # (b index, u index, sign) triples, each past the chart on one count
+        cases = [(fb, fu_in, s) for fb in (-d, quad.n_b - 1 + d) for s in quad.signs]
+        cases += [(fb_in, fu, s) for fu in (-d, quad.n_scales - 1 + d) for s in quad.signs]
+        cases += [(fb_in, fu_in, -s) for s in quad.signs if -s not in quad.signs]
+        fb, fu, s = (np.array(c, dtype=float) for c in zip(*cases))
+        b = quad.b_lo + quad.db * fb
+        a = s * np.exp(quad.u_lo + quad.du * fu)
+        vals, mask = affine_field_interpolate(F, b, a, with_mask=True)
+        assert not np.any(mask)
+        assert np.all(vals == 0)
+
+    @_PROPERTY
+    @given(_TF_CHART, st.integers(0, 2**32 - 1), _BEYOND, st.floats(0, 1))
+    def test_tf_beyond_chart_reads_zero(self, quad, seed, d, t):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        fx_in = t * (quad.n_x - 1)
+        fw_in = t * (quad.n_w - 1)
+        cases = [(fx, fw_in) for fx in (-d, quad.n_x - 1 + d)]
+        cases += [(fx_in, fw) for fw in (-d, quad.n_w - 1 + d)]
+        fx, fw = (np.array(c, dtype=float) for c in zip(*cases))
+        vals, mask = tf_field_interpolate(F, quad.x0 + quad.dx * fx, quad.w0 + quad.dw * fw,
+                                          with_mask=True)
+        assert not np.any(mask)
+        assert np.all(vals == 0)

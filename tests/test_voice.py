@@ -281,6 +281,13 @@ class TestReproducingKernel:
         i0 = 16
         assert K.values[i0, i0].real == pytest.approx(cb.l2_norm(gauss) ** 2, abs=1e-8)
 
+    def test_tf_kernels_are_group_fields(self, gauss):
+        quad = cb.build_tf_quadrature(-4, 0.25, 33, -4, 0.25, 33)
+        for K in (reproducing_kernel(gauss, quad), cb.atom_kernel(gauss, quad)):
+            assert isinstance(K, cb.GroupField)
+            assert K.quad.kind == "tf"
+            assert K.quad == quad
+
 
 class TestDufloMoore:
     def test_norm_equals_admissibility_constant(self, mexhat):
