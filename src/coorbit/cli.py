@@ -6,6 +6,7 @@ overrides), runs one library pipeline, and writes JSON artifacts into
 an output file is reproducible by the corresponding library call.
 
 Exit codes: 0 success/pass, 2 I/O or config errors (including a
+``NaN``/``Infinity`` token in a JSON input or ``--set`` value, and a
 non-finite number in an output, which is never written), 3 certification
 failure (including non-admissible windows), 4 numerical divergence.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from .fields import NeighborhoodSpec, lpm_norm, unit_weight
 from .frames import (
+    DesignResult,
     DesignSearchError,
     ReconstructionDivergence,
     _certificate_from_kernel,
@@ -84,9 +86,17 @@ def _write_json(path: Path, obj) -> None:
         raise
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"non-finite number {token} in JSON input")
+
+
 def _read_json(path) -> dict:
+    """Parse a JSON input file; ``NaN`` and ``Infinity`` tokens are config errors."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh, parse_constant=_reject_constant)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _load_signal(path) -> SampledSignal:
@@ -247,14 +257,24 @@ def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
     out = result.to_dict()
     out["pass"] = True
     _write_json(out_dir / f"{stem}.json", out)
-    # companion lattice file sized to cover the design chart: scale levels
-    # spanning [a_min, a_max], shifts reaching the b-range at every level
-    j_span = int(math.ceil(math.log(quad.a_max) / math.log(result.alpha)))
-    b_reach = max(abs(quad.b_lo), abs(quad.b_hi))
-    k_span = int(math.ceil(b_reach / (result.beta * quad.a_min)))
-    lattice = result.lattice((-j_span, j_span), (-k_span, k_span), quad.signs)
-    _write_json(out_dir / f"{stem}.lattice.json", lattice.to_dict())
+    _write_json(out_dir / f"{stem}.lattice.json", _companion_lattice(result, quad).to_dict())
     return _EXIT_OK
+
+
+def _companion_lattice(result: DesignResult, quad: GroupQuadrature) -> AffineLattice:
+    """The designed lattice over a window whose tiles cover every chart node.
+
+    The tiles are the designed neighbourhood, the lattice's own
+    ``(alpha, beta)`` box.  Scale levels reach ``a_min`` and ``a_max``;
+    shifts reach the b-range at the finest level, where tile k covers
+    half a tile either side of ``beta * k``.
+    """
+    ln_alpha = math.log(result.alpha)
+    j_lo = int(math.floor(math.log(quad.a_min) / ln_alpha))
+    j_hi = int(math.ceil(math.log(quad.a_max) / ln_alpha))
+    reach = max(abs(quad.b_lo), abs(quad.b_hi)) / (result.beta * result.alpha**j_lo)
+    k_span = int(math.ceil(reach - 0.5))
+    return result.lattice((j_lo, j_hi), (-k_span, k_span), quad.signs)
 
 
 def _load_lattice(d: dict):
@@ -333,8 +353,9 @@ _COMMANDS = {
 
 
 def _parse_override(value: str):
+    """A JSON value, or the raw string; ``NaN``/``Infinity`` are config errors."""
     try:
-        return json.loads(value)
+        return json.loads(value, parse_constant=_reject_constant)
     except json.JSONDecodeError:
         return value
 
@@ -354,12 +375,16 @@ def main(argv=None) -> int:
 
     try:
         cfg = _read_json(args.config) if args.config else {"version": FORMAT_VERSION}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return _EXIT_IO
 
     for key, value in args.set:
-        cfg[key] = _parse_override(value)
+        try:
+            cfg[key] = _parse_override(value)
+        except ConfigError as exc:
+            print(f"config error: --set {key}: {exc}", file=sys.stderr)
+            return _EXIT_IO
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("command", args.command)

@@ -29,6 +29,11 @@ from scipy.fft import fft, ifft, next_fast_len
 
 from .groups import (
     GroupField,
+    _bilinear_grid,
+    _cell,
+    _chart_index,
+    _in_chart,
+    _lerp,
     affine_field_interpolate,
     tf_field_interpolate,
 )
@@ -276,25 +281,21 @@ def _convolve_fast(F: GroupField, G: GroupField) -> np.ndarray:
             if m_lo > m_hi:
                 continue
             ms = np.arange(m_lo, m_hi + 1)
-            fb = np.clip((ms * db / a_in - quad.b_lo) / db, 0.0, n_b - 1.0)
-            ib = np.minimum(fb.astype(int), n_b - 2)
-            tb = fb - ib
+            ib, tb = _cell((ms * db / a_in - quad.b_lo) / db, n_b)
             for so, sgn_out in enumerate(quad.signs):
                 ratio_sign = sgn_out * sgn_in
                 if ratio_sign not in sign_pos:
                     continue
                 plane = G.values[sign_pos[ratio_sign]]
                 fu_all = (u - u[j] - quad.u_lo) / du
-                rows = np.flatnonzero(
-                    (fu_all >= -snap) & (fu_all <= n_u - 1 + snap)
-                )
+                rows = np.flatnonzero(_in_chart(fu_all, n_u))
                 if rows.size == 0:
                     continue
-                fu = np.clip(fu_all[rows], 0.0, n_u - 1.0)
-                iu = np.minimum(fu.astype(int), n_u - 2)
-                tu = (fu - iu)[:, None]
-                line = (1.0 - tu) * plane[iu] + tu * plane[iu + 1]
-                block = (1.0 - tb)[None, :] * line[:, ib] + tb[None, :] * line[:, ib + 1]
+                iu, tu = _cell(fu_all[rows], n_u)
+                # whole log-scale rows are blended first, then the b-columns:
+                # the reverse of _bilinear's order, so equal to it to roundoff
+                line = _lerp(plane[iu], plane[iu + 1], tu[:, None])
+                block = _lerp(line[:, ib], line[:, ib + 1], tb)
                 if not np.any(block):
                     continue
                 gm = np.zeros((rows.size, L), dtype=np.complex128)
@@ -366,20 +367,28 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     The essential supremum is approximated on the finite offset grid of
     ``U``; out-of-chart evaluations read zero, which only inflates the
     oscillation near the chart edge (the safe direction for every
-    certificate built on top of it).
+    certificate built on top of it).  Each offset moves the chart's
+    node set to a tensor product in chart coordinates (``t > 0`` keeps
+    every sign branch on itself), so it is read as one grid per branch;
+    the values equal pointwise interpolation bit for bit.
     """
     quad = G.quad
     if U.kind != quad.kind:
         raise ValueError("neighbourhood and field live on different groups")
-    c1, c2 = quad.node_points()
-    osc = np.zeros(G.values.shape, dtype=float)
+    affine = quad.kind == "affine"
+    if affine:
+        planes = G.values
+        axes = [(quad.b_grid(), sgn * quad.scale_grid()) for sgn in quad.signs]
+    else:
+        planes = G.values[None]
+        axes = [(quad.x_grid(), quad.w_grid())]
+    osc = np.zeros(planes.shape, dtype=float)
     for d, t in zip(*U.offsets()):
-        if quad.kind == "affine":
-            vals = affine_field_interpolate(G, d + t * c1, t * c2)
-        else:
-            vals = tf_field_interpolate(G, c1 + d, c2 + t)
-        np.maximum(osc, np.abs(vals - G.values), out=osc)
-    return GroupField(quad, osc.astype(np.complex128))
+        for plane, osc_plane, (c1, c2) in zip(planes, osc, axes):
+            moved = (d + t * c1, t * c2) if affine else (c1 + d, c2 + t)
+            vals, _ = _bilinear_grid(plane, *_chart_index(quad, *moved))
+            np.maximum(osc_plane, np.abs(vals - plane), out=osc_plane)
+    return GroupField(quad, osc.reshape(quad.shape).astype(np.complex128))
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,29 @@ def haar_integral(F: GroupField) -> complex:
     return complex(np.sum(F.values * F.quad.node_weights()))
 
 
+def _in_chart(f, n: int):
+    """Fractional indices within the snap of the node range ``[0, n - 1]``."""
+    return (f >= -_CHART_SNAP) & (f <= n - 1 + _CHART_SNAP)
+
+
+def _cell(f, n: int):
+    """Cell index and offset in the cell of in-chart fractional indices.
+
+    The last node belongs to the last cell, and a one-node axis reads its
+    node through index ``-1`` with offset 1.
+    """
+    g = np.clip(f, 0.0, n - 1.0)
+    i = np.minimum(g.astype(int), n - 2)
+    return i, g - i
+
+
+def _lerp(lo, hi, t):
+    """``(1 - t) * lo + t * hi``, summed in place to keep one temporary fewer alive."""
+    lo = (1 - t) * lo
+    lo += t * hi
+    return lo
+
+
 def _bilinear(plane: np.ndarray, f0, f1):
     """Bilinear read of ``plane`` at fractional node indices ``(f0, f1)``.
 
@@ -374,25 +397,52 @@ def _bilinear(plane: np.ndarray, f0, f1):
     the in-chart mask, both shaped like ``f0``.
     """
     n0, n1 = plane.shape
-    ok = (
-        (f0 >= -_CHART_SNAP)
-        & (f0 <= n0 - 1 + _CHART_SNAP)
-        & (f1 >= -_CHART_SNAP)
-        & (f1 <= n1 - 1 + _CHART_SNAP)
-    )
+    ok = _in_chart(f0, n0) & _in_chart(f1, n1)
     out = np.zeros(f0.shape, dtype=np.complex128)
     if np.any(ok):
-        g0 = np.clip(f0[ok], 0.0, n0 - 1.0)
-        g1 = np.clip(f1[ok], 0.0, n1 - 1.0)
-        i0 = np.minimum(g0.astype(int), n0 - 2)
-        i1 = np.minimum(g1.astype(int), n1 - 2)
-        t0 = g0 - i0
-        t1 = g1 - i1
-        out[ok] = (
-            (1 - t0) * ((1 - t1) * plane[i0, i1] + t1 * plane[i0, i1 + 1])
-            + t0 * ((1 - t1) * plane[i0 + 1, i1] + t1 * plane[i0 + 1, i1 + 1])
+        i0, t0 = _cell(f0[ok], n0)
+        i1, t1 = _cell(f1[ok], n1)
+        out[ok] = _lerp(
+            _lerp(plane[i0, i1], plane[i0, i1 + 1], t1),
+            _lerp(plane[i0 + 1, i1], plane[i0 + 1, i1 + 1], t1),
+            t0,
         )
     return out, ok
+
+
+def _bilinear_grid(plane: np.ndarray, f0, f1):
+    """Bilinear read of ``plane`` on the tensor product of ``f0`` and ``f1``.
+
+    ``f0`` (1-D, axis 0) and ``f1`` (1-D, axis 1) are fractional node
+    indices; the result is the ``(f0.size, f1.size)`` block with its
+    in-chart mask.  The axis-1 blend runs once per row the axis-0 blend
+    reads, and every element gets the operations :func:`_bilinear` gives
+    it at the same point, so the two agree bit for bit.
+    """
+    n0, n1 = plane.shape
+    ok0, ok1 = _in_chart(f0, n0), _in_chart(f1, n1)
+    out = np.zeros((f0.size, f1.size), dtype=np.complex128)
+    if np.any(ok0) and np.any(ok1):
+        i0, t0 = _cell(f0[ok0], n0)
+        i1, t1 = _cell(f1[ok1], n1)
+        first = int(i0.min())
+        # index arrays, not a slice: a one-node axis reads row -1
+        rows = plane[np.arange(first, int(i0.max()) + 2)]
+        blend = _lerp(rows[:, i1], rows[:, i1 + 1], t1)
+        out[np.ix_(ok0, ok1)] = _lerp(blend[i0 - first], blend[i0 + 1 - first], t0[:, None])
+    return out, ok0[:, None] & ok1
+
+
+def _chart_index(quad: GroupQuadrature, c1, c2):
+    """Fractional node indices ``(axis 0, axis 1)`` of chart points.
+
+    Affine: ``c1 = b`` and ``c2 = a`` on one sign branch, mapped to
+    ``(log|a| - u_lo)/du`` and ``(b - b_lo)/db``.  TF: ``(x - x0)/dx``
+    and ``(w - w0)/dw``.
+    """
+    if quad.kind == "affine":
+        return (np.log(np.abs(c2)) - quad.u_lo) / quad.du, (c1 - quad.b_lo) / quad.db
+    return (c1 - quad.x0) / quad.dx, (c2 - quad.w0) / quad.dw
 
 
 def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
@@ -414,9 +464,9 @@ def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
         sel = (np.sign(a_q) == sgn) & (a_q != 0)
         if not np.any(sel):
             continue
-        fu = (np.log(np.abs(a_q[sel])) - quad.u_lo) / quad.du
-        fb = (b_q[sel] - quad.b_lo) / quad.db
-        out[sel], inside[sel] = _bilinear(F.values[s_idx], fu, fb)
+        out[sel], inside[sel] = _bilinear(
+            F.values[s_idx], *_chart_index(quad, b_q[sel], a_q[sel])
+        )
     if with_mask:
         return out, inside
     return out
@@ -430,7 +480,7 @@ def tf_field_interpolate(F: GroupField, x_q, w_q, with_mask: bool = False):
     x_q, w_q = np.broadcast_arrays(
         np.asarray(x_q, dtype=float), np.asarray(w_q, dtype=float)
     )
-    out, ok = _bilinear(F.values, (x_q - quad.x0) / quad.dx, (w_q - quad.w0) / quad.dw)
+    out, ok = _bilinear(F.values, *_chart_index(quad, x_q, w_q))
     if with_mask:
         return out, ok
     return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.cli import main
+from coorbit.cli import _companion_lattice, main
 from coorbit.fields import lpm_norm
 from coorbit.groups import GroupField
 
@@ -253,6 +253,19 @@ class TestDesignCommand:
         lattice = json.loads((tmp_path / "design.lattice.json").read_text())
         assert lattice["type"] == "affine"
         assert lattice["alpha"] == rep["alpha"]
+        # the companion lattice's tiles of the designed U cover every chart
+        # node, corners included
+        bupu = cb.build_bupu(cb.AffineLattice.from_dict(lattice),
+                             cb.NeighborhoodSpec.from_dict(rep["certificate"]["U"]),
+                             cb.GroupQuadrature.from_dict(quad))
+        assert bupu.uncovered_nodes == 0
+
+    @pytest.mark.parametrize("a_min, a_max", [(0.25, 4.0), (1 / 16, 4.0), (0.25, 16.0)])
+    def test_companion_lattice_covers_chart(self, a_min, a_max):
+        alpha, beta = 1 + 0.7**6, 0.7**6
+        quad = cb.build_affine_quadrature(-2, 2, 64, a_min, a_max, 25, (1, -1))
+        lat = _companion_lattice(cb.DesignResult(alpha, beta, None, 7, ()), quad)
+        assert cb.build_bupu(lat, cb.affine_box(beta, alpha), quad).uncovered_nodes == 0
 
     def test_design_cap_exit_3(self, tmp_path, mexhat_file):
         path, _ = mexhat_file
@@ -276,6 +289,78 @@ class TestDesignCommand:
         assert rc == 0
         rep = json.loads((tmp_path / "m3.json").read_text())
         assert len(rep["moments_re"]) == 4
+
+
+class TestNonFiniteInputs:
+    """``NaN``/``Infinity`` tokens in any JSON input exit 2 before any work."""
+
+    def _assert_rejected(self, capsys, out, token):
+        assert token in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_nan_signal_sample(self, tmp_path, capsys, mexhat_file):
+        atom_path, psi = mexhat_file
+        vals = psi.values.copy()
+        vals[300] = np.nan
+        sig_path = tmp_path / "nan_signal.json"
+        write_json(sig_path, psi.with_values(vals).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "cwt",
+            "signal": str(sig_path), "atom": str(atom_path), "quadrature": quad_dict(),
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["cwt", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        self._assert_rejected(capsys, out, "NaN")
+
+    def test_infinity_override(self, tmp_path, capsys, mexhat_file):
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "moments", "signal": str(path)})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["moments", "--config", str(cfg), "--out-dir", str(out),
+                     "--set", "tol", "Infinity"]) == 2
+        self._assert_rejected(capsys, out, "Infinity")
+
+    def test_infinity_in_config(self, tmp_path, capsys, mexhat_file):
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "moments",
+                         "signal": str(path), "tol": -math.inf})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["moments", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        self._assert_rejected(capsys, out, "-Infinity")
+
+    def test_nan_truth_field_before_the_kernel(self, tmp_path, capsys, monkeypatch,
+                                               mexhat_file):
+        atom_path, psi = mexhat_file
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 16,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 5, "signs": [1, -1]}
+        vals = np.zeros((2, 5, 16))
+        vals[1, 2, 7] = np.nan
+        field_path = tmp_path / "field.json"
+        write_json(field_path, GroupField(cb.GroupQuadrature.from_dict(quad), vals).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(atom_path), "quadrature": quad,
+            "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5},
+            "lattice": {"type": "affine", "alpha": 1.5, "beta": 0.5,
+                        "j": [-2, 2], "k": [-8, 8], "signs": [1, -1]},
+            "field": str(field_path),
+        })
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was built from a non-finite input")
+
+        monkeypatch.setattr("coorbit.cli.atom_kernel", no_kernel)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        self._assert_rejected(capsys, out, "NaN")
 
 
 class TestReconstructCommand:

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
+from coorbit.fields import NeighborhoodSpec, oscillation
 from coorbit.groups import (
     AFFINE_IDENTITY,
     AffinePoint,
     HeisenbergPoint,
     affine_inv,
+    _bilinear,
+    _bilinear_grid,
     affine_modular,
     affine_mul,
     affine_field_interpolate,
@@ -324,3 +327,59 @@ class TestBilinearKernel:
                                           with_mask=True)
         assert not np.any(mask)
         assert np.all(vals == 0)
+
+
+# The tensor-product reader must give every element the same arithmetic
+# as the scattered kernel, so both are compared bit for bit.
+_INDEX = st.one_of(st.integers(-2, 14).map(float), st.floats(-3.0, 15.0))
+_INDICES = st.lists(_INDEX, min_size=1, max_size=10).map(np.array)
+_GROWTH = st.floats(1e-3, 4.0)  # neighbourhood side over chart side
+
+
+def _reference_oscillation(G, U):
+    """Pointwise interpolation at every offset, one scattered read each."""
+    quad = G.quad
+    c1, c2 = quad.node_points()
+    osc = np.zeros(G.values.shape, dtype=float)
+    for d, t in zip(*U.offsets()):
+        if quad.kind == "affine":
+            vals = affine_field_interpolate(G, d + t * c1, t * c2)
+        else:
+            vals = tf_field_interpolate(G, c1 + d, c2 + t)
+        np.maximum(osc, np.abs(vals - G.values), out=osc)
+    return osc
+
+
+def _assert_oscillation_matches_reference(G, U):
+    osc = oscillation(G, U).values
+    assert np.all(osc.imag == 0)
+    assert np.array_equal(osc.real, _reference_oscillation(G, U))
+
+
+class TestBilinearGrid:
+    @_PROPERTY
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           _INDICES, _INDICES)
+    def test_matches_scattered_kernel_on_meshgrid(self, n0, n1, seed, f0, f1):
+        plane = _random_values((n0, n1), seed)
+        vals, mask = _bilinear_grid(plane, f0, f1)
+        ref_vals, ref_mask = _bilinear(plane, *np.meshgrid(f0, f1, indexing="ij"))
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(vals, ref_vals)
+
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1), _GROWTH, _GROWTH, st.integers(2, 9))
+    def test_affine_oscillation_matches_pointwise_reads(self, quad, seed, gb, gu, n):
+        G = cb.GroupField(quad, _random_values(quad.shape, seed))
+        beta = gb * (quad.b_hi - quad.b_lo)
+        alpha = (quad.a_max / quad.a_min) ** gu
+        _assert_oscillation_matches_reference(G, NeighborhoodSpec(
+            "affine", beta=beta, alpha=alpha, n_samples=n))
+
+    @_PROPERTY
+    @given(_TF_CHART, st.integers(0, 2**32 - 1), _GROWTH, _GROWTH, st.integers(2, 9))
+    def test_tf_oscillation_matches_pointwise_reads(self, quad, seed, gx, gw, n):
+        G = cb.GroupField(quad, _random_values(quad.shape, seed))
+        _assert_oscillation_matches_reference(G, NeighborhoodSpec(
+            "tf", beta_x=gx * quad.n_x * quad.dx, beta_w=gw * quad.n_w * quad.dw,
+            n_samples=n))

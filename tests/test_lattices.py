@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coorbit as cb
 from coorbit.fields import affine_box, tf_box
 from coorbit.groups import GroupField, build_affine_quadrature, build_tf_quadrature
 from coorbit.lattices import (
+    _TIE_EPS,
     AffineLattice,
     TFLattice,
     build_bupu,
@@ -316,6 +319,85 @@ class TestCompiledStep:
         pb, pa = lat12.point_arrays()
         assert np.array_equal(bupu.active_points[0], pb[bupu.active_tiles])
         assert np.array_equal(bupu.active_points[1], pa[bupu.active_tiles])
+
+
+# cover_counts against the tile definition, checked lattice point by
+# lattice point: an affine point (b, a) lies in the tile of (j, k, eps)
+# iff sign(a) = eps, alpha^-j |a| lies in [alpha_U^-1/2, alpha_U^1/2] and
+# |eps alpha^-j b - beta k| <= beta_U / 2; a TF point lies in the box of
+# side (beta_x, beta_w) centred on the lattice point.  Both admit the
+# documented slack of _TIE_EPS (index space for affine, plane units for TF),
+# so points exactly on a shared edge count for both tiles.
+_COVER = settings(max_examples=40, deadline=None, derandomize=True)
+_RATIO = st.one_of(st.just(1.0), st.floats(0.3, 2.5))  # U side over lattice step
+# half-side steps to the four edge midpoints and four corners of a tile
+_EDGE_STEPS = np.array([(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1) if p or q],
+                       dtype=float).T
+
+
+def _affine_brute_counts(lat, U, b, a):
+    j, k, eps = (np.array(v)[:, None] for v in zip(*lat.index_tags()))
+    level = lat.alpha ** (-j.astype(float))
+    scale = level * np.abs(a)
+    in_scale = (
+        (np.sign(a) == eps)
+        & (scale >= U.alpha ** -0.5 * lat.alpha ** -_TIE_EPS)
+        & (scale <= U.alpha ** 0.5 * lat.alpha ** _TIE_EPS)
+    )
+    in_shift = np.abs(eps * level * b - lat.beta * k) <= U.beta / 2 + lat.beta * _TIE_EPS
+    return np.sum(in_scale & in_shift, axis=0)
+
+
+def _tf_brute_counts(lat, U, x, w):
+    px, pw = (v[:, None] for v in lat.point_arrays())
+    inside = (
+        (np.abs(x - px) <= U.beta_x / 2 + _TIE_EPS)
+        & (np.abs(w - pw) <= U.beta_w / 2 + _TIE_EPS)
+    )
+    return np.sum(inside, axis=0)
+
+
+class TestCoverCountsBruteForce:
+    @_COVER
+    @given(st.floats(1.2, 3.0), st.floats(0.2, 2.0), st.integers(-3, 0), st.integers(0, 3),
+           st.integers(-6, 0), st.integers(0, 6), st.sampled_from([(1,), (-1,), (1, -1)]),
+           _RATIO, _RATIO, st.integers(0, 2**32 - 1))
+    def test_affine(self, alpha, beta, j_min, j_max, k_min, k_max, signs, rb, ra, seed):
+        lat = AffineLattice(alpha, beta, j_min, j_max, k_min, k_max, signs)
+        U = affine_box(beta * rb, alpha**ra)
+        rng = np.random.default_rng(seed)
+        # random points over the window and a margin, both signs
+        a = rng.choice([-1.0, 1.0], 200) * alpha ** rng.uniform(j_min - 1.5, j_max + 1.5, 200)
+        b = a * beta * rng.uniform(k_min - 2, k_max + 2, 200)
+        # points exactly on the edges and corners of some tiles
+        tags = lat.index_tags()
+        for i in rng.choice(len(tags), min(len(tags), 10), replace=False):
+            j, k, eps = tags[i]
+            sa, sb = _EDGE_STEPS
+            edge_a = eps * alpha**j * U.alpha ** (sa / 2)
+            edge_b = eps * alpha**j * (beta * k + sb * U.beta / 2)
+            a, b = np.concatenate([a, edge_a]), np.concatenate([b, edge_b])
+        counts = cover_counts(lat, U, b, a)
+        assert np.array_equal(counts, _affine_brute_counts(lat, U, b, a))
+
+    @_COVER
+    @given(st.floats(0.3, 1.5), st.floats(0.3, 1.5), st.floats(-0.25, 0.25),
+           st.floats(-0.25, 0.25), st.booleans(), st.floats(0.5, 2.0),
+           st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.integers(0, 2**32 - 1))
+    def test_tf(self, g00, g11, g01, g10, diagonal, scale, beta_x, beta_w, seed):
+        off = 0.0 if diagonal else 1.0
+        lat = TFLattice(np.array([[g00, off * g01], [off * g10, g11]]), scale, -4, 3, -3, 4)
+        U = tf_box(beta_x, beta_w)
+        rng = np.random.default_rng(seed)
+        px, pw = lat.point_arrays()
+        x = rng.uniform(px.min() - 2, px.max() + 2, 200)
+        w = rng.uniform(pw.min() - 2, pw.max() + 2, 200)
+        for i in rng.choice(px.size, 10, replace=False):
+            sx, sw = _EDGE_STEPS
+            x = np.concatenate([x, px[i] + sx * beta_x / 2])
+            w = np.concatenate([w, pw[i] + sw * beta_w / 2])
+        counts = cover_counts(lat, U, x, w)
+        assert np.array_equal(counts, _tf_brute_counts(lat, U, x, w))
 
 
 class TestSerialization:
