@@ -78,6 +78,7 @@ from .voice import (
     wavelet_rep,
 )
 from .fields import (
+    KernelOperator,
     NeighborhoodSpec,
     affine_box,
     convolve,

@@ -6,7 +6,8 @@ overrides), runs one library pipeline, and writes JSON artifacts into
 an output file is reproducible by the corresponding library call.
 
 Exit codes: 0 success/pass, 2 I/O or config errors (including a
-``NaN``/``Infinity`` token in a JSON input or ``--set`` value, and a
+``NaN``/``Infinity`` token in a JSON input or ``--set`` value, a config
+number that reads as non-finite, such as the string ``"nan"``, and a
 non-finite number in an output, which is never written), 3 certification
 failure (including non-admissible windows), 4 numerical divergence.
 """
@@ -37,7 +38,7 @@ from .frames import (
     wavelet_atom_sufficient,
 )
 from .groups import GroupField, GroupQuadrature
-from .lattices import AffineLattice, TFLattice, build_bupu, sample_field
+from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
 from .weights import WeightSpec
@@ -97,6 +98,17 @@ def _read_json(path) -> dict:
             return json.load(fh, parse_constant=_reject_constant)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+
+
+def _finite(value, key: str) -> float:
+    """A config number as a float; non-finite values are config errors."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return x
 
 
 def _load_signal(path) -> SampledSignal:
@@ -189,7 +201,7 @@ def cmd_admissibility(cfg: dict, out_dir: Path) -> int:
 def cmd_moments(cfg: dict, out_dir: Path) -> int:
     psi = _load_signal(cfg["signal"])
     k_max = int(cfg.get("k_max", 4))
-    tol = float(cfg.get("tol", 1e-6))
+    tol = _finite(cfg.get("tol", 1e-6), "tol")
     rep = moments(psi, k_max)
     out = rep.to_dict()
     out["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
@@ -205,8 +217,8 @@ def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
     passed = True
     if kind == "wavelet":
         if "rho" in cfg:
-            suff = wavelet_atom_sufficient(psi, float(cfg["rho"]),
-                                           float(cfg.get("tol", 1e-6)))
+            suff = wavelet_atom_sufficient(psi, _finite(cfg["rho"], "rho"),
+                                           _finite(cfg.get("tol", 1e-6), "tol"))
             out["sufficiency"] = suff.to_dict()
             passed = passed and suff.passed
         if "quadrature" in cfg:
@@ -223,8 +235,8 @@ def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
             out["certificate"] = cert.to_dict()
             passed = passed and cert.passed
     elif kind == "gabor":
-        suff = stft_window_sufficient(psi, float(cfg.get("r", 0.0)),
-                                      float(cfg.get("s", 0.0)))
+        suff = stft_window_sufficient(psi, _finite(cfg.get("r", 0.0), "r"),
+                                      _finite(cfg.get("s", 0.0), "s"))
         out["sufficiency"] = suff.to_dict()
         passed = suff.passed
     else:
@@ -243,9 +255,9 @@ def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
     try:
         result = design_lattice(
             psi, quad, weight,
-            alpha0=float(sched.get("alpha0", 2.0)),
-            beta0=float(sched.get("beta0", 1.0)),
-            gamma=float(sched.get("gamma", 0.7)),
+            alpha0=_finite(sched.get("alpha0", 2.0), "schedule.alpha0"),
+            beta0=_finite(sched.get("beta0", 1.0), "schedule.beta0"),
+            gamma=_finite(sched.get("gamma", 0.7), "schedule.gamma"),
             max_steps=int(sched.get("max_steps", 20)),
         )
     except DesignSearchError as exc:
@@ -292,7 +304,7 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = tuple(cfg.get("band", (0.1, 1.0)))
     report = frame_bounds_empirical(
-        g, lat, p=float(cfg.get("p", 2.0)),
+        g, lat, p=_finite(cfg.get("p", 2.0), "p"),
         m=WeightSpec.from_dict(cfg["weight"]) if cfg.get("weight") else None,
         ensemble=int(cfg.get("ensemble", 20)),
         seed=int(cfg.get("seed", 0)),
@@ -311,6 +323,8 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
                         else _read_json(cfg["lattice"]))
     truth = GroupField.from_dict(_read_json(cfg["field"]))
     stem = cfg.get("out", "reconstruct")
+    tol = _finite(cfg.get("tol", 1e-3), "tol")
+    max_iter = int(cfg.get("max_iter", 100))
 
     try:
         K = atom_kernel(psi, quad)
@@ -319,12 +333,14 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
         return _EXIT_CERT
     cert = _certificate_from_kernel(K, weight, U, quad.to_dict())
     bupu = build_bupu(lat, U, quad)
-    samples = sample_field(truth, lat)
+    if bupu.tiles_finer_than_cells:
+        print("warning: lattice tiles are finer than chart cells; most tiles "
+              "hold no chart node", file=sys.stderr)
     try:
         rec, report = neumann_reconstruct(
-            samples, bupu, K,
-            tol=float(cfg.get("tol", 1e-3)),
-            max_iter=int(cfg.get("max_iter", 100)),
+            bupu.active_samples(truth), bupu, K,
+            tol=tol,
+            max_iter=max_iter,
             certificate=cert,
             allow_uncertified=not cert.passed,
             ground_truth=truth,

@@ -14,13 +14,16 @@ implementation reorganizes the double sum into one FFT correlation per
 input-scale row (the inner sum over ``b'`` is a discrete correlation on
 the uniform b-grid); it evaluates the kernel at exactly the same
 interpolated points as the literal double sum, so the two paths agree
-to roundoff.  Convolutions are truncated-domain quantities: the outer
-chart ring's share of each operand's L1 mass is attached to the result
-as a tail report, never hidden.
+to roundoff.  The kernel's block spectra depend on the kernel alone, so
+:class:`KernelOperator` builds them once for repeated application.
+Convolutions are truncated-domain quantities: the outer chart ring's
+share of each operand's L1 mass is attached to the result as a tail
+report, never hidden.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +58,7 @@ __all__ = [
     "field_l2_norm",
     "involute",
     "convolve",
+    "KernelOperator",
     "tf_convolve",
     "oscillation",
     "young_check",
@@ -65,6 +69,7 @@ __all__ = [
 ]
 
 _DIRECT_NODE_LIMIT = 6000  # "auto" switches to the direct sum below this
+_SPECTRA_BYTE_LIMIT = 256 * 2**20  # KernelOperator streams its spectra above this
 _DEFAULT_OSC_SAMPLES = 7
 
 
@@ -250,63 +255,133 @@ def _convolve_direct(F: GroupField, G: GroupField) -> np.ndarray:
     return out.reshape(quad.shape)
 
 
-def _convolve_fast(F: GroupField, G: GroupField) -> np.ndarray:
-    # One FFT correlation per (input sign, input scale, output sign) block.
-    # The kernel block is evaluated at the same bilinear interpolation
-    # points as the direct sum; zero regions (b-offsets mapping outside
-    # the chart, scale ratios outside the u-range) are trimmed exactly.
-    # Circular length 2*n_b is alias-free for the retained output window.
-    quad = F.quad
+def _fft_len(quad) -> int:
+    # circular length 2*n_b is alias-free for the retained output window
+    return next_fast_len(2 * quad.n_b)
+
+
+def _kernel_blocks(quad):
+    """Geometry of the fast path's kernel blocks, grouped by output sign.
+
+    One block per (output sign, input sign, input scale): the kernel is
+    read at the bilinear points of the direct sum, trimmed to the
+    b-offsets that map into the chart (``cols`` of the zero-padded FFT
+    row) and to the output ``rows`` whose scale ratio lies in the u-range.
+    Yields ``(si, j, so, rows, cols, w_j, (iu, tu), (ib, tb))``.
+    """
     n_b = quad.n_b
     n_u = quad.n_scales
     db = quad.db
     du = quad.du
     u = quad.u_grid()
     scales = np.exp(u)
-    L = next_fast_len(2 * n_b)
-    out = np.zeros(quad.shape, dtype=np.complex128)
-    snap = 1e-9
-    sign_pos = {s: i for i, s in enumerate(quad.signs)}
-    b_max = quad.b_lo + (n_b - 1) * db
-
-    for si, sgn_in in enumerate(quad.signs):
-        F_hat = fft(F.values[si], n=L, axis=-1, workers=-1)
+    ms = np.arange(-(n_b - 1), n_b)
+    for (so, sgn_out), (si, sgn_in) in itertools.product(enumerate(quad.signs), repeat=2):
+        if sgn_out * sgn_in not in quad.signs:
+            continue
         for j in range(n_u):
             a_in = sgn_in * scales[j]
-            w_j = db * du / abs(a_in)
-            bound1 = quad.b_lo * a_in / db
-            bound2 = b_max * a_in / db
-            m_lo = max(int(math.ceil(min(bound1, bound2) - snap)), -(n_b - 1))
-            m_hi = min(int(math.floor(max(bound1, bound2) + snap)), n_b - 1)
-            if m_lo > m_hi:
+            # kernel b-index of each node offset m, kept by the same in-chart
+            # test (snap included) that the direct sum's interpolation applies;
+            # both index arrays are monotone, so what is kept is one run
+            fb_all = (ms * db / a_in - quad.b_lo) / db
+            kept_b = np.flatnonzero(_in_chart(fb_all, n_b))
+            fu_all = (u - u[j] - quad.u_lo) / du
+            kept_u = np.flatnonzero(_in_chart(fu_all, n_u))
+            if kept_b.size == 0 or kept_u.size == 0:
                 continue
-            ms = np.arange(m_lo, m_hi + 1)
-            ib, tb = _cell((ms * db / a_in - quad.b_lo) / db, n_b)
-            for so, sgn_out in enumerate(quad.signs):
-                ratio_sign = sgn_out * sgn_in
-                if ratio_sign not in sign_pos:
-                    continue
-                plane = G.values[sign_pos[ratio_sign]]
-                fu_all = (u - u[j] - quad.u_lo) / du
-                rows = np.flatnonzero(_in_chart(fu_all, n_u))
-                if rows.size == 0:
-                    continue
-                iu, tu = _cell(fu_all[rows], n_u)
-                # whole log-scale rows are blended first, then the b-columns:
-                # the reverse of _bilinear's order, so equal to it to roundoff
-                line = _lerp(plane[iu], plane[iu + 1], tu[:, None])
-                block = _lerp(line[:, ib], line[:, ib + 1], tb)
-                if not np.any(block):
-                    continue
-                gm = np.zeros((rows.size, L), dtype=np.complex128)
-                gm[:, m_lo + n_b - 1 : m_hi + n_b] = block
-                conv = ifft(
-                    fft(gm, axis=-1, workers=-1) * F_hat[j][None, :],
-                    axis=-1,
-                    workers=-1,
-                )
-                out[so, rows] += w_j * conv[:, n_b - 1 : 2 * n_b - 1]
+            cols = slice(kept_b[0], kept_b[-1] + 1)
+            rows = slice(kept_u[0], kept_u[-1] + 1)
+            b_cells = _cell(fb_all[cols], n_b)
+            u_cells = _cell(fu_all[rows], n_u)
+            w_j = db * du / abs(a_in)
+            yield si, j, so, rows, cols, w_j, u_cells, b_cells
+
+
+def _spectra_nbytes(quad) -> int:
+    """Bytes the kernel's block spectra take if stored, before any FFT."""
+    n_rows = sum(rows.stop - rows.start for _, _, _, rows, *_ in _kernel_blocks(quad))
+    return n_rows * _fft_len(quad) * np.dtype(np.complex128).itemsize
+
+
+def _kernel_spectra(G: GroupField):
+    """``(si, j, so, rows, w_j, spectrum)`` of every nonzero kernel block.
+
+    The block is zero-padded to the FFT length and transformed along b.
+    """
+    quad = G.quad
+    L = _fft_len(quad)
+    sign_pos = {s: i for i, s in enumerate(quad.signs)}
+    for si, j, so, rows, cols, w_j, (iu, tu), (ib, tb) in _kernel_blocks(quad):
+        plane = G.values[sign_pos[quad.signs[so] * quad.signs[si]]]
+        # whole log-scale rows are blended first, then the b-columns:
+        # the reverse of _bilinear's order, so equal to it to roundoff
+        line = _lerp(plane[iu], plane[iu + 1], tu[:, None])
+        block = _lerp(line[:, ib], line[:, ib + 1], tb)
+        if not np.any(block):
+            continue
+        gm = np.zeros((block.shape[0], L), dtype=np.complex128)
+        gm[:, cols] = block
+        yield si, j, so, rows, w_j, fft(gm, axis=-1, workers=-1, overwrite_x=True)
+
+
+def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
+    """``F * G`` from G's block spectra, one FFT correlation per block.
+
+    For each output sign (the spectra come grouped by it), each block
+    spectrum times ``w_j`` times the spectrum of F's input row is summed
+    into its output rows in the frequency domain; one inverse FFT per
+    output row follows.  F's rows are transformed one input sign at a
+    time into a reused buffer.  ``scratch`` lets the products overwrite
+    the spectra (streamed blocks); stored spectra are left intact.
+    """
+    quad = F.quad
+    n_b = quad.n_b
+    L = _fft_len(quad)
+    out = np.zeros(quad.shape, dtype=np.complex128)
+    acc = np.empty((quad.n_scales, L), dtype=np.complex128)
+    F_hat = np.empty_like(acc)
+    buf = None if scratch else np.empty_like(acc)
+    for so, blocks in itertools.groupby(spectra, key=lambda block: block[2]):
+        acc.fill(0)
+        cur = None
+        for si, j, _, rows, w_j, spec in blocks:
+            if si != cur:
+                F_hat.fill(0)
+                F_hat[:, :n_b] = F.values[si]
+                F_hat = fft(F_hat, axis=-1, workers=-1, overwrite_x=True)
+                cur = si
+            prod = spec if scratch else buf[: spec.shape[0]]
+            np.multiply(spec, w_j * F_hat[j], out=prod)
+            acc[rows] += prod
+        conv = ifft(acc, axis=-1, workers=-1, overwrite_x=True)
+        out[so] = conv[:, n_b - 1 : 2 * n_b - 1]
     return out
+
+
+def _resolve_method(quad, method: str) -> str:
+    """``"auto"`` runs the direct sum on small charts, the FFT path otherwise."""
+    if method == "auto":
+        return "direct" if quad.n_nodes <= _DIRECT_NODE_LIMIT else "fast"
+    if method not in ("direct", "fast"):
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
+def _with_truncation(F: GroupField, vals, right_edge: float) -> GroupField:
+    meta = {
+        "truncation": {
+            "left_factor_edge_l1_fraction": _edge_l1_fraction(F),
+            "right_factor_edge_l1_fraction": right_edge,
+        }
+    }
+    return GroupField(F.quad, vals, meta)
+
+
+def _check_affine_pair(F: GroupField, G: GroupField):
+    if F.quad.kind != "affine" or G.quad.kind != "affine":
+        raise ValueError("convolve works on affine fields; use tf_convolve")
+    _check_same_quadrature(F, G)
 
 
 def convolve(F: GroupField, G: GroupField, method: str = "auto") -> GroupField:
@@ -315,26 +390,48 @@ def convolve(F: GroupField, G: GroupField, method: str = "auto") -> GroupField:
     ``method="direct"`` runs the literal double sum (the oracle);
     ``"fast"`` runs the per-scale-row FFT correlation, which queries the
     kernel at the identical interpolation points and matches the direct
-    sum to roundoff.  ``"auto"`` picks by size.
+    sum to roundoff.  ``"auto"`` picks by size.  The fast path streams
+    G's block spectra; :class:`KernelOperator` stores them for reuse.
     """
-    if F.quad.kind != "affine" or G.quad.kind != "affine":
-        raise ValueError("convolve works on affine fields; use tf_convolve")
-    _check_same_quadrature(F, G)
-    if method == "auto":
-        method = "direct" if F.quad.n_nodes <= _DIRECT_NODE_LIMIT else "fast"
-    if method == "direct":
+    _check_affine_pair(F, G)
+    if _resolve_method(F.quad, method) == "direct":
         vals = _convolve_direct(F, G)
-    elif method == "fast":
-        vals = _convolve_fast(F, G)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    meta = {
-        "truncation": {
-            "left_factor_edge_l1_fraction": _edge_l1_fraction(F),
-            "right_factor_edge_l1_fraction": _edge_l1_fraction(G),
-        }
-    }
-    return GroupField(F.quad, vals, meta)
+        vals = _apply_spectra(F, _kernel_spectra(G), scratch=True)
+    return _with_truncation(F, vals, _edge_l1_fraction(G))
+
+
+class KernelOperator:
+    """Right convolution with a fixed kernel, ``F -> F * K``, built once.
+
+    The fast path's kernel block spectra depend on K alone, so they are
+    computed here once and reused by every :meth:`apply`.  When storing
+    them would take more than ``_SPECTRA_BYTE_LIMIT`` bytes, each apply
+    recomputes them instead (same numbers, bounded memory).  ``apply(F)``
+    equals ``convolve(F, K, "fast")`` bit for bit, truncation report
+    included.
+    """
+
+    def __init__(self, K: GroupField):
+        if K.quad.kind != "affine":
+            raise ValueError("KernelOperator needs an affine kernel")
+        self.K = K
+        self._right_edge = _edge_l1_fraction(K)
+        stored = _spectra_nbytes(K.quad) <= _SPECTRA_BYTE_LIMIT
+        self._spectra = list(_kernel_spectra(K)) if stored else None
+
+    @property
+    def stored(self) -> bool:
+        """Whether the block spectra are held rather than streamed."""
+        return self._spectra is not None
+
+    def apply(self, F: GroupField) -> GroupField:
+        _check_affine_pair(F, self.K)
+        if self.stored:
+            vals = _apply_spectra(F, self._spectra, scratch=False)
+        else:
+            vals = _apply_spectra(F, _kernel_spectra(self.K), scratch=True)
+        return _with_truncation(F, vals, self._right_edge)
 
 
 def tf_convolve(F: GroupField, G: GroupField) -> GroupField:

@@ -28,7 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import (
+    KernelOperator,
     NeighborhoodSpec,
+    _resolve_method,
     affine_box,
     convolve,
     field_l2_norm,
@@ -131,6 +133,7 @@ class ReconstructionReport:
     lattice_points: int | None = None
     active_tiles: int | None = None
     uncovered_nodes: int | None = None
+    tiles_finer_than_cells: bool | None = None
 
     def contraction_ratios(self) -> np.ndarray:
         h = np.asarray(self.residual_history)
@@ -148,6 +151,7 @@ class ReconstructionReport:
             "lattice_points": self.lattice_points,
             "active_tiles": self.active_tiles,
             "uncovered_nodes": self.uncovered_nodes,
+            "tiles_finer_than_cells": self.tiles_finer_than_cells,
         }
 
 
@@ -403,7 +407,7 @@ def frame_bounds_empirical(
 
 
 def neumann_reconstruct(
-    samples: SampledSequence,
+    samples: SampledSequence | np.ndarray,
     bupu: BUPU,
     K: GroupField,
     tol: float = 1e-3,
@@ -415,14 +419,17 @@ def neumann_reconstruct(
 ):
     """Invert ``T F = (sum_i F(x_i) phi_i) * K`` by the fixed-point iteration.
 
-    ``Y`` is T applied to the (unknown) field with the known samples;
+    ``Y`` is T applied to the (unknown) field with the known samples
+    (a ``SampledSequence`` or one coefficient per lattice point);
     the iteration ``F <- Y + (F - T F)`` converges geometrically when
     the certificate's q is below one.  Divergence (three consecutive
     residual increases) raises, carrying the report; the q bound is a
     chart-truncated estimate and may be optimistic, so garbage is never
     returned silently.  Each iteration reads F only at the tiles that
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
-    the partition's tile counts.
+    the partition's tile counts.  On the fast path the kernel is applied
+    through one :class:`~coorbit.fields.KernelOperator`, built before the
+    first iteration.
     """
     if certificate is None and not allow_uncertified:
         raise ValueError(
@@ -433,12 +440,15 @@ def neumann_reconstruct(
     if bupu.quad.to_dict() != K.quad.to_dict():
         raise ValueError("partition chart must match the kernel chart")
 
+    project = (KernelOperator(K).apply if _resolve_method(K.quad, method) == "fast"
+               else lambda F: convolve(F, K, method="direct"))
     tiles = {
         "lattice_points": bupu.lattice.n_points,
         "active_tiles": int(bupu.active_tiles.size),
         "uncovered_nodes": bupu.uncovered_nodes,
+        "tiles_finer_than_cells": bupu.tiles_finer_than_cells,
     }
-    Y = convolve(bupu_synthesize(samples, bupu), K, method=method)
+    Y = project(bupu_synthesize(samples, bupu))
     norm_y = field_l2_norm(Y)
     if norm_y == 0.0:
         report = ReconstructionReport(1, (0.0,), True, None, **tiles)
@@ -451,7 +461,7 @@ def neumann_reconstruct(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        TF = convolve(bupu.sample_synthesize(F), K, method=method)
+        TF = project(bupu.sample_synthesize(F))
         F_next = GroupField(K.quad, Y.values + F.values - TF.values)
         res = field_l2_norm(GroupField(K.quad, F_next.values - F.values))
         history.append(res)

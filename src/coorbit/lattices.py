@@ -615,6 +615,31 @@ class BUPU:
         """Chart nodes that no tile covers."""
         return int(np.count_nonzero(self.counts == 0))
 
+    @property
+    def tiles_finer_than_cells(self) -> bool:
+        """Whether a tile is narrower than a chart cell along some axis.
+
+        A tile ``x_i U`` at scale ``a`` spans ``|a| beta`` in b and
+        ``ln alpha`` in log-scale; such tiles mostly hold no chart node,
+        so most lattice samples are never read.  Affine tiles are checked
+        at the chart's finest scale.
+        """
+        U, quad = self.U, self.quad
+        if quad.kind == "affine":
+            return bool(math.log(U.alpha) < quad.du or U.beta * quad.a_min < quad.db)
+        return bool(U.beta_x < quad.dx or U.beta_w < quad.dw)
+
+    def active_samples(self, F: GroupField) -> np.ndarray:
+        """Lattice coefficients of F read at the active tiles, zero elsewhere.
+
+        Synthesizes bit for bit like ``sample_field(F, lattice)``: the
+        partition reads no other tile.
+        """
+        vals, _ = _interpolate_at(F, self.lattice, *self.active_points)
+        c = np.zeros(self.lattice.n_points, dtype=np.complex128)
+        c[self.active_tiles] = vals
+        return c
+
     def partition_sum(self, c1, c2, coeffs=None):
         """``sum_i coeffs_i phi_i`` at arbitrary points (ones by default)."""
         if coeffs is None:

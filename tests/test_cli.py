@@ -334,6 +334,36 @@ class TestNonFiniteInputs:
         assert main(["moments", "--config", str(cfg), "--out-dir", str(out)]) == 2
         self._assert_rejected(capsys, out, "-Infinity")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("moments", "tol", "nan"),
+        ("certify-atom", "rho", "inf"),
+    ])
+    def test_non_finite_config_string(self, tmp_path, capsys, mexhat_file, command,
+                                      key, value):
+        # "nan" and "inf" are not JSON, so --set keeps them as strings
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        input_key = "signal" if command == "moments" else "atom"
+        write_json(cfg, {"version": "coorbit/1", "command": command, input_key: str(path)})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out-dir", str(out),
+                     "--set", key, value]) == 2
+        err = capsys.readouterr().err
+        assert key in err and value in err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_schedule_entry(self, tmp_path, capsys, mexhat_file):
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "design-lattice",
+                         "atom": str(path), "quadrature": quad_dict(),
+                         "schedule": {"gamma": "nan"}})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["design-lattice", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        self._assert_rejected(capsys, out, "schedule.gamma")
+
     def test_nan_truth_field_before_the_kernel(self, tmp_path, capsys, monkeypatch,
                                                mexhat_file):
         atom_path, psi = mexhat_file
@@ -364,7 +394,7 @@ class TestNonFiniteInputs:
 
 
 class TestReconstructCommand:
-    def test_reconstruct_kernel_samples(self, tmp_path, monkeypatch):
+    def test_reconstruct_kernel_samples(self, tmp_path, monkeypatch, capsys):
         # in-space field (the kernel itself): final error within tolerance
         psi = cb.signal_from_spectrum_profile(
             lambda w: np.exp(-(w**2 + np.where(w != 0, w**-2.0, np.inf))),
@@ -418,3 +448,6 @@ class TestReconstructCommand:
         assert rep["active_tiles"] == bupu.active_tiles.size
         assert 0 < rep["active_tiles"] < rep["lattice_points"]
         assert rep["uncovered_nodes"] == int(np.sum(bupu.counts == 0))
+        # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
+        assert rep["tiles_finer_than_cells"] is True
+        assert capsys.readouterr().err.count("finer than chart cells") == 1

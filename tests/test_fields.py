@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coorbit as cb
+from coorbit import fields
 from coorbit.fields import (
+    KernelOperator,
+    _convolve_direct,
     affine_box,
     convolve,
     field_l2_norm,
@@ -192,6 +197,70 @@ class TestConvolve:
         tr = out.meta["truncation"]
         assert 0 <= tr["left_factor_edge_l1_fraction"] < 1
         assert 0 <= tr["right_factor_edge_l1_fraction"] < 1
+
+
+def _random_field(quad, seed):
+    rng = np.random.default_rng(seed)
+    return GroupField(quad, rng.normal(size=quad.shape) + 1j * rng.normal(size=quad.shape))
+
+
+class TestFastConvolveProperty:
+    # random small charts: the fast path reads the kernel at the direct
+    # sum's interpolation points, so the two agree to roundoff
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        b_lo=st.floats(-5, 5), width=st.floats(0.5, 10), n_b=st.integers(2, 14),
+        a_min=st.floats(0.05, 2), ratio=st.floats(1.1, 20), half=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fast_matches_direct(self, signs, parity, b_lo, width, n_b, a_min, ratio,
+                                 half, seed):
+        n_scales = 2 * half + parity
+        quad = build_affine_quadrature(b_lo, b_lo + width, n_b, a_min, a_min * ratio,
+                                       n_scales, signs)
+        F = _random_field(quad, seed)
+        G = _random_field(quad, seed + 1)
+        fast = convolve(F, G, "fast").values
+        direct = _convolve_direct(F, G)
+        err = field_l2_norm(GroupField(quad, fast - direct))
+        assert err <= 1e-10 * field_l2_norm(GroupField(quad, direct))
+
+
+class TestKernelOperator:
+    @pytest.fixture(scope="class")
+    def chart_kernel(self):
+        psi = cb.normalize_admissible(cb.mexican_hat(-16, 16, 512))
+        quad = build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, (1, -1))
+        return cwt(psi, psi, quad)
+
+    def _assert_same(self, a, b):
+        assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
+        assert a.meta == b.meta
+
+    def test_stored_matches_convolve_bit_for_bit(self, chart_kernel):
+        K = chart_kernel
+        op = KernelOperator(K)
+        assert op.stored
+        # the second apply also shows the first left the stored spectra intact
+        for seed in (1, 2):
+            F = _random_field(K.quad, seed)
+            self._assert_same(op.apply(F), convolve(F, K, "fast"))
+
+    def test_streamed_matches_convolve_bit_for_bit(self, chart_kernel, monkeypatch):
+        K = chart_kernel
+        monkeypatch.setattr(fields, "_SPECTRA_BYTE_LIMIT", 0)
+        op = KernelOperator(K)
+        assert not op.stored
+        F = _random_field(K.quad, 3)
+        self._assert_same(op.apply(F), convolve(F, K, "fast"))
+
+    def test_other_chart_refused(self, chart_kernel):
+        op = KernelOperator(chart_kernel)
+        other = build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 19, (1, -1))
+        with pytest.raises(ValueError):
+            op.apply(_random_field(other, 4))
 
 
 class TestTFConvolve:

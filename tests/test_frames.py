@@ -265,9 +265,9 @@ class TestNeumann:
         assert exc.value.report.iterations >= 3
 
 
-    def test_matches_public_reference_loop(self, s0_atom_normalized):
-        # the loop written out from the public sample -> synthesize ->
-        # convolve steps gives the same field and residuals, bit for bit
+    @pytest.fixture(scope="class")
+    def designed_loop(self, s0_atom_normalized):
+        # fast-path chart (6,400 nodes) with a designed-size lattice
         psi = s0_atom_normalized
         quad = build_affine_quadrature(-2, 2, 128, 1 / 4, 4, 25, (1, -1))
         K = cwt(psi, psi, quad)
@@ -278,7 +278,12 @@ class TestNeumann:
         bupu = build_bupu(lat, affine_box(beta, alpha), quad)
         f = random_bandlimited_signal(psi, (0.45, 1.1), np.random.default_rng(3),
                                       envelope_width=0.6)
-        W = cwt(f, psi, quad)
+        return quad, K, lat, bupu, cwt(f, psi, quad)
+
+    def test_matches_public_reference_loop(self, designed_loop):
+        # the loop written out from the public sample -> synthesize ->
+        # convolve steps gives the same field and residuals, bit for bit
+        quad, K, lat, bupu, W = designed_loop
         samples = sample_field(W, lat)
         n_iter = 4
         rec, rep = neumann_reconstruct(samples, bupu, K, tol=0.0, max_iter=n_iter,
@@ -298,6 +303,24 @@ class TestNeumann:
         assert rep.lattice_points == lat.n_points
         assert rep.active_tiles == bupu.active_tiles.size < lat.n_points
         assert rep.uncovered_nodes == bupu.uncovered_nodes
+        # ln(alpha) = 0.056 against du = 0.116: tiles are finer than cells
+        assert rep.tiles_finer_than_cells is True
+
+    def test_active_samples_match_full_lattice(self, designed_loop):
+        # reading the field only at the active tiles synthesizes, and so
+        # reconstructs, bit for bit like sampling the whole lattice
+        quad, K, lat, bupu, W = designed_loop
+        full = sample_field(W, lat)
+        active = bupu.active_samples(W)
+        assert np.array_equal(active[bupu.active_tiles], full.values[bupu.active_tiles])
+        Y_full = bupu_synthesize(full, bupu)
+        Y_active = bupu_synthesize(active, bupu)
+        assert np.array_equal(Y_active.values.view(np.int64), Y_full.values.view(np.int64))
+        runs = [neumann_reconstruct(c, bupu, K, tol=0.0, max_iter=2, allow_uncertified=True)
+                for c in (full, active)]
+        (rec_full, rep_full), (rec_active, rep_active) = runs
+        assert rep_active == rep_full
+        assert np.array_equal(rec_active.values.view(np.int64), rec_full.values.view(np.int64))
 
 
 class TestDesign:

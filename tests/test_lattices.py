@@ -273,6 +273,9 @@ def _assert_step_bit_identical(F, lat, bupu):
     # compare the bits of real and imaginary parts, not values up to roundoff
     assert np.array_equal(ref.values.view(np.int64), step.values.view(np.int64))
     assert step.meta == ref.meta
+    # the zero-filled active coefficients synthesize the same field
+    active = bupu_synthesize(bupu.active_samples(F), bupu)
+    assert np.array_equal(ref.values.view(np.int64), active.values.view(np.int64))
 
 
 class TestCompiledStep:
@@ -296,6 +299,15 @@ class TestCompiledStep:
         for seed in range(3):
             _assert_step_bit_identical(_random_field(quad, seed), lat, bupu)
 
+    @pytest.mark.parametrize("n_b, n_scales, finer", [(16, 7, False), (8, 7, True),
+                                                       (16, 3, True)])
+    def test_tiles_finer_than_cells(self, n_b, n_scales, finer):
+        # dyadic tiles span ln 2 in log-scale and 2^-1.5 in b at the finest
+        # chart scale, against cells du = 3 ln 2 / (n_scales - 1), db = 4 / n_b
+        lat = AffineLattice(2.0, 1.0, -3, 3, -8, 8, (1, -1))
+        quad = build_affine_quadrature(-2, 2, n_b, 2**-1.5, 2**1.5, n_scales, (1, -1))
+        assert build_bupu(lat, affine_box(1.0, 2.0), quad).tiles_finer_than_cells is finer
+
     def test_chart_past_lattice_window(self):
         lat = AffineLattice(2.0, 1.0, -1, 1, -2, 2, (1, -1))
         quad = build_affine_quadrature(-4, 4, 32, 1 / 8, 8, 13, (1, -1))
@@ -308,6 +320,7 @@ class TestCompiledStep:
         quad = build_tf_quadrature(-3, 0.125, 49, -2.5, 0.125, 41)
         bupu = build_bupu(lat, tf_box(0.5, 0.4), quad)
         assert int(np.max(bupu.counts)) > 1
+        assert not bupu.tiles_finer_than_cells
         _assert_step_bit_identical(_random_field(quad, 5), lat, bupu)
 
     def test_map_matches_cover_machinery(self, lat12, quad12):
