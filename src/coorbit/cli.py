@@ -59,6 +59,10 @@ def _canon(obj):
     if isinstance(obj, dict):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # a list of floats with a finite sum, such as an array's tolist(),
+        # holds no value to encode: skip the walk over its elements
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            return obj
         return [_canon(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -85,6 +89,17 @@ def _write_json(path: Path, obj) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_field(path: Path, field: GroupField) -> None:
+    """Write a field artifact; a non-finite value raises and leaves no file.
+
+    Array values are never encoded as strings: an infinite value refuses
+    as NaN does.
+    """
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError(f"non-finite value in the field for {path.name}")
+    _write_json(path, field.to_dict())
 
 
 def _reject_constant(token: str):
@@ -164,7 +179,7 @@ def cmd_cwt(cfg: dict, out_dir: Path) -> int:
     W = cwt(f, psi, quad)
     weight = _weight_from(cfg, "affine")
     stem = cfg.get("out", "cwt")
-    _write_json(out_dir / f"{stem}.field.json", W.to_dict())
+    _write_field(out_dir / f"{stem}.field.json", W)
     _write_json(out_dir / f"{stem}.stats.json", _field_stats(W, weight))
     return _EXIT_OK
 
@@ -178,7 +193,7 @@ def cmd_stft(cfg: dict, out_dir: Path) -> int:
              (wg["origin"], wg["step"], wg["count"]))
     weight = _weight_from(cfg, "tf")
     stem = cfg.get("out", "stft")
-    _write_json(out_dir / f"{stem}.field.json", V.to_dict())
+    _write_field(out_dir / f"{stem}.field.json", V)
     _write_json(out_dir / f"{stem}.stats.json", _field_stats(V, weight))
     return _EXIT_OK
 
@@ -349,7 +364,7 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
         _write_json(out_dir / f"{stem}.report.json", exc.report.to_dict())
         print(str(exc), file=sys.stderr)
         return _EXIT_DIVERGED
-    _write_json(out_dir / f"{stem}.field.json", rec.to_dict())
+    _write_field(out_dir / f"{stem}.field.json", rec)
     out = report.to_dict()
     out["certificate"] = cert.to_dict()
     _write_json(out_dir / f"{stem}.report.json", out)

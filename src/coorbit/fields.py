@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from .groups import (
     GroupField,
@@ -255,9 +254,21 @@ def _convolve_direct(F: GroupField, G: GroupField) -> np.ndarray:
     return out.reshape(quad.shape)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length ``>= n``: the lengths pocketfft transforms fastest."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _fft_len(quad) -> int:
     # circular length 2*n_b is alias-free for the retained output window
-    return next_fast_len(2 * quad.n_b)
+    return _next_fast_len(2 * quad.n_b)
 
 
 def _kernel_blocks(quad):
@@ -322,7 +333,7 @@ def _kernel_spectra(G: GroupField):
             continue
         gm = np.zeros((block.shape[0], L), dtype=np.complex128)
         gm[:, cols] = block
-        yield si, j, so, rows, w_j, fft(gm, axis=-1, workers=-1, overwrite_x=True)
+        yield si, j, so, rows, w_j, np.fft.fft(gm, axis=-1, out=gm)
 
 
 def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
@@ -349,13 +360,13 @@ def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
             if si != cur:
                 F_hat.fill(0)
                 F_hat[:, :n_b] = F.values[si]
-                F_hat = fft(F_hat, axis=-1, workers=-1, overwrite_x=True)
+                np.fft.fft(F_hat, axis=-1, out=F_hat)
                 cur = si
             prod = spec if scratch else buf[: spec.shape[0]]
             np.multiply(spec, w_j * F_hat[j], out=prod)
             acc[rows] += prod
-        conv = ifft(acc, axis=-1, workers=-1, overwrite_x=True)
-        out[so] = conv[:, n_b - 1 : 2 * n_b - 1]
+        np.fft.ifft(acc, axis=-1, out=acc)
+        out[so] = acc[:, n_b - 1 : 2 * n_b - 1]
     return out
 
 

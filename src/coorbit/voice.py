@@ -7,7 +7,8 @@ the Fourier domain,
 
 which is the exact spectral form of ``<f, T_b D_a psi>`` and keeps the
 covariance in ``b`` exact up to DFT periodization.  Scale samples of
-``psihat`` come from linear interpolation on the window's spectrum.
+``psihat`` come from a cubic spline on the window's spectrum, built once
+per spectrum.
 
 The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)`` is
 evaluated directly on a rectangular time-frequency grid (one windowed

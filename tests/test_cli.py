@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.cli import _companion_lattice, main
+from coorbit.cli import _companion_lattice, _write_json, main
 from coorbit.fields import lpm_norm
 from coorbit.groups import GroupField
 
@@ -393,6 +397,39 @@ class TestNonFiniteInputs:
         self._assert_rejected(capsys, out, "NaN")
 
 
+class TestNonFiniteOutputs:
+    """A non-finite value in an output array exits 2 and writes no file."""
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_field_value_refused(self, tmp_path, monkeypatch, capsys, mexhat_file,
+                                          part, value):
+        path, _ = mexhat_file
+        real_cwt = cb.cwt
+
+        def cwt_with_inf(*args):
+            W = real_cwt(*args)
+            vals = W.values.copy()
+            vals[1, 4, 17] = complex(value, 0.0) if part == "re" else complex(0.0, value)
+            return W.with_values(vals)
+
+        monkeypatch.setattr("coorbit.cli.cwt", cwt_with_inf)
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "cwt",
+                         "signal": str(path), "atom": str(path), "quadrature": quad_dict()})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["cwt", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_scalar_report_values_keep_inf(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(path, {"frac": math.inf, "history": [0.5, -math.inf], "ok": [0.25, 1.0]})
+        assert json.loads(path.read_text()) == {
+            "frac": "inf", "history": [0.5, "-inf"], "ok": [0.25, 1.0]}
+
+
 class TestReconstructCommand:
     def test_reconstruct_kernel_samples(self, tmp_path, monkeypatch, capsys):
         # in-space field (the kernel itself): final error within tolerance
@@ -451,3 +488,48 @@ class TestReconstructCommand:
         # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
         assert rep["tiles_finer_than_cells"] is True
         assert capsys.readouterr().err.count("finer than chart cells") == 1
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # cwt, then design-lattice and reconstruct on its field, in one fresh
+    # interpreter: no command, nor a lazy import inside one, loads scipy
+    psi = cb.signal_from_spectrum_profile(
+        lambda w: np.exp(-(w**2 + np.where(w != 0, w**-2.0, np.inf))),
+        -16, 16, 1024,
+    )
+    atom = tmp_path / "atom.json"
+    write_json(atom, psi.to_dict())
+    quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+            "a_min": 0.25, "a_max": 4.0, "n_scales": 17, "signs": [1, -1]}
+    weight = {"family": "symmetric_power", "rho": 1.0}
+    out = tmp_path / "out"
+    configs = {
+        "cwt": {"signal": str(atom), "atom": str(atom), "quadrature": quad, "out": "truth"},
+        "design-lattice": {"atom": str(atom), "quadrature": quad, "weight": weight,
+                           "schedule": {"max_steps": 18}},
+        "reconstruct": {
+            "atom": str(atom), "quadrature": quad, "weight": weight,
+            "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5},
+            "lattice": {"type": "affine", "alpha": 1.5, "beta": 0.5,
+                        "j": [-4, 4], "k": [-16, 16], "signs": [1, -1]},
+            "field": str(out / "truth.field.json"),
+        },
+    }
+    argvs = []
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        write_json(path, {"version": "coorbit/1", "command": command, **cfg})
+        argvs.append([command, "--config", str(path), "--out-dir", str(out)])
+    script = (
+        "import json, sys\n"
+        "from coorbit.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, scipy]))\n"
+    )
+    src = str(Path(cb.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []

@@ -228,6 +228,13 @@ class TestFastConvolveProperty:
         assert err <= 1e-10 * field_l2_norm(GroupField(quad, direct))
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    lengths = range(1, 16385)
+    assert [fields._next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
+
+
 class TestKernelOperator:
     @pytest.fixture(scope="class")
     def chart_kernel(self):

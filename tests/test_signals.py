@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import coorbit as cb
+from coorbit import signals
 from coorbit.signals import (
     antiderivative,
     derivative,
@@ -147,3 +151,66 @@ class TestSerialization:
         again = cb.SampledSignal.from_dict(mexhat.to_dict())
         assert again.t0 == mexhat.t0 and again.dt == mexhat.dt
         assert np.array_equal(again.values, mexhat.values)
+
+
+class TestScipyReplacements:
+    """The numpy antiderivative and spline against the scipy routines they replace."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        y=arrays(np.complex128, st.integers(2, 300),
+                 elements=st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                             allow_infinity=False)),
+        dt=st.floats(1e-3, 10),
+    )
+    def test_antiderivative_is_cumulative_trapezoid(self, y, dt):
+        from scipy.integrate import cumulative_trapezoid
+
+        anti = antiderivative(cb.SampledSignal(0.0, dt, y)).values
+        assert np.array_equal(anti, cumulative_trapezoid(y, dx=dt, initial=0.0))
+
+    @pytest.mark.parametrize("window", ["mexhat", "s0_atom", "gauss"])
+    def test_spline_matches_cubic_spline(self, request, window):
+        from scipy.interpolate import CubicSpline
+
+        spec = fourier(request.getfixturevalue(window))
+        g = spec.grid()
+        reference = CubicSpline(g, spec.values, extrapolate=False)
+        peak = np.max(np.abs(spec.values))
+        dw = spec.dw
+        between = np.concatenate([g[:-1] + f * dw for f in (0.5, 0.3, 0.97)]
+                                 + [a * g for a in (0.37, 0.81, 1.9)])
+        outside = np.concatenate([g[0] - dw * np.array([1e-9, 0.5, 7.0]),
+                                  g[-1] + dw * np.array([1e-9, 0.5, 7.0])])
+        for w in (g, between, outside):
+            expected = reference(w)
+            expected[np.isnan(expected)] = 0.0
+            assert np.max(np.abs(spec.interpolate(w) - expected)) <= 1e-12 * peak
+        assert np.all(spec.interpolate(outside) == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+    def test_short_spectra(self, n):
+        # two and three nodes: the line and parabola through them
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(n)
+        spec = cb.Spectrum(-0.3, 0.17, rng.normal(size=n) + 1j * rng.normal(size=n))
+        g = spec.grid()
+        w = np.linspace(g[0] - 0.1, g[-1] + 0.1, 301)
+        expected = CubicSpline(g, spec.values, extrapolate=False)(w)
+        expected[np.isnan(expected)] = 0.0
+        assert np.max(np.abs(spec.interpolate(w) - expected)) <= 1e-12 * np.max(
+            np.abs(spec.values))
+
+    def test_cwt_builds_one_spline(self, monkeypatch, mexhat):
+        built = []
+        slopes = signals._not_a_knot_slopes
+
+        def counting(*args):
+            built.append(1)
+            return slopes(*args)
+
+        monkeypatch.setattr(signals, "_not_a_knot_slopes", counting)
+        quad = cb.build_affine_quadrature(-20, 20, 64, 0.5, 2.0, 9, (1, -1))
+        cb.cwt(mexhat, mexhat, quad)
+        assert len(built) == 1
