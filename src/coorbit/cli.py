@@ -59,10 +59,6 @@ def _canon(obj):
     if isinstance(obj, dict):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # a list of floats with a finite sum, such as an array's tolist(),
-        # holds no value to encode: skip the walk over its elements
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            return obj
         return [_canon(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -73,9 +69,55 @@ def _canon(obj):
     return obj
 
 
+# floats per formatted block of a float array
+_FLOAT_BLOCK = 1 << 15
+
+
+def _json_chunks(obj, level: int = 0):
+    """Text of ``json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)``, in pieces.
+
+    ``obj`` sits ``level`` deep.  Float lists and 1-D float arrays are
+    written in blocks, each one ``join`` of ``float.__repr__`` (the
+    repr ``json`` itself uses), instead of going element by element
+    through ``json``'s pure-Python indenting encoder.  Dicts with string
+    keys and other lists recurse; everything else goes to ``json.dumps``.
+    """
+    pad = "\n" + " " * (level + 1)
+    if isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
+        obj = np.array(obj)
+    if isinstance(obj, np.ndarray):
+        if not np.all(np.isfinite(obj)):
+            raise ValueError("non-finite value in a float array")
+        if obj.size == 0:
+            yield "[]"
+            return
+        sep = "," + pad
+        for lo in range(0, obj.size, _FLOAT_BLOCK):
+            yield ("[" if lo == 0 else ",") + pad + sep.join(
+                map(float.__repr__, obj[lo:lo + _FLOAT_BLOCK].tolist()))
+        yield pad[:-1] + "]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, item in enumerate(obj):
+            yield ("[" if i == 0 else ",") + pad
+            yield from _json_chunks(item, level + 1)
+        yield pad[:-1] + "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        for i, key in enumerate(sorted(obj)):
+            yield ("{" if i == 0 else ",") + pad + json.dumps(key) + ": "
+            yield from _json_chunks(obj[key], level + 1)
+        yield pad[:-1] + "}"
+    else:
+        # a string value holds no raw newline, so every newline is indentation
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+        yield text.replace("\n", "\n" + " " * level)
+
+
 def _write_json(path: Path, obj) -> None:
     """Stream ``obj`` to ``path``; a non-finite number raises and leaves no file.
 
+    The bytes are those of ``json.dump(obj, sort_keys=True, indent=1,
+    allow_nan=False)`` plus a newline, after infinite scalars become the
+    strings ``"inf"``/``"-inf"``; 1-D float arrays are written as lists.
     The JSON goes to a temporary file in the same directory, which
     replaces ``path`` only once it is complete.
     """
@@ -83,7 +125,8 @@ def _write_json(path: Path, obj) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(_canon(obj), fh, sort_keys=True, indent=1, allow_nan=False)
+            for chunk in _json_chunks(_canon(obj)):
+                fh.write(chunk)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -95,11 +138,14 @@ def _write_field(path: Path, field: GroupField) -> None:
     """Write a field artifact; a non-finite value raises and leaves no file.
 
     Array values are never encoded as strings: an infinite value refuses
-    as NaN does.
+    as NaN does.  The ``re``/``im`` arrays go to the writer as arrays,
+    with the same bytes as ``field.to_dict()``.
     """
     if not np.all(np.isfinite(field.values)):
         raise ValueError(f"non-finite value in the field for {path.name}")
-    _write_json(path, field.to_dict())
+    flat = field.values.ravel()
+    _write_json(path, {"quadrature": field.quad.to_dict(),
+                       "re": flat.real, "im": flat.imag})
 
 
 def _reject_constant(token: str):

@@ -58,8 +58,9 @@ from .signals import (
 )
 from .voice import (
     NotAdmissibleError,
+    _shifted_rows,
+    _stft_factors,
     cwt,
-    gabor_atom,
     normalize_admissible,
     stft,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "BoundsReport",
     "neumann_reconstruct",
     "design_lattice",
+    "GaborOperator",
     "gabor_coefficients",
     "gabor_synthesize",
     "gabor_frame_operator",
@@ -383,6 +385,8 @@ def frame_bounds_empirical(
     is_affine = isinstance(lat, AffineLattice)
     if band is None:
         band = (0.1, 1.0)
+    # the STFT's window shifts and modulations, built once per draw grid
+    stft_factors = {}
     ratios = []
     for _ in range(ensemble):
         for _attempt in range(10):
@@ -390,11 +394,15 @@ def frame_bounds_empirical(
             if is_affine:
                 F = cwt(f, window, quad)
             else:
-                F = stft(
-                    f, window,
-                    (quad.x0, quad.dx, quad.n_x),
-                    (quad.w0, quad.dw, quad.n_w),
-                )
+                key = (f.t0, f.dt)
+                if key not in stft_factors:
+                    stft_factors[key] = _stft_factors(
+                        f, window,
+                        (quad.x0, quad.dx, quad.n_x),
+                        (quad.w0, quad.dw, quad.n_w),
+                    )
+                tf_quad, G, E = stft_factors[key]
+                F = GroupField(tf_quad, (G * f.values[None, :]) @ E)
             denom = lpm_norm(F, p, m)
             if denom > 0:
                 break
@@ -565,39 +573,74 @@ def design_lattice(
 # Gabor frame operator
 # ---------------------------------------------------------------------------
 
-def _gabor_atom_matrix(g: SampledSignal, lat: TFLattice) -> np.ndarray:
-    xs, ws = lat.point_arrays()
-    t = g.grid()
-    n = g.n
-    atoms = np.empty((xs.size, n), dtype=np.complex128)
-    shift_cache: dict = {}
-    for i, (x, om) in enumerate(zip(xs, ws)):
-        key = round(float(x) / g.dt * 1e6)
-        if key not in shift_cache:
-            shift_cache[key] = gabor_atom(g, float(x), 0.0).values
-        atoms[i] = shift_cache[key] * np.exp(2j * np.pi * t * om)
-    return atoms
+class GaborOperator:
+    """Gabor analysis and synthesis over a lattice window, built once in factored form.
+
+    On a lattice whose translates depend on ``n1`` only (``A[0,1] == 0``)
+    every atom factors as ``M_{w(n1,n2)} T_{x(n1)} g = R[n1] * E[n2]``:
+    ``R`` holds one window translate per ``n1``, times its row phase
+    ``exp(2 pi i t c A10 n1)``, and ``E`` one modulation
+    ``exp(2 pi i t c A11 n2)`` per ``n2``.  Analysis is one matrix product
+    of the windowed signal rows with ``E``, synthesis one product of the
+    coefficient matrix with ``E``, summed over the rows of ``R``; neither
+    forms an atom.  Other lattices keep one row per lattice point in
+    ``R`` and a single all-ones ``E`` row.
+    """
+
+    def __init__(self, g: SampledSignal, lat: TFLattice):
+        t = g.grid()
+        xs, ws = lat.point_arrays()
+        if lat.generator[0, 1] == 0.0:
+            width = lat.n2_max - lat.n2_min + 1
+            xs = xs[::width]
+            row_w = lat.scale * lat.generator[1, 0] * np.arange(lat.n1_min, lat.n1_max + 1)
+            col_w = lat.scale * lat.generator[1, 1] * np.arange(lat.n2_min, lat.n2_max + 1)
+        else:
+            row_w, col_w = ws, np.zeros(1)
+        self.dt = g.dt
+        self.R = _shifted_rows(g, xs)
+        self.R *= np.exp(2j * np.pi * np.outer(row_w, t))
+        self.E = np.exp(2j * np.pi * np.outer(col_w, t))
+
+    def analyze(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients ``dt * sum_t v(t) conj(atom(t))`` in lattice order."""
+        return np.conj((self.R * np.conj(v)) @ self.E.T).ravel() * self.dt
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples of ``sum_lambda c_lambda atom_lambda``."""
+        P = np.reshape(coeffs, (self.R.shape[0], self.E.shape[0])) @ self.E
+        P *= self.R
+        return P.sum(axis=0)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The frame operator ``S v = synthesize(analyze(v))``."""
+        return self.synthesize(self.analyze(v))
 
 
 def gabor_coefficients(f: SampledSignal, g: SampledSignal, lat: TFLattice) -> np.ndarray:
     """Inner products ``<f, M_w T_x g>`` over the lattice window."""
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
-    atoms = _gabor_atom_matrix(g, lat)
-    return (atoms.conj() @ f.values) * f.dt
+    return GaborOperator(g, lat).analyze(f.values)
 
 
 def gabor_synthesize(coeffs, g: SampledSignal, lat: TFLattice) -> SampledSignal:
-    atoms = _gabor_atom_matrix(g, lat)
-    vals = np.asarray(coeffs, dtype=np.complex128) @ atoms
-    return SampledSignal(g.t0, g.dt, vals)
+    """``sum_lambda c_lambda M_w T_x g``, one coefficient per lattice point."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.shape != (lat.n_points,):
+        raise ValueError(
+            f"got {c.size} coefficients for a lattice of {lat.n_points} points"
+        )
+    return SampledSignal(g.t0, g.dt, GaborOperator(g, lat).synthesize(c))
 
 
 def gabor_frame_operator(f: SampledSignal, g: SampledSignal, lat: TFLattice) -> SampledSignal:
     """``S f = sum_lambda <f, g_lambda> g_lambda`` over the lattice window."""
     if l2_norm(g) == 0.0:
         raise ValueError("zero window")
-    return gabor_synthesize(gabor_coefficients(f, g, lat), g, lat)
+    if not f.same_grid(g):
+        raise ValueError("window must share the signal grid")
+    return SampledSignal(g.t0, g.dt, GaborOperator(g, lat).apply(f.values))
 
 
 def gabor_tightness_probe(
@@ -606,11 +649,11 @@ def gabor_tightness_probe(
 ) -> dict:
     """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws."""
     rng = np.random.default_rng(seed)
-    atoms = _gabor_atom_matrix(g, lat)
+    op = GaborOperator(g, lat)
     ratios = []
     for _ in range(ensemble):
         f = random_bandlimited_signal(g, band, rng, envelope_width)
-        coeffs = (atoms.conj() @ f.values) * f.dt
+        coeffs = op.analyze(f.values)
         quad_form = float(np.real(np.sum(np.abs(coeffs) ** 2)))
         ratios.append(quad_form / l2_norm(f) ** 2)
     ratios = np.asarray(ratios)
@@ -635,16 +678,16 @@ def frame_operator_invert(
 
     With ``lam = 2/(A+B)`` the iteration ``x <- x + lam (y - S x)``
     contracts at rate ``(B-A)/(B+A)``; near-tight frames converge in a
-    handful of steps.
+    handful of steps.  The frame operator is built once per call, as one
+    :class:`GaborOperator`.
     """
     a, b = bounds
-    if not (0 < a <= b):
-        raise ValueError("need frame bounds 0 < a <= b")
+    if not (0 < a <= b < math.inf):
+        raise ValueError("need finite frame bounds 0 < a <= b < inf")
+    if not y.same_grid(g):
+        raise ValueError("window must share the signal grid")
     lam = 2.0 / (a + b)
-    atoms = _gabor_atom_matrix(g, lat)
-
-    def apply_s(values):
-        return ((atoms.conj() @ values) * y.dt) @ atoms
+    op = GaborOperator(g, lat)
 
     x_vals = lam * y.values
     norm_y = l2_norm(y)
@@ -652,7 +695,7 @@ def frame_operator_invert(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        resid = y.values - apply_s(x_vals)
+        resid = y.values - op.apply(x_vals)
         x_vals = x_vals + lam * resid
         res = float(np.sqrt(y.dt * np.sum(np.abs(resid) ** 2)))
         history.append(res)

@@ -369,7 +369,10 @@ def is_U_dense(lat, U: NeighborhoodSpec, probe) -> DensityReport:
 
 
 def is_relatively_separated(lat, K: NeighborhoodSpec):
-    """Max number of overlapping translates ``x_i K``; finite windows always pass.
+    """Max number of translates ``x_j K`` that meet one ``x_i K``.
+
+    A finite lattice window is always relatively separated; the count is
+    its local finiteness constant.
 
     Affine overlap is exact: ``x_i K`` meets ``x_j K`` iff the relative
     point ``x_j^{-1} x_i = (btil, atil)`` has a positive scale ratio with
@@ -403,7 +406,7 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
                 np.abs(a[lo:hi, None] - a[None, :]) <= K.beta_w + _TIE_EPS
             )
             max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
-    return True, max_count
+    return max_count
 
 
 @dataclass(frozen=True)

@@ -225,12 +225,23 @@ def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
     window must live on the signal's grid; shifts aligned to the grid
     are exact, others interpolate linearly.
     """
+    quad, G, E = _stft_factors(f, g, x_grid, w_grid)
+    return GroupField(quad, (G * f.values[None, :]) @ E)
+
+
+def _stft_factors(f: SampledSignal, g: SampledSignal, x_grid, w_grid):
+    """The chart and the signal-independent STFT factors on ``f``'s grid.
+
+    ``G`` holds the conjugated window shifts, one row per ``x``, and
+    ``E`` the ``dt``-scaled modulations, one column per ``w``; the STFT
+    of any signal on that grid is ``(G * f) @ E``.
+    """
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
     quad = build_tf_quadrature(*x_grid, *w_grid)
-    H = np.conj(_shifted_rows(g, quad.x_grid())) * f.values[None, :]
+    G = np.conj(_shifted_rows(g, quad.x_grid()))
     E = np.exp(-2j * np.pi * np.outer(f.grid(), quad.w_grid())) * f.dt
-    return GroupField(quad, H @ E)
+    return quad, G, E
 
 
 def istft(V: GroupField, g: SampledSignal) -> SampledSignal:

@@ -190,8 +190,7 @@ def test_criterion_05_lattice_verification():
     quad12 = covering_quadrature(lat12, U12, cells_per_tile=6)
     probe12 = default_density_probe(quad12, lat12, U12)
     dense_ok = is_U_dense(lat12, U12, probe12).covered
-    sep_ok, count = is_relatively_separated(lat12, U12)
-    sep_ok = sep_ok and count <= 18  # 2(2N+1)(2M+1) with N = M = 1
+    sep_ok = is_relatively_separated(lat12, U12) <= 18  # 2(2N+1)(2M+1) with N = M = 1
 
     lat24 = AffineLattice(4.0, 2.0, -2, 2, -8, 8, (1, -1))
     quad24 = covering_quadrature(lat24, affine_box(2.0, 4.0), cells_per_tile=6)
@@ -206,8 +205,8 @@ def test_criterion_05_lattice_verification():
     gabor_ok = True
     for c in (0.25, 0.5, 1.0, 2.0):
         lat = TFLattice(np.eye(2), c, -8, 8, -8, 8)
-        ok, _ = is_relatively_separated(lat, cb.tf_box(0.5, 0.5))
-        gabor_ok = gabor_ok and ok
+        count = is_relatively_separated(lat, cb.tf_box(0.5, 0.5))
+        gabor_ok = gabor_ok and count <= (math.ceil(1.0 / c) * 2 + 1) ** 2
 
     verdict(5, "lattice verification", dense_ok and sep_ok and witness_ok and gabor_ok)
 

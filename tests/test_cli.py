@@ -7,15 +7,37 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit.cli import _companion_lattice, _write_json, main
+from coorbit import cli
+from coorbit.cli import _companion_lattice, _json_chunks, _write_json, main
 from coorbit.fields import lpm_norm
 from coorbit.groups import GroupField
 
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
+
+
+def _json_dump_text(obj):
+    """What ``json.dump`` writes for an artifact object, arrays as lists."""
+    if isinstance(obj, dict):
+        obj = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+    return json.dumps(cli._canon(obj), sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def artifacts_match_json_dump(monkeypatch):
+    """Every artifact a test writes through the CLI has ``json.dump``'s bytes."""
+    real_write = cli._write_json
+
+    def checked_write(path, obj):
+        real_write(path, obj)
+        assert path.read_text() == _json_dump_text(obj), path.name
+
+    monkeypatch.setattr(cli, "_write_json", checked_write)
 
 
 @pytest.fixture()
@@ -428,6 +450,58 @@ class TestNonFiniteOutputs:
         _write_json(path, {"frac": math.inf, "history": [0.5, -math.inf], "ok": [0.25, 1.0]})
         assert json.loads(path.read_text()) == {
             "frac": "inf", "history": [0.5, "-inf"], "ok": [0.25, 1.0]}
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16,
+                   -1e16, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.0]
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestJsonWriter:
+    """The writer's text equals ``json.dumps(..., sort_keys=True, indent=1)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_floats, max_size=40), st.integers(0, 3))
+    def test_float_arrays_and_lists(self, values, level):
+        ref = json.dumps(values, sort_keys=True, indent=1, allow_nan=False)
+        ref = ref.replace("\n", "\n" + " " * level)
+        assert "".join(_json_chunks(values, level)) == ref
+        assert "".join(_json_chunks(np.array(values, dtype=float), level)) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=5)),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=20))
+    def test_nested_objects(self, obj):
+        ref = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
+        assert "".join(_json_chunks(obj)) == ref
+
+    def test_array_longer_than_one_block(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(2 * cli._FLOAT_BLOCK + 5)
+        values[:len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS
+        obj = {"quadrature": {"n": 3}, "re": values, "im": values[::-1].copy()}
+        assert "".join(_json_chunks(obj)) == json.dumps(
+            {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in obj.items()},
+            sort_keys=True, indent=1, allow_nan=False)
+
+    def test_non_str_keys_and_empty_containers(self):
+        obj = {"a": {2: [1.5], 1: {}}, "b": [[], (), [{}]], "c": np.array([])}
+        ref = json.dumps({"a": {2: [1.5], 1: {}}, "b": [[], [], [{}]], "c": []},
+                         sort_keys=True, indent=1)
+        assert "".join(_json_chunks(obj)) == ref
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_array_refused(self, tmp_path, bad):
+        path = tmp_path / "f.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"re": np.array([1.0, bad])})
+        with pytest.raises(ValueError):
+            _write_json(path, {"re": [1.0, math.nan]})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReconstructCommand:

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.fields import affine_box, convolve, field_l2_norm, tf_box
+from coorbit.fields import affine_box, convolve, field_l2_norm, lpm_norm, tf_box
 from coorbit.frames import (
     DesignSearchError,
+    GaborOperator,
     ReconstructionDivergence,
     atom_certificate,
     besov_exponent,
@@ -30,9 +32,10 @@ from coorbit.lattices import (
     build_bupu,
     bupu_synthesize,
     sample_field,
+    seq_lpm_norm,
 )
 from coorbit.signals import inner
-from coorbit.voice import NotAdmissibleError, cwt
+from coorbit.voice import NotAdmissibleError, cwt, gabor_atom, stft
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +164,125 @@ class TestGabor:
     def test_bad_bounds_rejected(self, g, lat):
         with pytest.raises(ValueError):
             frame_operator_invert(g, g, lat, (0.0, 1.0))
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.inf, math.inf),
+                                        (1.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, g, lat, bounds):
+        # an infinite upper bound would make the step 0 and return x = 0
+        with pytest.raises(ValueError, match="finite frame bounds"):
+            frame_operator_invert(g, g, lat, bounds)
+
+    @pytest.mark.parametrize("t0, dt", [(-15.0, 32 / 2048), (-16.0, 30 / 2048)])
+    def test_off_grid_signal_rejected(self, g, lat, t0, dt):
+        y = cb.SampledSignal(t0, dt, g.values)
+        with pytest.raises(ValueError, match="window must share the signal grid"):
+            frame_operator_invert(y, g, lat, (1.0, 2.0))
+        with pytest.raises(ValueError, match="window must share the signal grid"):
+            gabor_coefficients(y, g, lat)
+
+    def test_coefficient_count_checked(self, g, lat):
+        with pytest.raises(ValueError, match=f"{lat.n_points - 1} .*{lat.n_points}"):
+            gabor_synthesize(np.ones(lat.n_points - 1), g, lat)
+
+    def test_inversion_memory_stays_factored(self, g, lat):
+        # the criterion-10 problem; its atom matrix alone is 1225 x 2048
+        # complex samples (40.1 MB)
+        rng = np.random.default_rng(11)
+        f = random_bandlimited_signal(g, (0.25, 1.0), rng, envelope_width=2.2)
+        sf = gabor_frame_operator(f, g, lat)
+        tracemalloc.start()
+        try:
+            frame_operator_invert(sf, g, lat, (2.82, 2.83), tol=1e-10, max_iter=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+def _atom_matrix(g, lat):
+    """Oracle: one explicit atom ``M_w T_x g`` per lattice point, in lattice order."""
+    xs, ws = lat.point_arrays()
+    return np.array([gabor_atom(g, float(x), float(w)).values for x, w in zip(xs, ws)])
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+_ORACLE_LATTICES = {
+    "separable": TFLattice.separable(0.5, 0.5, (-12, 12), (-6, 6)),
+    "shear": TFLattice(np.array([[0.5, 0.0], [0.25, 0.5]]), 1.0, -12, 12, -6, 6),
+    "upper": TFLattice(np.array([[0.5, 0.125], [0.0, 0.5]]), 1.0, -12, 12, -6, 6),
+    "off_grid": TFLattice.separable(0.37, 0.45, (-16, 16), (-5, 5)),
+    "one_point": TFLattice.separable(0.5, 0.5, (3, 3), (-2, -2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_LATTICES))
+class TestGaborOperatorOracle:
+    """The factored operator against the explicit atom matrix."""
+
+    def test_analyze_synthesize_apply(self, g, name):
+        lat = _ORACLE_LATTICES[name]
+        atoms = _atom_matrix(g, lat)
+        op = GaborOperator(g, lat)
+        rng = np.random.default_rng(4)
+        f = random_bandlimited_signal(g, (0.2, 1.0), rng, envelope_width=2.5)
+        c_ref = (atoms.conj() @ f.values) * g.dt
+        assert _rel(op.analyze(f.values), c_ref) <= 1e-12
+        c = rng.standard_normal(lat.n_points) + 1j * rng.standard_normal(lat.n_points)
+        assert _rel(op.synthesize(c), c @ atoms) <= 1e-12
+        assert _rel(op.apply(f.values), c_ref @ atoms) <= 1e-12
+        assert _rel(gabor_frame_operator(f, g, lat).values, c_ref @ atoms) <= 1e-12
+
+    def test_tightness_probe(self, g, name):
+        lat = _ORACLE_LATTICES[name]
+        atoms = _atom_matrix(g, lat)
+        rng = np.random.default_rng(7)
+        ratios = []
+        for _ in range(4):
+            f = random_bandlimited_signal(g, (0.2, 1.0), rng, envelope_width=2.5)
+            coeffs = (atoms.conj() @ f.values) * f.dt
+            ratios.append(np.sum(np.abs(coeffs) ** 2) / cb.l2_norm(f) ** 2)
+        probe = gabor_tightness_probe(g, lat, ensemble=4, seed=7,
+                                      band=(0.2, 1.0), envelope_width=2.5)
+        for key, ref in (("min", min(ratios)), ("max", max(ratios)),
+                         ("mean", np.mean(ratios))):
+            assert probe[key] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6):
+    """Reference ratios: one full ``stft`` or ``cwt`` call per draw."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(ensemble):
+        f = random_bandlimited_signal(window, band, rng, envelope_width)
+        if isinstance(lat, AffineLattice):
+            F = cwt(f, window, quad)
+        else:
+            F = stft(f, window, (quad.x0, quad.dx, quad.n_x), (quad.w0, quad.dw, quad.n_w))
+        ratios.append(float(seq_lpm_norm(sample_field(F, lat), 2, None, lat)
+                            / lpm_norm(F, 2, None)))
+    return tuple(ratios)
+
+
+def test_frame_bounds_ratios_bit_identical_tf():
+    # on this grid a draw's dt is one ulp off the window's, so the STFT's
+    # modulations must be built on the draw's grid to match stft bit for bit
+    g = cb.gaussian(-10, 10.5, 1800)
+    lat = TFLattice.separable(0.5, 0.5, (-16, 16), (-7, 7))
+    quad = build_tf_quadrature(-8, 0.125, 129, -3.5, 0.125, 57)
+    rep = frame_bounds_empirical(g, lat, p=2, ensemble=6, seed=3, quad=quad,
+                                 band=(0.2, 1.2), envelope_width=3.0)
+    assert rep.ratios == _bounds_per_draw(g, lat, quad, 3, (0.2, 1.2), 3.0)
+
+
+def test_frame_bounds_ratios_bit_identical_affine(s0_atom_normalized, atom_chart):
+    lat = AffineLattice(2.0, 0.5, -2, 2, -12, 12, (1, -1))
+    rep = frame_bounds_empirical(s0_atom_normalized, lat, p=2, ensemble=6, seed=2,
+                                 quad=atom_chart, band=(0.2, 1.0))
+    assert rep.ratios == _bounds_per_draw(s0_atom_normalized, lat, atom_chart, 2,
+                                          (0.2, 1.0), None)
 
 
 class TestFrameBounds:
