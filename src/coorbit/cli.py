@@ -37,7 +37,7 @@ from .frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from .groups import GroupField, GroupQuadrature
+from .groups import GroupField, GroupQuadrature, _finite_float
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
@@ -164,12 +164,9 @@ def _read_json(path) -> dict:
 def _finite(value, key: str) -> float:
     """A config number as a float; non-finite values are config errors."""
     try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return x
+        return _finite_float(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_signal(path) -> SampledSignal:
@@ -312,6 +309,8 @@ def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     sched = cfg.get("schedule", {})
+    if not isinstance(sched, dict):
+        raise ConfigError(f"schedule must be an object, got {sched!r}")
     stem = cfg.get("out", "design")
     try:
         result = design_lattice(
@@ -363,7 +362,10 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
     lat = _load_lattice(cfg["lattice"] if isinstance(cfg["lattice"], dict)
                         else _read_json(cfg["lattice"]))
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
-    band = tuple(cfg.get("band", (0.1, 1.0)))
+    band = cfg.get("band", (0.1, 1.0))
+    if not isinstance(band, (list, tuple)) or len(band) != 2:
+        raise ConfigError(f"band must be two numbers, got {band!r}")
+    band = (_finite(band[0], "band[0]"), _finite(band[1], "band[1]"))
     report = frame_bounds_empirical(
         g, lat, p=_finite(cfg.get("p", 2.0), "p"),
         m=WeightSpec.from_dict(cfg["weight"]) if cfg.get("weight") else None,

@@ -9,12 +9,12 @@ Group convolution on the affine chart,
 
     (F * G)(x) = sum_y F(y) G(y^{-1} x) weight(y),
 
-uses the closed form ``y^{-1} x = ((b - b')/a', a/a')``.  The default
-implementation reorganizes the double sum into one FFT correlation per
-input-scale row (the inner sum over ``b'`` is a discrete correlation on
-the uniform b-grid); it evaluates the kernel at exactly the same
-interpolated points as the literal double sum, so the two paths agree
-to roundoff.  The kernel's block spectra depend on the kernel alone, so
+uses the closed form ``y^{-1} x = ((b - b')/a', a/a')``.  It is
+evaluated as one FFT correlation per input-scale row (the inner sum
+over ``b'`` is a discrete correlation on the uniform b-grid).  The
+kernel is read at exactly the interpolated points of the literal double
+sum, which stays as the test oracle ``_convolve_direct``, so the two
+agree to roundoff.  The kernel's block spectra depend on the kernel alone, so
 :class:`KernelOperator` builds them once for repeated application.
 Convolutions are truncated-domain quantities: the outer chart ring's
 share of each operand's L1 mass is attached to the result as a tail
@@ -67,7 +67,6 @@ __all__ = [
     "weight_reciprocal",
 ]
 
-_DIRECT_NODE_LIMIT = 6000  # "auto" switches to the direct sum below this
 _SPECTRA_BYTE_LIMIT = 256 * 2**20  # KernelOperator streams its spectra above this
 _DEFAULT_OSC_SAMPLES = 7
 
@@ -98,6 +97,8 @@ class NeighborhoodSpec:
                 raise ValueError("tf neighbourhood needs positive box sides")
         else:
             raise ValueError(f"unknown neighbourhood kind {self.kind!r}")
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 2:
             raise ValueError("need at least two sample points per axis")
 
@@ -208,7 +209,7 @@ def field_l2_norm(F: GroupField) -> float:
 
 def involute(F: GroupField, kind: str = "nabla") -> GroupField:
     """``F^v(x) = F(x^{-1})`` or ``F^nabla(x) = conj F(x^{-1})`` by interpolation."""
-    if kind not in ("v", "vee", "nabla"):
+    if kind not in ("vee", "nabla"):
         raise ValueError("kind must be 'vee' or 'nabla'")
     c1, c2 = F.quad.node_points()
     if F.quad.kind == "affine":
@@ -370,15 +371,6 @@ def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
     return out
 
 
-def _resolve_method(quad, method: str) -> str:
-    """``"auto"`` runs the direct sum on small charts, the FFT path otherwise."""
-    if method == "auto":
-        return "direct" if quad.n_nodes <= _DIRECT_NODE_LIMIT else "fast"
-    if method not in ("direct", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
 def _with_truncation(F: GroupField, vals, right_edge: float) -> GroupField:
     meta = {
         "truncation": {
@@ -395,20 +387,17 @@ def _check_affine_pair(F: GroupField, G: GroupField):
     _check_same_quadrature(F, G)
 
 
-def convolve(F: GroupField, G: GroupField, method: str = "auto") -> GroupField:
+def convolve(F: GroupField, G: GroupField) -> GroupField:
     """Group convolution ``(F * G)(x) = sum_y F(y) G(y^{-1}x) w(y)``.
 
-    ``method="direct"`` runs the literal double sum (the oracle);
-    ``"fast"`` runs the per-scale-row FFT correlation, which queries the
-    kernel at the identical interpolation points and matches the direct
-    sum to roundoff.  ``"auto"`` picks by size.  The fast path streams
-    G's block spectra; :class:`KernelOperator` stores them for reuse.
+    Runs one FFT correlation per input-scale row.  It queries the kernel
+    at the interpolation points of the literal double sum
+    (``_convolve_direct``, kept as the test oracle) and matches it to
+    roundoff.  G's block spectra are streamed; :class:`KernelOperator`
+    stores them for reuse.
     """
     _check_affine_pair(F, G)
-    if _resolve_method(F.quad, method) == "direct":
-        vals = _convolve_direct(F, G)
-    else:
-        vals = _apply_spectra(F, _kernel_spectra(G), scratch=True)
+    vals = _apply_spectra(F, _kernel_spectra(G), scratch=True)
     return _with_truncation(F, vals, _edge_l1_fraction(G))
 
 
@@ -419,8 +408,7 @@ class KernelOperator:
     computed here once and reused by every :meth:`apply`.  When storing
     them would take more than ``_SPECTRA_BYTE_LIMIT`` bytes, each apply
     recomputes them instead (same numbers, bounded memory).  ``apply(F)``
-    equals ``convolve(F, K, "fast")`` bit for bit, truncation report
-    included.
+    equals ``convolve(F, K)`` bit for bit, truncation report included.
     """
 
     def __init__(self, K: GroupField):
@@ -456,9 +444,11 @@ def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
     if abs(ox - round(ox)) > 1e-6 or abs(ow - round(ow)) > 1e-6:
         raise ValueError("grid origins must be integer multiples of the steps")
     ox, ow = int(round(ox)), int(round(ow))
-    from scipy.signal import fftconvolve
-
-    full = fftconvolve(F.values, G.values, mode="full")
+    # full linear convolution: zero-padded 2-D FFTs, cropped to 2n - 1 per axis
+    full_shape = (2 * quad.n_x - 1, 2 * quad.n_w - 1)
+    L = [_next_fast_len(n) for n in full_shape]
+    full = np.fft.ifft2(np.fft.fft2(F.values, L) * np.fft.fft2(G.values, L))
+    full = full[: full_shape[0], : full_shape[1]]
     out = np.zeros_like(F.values)
     # clip the needed window of the full convolution against its bounds
     x_sel = np.arange(quad.n_x) + ox
@@ -562,6 +552,6 @@ def young_check(
     return YoungReport(tuple(checks), slack)
 
 
-def kernel_project(F: GroupField, K: GroupField, method: str = "auto") -> GroupField:
+def kernel_project(F: GroupField, K: GroupField) -> GroupField:
     """Projection onto the transform image: ``P(F) = F * K``."""
-    return convolve(F, K, method=method)
+    return convolve(F, K)

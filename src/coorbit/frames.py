@@ -30,9 +30,7 @@ import numpy as np
 from .fields import (
     KernelOperator,
     NeighborhoodSpec,
-    _resolve_method,
     affine_box,
-    convolve,
     field_l2_norm,
     lpm_norm,
     oscillation,
@@ -62,7 +60,7 @@ from .voice import (
     _stft_factors,
     cwt,
     normalize_admissible,
-    stft,
+    reproducing_kernel,
 )
 from .weights import WeightSpec
 
@@ -187,17 +185,11 @@ def atom_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     TF charts to unit L2 norm; non-admissible windows raise.
     """
     if quad.kind == "affine":
-        psi_n = normalize_admissible(psi)
-        return cwt(psi_n, psi_n, quad)
+        return reproducing_kernel(normalize_admissible(psi), quad)
     norm = l2_norm(psi)
     if norm == 0.0:
         raise NotAdmissibleError("zero window")
-    psi_n = psi.with_values(psi.values / norm)
-    return stft(
-        psi_n, psi_n,
-        (quad.x0, quad.dx, quad.n_x),
-        (quad.w0, quad.dw, quad.n_w),
-    )
+    return reproducing_kernel(psi.with_values(psi.values / norm), quad)
 
 
 def atom_certificate(
@@ -423,7 +415,6 @@ def neumann_reconstruct(
     certificate: FrameCertificate | None = None,
     allow_uncertified: bool = False,
     ground_truth: GroupField | None = None,
-    method: str = "auto",
 ):
     """Invert ``T F = (sum_i F(x_i) phi_i) * K`` by the fixed-point iteration.
 
@@ -435,9 +426,9 @@ def neumann_reconstruct(
     chart-truncated estimate and may be optimistic, so garbage is never
     returned silently.  Each iteration reads F only at the tiles that
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
-    the partition's tile counts.  On the fast path the kernel is applied
-    through one :class:`~coorbit.fields.KernelOperator`, built before the
-    first iteration.
+    the partition's tile counts.  The kernel is applied through one
+    :class:`~coorbit.fields.KernelOperator`, built before the first
+    iteration.
     """
     if certificate is None and not allow_uncertified:
         raise ValueError(
@@ -448,8 +439,7 @@ def neumann_reconstruct(
     if bupu.quad.to_dict() != K.quad.to_dict():
         raise ValueError("partition chart must match the kernel chart")
 
-    project = (KernelOperator(K).apply if _resolve_method(K.quad, method) == "fast"
-               else lambda F: convolve(F, K, method="direct"))
+    project = KernelOperator(K).apply
     tiles = {
         "lattice_points": bupu.lattice.n_points,
         "active_tiles": int(bupu.active_tiles.size),
@@ -715,7 +705,7 @@ def besov_exponent(p, s):
     if isinstance(p, float) and math.isinf(p):
         inv_p = Fraction(0) if isinstance(s, (int, Fraction)) else 0.0
     else:
-        if (isinstance(p, float) and p < 1) or (not isinstance(p, float) and p < 1):
+        if p < 1:
             raise ValueError("p must lie in [1, inf]")
         if isinstance(p, (int, Fraction)):
             inv_p = Fraction(1, 1) / Fraction(p)

@@ -263,16 +263,30 @@ class GroupQuadrature:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupQuadrature":
+        def num(key):
+            return _finite_float(d[key], f"quadrature.{key}")
+
         if d.get("group") == "affine":
             return build_affine_quadrature(
-                d["b_lo"], d["b_hi"], d["n_b"], d["a_min"], d["a_max"],
+                num("b_lo"), num("b_hi"), d["n_b"], num("a_min"), num("a_max"),
                 d["n_scales"], tuple(d["signs"]),
             )
         if d.get("group") == "tf":
             return build_tf_quadrature(
-                d["x0"], d["dx"], d["n_x"], d["w0"], d["dw"], d["n_w"]
+                num("x0"), num("dx"), d["n_x"], num("w0"), num("dw"), d["n_w"]
             )
         raise ValueError("unknown quadrature serialization")
+
+
+def _finite_float(value, key: str) -> float:
+    """``value`` as a finite float; anything else raises ``ValueError`` naming ``key``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return x
 
 
 def build_affine_quadrature(

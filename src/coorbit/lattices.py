@@ -74,6 +74,8 @@ class AffineLattice:
         signs = tuple(int(s) for s in self.signs)
         if not signs or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be a nonempty subset of {+1, -1}")
+        if len(set(signs)) != len(signs):
+            raise ValueError("duplicate sign branch")
         object.__setattr__(self, "signs", signs)
 
     @property

@@ -31,6 +31,7 @@ from .groups import GroupField, GroupQuadrature, build_tf_quadrature
 from .signals import (
     SampledSignal,
     Spectrum,
+    _complex_interp,
     fourier,
     inverse_fourier,
     l2_norm,
@@ -159,9 +160,7 @@ def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupFie
         rows_b = np.fft.ifft(np.fft.ifftshift(phased, axes=-1), axis=-1) / f.dt
         if resample:
             for j in range(quad.n_scales):
-                re = np.interp(b_grid, t, rows_b[j].real, left=0.0, right=0.0)
-                im = np.interp(b_grid, t, rows_b[j].imag, left=0.0, right=0.0)
-                out[s_idx, j] = re + 1j * im
+                out[s_idx, j] = _complex_interp(b_grid, t, rows_b[j])
         else:
             out[s_idx] = rows_b
     return GroupField(quad, out, meta)
@@ -267,8 +266,7 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
             raise NotAdmissibleError(
                 f"kernel needs an admissible window (DC {c.dc_magnitude:g})"
             )
-        K = cwt(psi, psi, quad)
-        return K.with_values(K.values, c_psi=float(c))
+        return cwt(psi, psi, quad)
     return stft(
         psi, psi,
         (quad.x0, quad.dx, quad.n_x),
@@ -278,14 +276,13 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
 
 def duflo_moore_wavelet(psi: SampledSignal) -> SampledSignal:
     """Spectral multiplier ``psihat / sqrt(|w|)`` (zero bin dropped)."""
-    spec = fourier(psi)
-    mag = np.abs(spec.values)
-    peak = float(np.max(mag))
-    dc = float(mag[spec.dc_index()])
-    if peak == 0.0 or dc > _DC_TOLERANCE * peak:
+    c = admissibility_constant(psi)
+    if isinstance(c, NotAdmissible):
         raise NotAdmissibleError(
-            f"Duflo-Moore multiplier undefined: DC magnitude {dc:g} (peak {peak:g})"
+            f"Duflo-Moore multiplier undefined: DC magnitude {c.dc_magnitude:g} "
+            f"(peak {c.peak_magnitude:g})"
         )
+    spec = fourier(psi)
     w = spec.grid()
     vals = spec.values.copy()
     mask = w != 0.0

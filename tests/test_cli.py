@@ -419,6 +419,67 @@ class TestNonFiniteInputs:
         self._assert_rejected(capsys, out, "NaN")
 
 
+class TestWrongTypedConfig:
+    """A config value of the wrong type exits 2, naming it, before any file is written."""
+
+    @staticmethod
+    def _configs(atom, window):
+        small_affine = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+                        "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
+        return {
+            "certify-atom": {"atom": atom, "kind": "wavelet", "quadrature": small_affine,
+                             "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
+            "design-lattice": {"atom": atom, "quadrature": small_affine,
+                               "weight": {"family": "symmetric_power", "rho": 1.0}},
+            "frame-bounds": {
+                "window": window,
+                "lattice": {"type": "tf", "generator": [[0.5, 0], [0, 0.5]],
+                            "scale": 1.0, "n1": [-16, 16], "n2": [-8, 8]},
+                "quadrature": {"group": "tf", "x0": -8.0, "dx": 0.25, "n_x": 65,
+                               "w0": -3.0, "dw": 0.125, "n_w": 49},
+                "ensemble": 1,
+            },
+        }
+
+    def _run(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        write_json(path, {"version": "coorbit/1", "command": command, **cfg})
+        out = tmp_path / "out"
+        out.mkdir()
+        return main([command, "--config", str(path), "--out-dir", str(out)]), out
+
+    @pytest.mark.parametrize("command, key, edit, named", [
+        ("certify-atom", "neighbourhood", {"n_samples": 7.5}, "n_samples"),
+        ("design-lattice", "schedule", [1], "schedule"),
+        ("certify-atom", "quadrature", {"b_lo": "a"}, "b_lo"),
+        ("frame-bounds", "band", 5, "band"),
+    ])
+    def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file,
+                                     command, key, edit, named):
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[command]
+        # a dict edit changes one entry of the (valid) nested object
+        cfg[key] = {**cfg[key], **edit} if isinstance(edit, dict) else edit
+        rc, out = self._run(tmp_path, command, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_duplicate_lattice_signs_exit_2(self, tmp_path, capsys, mexhat_file):
+        cfg = {
+            "window": str(mexhat_file[0]),
+            "lattice": {"type": "affine", "alpha": 2.0, "beta": 1.0,
+                        "j": [-1, 1], "k": [-4, 4], "signs": [1, 1]},
+            "quadrature": {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+                           "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]},
+            "ensemble": 1,
+        }
+        rc, out = self._run(tmp_path, "frame-bounds", cfg)
+        assert rc == 2
+        assert "duplicate sign branch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteOutputs:
     """A non-finite value in an output array exits 2 and writes no file."""
 
@@ -537,13 +598,13 @@ class TestReconstructCommand:
         })
         # the self-kernel is built once, for the certificate and the loop
         calls = []
-        cwt_once = cb.frames.cwt
+        cwt_once = cb.voice.cwt
 
         def counting_cwt(*args, **kwargs):
             calls.append(1)
             return cwt_once(*args, **kwargs)
 
-        monkeypatch.setattr(cb.frames, "cwt", counting_cwt)
+        monkeypatch.setattr(cb.voice, "cwt", counting_cwt)
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 0
         assert len(calls) == 1

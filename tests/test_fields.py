@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,13 +144,13 @@ class TestInvolution:
 class TestConvolve:
     def test_zero_annihilates(self, small_kernel):
         zero = small_kernel.with_values(np.zeros_like(small_kernel.values))
-        out = convolve(small_kernel, zero, "direct")
-        assert np.max(np.abs(out.values)) == 0.0
+        out = _convolve_direct(small_kernel, zero)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_fast_matches_direct(self, small_kernel):
         K = small_kernel
-        fast = convolve(K, K, "fast")
-        direct = convolve(K, K, "direct")
+        fast = convolve(K, K)
+        direct = GroupField(K.quad, _convolve_direct(K, K))
         err = field_l2_norm(GroupField(K.quad, fast.values - direct.values))
         assert err <= 1e-10 * field_l2_norm(direct)
 
@@ -154,8 +158,8 @@ class TestConvolve:
         psi = cb.normalize_admissible(cb.mexican_hat(-16, 16, 512))
         quad = build_affine_quadrature(-16, 16, 48, 1 / 4, 4, 17, (1,))
         K = cwt(psi, psi, quad)
-        fast = convolve(K, K, "fast")
-        direct = convolve(K, K, "direct")
+        fast = convolve(K, K)
+        direct = GroupField(quad, _convolve_direct(K, K))
         err = field_l2_norm(GroupField(quad, fast.values - direct.values))
         assert err <= 1e-10 * field_l2_norm(direct)
 
@@ -165,7 +169,7 @@ class TestConvolve:
         b, a = quad.node_points()
         ind = ((np.abs(b) <= 0.5) & (a >= 0.5) & (a <= 2.0)).astype(complex)
         F = GroupField(quad, ind)
-        out = convolve(F, F, "direct")
+        out = convolve(F, F)
         # identity node
         j0 = 60
         assert quad.scale_grid()[j0] == pytest.approx(1.0, abs=1e-9)
@@ -188,12 +192,12 @@ class TestConvolve:
         F = bump_field(conv_quad, 0.3, 0.1, 0.9, 0.35)
         G = bump_field(conv_quad, -0.2, -0.15, 0.9, 0.35)
         H = bump_field(conv_quad, 0.1, 0.05, 0.9, 0.35)
-        lhs = convolve(convolve(F, G, "fast"), H, "fast")
-        rhs = convolve(F, convolve(G, H, "fast"), "fast")
+        lhs = convolve(convolve(F, G), H)
+        rhs = convolve(F, convolve(G, H))
         assert rel_l2(lhs, rhs) <= 1e-6
 
     def test_truncation_metadata(self, small_kernel):
-        out = convolve(small_kernel, small_kernel, "fast")
+        out = convolve(small_kernel, small_kernel)
         tr = out.meta["truncation"]
         assert 0 <= tr["left_factor_edge_l1_fraction"] < 1
         assert 0 <= tr["right_factor_edge_l1_fraction"] < 1
@@ -222,7 +226,7 @@ class TestFastConvolveProperty:
                                        n_scales, signs)
         F = _random_field(quad, seed)
         G = _random_field(quad, seed + 1)
-        fast = convolve(F, G, "fast").values
+        fast = convolve(F, G).values
         direct = _convolve_direct(F, G)
         err = field_l2_norm(GroupField(quad, fast - direct))
         assert err <= 1e-10 * field_l2_norm(GroupField(quad, direct))
@@ -253,7 +257,7 @@ class TestKernelOperator:
         # the second apply also shows the first left the stored spectra intact
         for seed in (1, 2):
             F = _random_field(K.quad, seed)
-            self._assert_same(op.apply(F), convolve(F, K, "fast"))
+            self._assert_same(op.apply(F), convolve(F, K))
 
     def test_streamed_matches_convolve_bit_for_bit(self, chart_kernel, monkeypatch):
         K = chart_kernel
@@ -261,7 +265,7 @@ class TestKernelOperator:
         op = KernelOperator(K)
         assert not op.stored
         F = _random_field(K.quad, 3)
-        self._assert_same(op.apply(F), convolve(F, K, "fast"))
+        self._assert_same(op.apply(F), convolve(F, K))
 
     def test_other_chart_refused(self, chart_kernel):
         op = KernelOperator(chart_kernel)
@@ -310,6 +314,57 @@ class TestTFConvolve:
         G = self._gauss_field(q2, 1.0, 1.0)
         with pytest.raises(ValueError):
             tf_convolve(F, G)
+
+
+def _tf_convolve_fftconvolve(F, G):
+    """``tf_convolve`` as written on ``scipy.signal.fftconvolve``, the reference."""
+    from scipy.signal import fftconvolve
+
+    quad = F.quad
+    ox = int(round(-quad.x0 / quad.dx))
+    ow = int(round(-quad.w0 / quad.dw))
+    full = fftconvolve(F.values, G.values, mode="full")
+    out = np.zeros_like(F.values)
+    x_sel = np.arange(quad.n_x) + ox
+    w_sel = np.arange(quad.n_w) + ow
+    x_ok = (x_sel >= 0) & (x_sel < full.shape[0])
+    w_ok = (w_sel >= 0) & (w_sel < full.shape[1])
+    out[np.ix_(x_ok, w_ok)] = full[np.ix_(x_sel[x_ok], w_sel[w_ok])]
+    return out * (quad.dx * quad.dw)
+
+
+class TestTFConvolveAgainstScipy:
+    @pytest.mark.parametrize("chart", [
+        (-4.0, 0.25, 33, -4.0, 0.25, 33),    # odd, centred
+        (-4.0, 0.25, 32, -2.0, 0.5, 10),     # even
+        (0.0, 0.5, 1, -3.0, 0.25, 25),       # one-node x axis
+        (-2.0, 0.5, 9, 0.0, 1.0, 1),         # one-node w axis
+        (-1.5, 0.5, 12, 2.0, 0.25, 16),      # origins off centre, one positive
+        (1.0, 0.125, 40, -7.0, 0.5, 21),     # the window partly outside the full grid
+    ])
+    def test_matches_fftconvolve(self, chart):
+        quad = cb.build_tf_quadrature(*chart)
+        F = _random_field(quad, 5)
+        G = _random_field(quad, 6)
+        ref = _tf_convolve_fftconvolve(F, G)
+        out = tf_convolve(F, G).values
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_loads_no_scipy(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import coorbit as cb\n"
+            "quad = cb.build_tf_quadrature(-2, 0.5, 9, -2, 0.5, 9)\n"
+            "F = cb.GroupField(quad, np.ones(quad.shape))\n"
+            "cb.tf_convolve(F, F)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cb.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestOscillation:

@@ -63,6 +63,12 @@ class TestLatticePoints:
         with pytest.raises(ValueError):
             TFLattice(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1, 1)])
+    def test_duplicate_sign_branch_rejected(self, signs):
+        # a repeated branch would enumerate every point of it twice
+        with pytest.raises(ValueError, match="duplicate sign branch"):
+            AffineLattice(2.0, 1.0, -2, 2, -4, 4, signs)
+
 
 class TestDensity:
     def test_matching_rectangle_dense(self, lat12, quad12):
