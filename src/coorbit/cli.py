@@ -37,7 +37,7 @@ from .frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from .groups import GroupField, GroupQuadrature, _finite_float
+from .groups import GroupField, GroupQuadrature, _finite_float, _integer
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
@@ -169,6 +169,21 @@ def _finite(value, key: str) -> float:
         raise ConfigError(str(exc)) from None
 
 
+def _count(value, key: str) -> int:
+    """A config integer; a fractional, non-finite or non-numeric value is a config error."""
+    try:
+        return _integer(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _tf_axis(cfg: dict, name: str) -> tuple:
+    """An ``(origin, step, count)`` triple from the config object ``cfg[name]``."""
+    axis = cfg[name]
+    return (_finite(axis["origin"], f"{name}.origin"), _finite(axis["step"], f"{name}.step"),
+            _count(axis["count"], f"{name}.count"))
+
+
 def _load_signal(path) -> SampledSignal:
     return SampledSignal.from_dict(_read_json(path))
 
@@ -230,10 +245,7 @@ def cmd_cwt(cfg: dict, out_dir: Path) -> int:
 def cmd_stft(cfg: dict, out_dir: Path) -> int:
     f = _load_signal(cfg["signal"])
     g = _load_signal(cfg["window"])
-    xg = cfg["x_grid"]
-    wg = cfg["w_grid"]
-    V = stft(f, g, (xg["origin"], xg["step"], xg["count"]),
-             (wg["origin"], wg["step"], wg["count"]))
+    V = stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid"))
     weight = _weight_from(cfg, "tf")
     stem = cfg.get("out", "stft")
     _write_field(out_dir / f"{stem}.field.json", V)
@@ -258,7 +270,7 @@ def cmd_admissibility(cfg: dict, out_dir: Path) -> int:
 
 def cmd_moments(cfg: dict, out_dir: Path) -> int:
     psi = _load_signal(cfg["signal"])
-    k_max = int(cfg.get("k_max", 4))
+    k_max = _count(cfg.get("k_max", 4), "k_max")
     tol = _finite(cfg.get("tol", 1e-6), "tol")
     rep = moments(psi, k_max)
     out = rep.to_dict()
@@ -318,7 +330,7 @@ def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
             alpha0=_finite(sched.get("alpha0", 2.0), "schedule.alpha0"),
             beta0=_finite(sched.get("beta0", 1.0), "schedule.beta0"),
             gamma=_finite(sched.get("gamma", 0.7), "schedule.gamma"),
-            max_steps=int(sched.get("max_steps", 20)),
+            max_steps=_count(sched.get("max_steps", 20), "schedule.max_steps"),
         )
     except DesignSearchError as exc:
         _write_json(out_dir / f"{stem}.json", {
@@ -369,8 +381,8 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
     report = frame_bounds_empirical(
         g, lat, p=_finite(cfg.get("p", 2.0), "p"),
         m=WeightSpec.from_dict(cfg["weight"]) if cfg.get("weight") else None,
-        ensemble=int(cfg.get("ensemble", 20)),
-        seed=int(cfg.get("seed", 0)),
+        ensemble=_count(cfg.get("ensemble", 20), "ensemble"),
+        seed=_count(cfg.get("seed", 0), "seed"),
         quad=quad, band=band,
     )
     _write_json(out_dir / f"{cfg.get('out', 'bounds')}.json", report.to_dict())
@@ -378,6 +390,8 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
+    tol = _finite(cfg.get("tol", 1e-3), "tol")
+    max_iter = _count(cfg.get("max_iter", 100), "max_iter")
     psi = _load_signal(cfg["atom"])
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
@@ -386,8 +400,6 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
                         else _read_json(cfg["lattice"]))
     truth = GroupField.from_dict(_read_json(cfg["field"]))
     stem = cfg.get("out", "reconstruct")
-    tol = _finite(cfg.get("tol", 1e-3), "tol")
-    max_iter = int(cfg.get("max_iter", 100))
 
     try:
         K = atom_kernel(psi, quad)

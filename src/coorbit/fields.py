@@ -34,6 +34,7 @@ from .groups import (
     _bilinear_grid,
     _cell,
     _chart_index,
+    _finite_number,
     _in_chart,
     _lerp,
     affine_field_interpolate,
@@ -146,9 +147,15 @@ class NeighborhoodSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NeighborhoodSpec":
+        def num(key):
+            return _finite_number(d[key], f"neighbourhood.{key}")
+
+        n_samples = d.get("n_samples", _DEFAULT_OSC_SAMPLES)
         if d["kind"] == "affine":
-            return affine_box(d["beta"], d["alpha"], d.get("n_samples", _DEFAULT_OSC_SAMPLES))
-        return tf_box(d["beta_x"], d["beta_w"], d.get("n_samples", _DEFAULT_OSC_SAMPLES))
+            return affine_box(num("beta"), num("alpha"), n_samples)
+        if d["kind"] == "tf":
+            return tf_box(num("beta_x"), num("beta_w"), n_samples)
+        raise ValueError(f"unknown neighbourhood kind {d['kind']!r}")
 
 
 def affine_box(beta: float, alpha: float, n_samples: int = _DEFAULT_OSC_SAMPLES) -> NeighborhoodSpec:

@@ -377,7 +377,7 @@ def frame_bounds_empirical(
     is_affine = isinstance(lat, AffineLattice)
     if band is None:
         band = (0.1, 1.0)
-    # the STFT's window shifts and modulations, built once per draw grid
+    # the STFT's window shifts and frequency axis, built once per draw grid
     stft_factors = {}
     ratios = []
     for _ in range(ensemble):
@@ -393,8 +393,8 @@ def frame_bounds_empirical(
                         (quad.x0, quad.dx, quad.n_x),
                         (quad.w0, quad.dw, quad.n_w),
                     )
-                tf_quad, G, E = stft_factors[key]
-                F = GroupField(tf_quad, (G * f.values[None, :]) @ E)
+                tf_quad, transform = stft_factors[key]
+                F = GroupField(tf_quad, transform(f.values))
             denom = lpm_norm(F, p, m)
             if denom > 0:
                 break

@@ -266,14 +266,17 @@ class GroupQuadrature:
         def num(key):
             return _finite_float(d[key], f"quadrature.{key}")
 
+        def count(key):
+            return _integer(d[key], f"quadrature.{key}")
+
         if d.get("group") == "affine":
             return build_affine_quadrature(
-                num("b_lo"), num("b_hi"), d["n_b"], num("a_min"), num("a_max"),
-                d["n_scales"], tuple(d["signs"]),
+                num("b_lo"), num("b_hi"), count("n_b"), num("a_min"), num("a_max"),
+                count("n_scales"), _integers(d["signs"], "quadrature.signs"),
             )
         if d.get("group") == "tf":
             return build_tf_quadrature(
-                num("x0"), num("dx"), d["n_x"], num("w0"), num("dw"), d["n_w"]
+                num("x0"), num("dx"), count("n_x"), num("w0"), num("dw"), count("n_w")
             )
         raise ValueError("unknown quadrature serialization")
 
@@ -287,6 +290,36 @@ def _finite_float(value, key: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return x
+
+
+def _finite_number(value, key: str):
+    """``value`` itself if it is a finite real number; a bool or a string raises."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an ``int``; a float reads only if it has no fractional part."""
+    _finite_number(value, key)
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, key: str) -> tuple:
+    """A config list of integers as a tuple of ``int``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
 def build_affine_quadrature(
@@ -304,6 +337,7 @@ def build_affine_quadrature(
     log-uniform with ``n_scales`` nodes on ``[a_min, a_max]``, replicated
     on each requested sign branch.
     """
+    n_b, n_scales = _integer(n_b, "n_b"), _integer(n_scales, "n_scales")
     if not (0 < a_min < a_max):
         raise ValueError("need 0 < a_min < a_max")
     if n_b < 2 or n_scales < 2:
@@ -319,10 +353,10 @@ def build_affine_quadrature(
         kind="affine",
         b_lo=float(b_lo),
         b_hi=float(b_hi),
-        n_b=int(n_b),
+        n_b=n_b,
         a_min=float(a_min),
         a_max=float(a_max),
-        n_scales=int(n_scales),
+        n_scales=n_scales,
         signs=signs,
     )
 
@@ -331,11 +365,12 @@ def build_tf_quadrature(
     x0: float, dx: float, n_x: int, w0: float, dw: float, n_w: int
 ) -> GroupQuadrature:
     """Uniform chart of the time-frequency plane, weight ``dx*dw``."""
+    n_x, n_w = _integer(n_x, "n_x"), _integer(n_w, "n_w")
     if dx <= 0 or dw <= 0 or n_x < 1 or n_w < 1:
         raise ValueError("invalid TF grid")
     return GroupQuadrature(
-        kind="tf", x0=float(x0), dx=float(dx), n_x=int(n_x),
-        w0=float(w0), dw=float(dw), n_w=int(n_w),
+        kind="tf", x0=float(x0), dx=float(dx), n_x=n_x,
+        w0=float(w0), dw=float(dw), n_w=n_w,
     )
 
 

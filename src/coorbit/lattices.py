@@ -25,6 +25,8 @@ from .fields import NeighborhoodSpec, lpm_norm, unit_weight
 from .groups import (
     GroupField,
     GroupQuadrature,
+    _finite_number,
+    _integers,
     affine_field_interpolate,
     build_affine_quadrature,
     tf_field_interpolate,
@@ -132,8 +134,10 @@ class AffineLattice:
     @staticmethod
     def from_dict(d: dict) -> "AffineLattice":
         return AffineLattice(
-            d["alpha"], d["beta"], d["j"][0], d["j"][1], d["k"][0], d["k"][1],
-            tuple(d.get("signs", (1, -1))),
+            _finite_number(d["alpha"], "lattice.alpha"),
+            _finite_number(d["beta"], "lattice.beta"),
+            *_index_range(d["j"], "lattice.j"), *_index_range(d["k"], "lattice.k"),
+            _integers(d.get("signs", (1, -1)), "lattice.signs"),
         )
 
     def matching_neighbourhood(self, n_samples: int = 7) -> NeighborhoodSpec:
@@ -202,8 +206,22 @@ class TFLattice:
 
     @staticmethod
     def from_dict(d: dict) -> "TFLattice":
-        return TFLattice(np.asarray(d["generator"]), d["scale"],
-                         d["n1"][0], d["n1"][1], d["n2"][0], d["n2"][1])
+        gen = np.asarray(d["generator"], dtype=object)
+        if gen.shape != (2, 2):
+            raise ValueError(f"lattice.generator must be 2x2, got {d['generator']!r}")
+        for (r, c), v in np.ndenumerate(gen):
+            _finite_number(v, f"lattice.generator[{r}][{c}]")
+        return TFLattice(gen.astype(float), _finite_number(d["scale"], "lattice.scale"),
+                         *_index_range(d["n1"], "lattice.n1"),
+                         *_index_range(d["n2"], "lattice.n2"))
+
+
+def _index_range(value, key: str) -> tuple:
+    """A config's ``[lo, hi]`` index bounds as two ints."""
+    bounds = _integers(value, key)
+    if len(bounds) != 2:
+        raise ValueError(f"{key} must be a pair of integers, got {value!r}")
+    return bounds
 
 
 def lattice_points(lat):

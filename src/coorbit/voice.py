@@ -11,8 +11,9 @@ covariance in ``b`` exact up to DFT periodization.  Scale samples of
 per spectrum.
 
 The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)`` is
-evaluated directly on a rectangular time-frequency grid (one windowed
-matrix product; no interpolation in ``w``).
+evaluated on a rectangular time-frequency grid with no interpolation in
+``w``: by one length-``M`` FFT per folded row when ``dw * dt = 1/M``,
+otherwise by one windowed matrix product.
 
 Admissibility, inversion, reproducing kernels and the explicit wavelet
 Duflo-Moore multiplier ``psihat / sqrt|w|`` round out the module.
@@ -222,25 +223,71 @@ def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
 
     ``x_grid`` and ``w_grid`` are ``(origin, step, count)`` triples.  The
     window must live on the signal's grid; shifts aligned to the grid
-    are exact, others interpolate linearly.
+    are exact, others interpolate linearly.  When ``dw * dt = 1/M`` for
+    an integer ``M <= n_t``, the frequency axis is one length-``M`` FFT
+    of each folded row; otherwise it is the dense modulation product.
     """
-    quad, G, E = _stft_factors(f, g, x_grid, w_grid)
-    return GroupField(quad, (G * f.values[None, :]) @ E)
+    quad, transform = _stft_factors(f, g, x_grid, w_grid)
+    return GroupField(quad, transform(f.values))
+
+
+# |M dw dt - 1| below which dw dt counts as exactly 1/M
+_FOLD_TOLERANCE = 8 * 2.0**-52
+
+
+def _fold_length(dt: float, dw: float, n_t: int):
+    """``M = 1/(dw dt)`` when it is an integer in ``[1, n_t]``, else ``None``."""
+    prod = dt * dw
+    if not prod * n_t >= 0.5:  # also an underflow to zero
+        return None
+    m = round(1.0 / prod)
+    if 1 <= m <= n_t and abs(m * prod - 1.0) <= _FOLD_TOLERANCE:
+        return m
+    return None
+
+
+def _unit_phase(cycles: np.ndarray) -> np.ndarray:
+    """``exp(-2 pi i cycles)``, with ``cycles`` reduced modulo 1 first."""
+    return np.exp(-2j * np.pi * np.mod(cycles, 1.0))
 
 
 def _stft_factors(f: SampledSignal, g: SampledSignal, x_grid, w_grid):
-    """The chart and the signal-independent STFT factors on ``f``'s grid.
+    """The chart and the STFT on ``f``'s grid, as ``(quad, transform)``.
 
-    ``G`` holds the conjugated window shifts, one row per ``x``, and
-    ``E`` the ``dt``-scaled modulations, one column per ``w``; the STFT
-    of any signal on that grid is ``(G * f) @ E``.
+    ``transform(values)`` is ``dt * sum_n f_n conj(g(t_n - x)) exp(-2 pi
+    i t_n w)`` over the chart for samples ``values`` on that grid; the
+    window shifts ``G`` and the frequency axis are built once here.
+
+    With ``t_n = t0 + n dt``, ``w_k = w0 + k dw`` and ``dw dt = 1/M``,
+    the phase splits as ``t0 w_k + n dt w0 + n k / M``: the rows of
+    ``G * f exp(-2 pi i n dt w0)`` are summed modulo ``M``, one
+    length-``M`` FFT per row gives column ``k mod M``, and
+    ``exp(-2 pi i t0 w_k) dt`` scales each column.  On any other grid the
+    axis is the dense product with ``exp(-2 pi i t_n w_k) dt``.
     """
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
     quad = build_tf_quadrature(*x_grid, *w_grid)
     G = np.conj(_shifted_rows(g, quad.x_grid()))
-    E = np.exp(-2j * np.pi * np.outer(f.grid(), quad.w_grid())) * f.dt
-    return quad, G, E
+    w = quad.w_grid()
+    n_t = f.n
+    m = _fold_length(f.dt, quad.dw, n_t)
+    if m is None:
+        E = np.exp(-2j * np.pi * np.outer(f.grid(), w)) * f.dt
+        return quad, lambda values: (G * values[None, :]) @ E
+
+    pre = _unit_phase(np.arange(n_t) * (f.dt * quad.w0))
+    post = _unit_phase(w * f.t0) * f.dt
+    cols = np.arange(quad.n_w) % m
+    q, r = divmod(n_t, m)
+
+    def transform(values):
+        Y = G * (values * pre)[None, :]
+        Z = Y[:, :q * m].reshape(quad.n_x, q, m).sum(axis=1)
+        Z[:, :r] += Y[:, q * m:]
+        return np.fft.fft(Z, axis=-1)[:, cols] * post[None, :]
+
+    return quad, transform
 
 
 def istft(V: GroupField, g: SampledSignal) -> SampledSignal:

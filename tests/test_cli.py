@@ -427,6 +427,18 @@ class TestWrongTypedConfig:
         small_affine = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
                         "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
         return {
+            "cwt": {"signal": atom, "atom": atom, "quadrature": small_affine},
+            "stft": {"signal": window, "window": window,
+                     "x_grid": {"origin": -4.0, "step": 0.5, "count": 17},
+                     "w_grid": {"origin": -2.0, "step": 0.25, "count": 17}},
+            "moments": {"signal": atom},
+            "reconstruct": {"atom": atom},
+            "frame-bounds/affine": {
+                "window": atom,
+                "lattice": {"type": "affine", "alpha": 2, "beta": 1.0,
+                            "j": [-1, 1], "k": [-4, 4]},
+                "quadrature": small_affine, "ensemble": 1,
+            },
             "certify-atom": {"atom": atom, "kind": "wavelet", "quadrature": small_affine,
                              "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
             "design-lattice": {"atom": atom, "quadrature": small_affine,
@@ -463,6 +475,42 @@ class TestWrongTypedConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config, key, value", [
+        ("cwt", "quadrature.n_b", 64.5),
+        ("stft", "x_grid.count", 17.5),
+        ("stft", "x_grid.count", "17"),
+        ("stft", "w_grid.step", "inf"),
+        ("stft", "x_grid.origin", "nan"),
+        ("frame-bounds/affine", "lattice.alpha", "2"),
+        ("frame-bounds/affine", "lattice.j", [-1, True]),
+        ("frame-bounds/affine", "lattice.signs", [1.5, -1]),
+        ("frame-bounds/affine", "quadrature.signs", ["1", -1]),
+        ("frame-bounds", "lattice.scale", "0.5"),
+        ("frame-bounds", "lattice.n1", [-16, 15.5]),
+        ("frame-bounds", "lattice.generator", [[0.5, "nan"], [0, 0.5]]),
+        ("frame-bounds", "ensemble", 2.5),
+        ("frame-bounds", "seed", "3"),
+        ("certify-atom", "neighbourhood.beta", "nan"),
+        ("certify-atom", "neighbourhood.alpha", True),
+        ("moments", "k_max", 2.5),
+        ("design-lattice", "schedule.max_steps", 3.5),
+        ("reconstruct", "max_iter", 10.5),
+    ])
+    def test_config_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
+                                                 gauss_file, config, key, value):
+        # numbers must be finite reals (no bools or strings), counts integers
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[config]
+        *parents, leaf = key.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+        rc, out = self._run(tmp_path, config.split("/")[0], cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_duplicate_lattice_signs_exit_2(self, tmp_path, capsys, mexhat_file):

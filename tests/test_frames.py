@@ -267,14 +267,20 @@ def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6):
 
 
 def test_frame_bounds_ratios_bit_identical_tf():
-    # on this grid a draw's dt is one ulp off the window's, so the STFT's
-    # modulations must be built on the draw's grid to match stft bit for bit
-    g = cb.gaussian(-10, 10.5, 1800)
-    lat = TFLattice.separable(0.5, 0.5, (-16, 16), (-7, 7))
-    quad = build_tf_quadrature(-8, 0.125, 129, -3.5, 0.125, 57)
-    rep = frame_bounds_empirical(g, lat, p=2, ensemble=6, seed=3, quad=quad,
-                                 band=(0.2, 1.2), envelope_width=3.0)
-    assert rep.ratios == _bounds_per_draw(g, lat, quad, 3, (0.2, 1.2), 3.0)
+    # the first grid is incommensurate (dw * dt = 1/702.4, the dense
+    # frequency axis), and a draw's dt is one ulp off the window's, so the
+    # STFT must be built on the draw's grid to match stft bit for bit; the
+    # second is criterion 10's (dw * dt = 1/512, the folded axis)
+    cases = (
+        (cb.gaussian(-10, 10.5, 1800), TFLattice.separable(0.5, 0.5, (-16, 16), (-7, 7)),
+         build_tf_quadrature(-8, 0.125, 129, -3.5, 0.125, 57), (0.2, 1.2), 3.0),
+        (cb.gaussian(-16, 16, 2048), TFLattice.separable(0.5, 0.5, (-24, 24), (-12, 12)),
+         build_tf_quadrature(-12, 0.125, 193, -4.0, 0.125, 65), (0.25, 1.0), 2.2),
+    )
+    for g, lat, quad, band, width in cases:
+        rep = frame_bounds_empirical(g, lat, p=2, ensemble=6, seed=3, quad=quad,
+                                     band=band, envelope_width=width)
+        assert rep.ratios == _bounds_per_draw(g, lat, quad, 3, band, width)
 
 
 def test_frame_bounds_ratios_bit_identical_affine(s0_atom_normalized, atom_chart):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import coorbit as cb
 from coorbit.fields import field_l2_norm, lpm_norm
@@ -20,6 +24,7 @@ from coorbit.voice import (
     stft,
     wavelet_rep,
 )
+from coorbit.voice import _fold_length
 
 from conftest import chirp
 
@@ -251,6 +256,99 @@ class TestSTFT:
         V = stft(gauss, gauss, (-4, 0.5, 17), (-2, 0.25, 17))
         with pytest.raises(ValueError):
             istft(V, gauss.with_values(np.zeros(gauss.n)))
+
+
+def _dense_stft(f, g, x_grid, w_grid):
+    """The STFT as one dense product ``(G * f) @ E``: the folded axis's oracle."""
+    xs = x_grid[0] + x_grid[1] * np.arange(x_grid[2])
+    ws = w_grid[0] + w_grid[1] * np.arange(w_grid[2])
+    G = np.conj(np.array([cb.translate(g, x).values for x in xs]))
+    E = np.exp(-2j * np.pi * np.outer(f.grid(), ws)) * f.dt
+    return (G * f.values[None, :]) @ E
+
+
+def _max_rel_diff(V, ref):
+    return np.max(np.abs(V - ref)) / np.max(np.abs(ref))
+
+
+class TestSTFTFrequencyAxis:
+    """The folded frequency axis (``dw * dt = 1/M``) against the dense product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_t=st.integers(2, 96),
+        m_frac=st.floats(0.0, 1.0),
+        dt=st.sampled_from([1 / 16, 0.1, 1 / 8, 0.15, 0.2]),
+        t0=st.floats(-4.0, 4.0),
+        w0=st.floats(-4.0, 4.0),
+        n_w_frac=st.floats(0.0, 1.0),
+        x_frac=st.floats(-0.5, 0.5),
+        dx_cells=st.floats(0.3, 3.0),
+        n_x=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    # M = n_t; one node on each axis; n_w > M with n_t not a multiple of M
+    @example(n_t=24, m_frac=1.0, dt=1 / 8, t0=-3.0, w0=0.3, n_w_frac=1.0,
+             x_frac=0.0, dx_cells=1.0, n_x=3, seed=1)
+    @example(n_t=17, m_frac=0.3, dt=0.2, t0=2.5, w0=-1.1, n_w_frac=0.0,
+             x_frac=0.1, dx_cells=1.0, n_x=1, seed=2)
+    @example(n_t=50, m_frac=0.1, dt=0.1, t0=-3.05, w0=0.37, n_w_frac=1.0,
+             x_frac=-0.2, dx_cells=2.5, n_x=4, seed=3)
+    def test_fold_matches_dense_product(self, n_t, m_frac, dt, t0, w0, n_w_frac,
+                                        x_frac, dx_cells, n_x, seed):
+        m = 1 + round(m_frac * (n_t - 1))
+        dw = 1.0 / (m * dt)
+        # w span at most 12 keeps |t w|, and so the dense phases' roundoff, small
+        n_w = 1 + round(n_w_frac * min(3 * m, 12 / dw))
+        assert _fold_length(dt, dw, n_t) == m
+        # a tone on one w node under an envelope, plus 10 % noise: |V| peaks
+        # near dt * sum |f g|, so the bound is not inflated by cancellation
+        rng = np.random.default_rng(seed)
+        t = t0 + dt * np.arange(n_t)
+        tone = w0 + dw * rng.integers(n_w)
+        noise = np.array([1, 1j]) @ rng.normal(size=(2, n_t)) / 10
+        envelope = np.exp(-np.linspace(-1.5, 1.5, n_t) ** 2)
+        f = cb.SampledSignal(t0, dt, envelope * np.exp(2j * np.pi * tone * t) + noise)
+        g = cb.SampledSignal(t0, dt, np.exp(-np.linspace(-2, 2, n_t) ** 2))
+        x_grid = (x_frac * n_t * dt, dx_cells * dt, n_x)
+        w_grid = (w0, dw, n_w)
+        V = stft(f, g, x_grid, w_grid).values
+        assert _max_rel_diff(V, _dense_stft(f, g, x_grid, w_grid)) <= 1e-12
+
+    def test_criterion_grid_folds(self, gauss):
+        rng = np.random.default_rng(4)
+        from coorbit.frames import random_bandlimited_signal
+
+        f = random_bandlimited_signal(gauss, (0.25, 1.0), rng, envelope_width=2.2)
+        grids = ((-12, 0.125, 193), (-4.0, 0.125, 65))
+        assert _fold_length(f.dt, 0.125, f.n) == 512
+        V = stft(f, gauss, *grids).values
+        assert _max_rel_diff(V, _dense_stft(f, gauss, *grids)) <= 1e-12
+
+    def test_incommensurate_grid_keeps_dense_product(self):
+        # dw * dt = 0.125 * 20.5 / 1800 = 1/702.4: no integer fold
+        g = cb.gaussian(-10, 10.5, 1800)
+        f = cb.translate(g, 0.75)
+        grids = ((-8, 0.125, 129), (-3.5, 0.125, 57))
+        assert _fold_length(f.dt, 0.125, f.n) is None
+        V = stft(f, g, *grids).values
+        assert np.array_equal(V, _dense_stft(f, g, *grids))
+
+    @pytest.mark.parametrize("dw", [0.125, 1e-300])
+    def test_long_fold_stays_dense_and_small(self, dw):
+        # M = 512 > n_t = 256, and a step whose 1/(dw dt) no FFT could hold
+        g = cb.gaussian(-2, 2, 256)
+        f = cb.translate(g, 0.25)
+        grids = ((-1.0, 0.25, 9), (-2.0, dw, 33))
+        assert _fold_length(f.dt, dw, f.n) is None
+        tracemalloc.start()
+        try:
+            V = stft(f, g, *grids).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert np.array_equal(V, _dense_stft(f, g, *grids))
 
 
 class TestReproducingKernel:
