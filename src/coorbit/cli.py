@@ -7,7 +7,7 @@ an output file is reproducible by the corresponding library call.
 
 Exit codes: 0 success/pass, 2 I/O or config errors (including a
 ``NaN``/``Infinity`` token in a JSON input or ``--set`` value, a config
-number that reads as non-finite, such as the string ``"nan"``, and a
+number given as a string (``"nan"``, ``"0.5"``) or a bool, and a
 non-finite number in an output, which is never written), 3 certification
 failure (including non-admissible windows), 4 numerical divergence.
 """
@@ -162,7 +162,7 @@ def _read_json(path) -> dict:
 
 
 def _finite(value, key: str) -> float:
-    """A config number as a float; non-finite values are config errors."""
+    """A config number as a float; bools, strings and non-finite values are config errors."""
     try:
         return _finite_float(value, key)
     except ValueError as exc:

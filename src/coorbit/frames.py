@@ -56,8 +56,8 @@ from .signals import (
 )
 from .voice import (
     NotAdmissibleError,
-    _shifted_rows,
-    _stft_factors,
+    _TFOperator,
+    _stft_operator,
     cwt,
     normalize_admissible,
     reproducing_kernel,
@@ -377,8 +377,8 @@ def frame_bounds_empirical(
     is_affine = isinstance(lat, AffineLattice)
     if band is None:
         band = (0.1, 1.0)
-    # the STFT's window shifts and frequency axis, built once per draw grid
-    stft_factors = {}
+    # the STFT operator, built once per draw grid
+    stft_ops = {}
     ratios = []
     for _ in range(ensemble):
         for _attempt in range(10):
@@ -387,14 +387,11 @@ def frame_bounds_empirical(
                 F = cwt(f, window, quad)
             else:
                 key = (f.t0, f.dt)
-                if key not in stft_factors:
-                    stft_factors[key] = _stft_factors(
-                        f, window,
-                        (quad.x0, quad.dx, quad.n_x),
-                        (quad.w0, quad.dw, quad.n_w),
-                    )
-                tf_quad, transform = stft_factors[key]
-                F = GroupField(tf_quad, transform(f.values))
+                if key not in stft_ops:
+                    stft_ops[key] = _stft_operator(f, window, (quad.x0, quad.dx, quad.n_x),
+                                                   (quad.w0, quad.dw, quad.n_w))
+                tf_quad, op = stft_ops[key]
+                F = GroupField(tf_quad, op.analyze(f.values).reshape(tf_quad.shape))
             denom = lpm_norm(F, p, m)
             if denom > 0:
                 break
@@ -563,44 +560,29 @@ def design_lattice(
 # Gabor frame operator
 # ---------------------------------------------------------------------------
 
-class GaborOperator:
+class GaborOperator(_TFOperator):
     """Gabor analysis and synthesis over a lattice window, built once in factored form.
 
-    On a lattice whose translates depend on ``n1`` only (``A[0,1] == 0``)
-    every atom factors as ``M_{w(n1,n2)} T_{x(n1)} g = R[n1] * E[n2]``:
-    ``R`` holds one window translate per ``n1``, times its row phase
-    ``exp(2 pi i t c A10 n1)``, and ``E`` one modulation
-    ``exp(2 pi i t c A11 n2)`` per ``n2``.  Analysis is one matrix product
-    of the windowed signal rows with ``E``, synthesis one product of the
-    coefficient matrix with ``E``, summed over the rows of ``R``; neither
-    forms an atom.  Other lattices keep one row per lattice point in
-    ``R`` and a single all-ones ``E`` row.
+    Gabor coefficients are STFT samples on the lattice, so this is the
+    :class:`~coorbit.voice._TFOperator` with the lattice mapped to rows
+    and an axis; coefficients run in lattice order.  When ``A[0,1] == 0``
+    the translate depends on ``n1`` only: one row per ``n1`` (the
+    translate times ``exp(2 pi i t c A10 n1)``) and the axis
+    ``w = c A11 n2``, which analysis folds when ``c A11 dt = 1/M``.  Other
+    lattices keep one row per lattice point and the single column
+    ``w = 0``.  Neither forms an atom.
     """
 
     def __init__(self, g: SampledSignal, lat: TFLattice):
-        t = g.grid()
-        xs, ws = lat.point_arrays()
+        xs, row_w = lat.point_arrays()
+        axis = (0.0, 0.0, 1)
         if lat.generator[0, 1] == 0.0:
-            width = lat.n2_max - lat.n2_min + 1
-            xs = xs[::width]
+            n2 = lat.n2_max - lat.n2_min + 1
+            xs = xs[::n2]
             row_w = lat.scale * lat.generator[1, 0] * np.arange(lat.n1_min, lat.n1_max + 1)
-            col_w = lat.scale * lat.generator[1, 1] * np.arange(lat.n2_min, lat.n2_max + 1)
-        else:
-            row_w, col_w = ws, np.zeros(1)
-        self.dt = g.dt
-        self.R = _shifted_rows(g, xs)
-        self.R *= np.exp(2j * np.pi * np.outer(row_w, t))
-        self.E = np.exp(2j * np.pi * np.outer(col_w, t))
-
-    def analyze(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients ``dt * sum_t v(t) conj(atom(t))`` in lattice order."""
-        return np.conj((self.R * np.conj(v)) @ self.E.T).ravel() * self.dt
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples of ``sum_lambda c_lambda atom_lambda``."""
-        P = np.reshape(coeffs, (self.R.shape[0], self.E.shape[0])) @ self.E
-        P *= self.R
-        return P.sum(axis=0)
+            step = lat.scale * lat.generator[1, 1]
+            axis = (step * lat.n2_min, step, n2)
+        super().__init__(g, xs, g.t0, g.dt, *axis, row_w=row_w)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The frame operator ``S v = synthesize(analyze(v))``."""

@@ -281,17 +281,6 @@ class GroupQuadrature:
         raise ValueError("unknown quadrature serialization")
 
 
-def _finite_float(value, key: str) -> float:
-    """``value`` as a finite float; anything else raises ``ValueError`` naming ``key``."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return x
-
-
 def _finite_number(value, key: str):
     """``value`` itself if it is a finite real number; a bool or a string raises."""
     if isinstance(value, bool) or not isinstance(
@@ -305,6 +294,11 @@ def _finite_number(value, key: str):
     if not finite:
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
+
+
+def _finite_float(value, key: str) -> float:
+    """A finite real number (no bool or string) as a ``float``, for artifact bytes."""
+    return float(_finite_number(value, key))
 
 
 def _integer(value, key: str) -> int:

@@ -10,10 +10,11 @@ covariance in ``b`` exact up to DFT periodization.  Scale samples of
 ``psihat`` come from a cubic spline on the window's spectrum, built once
 per spectrum.
 
-The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)`` is
-evaluated on a rectangular time-frequency grid with no interpolation in
-``w``: by one length-``M`` FFT per folded row when ``dw * dt = 1/M``,
-otherwise by one windowed matrix product.
+The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)``,
+its adjoint ``istft`` and the Gabor frame operator of
+:mod:`coorbit.frames` are one factored operator, :class:`_TFOperator`:
+window rows times a uniform frequency axis.  Its analysis is one
+length-``M`` FFT per folded row when ``dw * dt = 1/M``.
 
 Admissibility, inversion, reproducing kernels and the explicit wavelet
 Duflo-Moore multiplier ``psihat / sqrt|w|`` round out the module.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,6 +127,12 @@ def wavelet_rep(f: SampledSignal, b: float, a: float) -> SampledSignal:
     return translate(dilate(f, a), b)
 
 
+def _b_grid_matches(quad: GroupQuadrature, s: SampledSignal) -> bool:
+    """Whether the affine chart's b-grid is ``s``'s sample grid, node for node."""
+    return (quad.n_b == s.n and abs(quad.b_lo - s.t0) <= 1e-9 * max(1.0, abs(s.t0))
+            and abs(quad.db - s.dt) <= 1e-12 * s.dt)
+
+
 def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     """Wavelet transform of ``f`` against ``psi`` on an affine chart."""
     if quad.kind != "affine":
@@ -141,11 +149,7 @@ def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupFie
     n = f.n
 
     b_grid = quad.b_grid()
-    resample = not (
-        quad.n_b == n
-        and abs(quad.b_lo - f.t0) < 1e-9 * max(1.0, abs(f.t0))
-        and abs(quad.db - f.dt) < 1e-12 * f.dt
-    )
+    resample = not _b_grid_matches(quad, f)
 
     out = np.empty(quad.shape, dtype=np.complex128)
     scales = quad.scale_grid()
@@ -176,9 +180,7 @@ def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> Sampl
     quad = W.quad
     if quad.kind != "affine":
         raise ValueError("icwt needs an affine field")
-    if quad.n_b != psi.n or abs(quad.db - psi.dt) > 1e-12 * psi.dt or abs(
-        quad.b_lo - psi.t0
-    ) > 1e-9 * max(1.0, abs(psi.t0)):
+    if not _b_grid_matches(quad, psi):
         raise ValueError("quadrature b-grid must match the window grid")
     if c_psi is None:
         c = admissibility_constant(psi)
@@ -210,25 +212,16 @@ def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> Sampl
     return inverse_fourier(Spectrum(w[0], dw, acc, t_origin=quad.b_lo))
 
 
-def _shifted_rows(g: SampledSignal, xs: np.ndarray) -> np.ndarray:
-    """Rows ``g(t - x)``, one per shift ``x``."""
-    rows = np.empty((xs.size, g.n), dtype=np.complex128)
-    for i, x in enumerate(xs):
-        rows[i] = translate(g, x).values
-    return rows
-
-
 def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
     """Short-time Fourier transform on a rectangular (x, w) chart.
 
     ``x_grid`` and ``w_grid`` are ``(origin, step, count)`` triples.  The
     window must live on the signal's grid; shifts aligned to the grid
-    are exact, others interpolate linearly.  When ``dw * dt = 1/M`` for
-    an integer ``M <= n_t``, the frequency axis is one length-``M`` FFT
-    of each folded row; otherwise it is the dense modulation product.
+    are exact, others interpolate linearly.  The chart's rows are one
+    :class:`_TFOperator` analysis.
     """
-    quad, transform = _stft_factors(f, g, x_grid, w_grid)
-    return GroupField(quad, transform(f.values))
+    quad, op = _stft_operator(f, g, x_grid, w_grid)
+    return GroupField(quad, op.analyze(f.values).reshape(quad.shape))
 
 
 # |M dw dt - 1| below which dw dt counts as exactly 1/M
@@ -251,57 +244,84 @@ def _unit_phase(cycles: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * np.mod(cycles, 1.0))
 
 
-def _stft_factors(f: SampledSignal, g: SampledSignal, x_grid, w_grid):
-    """The chart and the STFT on ``f``'s grid, as ``(quad, transform)``.
+def _modulation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i a_j b_k)``, shape ``(len(a), len(b))``."""
+    return np.exp(2j * np.pi * np.outer(a, b))
 
-    ``transform(values)`` is ``dt * sum_n f_n conj(g(t_n - x)) exp(-2 pi
-    i t_n w)`` over the chart for samples ``values`` on that grid; the
-    window shifts ``G`` and the frequency axis are built once here.
 
-    With ``t_n = t0 + n dt``, ``w_k = w0 + k dw`` and ``dw dt = 1/M``,
-    the phase splits as ``t0 w_k + n dt w0 + n k / M``: the rows of
-    ``G * f exp(-2 pi i n dt w0)`` are summed modulo ``M``, one
-    length-``M`` FFT per row gives column ``k mod M``, and
-    ``exp(-2 pi i t0 w_k) dt`` scales each column.  On any other grid the
-    axis is the dense product with ``exp(-2 pi i t_n w_k) dt``.
+class _TFOperator:
+    """STFT analysis on a uniform frequency axis, and its adjoint, built once.
+
+    Rows ``R[r] = g(t - xs[r]) exp(2 pi i t row_w[r])`` (no phase without
+    ``row_w``) on the samples ``t_n = t0 + n dt``, axis ``w_k = w0 + k dw``.
+    ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``.
+    When ``dw dt = 1/M`` (:func:`_fold_length`) the phase is ``t0 w_k +
+    n dt w0 + n k / M``: the rows of ``conj(R) v exp(-2 pi i n dt w0)``
+    are summed modulo ``M``, one length-``M`` FFT per row gives column
+    ``k mod M``, and ``exp(-2 pi i t0 w_k) dt`` scales each column;
+    otherwise the axis is the dense product with ``exp(-2 pi i t_n w_k)
+    dt``.  ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``,
+    the adjoint up to the factor ``dt``, is always dense.
     """
+
+    def __init__(self, g: SampledSignal, xs, t0: float, dt: float,
+                 w0: float, dw: float, n_w: int, row_w=None):
+        G = np.empty((len(xs), g.n), dtype=np.complex128)
+        for i, x in enumerate(xs):
+            G[i] = translate(g, x).values
+        if row_w is not None:
+            G *= _modulation(row_w, g.grid())
+        self._G = np.conj(G, out=G)
+        self.shape, self.dt = (len(xs), n_w), dt
+        self._t = t0 + dt * np.arange(g.n)
+        self._w = w0 + dw * np.arange(n_w)
+        m = _fold_length(dt, dw, g.n)
+        self._fold = None if m is None else (
+            m, _unit_phase(np.arange(g.n) * (dt * w0)),
+            _unit_phase(self._w * t0) * dt, np.arange(n_w) % m)
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        """``exp(-2 pi i t_n w_k)``, shape ``(n_t, n_w)``, built on first use."""
+        return _modulation(-self._t, self._w)
+
+    def analyze(self, v: np.ndarray) -> np.ndarray:
+        """``dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``, flat and row-major."""
+        if self._fold is None:
+            return ((self._G * v[None, :]) @ (self._phases * self.dt)).ravel()
+        m, pre, post, cols = self._fold
+        q, r = divmod(v.size, m)
+        Y = self._G * (v * pre)[None, :]
+        Z = Y[:, :q * m].reshape(self.shape[0], q, m).sum(axis=1)
+        Z[:, :r] += Y[:, q * m:]
+        return (np.fft.fft(Z, axis=-1)[:, cols] * post[None, :]).ravel()
+
+    def synthesize(self, C: np.ndarray) -> np.ndarray:
+        """``sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))`` for ``C`` in ``analyze``'s order."""
+        # each term conj(R[r]) (conj(C[r]) @ exp(-2 pi i w t)), conjugated once
+        P = np.conj(np.reshape(C, self.shape)) @ self._phases.T
+        P *= self._G
+        return np.conj(P.sum(axis=0))
+
+
+def _stft_operator(f: SampledSignal, g: SampledSignal, x_grid, w_grid):
+    """The chart of ``stft(f, g, x_grid, w_grid)`` and its operator on ``f``'s grid."""
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
     quad = build_tf_quadrature(*x_grid, *w_grid)
-    G = np.conj(_shifted_rows(g, quad.x_grid()))
-    w = quad.w_grid()
-    n_t = f.n
-    m = _fold_length(f.dt, quad.dw, n_t)
-    if m is None:
-        E = np.exp(-2j * np.pi * np.outer(f.grid(), w)) * f.dt
-        return quad, lambda values: (G * values[None, :]) @ E
-
-    pre = _unit_phase(np.arange(n_t) * (f.dt * quad.w0))
-    post = _unit_phase(w * f.t0) * f.dt
-    cols = np.arange(quad.n_w) % m
-    q, r = divmod(n_t, m)
-
-    def transform(values):
-        Y = G * (values * pre)[None, :]
-        Z = Y[:, :q * m].reshape(quad.n_x, q, m).sum(axis=1)
-        Z[:, :r] += Y[:, q * m:]
-        return np.fft.fft(Z, axis=-1)[:, cols] * post[None, :]
-
-    return quad, transform
+    return quad, _TFOperator(g, quad.x_grid(), f.t0, f.dt, quad.w0, quad.dw, quad.n_w)
 
 
 def istft(V: GroupField, g: SampledSignal) -> SampledSignal:
-    """Adjoint-based synthesis ``|g|^-2 sum V(x,w) M_w T_x g dx dw``."""
+    """``|g|^-2 sum V(x,w) M_w T_x g dx dw``: the STFT operator's adjoint, scaled."""
     quad = V.quad
     if quad.kind != "tf":
         raise ValueError("istft needs a TF field")
     gnorm2 = l2_norm(g) ** 2
     if gnorm2 == 0.0:
         raise ValueError("zero window")
-    E = np.exp(2j * np.pi * np.outer(quad.w_grid(), g.grid()))
-    P = V.values @ E  # (n_x, n_t): per-shift modulated sums
-    G = _shifted_rows(g, quad.x_grid())
-    vals = np.sum(P * G, axis=0) * (quad.dx * quad.dw) / gnorm2
+    op = _TFOperator(g, quad.x_grid(), g.t0, g.dt, quad.w0, quad.dw, quad.n_w)
+    vals = op.synthesize(V.values) * (quad.dx * quad.dw) / gnorm2
     return SampledSignal(g.t0, g.dt, vals)
 
 

@@ -497,6 +497,9 @@ class TestWrongTypedConfig:
         ("moments", "k_max", 2.5),
         ("design-lattice", "schedule.max_steps", 3.5),
         ("reconstruct", "max_iter", 10.5),
+        ("stft", "x_grid.step", "0.5"),
+        ("stft", "w_grid.step", True),
+        ("frame-bounds", "quadrature.dx", "0.25"),
     ])
     def test_config_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
                                                  gauss_file, config, key, value):

@@ -35,7 +35,7 @@ from coorbit.lattices import (
     seq_lpm_norm,
 )
 from coorbit.signals import inner
-from coorbit.voice import NotAdmissibleError, cwt, gabor_atom, stft
+from coorbit.voice import NotAdmissibleError, _fold_length, cwt, gabor_atom, stft
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,14 @@ class TestGaborOperatorOracle:
         for key, ref in (("min", min(ratios)), ("max", max(ratios)),
                          ("mean", np.mean(ratios))):
             assert probe[key] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_gabor_analysis_path(g, lat):
+    # criterion 10's lattice: c A11 dt = 0.5 / 64 = 1/128, so analysis folds;
+    # A[0,1] != 0 keeps one row per point and the single w = 0 column, dense
+    assert _fold_length(1 / 64, 0.5, 2048) == 128
+    assert GaborOperator(g, lat)._fold[0] == 128
+    assert GaborOperator(g, _ORACLE_LATTICES["upper"])._fold is None
 
 
 def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6):

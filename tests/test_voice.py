@@ -24,7 +24,7 @@ from coorbit.voice import (
     stft,
     wavelet_rep,
 )
-from coorbit.voice import _fold_length
+from coorbit.voice import _TFOperator, _fold_length
 
 from conftest import chirp
 
@@ -349,6 +349,64 @@ class TestSTFTFrequencyAxis:
             tracemalloc.stop()
         assert peak < 10 * 2**20
         assert np.array_equal(V, _dense_stft(f, g, *grids))
+
+
+class TestSTFTAdjoint:
+    """``istft`` and ``_TFOperator.synthesize`` against their definitions."""
+
+    @pytest.mark.parametrize("grid, folds", [
+        ((-4.0, 4.0, 256), True),  # dt = 1/32, dw = 0.5: M = 64
+        ((-4.0, 4.1, 250), False),  # dw dt = 0.0162: no integer fold
+    ])
+    def test_istft_matches_atom_sum(self, grid, folds):
+        g = cb.gaussian(*grid)
+        x_grid, w_grid = (-2.0, 0.375, 11), (-3.0, 0.5, 13)
+        assert (_fold_length(g.dt, w_grid[1], g.n) is not None) == folds
+        rng = np.random.default_rng(5)
+        V = stft(g, g, x_grid, w_grid)
+        V = V.with_values(rng.normal(size=V.values.shape)
+                          + 1j * rng.normal(size=V.values.shape))
+        xs = x_grid[0] + x_grid[1] * np.arange(x_grid[2])
+        ws = w_grid[0] + w_grid[1] * np.arange(w_grid[2])
+        ref = sum(V.values[i, k] * gabor_atom(g, x, w).values
+                  for i, x in enumerate(xs) for k, w in enumerate(ws))
+        ref *= x_grid[1] * w_grid[1] / cb.l2_norm(g) ** 2
+        rec = istft(V, g).values
+        assert np.max(np.abs(rec - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_t=st.integers(2, 80),
+        m_frac=st.floats(0.0, 1.0),
+        fold=st.booleans(),
+        dt=st.sampled_from([1 / 16, 0.1, 0.15]),
+        t0=st.floats(-4.0, 4.0),
+        w0=st.floats(-4.0, 4.0),
+        n_w_frac=st.floats(0.0, 1.0),
+        n_r=st.integers(1, 4),
+        phased=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_synthesize_is_dt_adjoint(self, n_t, m_frac, fold, dt, t0, w0, n_w_frac, n_r,
+                                      phased, seed):
+        m = 1 + round(m_frac * (n_t - 1))
+        dw = 1.0 / (m * dt) * (1.0 if fold else 1.0137)
+        # w span at most 12, as in the fold oracle: synthesis keeps dense phases
+        n_w = 1 + round(n_w_frac * min(3 * m, 12 / dw))
+        assert (_fold_length(dt, dw, n_t) is not None) == fold
+        rng = np.random.default_rng(seed)
+        g = cb.SampledSignal(t0, dt, np.exp(-np.linspace(-2, 2, n_t) ** 2))
+        xs = t0 + n_t * dt * rng.uniform(size=n_r)
+        row_w = rng.uniform(-2, 2, n_r) if phased else None
+        op = _TFOperator(g, xs, t0, dt, w0, dw, n_w, row_w=row_w)
+        v = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+        C = rng.normal(size=(n_r, n_w)) + 1j * rng.normal(size=(n_r, n_w))
+        A, S = op.analyze(v), op.synthesize(C)
+        lhs, rhs = np.vdot(C, A), dt * np.vdot(S, v)
+        # the Cauchy-Schwarz bounds of the two sides: the scale of their roundoff
+        scale = max(np.linalg.norm(C) * np.linalg.norm(A),
+                    dt * np.linalg.norm(S) * np.linalg.norm(v))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestReproducingKernel:
