@@ -31,11 +31,11 @@ import numpy as np
 
 from .groups import (
     GroupField,
-    _bilinear_grid,
     _cell,
     _chart_index,
     _finite_number,
     _in_chart,
+    _in_chart_run,
     _lerp,
     affine_field_interpolate,
     tf_field_interpolate,
@@ -466,34 +466,90 @@ def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
     return F.with_values(out * (quad.dx * quad.dw))
 
 
+def _lerp_rows(lo, hi, t):
+    """``(1 - t) * lo + t * hi`` with one real weight per row, in place on ``lo``.
+
+    ``lo`` and ``hi`` are fresh C-contiguous complex blocks (gathered
+    rows); the weights scale their float views, so no weight is promoted
+    to complex.
+    """
+    lo_f, hi_f = lo.view(np.float64), hi.view(np.float64)
+    lo_f *= (1 - t)[:, None]
+    hi_f *= t[:, None]
+    lo_f += hi_f
+    return lo
+
+
 def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     """Pointwise ``max_u |G(u x) - G(x)|`` over the U sample points.
 
     The essential supremum is approximated on the finite offset grid of
-    ``U``; out-of-chart evaluations read zero, which only inflates the
-    oscillation near the chart edge (the safe direction for every
-    certificate built on top of it).  Each offset moves the chart's
-    node set to a tensor product in chart coordinates (``t > 0`` keeps
-    every sign branch on itself), so it is read as one grid per branch;
-    the values equal pointwise interpolation bit for bit.
+    ``U``, a lower estimate.  Out-of-chart evaluations read zero, so a
+    node whose moved point leaves the chart takes ``|G(x)|``; this only
+    inflates the oscillation near the chart edge (the safe direction for
+    every certificate built on top of it).  Non-finite field values are
+    refused.
+
+    Each offset moves the node set to a tensor product in chart
+    coordinates whose axis-0 index depends on one offset component
+    alone: ``tau`` on the affine chart (``log|tau a|`` shifts every row
+    by ``log tau / du``), ``dx`` on the TF plane.  Offsets are grouped by
+    that component; each group blends axis 0 once into a block with
+    axis 1 leading (the plane is transposed once per sign branch), and
+    each offset reads axis 1 by gathering whole rows of the block.  Both
+    maps are monotone, so the in-chart nodes form contiguous runs.  Axis
+    0 is blended first, the reverse of the pointwise kernel, so the
+    values agree with pointwise interpolation to ``8 eps max|G|`` per
+    node, not bit for bit.
     """
     quad = G.quad
     if U.kind != quad.kind:
         raise ValueError("neighbourhood and field live on different groups")
+    if not np.all(np.isfinite(G.values)):
+        raise ValueError("oscillation needs finite field values")
     affine = quad.kind == "affine"
-    if affine:
-        planes = G.values
-        axes = [(quad.b_grid(), sgn * quad.scale_grid()) for sgn in quad.signs]
-    else:
-        planes = G.values[None]
-        axes = [(quad.x_grid(), quad.w_grid())]
-    osc = np.zeros(planes.shape, dtype=float)
-    for d, t in zip(*U.offsets()):
-        for plane, osc_plane, (c1, c2) in zip(planes, osc, axes):
-            moved = (d + t * c1, t * c2) if affine else (c1 + d, c2 + t)
-            vals, _ = _bilinear_grid(plane, *_chart_index(quad, *moved))
-            np.maximum(osc_plane, np.abs(vals - plane), out=osc_plane)
-    return GroupField(quad, osc.reshape(quad.shape).astype(np.complex128))
+    planes = G.values if affine else G.values[None]
+    c1, c2 = (quad.b_grid(), quad.scale_grid()) if affine else (quad.x_grid(), quad.w_grid())
+    d, t = U.offsets()
+    key, other = (t, d) if affine else (d, t)
+
+    def index(k, v):
+        """Chart indices of the nodes moved by the offset with components ``k``, ``v``."""
+        return _chart_index(quad, *((v + k * c1, k * c2) if affine else (c1 + k, c2 + v)))
+
+    n0, n1 = planes.shape[1:]
+    planes_t = [np.ascontiguousarray(plane.T) for plane in planes]
+    osc = np.zeros((len(planes), n1, n0))
+    # the runs in-chart for every offset; a node outside them read zero for
+    # some offset, so its oscillation is at least |G|, taken once at the end
+    lo0, hi0, lo1, hi1 = 0, n0, 0, n1
+    for k in np.unique(key):
+        group = other[key == k]
+        f0 = index(k, group[0])[0]
+        rows = _in_chart_run(f0, n0)
+        lo0, hi0 = max(lo0, rows.start), min(hi0, rows.stop)
+        if rows.start >= rows.stop:
+            continue
+        i0, t0 = _cell(f0[rows], n0)
+        blocks = [np.ascontiguousarray(_lerp_rows(plane[i0], plane[i0 + 1], t0).T)
+                  for plane in planes]
+        for v in group:
+            f1 = index(k, v)[1]
+            cols = _in_chart_run(f1, n1)
+            lo1, hi1 = max(lo1, cols.start), min(hi1, cols.stop)
+            if cols.start >= cols.stop:
+                continue
+            i1, t1 = _cell(f1[cols], n1)
+            for block, plane_t, osc_t in zip(blocks, planes_t, osc):
+                vals = _lerp_rows(block[i1], block[i1 + 1], t1)
+                vals -= plane_t[cols, rows]
+                window = osc_t[cols, rows]
+                np.maximum(window, np.abs(vals), out=window)
+    for plane_t, osc_t in zip(planes_t, osc):
+        for edge in (np.s_[:lo1], np.s_[hi1:], np.s_[:, :lo0], np.s_[:, hi0:]):
+            np.maximum(osc_t[edge], np.abs(plane_t[edge]), out=osc_t[edge])
+    osc = np.ascontiguousarray(osc.transpose(0, 2, 1), dtype=np.complex128)
+    return GroupField(quad, osc.reshape(quad.shape))
 
 
 @dataclass(frozen=True)

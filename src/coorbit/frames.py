@@ -14,9 +14,10 @@ with asymptotic contraction ratio at most q.  ``design_lattice``
 searches a geometric schedule of shrinking neighbourhoods until the
 certificate passes and emits the matching lattice parameters.
 
-All certified quantities are chart-truncated; every certificate carries
-that caveat explicitly.  Chart truncation can only be tested by
-widening the chart, never extrapolated.
+All certified quantities are chart-truncated, and the oscillation's
+supremum is sampled on U's offset grid (a lower estimate); every
+certificate carries both caveats explicitly.  Chart truncation can only
+be tested by widening the chart, never extrapolated.
 """
 
 from __future__ import annotations
@@ -103,13 +104,18 @@ class FrameCertificate:
     wspec: WeightSpec
     chart: dict
     passed: bool
-    caveat: str = _TRUNCATION_CAVEAT
 
     def __post_init__(self):
         if abs(self.q - self.kernel_l1w * self.osc_l1w) > 1e-12 * max(1.0, self.q):
             raise ValueError("certificate q must equal the product of its factors")
         if self.passed != (self.q < 1.0):
             raise ValueError("certificate verdict must match q < 1")
+
+    @property
+    def caveat(self) -> str:
+        n = self.U.n_samples
+        return (f"{_TRUNCATION_CAVEAT}; osc_l1w takes the sup over the {n}x{n} = {n * n} "
+                "sampled offsets of U, a lower estimate of the sup over U")
 
     def to_dict(self) -> dict:
         return {

@@ -414,6 +414,12 @@ def _in_chart(f, n: int):
     return (f >= -_CHART_SNAP) & (f <= n - 1 + _CHART_SNAP)
 
 
+def _in_chart_run(f, n: int) -> slice:
+    """The in-chart entries of nondecreasing fractional indices ``f``, as a slice."""
+    return slice(int(np.searchsorted(f, -_CHART_SNAP, "left")),
+                 int(np.searchsorted(f, n - 1 + _CHART_SNAP, "right")))
+
+
 def _cell(f, n: int):
     """Cell index and offset in the cell of in-chart fractional indices.
 
@@ -532,22 +538,34 @@ def tf_field_interpolate(F: GroupField, x_q, w_q, with_mask: bool = False):
 def left_translate_field(F: GroupField, y) -> GroupField:
     """Left translation ``(L_y F)(x) = F(y^{-1} x)`` by chart interpolation.
 
-    Out-of-chart pullback points read as zero; the fraction of nodes
-    whose pullback stayed in-chart is recorded in ``meta["coverage"]``.
+    The pullback of each sign branch's nodes is a tensor product in chart
+    coordinates on the branch ``sign(a / y.a)``, read through
+    :func:`_bilinear_grid`, so the values equal pointwise interpolation
+    bit for bit.  Out-of-chart pullback points (and a pullback branch the
+    chart lacks) read as zero; the fraction of nodes whose pullback stayed
+    in-chart is recorded in ``meta["coverage"]``.
     """
     quad = F.quad
     if quad.kind == "affine":
         if not isinstance(y, AffinePoint):
             raise ValueError("affine field needs an AffinePoint translation")
-        b, a = quad.node_points()
-        b_pull = (b - y.b) / y.a
-        a_pull = a / y.a
-        vals, mask = affine_field_interpolate(F, b_pull, a_pull, with_mask=True)
+        vals = np.zeros(quad.shape, dtype=np.complex128)
+        mask = np.zeros(quad.shape, dtype=bool)
+        b_pull = (quad.b_grid() - y.b) / y.a
+        for s_idx, sgn in enumerate(quad.signs):
+            source = sgn if y.a > 0 else -sgn
+            if source not in quad.signs:
+                continue
+            a_pull = sgn * quad.scale_grid() / y.a
+            vals[s_idx], mask[s_idx] = _bilinear_grid(
+                F.values[quad.signs.index(source)], *_chart_index(quad, b_pull, a_pull)
+            )
     else:
         if not isinstance(y, (tuple, list, np.ndarray)):
             raise ValueError("tf field needs an (x, w) translation")
         yx, yw = float(y[0]), float(y[1])
-        x, w = quad.node_points()
-        vals, mask = tf_field_interpolate(F, x - yx, w - yw, with_mask=True)
+        vals, mask = _bilinear_grid(
+            F.values, *_chart_index(quad, quad.x_grid() - yx, quad.w_grid() - yw)
+        )
     coverage = float(np.mean(mask))
     return GroupField(quad, vals, {"coverage": coverage})

@@ -228,6 +228,23 @@ class TestOtherCommands:
             qs[name] = json.loads((tmp_path / f"{name}.json").read_text())["certificate"]["q"]
         assert qs["small"] <= qs["large"]
 
+    def test_certificate_labels_sampled_sup(self, tmp_path, mexhat_file):
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "certify-atom",
+            "atom": str(path), "kind": "wavelet",
+            "quadrature": {"group": "affine", "b_lo": -4.0, "b_hi": 4.0, "n_b": 64,
+                           "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]},
+            "neighbourhood": {"kind": "affine", "beta": 0.2, "alpha": 1.2, "n_samples": 5},
+            "weight": {"family": "symmetric_power", "rho": 1.0},
+        })
+        main(["certify-atom", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        caveat = json.loads((tmp_path / "certificate.json").read_text())["certificate"]["caveat"]
+        assert "chart-truncated" in caveat
+        assert "osc_l1w takes the sup over the 5x5 = 25 sampled offsets of U" in caveat
+        assert "lower estimate" in caveat
+
     def test_gabor_certify(self, tmp_path, gauss_file):
         gpath, _ = gauss_file
         cfg = tmp_path / "cfg.json"

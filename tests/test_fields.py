@@ -410,6 +410,20 @@ class TestOscillation:
         assert o13 >= o7 * (1 - 1e-9)  # finer sampling can only see more
         assert (o13 - o7) <= 0.01 * o7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    @pytest.mark.parametrize("group", ["affine", "tf"])
+    def test_non_finite_field_refused(self, group, bad):
+        if group == "affine":
+            quad = build_affine_quadrature(-2, 2, 16, 0.5, 2, 5, (1, -1))
+            U = affine_box(0.2, 1.2)
+        else:
+            quad = cb.build_tf_quadrature(-1, 0.125, 17, -1, 0.125, 17)
+            U = tf_box(0.25, 0.25)
+        vals = np.ones(quad.shape, dtype=complex)
+        vals.flat[vals.size // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            oscillation(GroupField(quad, vals), U)
+
     def test_tf_oscillation(self):
         quad = cb.build_tf_quadrature(-4, 0.125, 65, -4, 0.125, 65)
         x, w = quad.node_points()

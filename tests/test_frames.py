@@ -459,6 +459,21 @@ class TestNeumann:
         assert np.array_equal(rec_active.values.view(np.int64), rec_full.values.view(np.int64))
 
 
+@pytest.fixture(scope="module")
+def s0_design(s0_atom, atom_chart):
+    return design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), max_steps=18)
+
+
+# q per schedule step of the s0 design search, recorded from the scattered
+# oscillation kernel; the separable kernel must reproduce them to roundoff.
+_S0_DESIGN_Q = (
+    163.4984751035727, 131.0949242709559, 99.97592495399215, 73.21089624155891,
+    51.256290410764045, 35.10596841681387, 23.92659083842918, 16.361417126106627,
+    11.239660973669215, 7.767703122400641, 5.403081649342605, 3.778662071766403,
+    2.6641386418054576, 1.8854459555789789, 1.3530236294509508, 0.9688141819476809,
+)
+
+
 class TestDesign:
     def test_zero_cap_errors(self, s0_atom, atom_chart):
         with pytest.raises(DesignSearchError):
@@ -468,13 +483,18 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_lattice(gauss, atom_chart, cb.symmetric_power(1.0))
 
-    def test_monotone_q_and_success(self, s0_atom, atom_chart):
-        result = design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0),
-                                max_steps=18)
+    def test_monotone_q_and_success(self, s0_design):
+        result = s0_design
         assert result.certificate.passed
         qs = np.asarray(result.q_history)
         assert np.all(np.diff(qs) < 0)
         assert result.beta == pytest.approx(0.7 ** (result.steps - 1))
+
+    def test_s0_chart_passes_at_step_16_with_pinned_q(self, s0_design):
+        assert s0_design.steps == 16
+        qs = np.asarray(s0_design.q_history)
+        assert qs.shape == (len(_S0_DESIGN_Q),)
+        assert np.all(np.abs(qs - _S0_DESIGN_Q) <= 1e-13 * np.asarray(_S0_DESIGN_Q))
 
     def test_cap_below_crossing_reports_best(self, s0_atom, atom_chart):
         with pytest.raises(DesignSearchError) as exc:
