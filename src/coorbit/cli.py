@@ -361,7 +361,9 @@ def _companion_lattice(result: DesignResult, quad: GroupQuadrature) -> AffineLat
     return result.lattice((j_lo, j_hi), (-k_span, k_span), quad.signs)
 
 
-def _load_lattice(d: dict):
+def _load_lattice(value):
+    """A lattice from its config value: the object itself or the path of a JSON file."""
+    d = value if isinstance(value, dict) else _read_json(value)
     if d.get("type") == "affine":
         return AffineLattice.from_dict(d)
     if d.get("type") == "tf":
@@ -371,8 +373,7 @@ def _load_lattice(d: dict):
 
 def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
     g = _load_signal(cfg["window"])
-    lat = _load_lattice(cfg["lattice"] if isinstance(cfg["lattice"], dict)
-                        else _read_json(cfg["lattice"]))
+    lat = _load_lattice(cfg["lattice"])
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
@@ -396,16 +397,11 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
-    lat = _load_lattice(cfg["lattice"] if isinstance(cfg["lattice"], dict)
-                        else _read_json(cfg["lattice"]))
+    lat = _load_lattice(cfg["lattice"])
     truth = GroupField.from_dict(_read_json(cfg["field"]))
     stem = cfg.get("out", "reconstruct")
 
-    try:
-        K = atom_kernel(psi, quad)
-    except NotAdmissibleError as exc:
-        print(f"not admissible: {exc}", file=sys.stderr)
-        return _EXIT_CERT
+    K = atom_kernel(psi, quad)
     cert = _certificate_from_kernel(K, weight, U, quad.to_dict())
     bupu = build_bupu(lat, U, quad)
     if bupu.tiles_finer_than_cells:

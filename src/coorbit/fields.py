@@ -31,12 +31,11 @@ import numpy as np
 
 from .groups import (
     GroupField,
-    _cell,
     _chart_index,
     _finite_number,
     _in_chart,
     _in_chart_run,
-    _lerp,
+    _read_rows,
     affine_field_interpolate,
     tf_field_interpolate,
 )
@@ -91,10 +90,11 @@ class NeighborhoodSpec:
 
     def __post_init__(self):
         if self.kind == "affine":
-            if self.beta <= 0 or self.alpha <= 1:
+            if _finite_number(self.beta, "beta") <= 0 or _finite_number(self.alpha, "alpha") <= 1:
                 raise ValueError("affine neighbourhood needs beta > 0, alpha > 1")
         elif self.kind == "tf":
-            if self.beta_x <= 0 or self.beta_w <= 0:
+            if (_finite_number(self.beta_x, "beta_x") <= 0
+                    or _finite_number(self.beta_w, "beta_w") <= 0):
                 raise ValueError("tf neighbourhood needs positive box sides")
         else:
             raise ValueError(f"unknown neighbourhood kind {self.kind!r}")
@@ -286,7 +286,8 @@ def _kernel_blocks(quad):
     read at the bilinear points of the direct sum, trimmed to the
     b-offsets that map into the chart (``cols`` of the zero-padded FFT
     row) and to the output ``rows`` whose scale ratio lies in the u-range.
-    Yields ``(si, j, so, rows, cols, w_j, (iu, tu), (ib, tb))``.
+    Yields ``(si, j, so, rows, cols, w_j, fu, fb)``; ``fu`` and ``fb``
+    are the kernel's fractional indices of the rows and the columns.
     """
     n_b = quad.n_b
     n_u = quad.n_scales
@@ -311,10 +312,8 @@ def _kernel_blocks(quad):
                 continue
             cols = slice(kept_b[0], kept_b[-1] + 1)
             rows = slice(kept_u[0], kept_u[-1] + 1)
-            b_cells = _cell(fb_all[cols], n_b)
-            u_cells = _cell(fu_all[rows], n_u)
             w_j = db * du / abs(a_in)
-            yield si, j, so, rows, cols, w_j, u_cells, b_cells
+            yield si, j, so, rows, cols, w_j, fu_all[rows], fb_all[cols]
 
 
 def _spectra_nbytes(quad) -> int:
@@ -323,20 +322,26 @@ def _spectra_nbytes(quad) -> int:
     return n_rows * _fft_len(quad) * np.dtype(np.complex128).itemsize
 
 
+def _kernel_reads(G: GroupField):
+    """``(si, j, so, rows, cols, w_j, block)``: the kernel read at each block's points.
+
+    Log-scale rows are blended first, then b-columns, so each value equals
+    :func:`~coorbit.groups._bilinear` at the same indices bit for bit.
+    """
+    quad = G.quad
+    sign_pos = {s: i for i, s in enumerate(quad.signs)}
+    for si, j, so, rows, cols, w_j, fu, fb in _kernel_blocks(quad):
+        plane = G.values[sign_pos[quad.signs[so] * quad.signs[si]]]
+        yield si, j, so, rows, cols, w_j, _read_rows(_read_rows(plane, fu).T, fb).T
+
+
 def _kernel_spectra(G: GroupField):
     """``(si, j, so, rows, w_j, spectrum)`` of every nonzero kernel block.
 
     The block is zero-padded to the FFT length and transformed along b.
     """
-    quad = G.quad
-    L = _fft_len(quad)
-    sign_pos = {s: i for i, s in enumerate(quad.signs)}
-    for si, j, so, rows, cols, w_j, (iu, tu), (ib, tb) in _kernel_blocks(quad):
-        plane = G.values[sign_pos[quad.signs[so] * quad.signs[si]]]
-        # whole log-scale rows are blended first, then the b-columns:
-        # the reverse of _bilinear's order, so equal to it to roundoff
-        line = _lerp(plane[iu], plane[iu + 1], tu[:, None])
-        block = _lerp(line[:, ib], line[:, ib + 1], tb)
+    L = _fft_len(G.quad)
+    for si, j, so, rows, cols, w_j, block in _kernel_reads(G):
         if not np.any(block):
             continue
         gm = np.zeros((block.shape[0], L), dtype=np.complex128)
@@ -466,20 +471,6 @@ def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
     return F.with_values(out * (quad.dx * quad.dw))
 
 
-def _lerp_rows(lo, hi, t):
-    """``(1 - t) * lo + t * hi`` with one real weight per row, in place on ``lo``.
-
-    ``lo`` and ``hi`` are fresh C-contiguous complex blocks (gathered
-    rows); the weights scale their float views, so no weight is promoted
-    to complex.
-    """
-    lo_f, hi_f = lo.view(np.float64), hi.view(np.float64)
-    lo_f *= (1 - t)[:, None]
-    hi_f *= t[:, None]
-    lo_f += hi_f
-    return lo
-
-
 def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     """Pointwise ``max_u |G(u x) - G(x)|`` over the U sample points.
 
@@ -498,9 +489,8 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     axis 1 leading (the plane is transposed once per sign branch), and
     each offset reads axis 1 by gathering whole rows of the block.  Both
     maps are monotone, so the in-chart nodes form contiguous runs.  Axis
-    0 is blended first, the reverse of the pointwise kernel, so the
-    values agree with pointwise interpolation to ``8 eps max|G|`` per
-    node, not bit for bit.
+    0 is blended first, as in the pointwise kernel, so the values equal
+    pointwise interpolation bit for bit.
     """
     quad = G.quad
     if U.kind != quad.kind:
@@ -530,18 +520,15 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
         lo0, hi0 = max(lo0, rows.start), min(hi0, rows.stop)
         if rows.start >= rows.stop:
             continue
-        i0, t0 = _cell(f0[rows], n0)
-        blocks = [np.ascontiguousarray(_lerp_rows(plane[i0], plane[i0 + 1], t0).T)
-                  for plane in planes]
+        blocks = [np.ascontiguousarray(_read_rows(plane, f0[rows]).T) for plane in planes]
         for v in group:
             f1 = index(k, v)[1]
             cols = _in_chart_run(f1, n1)
             lo1, hi1 = max(lo1, cols.start), min(hi1, cols.stop)
             if cols.start >= cols.stop:
                 continue
-            i1, t1 = _cell(f1[cols], n1)
             for block, plane_t, osc_t in zip(blocks, planes_t, osc):
-                vals = _lerp_rows(block[i1], block[i1 + 1], t1)
+                vals = _read_rows(block, f1[cols])
                 vals -= plane_t[cols, rows]
                 window = osc_t[cols, rows]
                 np.maximum(window, np.abs(vals), out=window)

@@ -332,6 +332,8 @@ def build_affine_quadrature(
     on each requested sign branch.
     """
     n_b, n_scales = _integer(n_b, "n_b"), _integer(n_scales, "n_scales")
+    for key, value in (("b_lo", b_lo), ("b_hi", b_hi), ("a_min", a_min), ("a_max", a_max)):
+        _finite_number(value, key)
     if not (0 < a_min < a_max):
         raise ValueError("need 0 < a_min < a_max")
     if n_b < 2 or n_scales < 2:
@@ -360,6 +362,8 @@ def build_tf_quadrature(
 ) -> GroupQuadrature:
     """Uniform chart of the time-frequency plane, weight ``dx*dw``."""
     n_x, n_w = _integer(n_x, "n_x"), _integer(n_w, "n_w")
+    for key, value in (("x0", x0), ("dx", dx), ("w0", w0), ("dw", dw)):
+        _finite_number(value, key)
     if dx <= 0 or dw <= 0 or n_x < 1 or n_w < 1:
         raise ValueError("invalid TF grid")
     return GroupQuadrature(
@@ -432,18 +436,32 @@ def _cell(f, n: int):
 
 
 def _lerp(lo, hi, t):
-    """``(1 - t) * lo + t * hi``, summed in place to keep one temporary fewer alive."""
-    lo = (1 - t) * lo
-    lo += t * hi
+    """``(1 - t) * lo + t * hi`` with one real weight per leading index, in place on ``lo``.
+
+    ``lo`` and ``hi`` are fresh complex arrays (gathered points or rows);
+    the weights scale their float views, so none is promoted to complex.
+    """
+    lo_f = lo.view(np.float64).reshape(t.size, -1)
+    hi_f = hi.view(np.float64).reshape(t.size, -1)
+    lo_f *= (1 - t)[:, None]
+    hi_f *= t[:, None]
+    lo_f += hi_f
     return lo
+
+
+def _read_rows(array, f):
+    """Rows of ``array`` blended along axis 0 at in-chart fractional indices ``f``."""
+    i, t = _cell(f, array.shape[0])
+    return _lerp(array[i], array[i + 1], t)
 
 
 def _bilinear(plane: np.ndarray, f0, f1):
     """Bilinear read of ``plane`` at fractional node indices ``(f0, f1)``.
 
-    ``f0`` indexes axis 0 and ``f1`` axis 1.  Points further than the
-    snap outside the node range read as zero.  Returns the values and
-    the in-chart mask, both shaped like ``f0``.
+    ``f0`` indexes axis 0 and ``f1`` axis 1.  Axis 0 is blended first,
+    as in every chart read.  Points further than the snap outside the
+    node range read as zero.  Returns the values and the in-chart mask,
+    both shaped like ``f0``.
     """
     n0, n1 = plane.shape
     ok = _in_chart(f0, n0) & _in_chart(f1, n1)
@@ -452,9 +470,9 @@ def _bilinear(plane: np.ndarray, f0, f1):
         i0, t0 = _cell(f0[ok], n0)
         i1, t1 = _cell(f1[ok], n1)
         out[ok] = _lerp(
-            _lerp(plane[i0, i1], plane[i0, i1 + 1], t1),
-            _lerp(plane[i0 + 1, i1], plane[i0 + 1, i1 + 1], t1),
-            t0,
+            _lerp(plane[i0, i1], plane[i0 + 1, i1], t0),
+            _lerp(plane[i0, i1 + 1], plane[i0 + 1, i1 + 1], t0),
+            t1,
         )
     return out, ok
 
@@ -464,21 +482,15 @@ def _bilinear_grid(plane: np.ndarray, f0, f1):
 
     ``f0`` (1-D, axis 0) and ``f1`` (1-D, axis 1) are fractional node
     indices; the result is the ``(f0.size, f1.size)`` block with its
-    in-chart mask.  The axis-1 blend runs once per row the axis-0 blend
-    reads, and every element gets the operations :func:`_bilinear` gives
-    it at the same point, so the two agree bit for bit.
+    in-chart mask.  Rows are blended once per ``f0`` entry, then columns
+    once per ``f1`` entry: each element gets the operations
+    :func:`_bilinear` gives it at the same point, bit for bit.
     """
     n0, n1 = plane.shape
     ok0, ok1 = _in_chart(f0, n0), _in_chart(f1, n1)
     out = np.zeros((f0.size, f1.size), dtype=np.complex128)
     if np.any(ok0) and np.any(ok1):
-        i0, t0 = _cell(f0[ok0], n0)
-        i1, t1 = _cell(f1[ok1], n1)
-        first = int(i0.min())
-        # index arrays, not a slice: a one-node axis reads row -1
-        rows = plane[np.arange(first, int(i0.max()) + 2)]
-        blend = _lerp(rows[:, i1], rows[:, i1 + 1], t1)
-        out[np.ix_(ok0, ok1)] = _lerp(blend[i0 - first], blend[i0 + 1 - first], t0[:, None])
+        out[np.ix_(ok0, ok1)] = _read_rows(_read_rows(plane, f0[ok0]).T, f1[ok1]).T
     return out, ok0[:, None] & ok1
 
 

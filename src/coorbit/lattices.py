@@ -69,7 +69,7 @@ class AffineLattice:
     signs: tuple = (1, -1)
 
     def __post_init__(self):
-        if self.alpha <= 1 or self.beta <= 0:
+        if _finite_number(self.alpha, "alpha") <= 1 or _finite_number(self.beta, "beta") <= 0:
             raise ValueError("need alpha > 1 and beta > 0")
         if self.j_min > self.j_max or self.k_min > self.k_max:
             raise ValueError("empty index window")
@@ -158,9 +158,11 @@ class TFLattice:
 
     def __post_init__(self):
         gen = np.asarray(self.generator, dtype=float).reshape(2, 2)
+        if not np.all(np.isfinite(gen)):
+            raise ValueError("lattice generator must be finite")
         if abs(np.linalg.det(gen)) < 1e-12:
             raise ValueError("lattice generator must be invertible")
-        if self.scale <= 0:
+        if _finite_number(self.scale, "scale") <= 0:
             raise ValueError("lattice scale must be positive")
         if self.n1_min > self.n1_max or self.n2_min > self.n2_max:
             raise ValueError("empty index window")

@@ -22,6 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .groups import _finite_number
+
 __all__ = [
     "SampledSignal",
     "Spectrum",
@@ -60,7 +62,8 @@ class SampledSignal:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("need a 1-d sample array of length >= 2")
-        if self.dt <= 0:
+        _finite_number(self.t0, "t0")
+        if _finite_number(self.dt, "dt") <= 0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "values", vals)
 

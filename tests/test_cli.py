@@ -255,19 +255,23 @@ class TestOtherCommands:
     def test_frame_bounds_single_draw(self, tmp_path, gauss_file):
         gpath, _ = gauss_file
         cfg = tmp_path / "cfg.json"
-        write_json(cfg, {
-            "version": "coorbit/1", "command": "frame-bounds",
-            "window": str(gpath),
-            "lattice": {"type": "tf", "generator": [[0.5, 0], [0, 0.5]],
-                         "scale": 1.0, "n1": [-16, 16], "n2": [-8, 8]},
-            "quadrature": {"group": "tf", "x0": -8.0, "dx": 0.25, "n_x": 65,
-                            "w0": -3.0, "dw": 0.125, "n_w": 49},
-            "ensemble": 1, "band": [0.2, 1.0],
-        })
-        assert main(["frame-bounds", "--config", str(cfg), "--seed", "4",
-                     "--out-dir", str(tmp_path)]) == 0
+        lattice = {"type": "tf", "generator": [[0.5, 0], [0, 0.5]],
+                   "scale": 1.0, "n1": [-16, 16], "n2": [-8, 8]}
+        write_json(tmp_path / "lattice.json", lattice)
+        # the lattice given inline, then as the path of a file holding it
+        for value, stem in ((lattice, "bounds"), (str(tmp_path / "lattice.json"), "from_path")):
+            write_json(cfg, {
+                "version": "coorbit/1", "command": "frame-bounds",
+                "window": str(gpath), "lattice": value,
+                "quadrature": {"group": "tf", "x0": -8.0, "dx": 0.25, "n_x": 65,
+                                "w0": -3.0, "dw": 0.125, "n_w": 49},
+                "ensemble": 1, "band": [0.2, 1.0], "out": stem,
+            })
+            assert main(["frame-bounds", "--config", str(cfg), "--seed", "4",
+                         "--out-dir", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "bounds.json").read_text())
         assert rep["a_hat"] == rep["b_hat"]
+        assert (tmp_path / "from_path.json").read_text() == (tmp_path / "bounds.json").read_text()
 
 
 class TestDesignCommand:
@@ -691,6 +695,29 @@ class TestReconstructCommand:
         # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
         assert rep["tiles_finer_than_cells"] is True
         assert capsys.readouterr().err.count("finer than chart cells") == 1
+
+    def test_gaussian_atom_not_admissible(self, tmp_path, gauss_file, capsys):
+        # a Gaussian has a nonzero mean: exit 3, and no report is written
+        gpath, _ = gauss_file
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 16,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 5, "signs": [1, -1]}
+        field_path = tmp_path / "field.json"
+        write_json(field_path, GroupField(cb.GroupQuadrature.from_dict(quad),
+                                          np.zeros((2, 5, 16))).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(gpath), "quadrature": quad,
+            "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5},
+            "lattice": {"type": "affine", "alpha": 1.5, "beta": 0.5,
+                        "j": [-2, 2], "k": [-4, 4], "signs": [1, -1]},
+            "field": str(field_path),
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert "not admissible" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 def test_commands_load_no_scipy(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit.fields import NeighborhoodSpec, oscillation
+from coorbit.fields import NeighborhoodSpec, _kernel_blocks, _kernel_reads, oscillation
 from coorbit.groups import (
     AFFINE_IDENTITY,
     AffinePoint,
@@ -207,6 +207,29 @@ class TestAffineQuadrature:
         assert d1 <= 1e-6 * abs(vals[0])
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: build_affine_quadrature(-1, _NAN, 16, 0.5, 2.0, 9, (1,)),
+    lambda: build_affine_quadrature(-1, 1, 16, 0.5, _INF, 9, (1,)),
+    lambda: cb.build_tf_quadrature(_NAN, 0.1, 8, 0.0, 0.1, 8),
+    lambda: cb.build_tf_quadrature(0.0, 0.1, 8, 0.0, _INF, 8),
+    lambda: cb.SampledSignal(0.0, _NAN, np.ones(4)),
+    lambda: cb.SampledSignal(-_INF, 0.1, np.ones(4)),
+    lambda: cb.affine_box(_NAN, 2.0),
+    lambda: cb.affine_box(1.0, _INF),
+    lambda: cb.tf_box(_NAN, 1.0),
+    lambda: cb.AffineLattice(_NAN, 0.5, 0, 1, 0, 1),
+    lambda: cb.AffineLattice(2.0, _INF, 0, 1, 0, 1),
+    lambda: cb.TFLattice(np.eye(2), _NAN, 0, 1, 0, 1),
+    lambda: cb.TFLattice(np.array([[1.0, _NAN], [0.0, 1.0]]), 1.0, 0, 1, 0, 1),
+])
+def test_non_finite_geometry_refused(construct):
+    with pytest.raises(ValueError, match="finite"):
+        construct()
+
+
 class TestLeftTranslation:
     def test_identity_translation(self):
         quad = build_affine_quadrature(-4, 4, 64, 0.25, 4.0, 33, (1, -1))
@@ -329,10 +352,9 @@ class TestBilinearKernel:
         assert np.all(vals == 0)
 
 
-# The tensor-product reader must give every element the same arithmetic
-# as the scattered kernel, so both are compared bit for bit.  Oscillation
-# blends the axes in the other order (axis 0 first), so it is held to the
-# scattered reads at a stated roundoff tolerance.
+# Every tensor-product reader (the masked grid read, oscillation, the
+# convolution kernel's blocks) blends axis 0 first, as the scattered
+# kernel does, so each is compared with scattered reads bit for bit.
 _INDEX = st.one_of(st.integers(-2, 14).map(float), st.floats(-3.0, 15.0))
 _INDICES = st.lists(_INDEX, min_size=1, max_size=10).map(np.array)
 _GROWTH = st.floats(1e-3, 4.0)  # neighbourhood side over chart side
@@ -355,8 +377,7 @@ def _reference_oscillation(G, U):
 def _assert_oscillation_matches_reference(G, U):
     osc = oscillation(G, U).values
     assert np.all(osc.imag == 0)
-    tol = 8 * np.finfo(float).eps * np.max(np.abs(G.values))
-    assert np.all(np.abs(osc.real - _reference_oscillation(G, U)) <= tol)
+    assert np.array_equal(osc.real, _reference_oscillation(G, U))
 
 
 class TestBilinearGrid:
@@ -369,6 +390,19 @@ class TestBilinearGrid:
         ref_vals, ref_mask = _bilinear(plane, *np.meshgrid(f0, f1, indexing="ij"))
         assert np.array_equal(mask, ref_mask)
         assert np.array_equal(vals, ref_vals)
+
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
+    def test_kernel_blocks_match_scattered_kernel(self, quad, seed):
+        # the convolution's pre-FFT blocks, against scattered reads at the
+        # same fractional indices, on the branch the block reads
+        G = cb.GroupField(quad, _random_values(quad.shape, seed))
+        for (si, _, so, *_, fu, fb), (*_, block) in zip(_kernel_blocks(quad), _kernel_reads(G),
+                                                        strict=True):
+            plane = G.values[quad.signs.index(quad.signs[so] * quad.signs[si])]
+            ref, mask = _bilinear(plane, *np.meshgrid(fu, fb, indexing="ij"))
+            assert np.all(mask)
+            assert np.array_equal(block, ref)
 
     @_PROPERTY
     @given(_AFFINE_CHART, st.integers(0, 2**32 - 1), st.floats(-6, 6),
