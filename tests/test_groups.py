@@ -207,23 +207,20 @@ class TestAffineQuadrature:
         assert d1 <= 1e-6 * abs(vals[0])
 
 
-_NAN, _INF = float("nan"), float("inf")
-
-
 @pytest.mark.parametrize("construct", [
-    lambda: build_affine_quadrature(-1, _NAN, 16, 0.5, 2.0, 9, (1,)),
-    lambda: build_affine_quadrature(-1, 1, 16, 0.5, _INF, 9, (1,)),
-    lambda: cb.build_tf_quadrature(_NAN, 0.1, 8, 0.0, 0.1, 8),
-    lambda: cb.build_tf_quadrature(0.0, 0.1, 8, 0.0, _INF, 8),
-    lambda: cb.SampledSignal(0.0, _NAN, np.ones(4)),
-    lambda: cb.SampledSignal(-_INF, 0.1, np.ones(4)),
-    lambda: cb.affine_box(_NAN, 2.0),
-    lambda: cb.affine_box(1.0, _INF),
-    lambda: cb.tf_box(_NAN, 1.0),
-    lambda: cb.AffineLattice(_NAN, 0.5, 0, 1, 0, 1),
-    lambda: cb.AffineLattice(2.0, _INF, 0, 1, 0, 1),
-    lambda: cb.TFLattice(np.eye(2), _NAN, 0, 1, 0, 1),
-    lambda: cb.TFLattice(np.array([[1.0, _NAN], [0.0, 1.0]]), 1.0, 0, 1, 0, 1),
+    lambda: build_affine_quadrature(-1, np.nan, 16, 0.5, 2.0, 9, (1,)),
+    lambda: build_affine_quadrature(-1, 1, 16, 0.5, np.inf, 9, (1,)),
+    lambda: cb.build_tf_quadrature(np.nan, 0.1, 8, 0.0, 0.1, 8),
+    lambda: cb.build_tf_quadrature(0.0, 0.1, 8, 0.0, np.inf, 8),
+    lambda: cb.SampledSignal(0.0, np.nan, np.ones(4)),
+    lambda: cb.SampledSignal(-np.inf, 0.1, np.ones(4)),
+    lambda: cb.affine_box(np.nan, 2.0),
+    lambda: cb.affine_box(1.0, np.inf),
+    lambda: cb.tf_box(np.nan, 1.0),
+    lambda: cb.AffineLattice(np.nan, 0.5, 0, 1, 0, 1),
+    lambda: cb.AffineLattice(2.0, np.inf, 0, 1, 0, 1),
+    lambda: cb.TFLattice(np.eye(2), np.nan, 0, 1, 0, 1),
+    lambda: cb.TFLattice(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0, 0, 1, 0, 1),
 ])
 def test_non_finite_geometry_refused(construct):
     with pytest.raises(ValueError, match="finite"):
