@@ -235,10 +235,10 @@ def cmd_cwt(cfg: dict, out_dir: Path) -> int:
     psi = _load_signal(cfg["atom"])
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     W = cwt(f, psi, quad)
-    weight = _weight_from(cfg, "affine")
+    stats = _field_stats(W, _weight_from(cfg, "affine"))
     stem = cfg.get("out", "cwt")
     _write_field(out_dir / f"{stem}.field.json", W)
-    _write_json(out_dir / f"{stem}.stats.json", _field_stats(W, weight))
+    _write_json(out_dir / f"{stem}.stats.json", stats)
     return _EXIT_OK
 
 
@@ -246,10 +246,10 @@ def cmd_stft(cfg: dict, out_dir: Path) -> int:
     f = _load_signal(cfg["signal"])
     g = _load_signal(cfg["window"])
     V = stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid"))
-    weight = _weight_from(cfg, "tf")
+    stats = _field_stats(V, _weight_from(cfg, "tf"))
     stem = cfg.get("out", "stft")
     _write_field(out_dir / f"{stem}.field.json", V)
-    _write_json(out_dir / f"{stem}.stats.json", _field_stats(V, weight))
+    _write_json(out_dir / f"{stem}.stats.json", stats)
     return _EXIT_OK
 
 

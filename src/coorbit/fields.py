@@ -42,8 +42,7 @@ from .groups import (
 from .weights import (
     WeightSpec,
     custom_weight,
-    eval_weight_affine,
-    eval_weight_tf,
+    eval_weight_at,
     is_p_control,
     poly_tf,
     power_scale,
@@ -188,13 +187,14 @@ def weight_reciprocal(w: WeightSpec) -> WeightSpec:
     return custom_weight(lambda *args: 1.0 / ev(*args), w.group)
 
 
-def _weight_at_nodes(m: WeightSpec, quad) -> np.ndarray:
-    if m.group_kind != quad.kind:
-        raise ValueError(f"weight on {m.group_kind!r} applied to a {quad.kind!r} field")
-    c1, c2 = quad.node_points()
-    if quad.kind == "affine":
-        return np.asarray(eval_weight_affine(m, c1, c2), dtype=float)
-    return np.asarray(eval_weight_tf(m, c1, c2), dtype=float)
+def _p_norm(values, weights, p: float, measure=1.0) -> float:
+    """The field and sequence norm ``(sum |v w|^p measure)^(1/p)``; ``max |v w|`` at p = inf."""
+    a = np.abs(values) * weights
+    if math.isinf(p):
+        return float(np.max(a))
+    if p < 1:
+        raise ValueError("p must lie in [1, inf]")
+    return float(np.sum(a**p * measure) ** (1.0 / p))
 
 
 def lpm_norm(F: GroupField, p: float, m: WeightSpec | None = None) -> float:
@@ -202,12 +202,8 @@ def lpm_norm(F: GroupField, p: float, m: WeightSpec | None = None) -> float:
     quad = F.quad
     if m is None:
         m = unit_weight(quad.kind)
-    a = np.abs(F.values) * _weight_at_nodes(m, quad)
-    if math.isinf(p):
-        return float(np.max(a))
-    if p < 1:
-        raise ValueError("p must lie in [1, inf]")
-    return float(np.sum(a**p * quad.node_weights()) ** (1.0 / p))
+    weights = eval_weight_at(m, quad.kind, *quad.node_points())
+    return _p_norm(F.values, weights, p, quad.node_weights())
 
 
 def field_l2_norm(F: GroupField) -> float:

@@ -36,7 +36,7 @@ from .fields import (
     lpm_norm,
     oscillation,
 )
-from .groups import GroupField, GroupQuadrature
+from .groups import GroupField, GroupQuadrature, _report_dict
 from .lattices import (
     BUPU,
     AffineLattice,
@@ -149,16 +149,7 @@ class ReconstructionReport:
             return h[1:] / h[:-1]
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "converged": self.converged,
-            "final_relative_error": self.final_relative_error,
-            "lattice_points": self.lattice_points,
-            "active_tiles": self.active_tiles,
-            "uncovered_nodes": self.uncovered_nodes,
-            "tiles_finer_than_cells": self.tiles_finer_than_cells,
-        }
+        return _report_dict(self)
 
 
 class ReconstructionDivergence(RuntimeError):
@@ -215,14 +206,7 @@ class AtomSufficiencyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "vanishing_moments": self.vanishing_moments,
-            "rho": self.rho,
-            "rho_bound": self.rho_bound,
-            "absolute_moments": list(self.absolute_moments),
-            "derivative_l1_norms": list(self.derivative_l1_norms),
-            "pass": self.passed,
-        }
+        return _report_dict(self)
 
 
 def wavelet_atom_sufficient(
@@ -260,15 +244,7 @@ class WindowSufficiencyReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "time_norm": self.time_norm,
-            "freq_norm": self.freq_norm,
-            "time_tail_fraction": self.time_tail_fraction,
-            "freq_tail_fraction": self.freq_tail_fraction,
-            "pass": self.passed,
-        }
+        return _report_dict(self)
 
 
 def _weighted_l1_with_tail(x: np.ndarray, vals: np.ndarray, dx: float, exponent: float):
@@ -349,12 +325,7 @@ class BoundsReport:
     draws: int
 
     def to_dict(self) -> dict:
-        return {
-            "a_hat": self.a_hat,
-            "b_hat": self.b_hat,
-            "ratios": list(self.ratios),
-            "draws": self.draws,
-        }
+        return _report_dict(self)
 
 
 def frame_bounds_empirical(
@@ -383,8 +354,8 @@ def frame_bounds_empirical(
     is_affine = isinstance(lat, AffineLattice)
     if band is None:
         band = (0.1, 1.0)
-    # the STFT operator, built once per draw grid
-    stft_ops = {}
+    # every draw lands on one grid, so the STFT operator built on the first serves all
+    stft_op = None
     ratios = []
     for _ in range(ensemble):
         for _attempt in range(10):
@@ -392,11 +363,10 @@ def frame_bounds_empirical(
             if is_affine:
                 F = cwt(f, window, quad)
             else:
-                key = (f.t0, f.dt)
-                if key not in stft_ops:
-                    stft_ops[key] = _stft_operator(f, window, (quad.x0, quad.dx, quad.n_x),
-                                                   (quad.w0, quad.dw, quad.n_w))
-                tf_quad, op = stft_ops[key]
+                if stft_op is None:
+                    stft_op = _stft_operator(f, window, (quad.x0, quad.dx, quad.n_x),
+                                             (quad.w0, quad.dw, quad.n_w))
+                tf_quad, op = stft_op
                 F = GroupField(tf_quad, op.analyze(f.values).reshape(tf_quad.shape))
             denom = lpm_norm(F, p, m)
             if denom > 0:

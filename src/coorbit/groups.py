@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -316,6 +316,47 @@ def _integers(values, key: str) -> tuple:
     return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
 
 
+def _finite_floats(values, key: str) -> np.ndarray:
+    """A list of finite real numbers (no bool or string) as a float array."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {type(values).__name__}")
+    if set(map(type, values)) <= {float}:  # the fast path: one type test per entry
+        array = np.asarray(values)
+        if np.all(np.isfinite(array)):
+            return array
+    for i, value in enumerate(values):
+        _finite_number(value, f"{key}[{i}]")
+    return np.asarray(values, dtype=float)
+
+
+def _complex_samples(d: dict) -> np.ndarray:
+    """The samples of a serialized signal or field, from its ``re`` and ``im`` lists."""
+    re, im = _finite_floats(d["re"], "re"), _finite_floats(d["im"], "im")
+    if re.size != im.size:
+        raise ValueError(f"re and im must have the same length, got {re.size} and {im.size}")
+    return re + 1j * im
+
+
+def _sign_branches(signs) -> tuple:
+    """Affine sign branches as a tuple of ints: a nonempty subset of {+1, -1}, each once."""
+    signs = tuple(int(s) for s in signs)
+    if not signs or any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be a nonempty subset of {+1, -1}")
+    if len(set(signs)) != len(signs):
+        raise ValueError("duplicate sign branch")
+    return signs
+
+
+def _report_dict(report) -> dict:
+    """A report dataclass as an artifact: fields by name, ``passed`` as "pass", tuples as lists."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        out["pass" if f.name == "passed" else f.name] = (
+            list(value) if isinstance(value, tuple) else value)
+    return out
+
+
 def build_affine_quadrature(
     b_lo: float,
     b_hi: float,
@@ -340,11 +381,6 @@ def build_affine_quadrature(
         raise ValueError("need n_b >= 2 and n_scales >= 2")
     if b_hi <= b_lo:
         raise ValueError("need b_hi > b_lo")
-    signs = tuple(int(s) for s in signs)
-    if not signs or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be a nonempty subset of {+1, -1}")
-    if len(set(signs)) != len(signs):
-        raise ValueError("duplicate sign branch")
     return GroupQuadrature(
         kind="affine",
         b_lo=float(b_lo),
@@ -353,7 +389,7 @@ def build_affine_quadrature(
         a_min=float(a_min),
         a_max=float(a_max),
         n_scales=n_scales,
-        signs=signs,
+        signs=_sign_branches(signs),
     )
 
 
@@ -404,8 +440,7 @@ class GroupField:
     @staticmethod
     def from_dict(d: dict) -> "GroupField":
         quad = GroupQuadrature.from_dict(d["quadrature"])
-        vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return GroupField(quad, vals.reshape(quad.shape))
+        return GroupField(quad, _complex_samples(d).reshape(quad.shape))
 
 
 def haar_integral(F: GroupField) -> complex:

@@ -21,17 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import NeighborhoodSpec, lpm_norm, unit_weight
+from .fields import NeighborhoodSpec, _p_norm, lpm_norm, unit_weight
 from .groups import (
     GroupField,
     GroupQuadrature,
     _finite_number,
     _integers,
+    _report_dict,
+    _sign_branches,
     affine_field_interpolate,
     build_affine_quadrature,
     tf_field_interpolate,
 )
-from .weights import WeightSpec, eval_weight_affine, eval_weight_tf
+from .weights import WeightSpec, eval_weight_at
 
 __all__ = [
     "AffineLattice",
@@ -73,12 +75,7 @@ class AffineLattice:
             raise ValueError("need alpha > 1 and beta > 0")
         if self.j_min > self.j_max or self.k_min > self.k_max:
             raise ValueError("empty index window")
-        signs = tuple(int(s) for s in self.signs)
-        if not signs or any(s not in (1, -1) for s in signs):
-            raise ValueError("signs must be a nonempty subset of {+1, -1}")
-        if len(set(signs)) != len(signs):
-            raise ValueError("duplicate sign branch")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", _sign_branches(self.signs))
 
     @property
     def n_j(self) -> int:
@@ -139,10 +136,6 @@ class AffineLattice:
             *_index_range(d["j"], "lattice.j"), *_index_range(d["k"], "lattice.k"),
             _integers(d.get("signs", (1, -1)), "lattice.signs"),
         )
-
-    def matching_neighbourhood(self, n_samples: int = 7) -> NeighborhoodSpec:
-        return NeighborhoodSpec("affine", beta=self.beta, alpha=self.alpha,
-                                n_samples=n_samples)
 
 
 @dataclass(frozen=True)
@@ -470,13 +463,8 @@ def sample_field(F: GroupField, lat) -> SampledSequence:
     return SampledSequence(lat, vals, mask, {"coverage": float(np.mean(mask))})
 
 
-def _seq_weights(m: WeightSpec | None, lat) -> np.ndarray:
-    b, a = lat.point_arrays()
-    if m is None:
-        return np.ones(b.size)
-    if isinstance(lat, AffineLattice):
-        return np.asarray(eval_weight_affine(m, b, a), dtype=float)
-    return np.asarray(eval_weight_tf(m, b, a), dtype=float)
+def _group_kind(lat) -> str:
+    return "affine" if isinstance(lat, AffineLattice) else "tf"
 
 
 def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
@@ -484,13 +472,10 @@ def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
     vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
     if vals.size != lat.n_points:
         raise ValueError("sequence length does not match the lattice")
-    mw = _seq_weights(m, lat)
-    a = np.abs(vals) * mw
-    if math.isinf(p):
-        return float(np.max(a))
-    if p < 1:
-        raise ValueError("p must lie in [1, inf]")
-    return float(np.sum(a**p) ** (1.0 / p))
+    kind = _group_kind(lat)
+    weights = eval_weight_at(m if m is not None else unit_weight(kind), kind,
+                             *lat.point_arrays())
+    return _p_norm(vals, weights, p)
 
 
 def covering_quadrature(
@@ -530,14 +515,7 @@ class NormEquivalenceReport:
     heuristic_window: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "window": list(self.window),
-            "pass": self.passed,
-            "haar_mass": self.haar_mass,
-            "max_overlap": self.max_overlap,
-            "heuristic_window": self.heuristic_window,
-        }
+        return _report_dict(self)
 
 
 def _moderation_bound(m: WeightSpec, U: NeighborhoodSpec):
@@ -552,12 +530,7 @@ def _moderation_bound(m: WeightSpec, U: NeighborhoodSpec):
     else:
         # probe over the offset sample; flagged as heuristic
         heuristic = True
-        offs = U.offsets()
-        if U.kind == "affine":
-            vals = eval_weight_affine(m, offs[0], offs[1])
-        else:
-            vals = eval_weight_tf(m, offs[0], offs[1])
-        bound = float(np.max(vals))
+        bound = float(np.max(eval_weight_at(m, U.kind, *U.offsets())))
     return float(bound), heuristic
 
 
@@ -575,9 +548,7 @@ def norm_equivalence_check(
     the weight family, the Haar mass of U and the measured maximal tile
     overlap; a zero sequence passes by convention.
     """
-    m_eval = m if m is not None else unit_weight(
-        "affine" if isinstance(lat, AffineLattice) else "tf"
-    )
+    m_eval = m if m is not None else unit_weight(_group_kind(lat))
     vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
     seq_norm = seq_lpm_norm(vals, p, m_eval, lat)
     if quad is None:

@@ -22,12 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import _finite_number
+from .groups import _complex_samples, _finite_float, _finite_number
 
 __all__ = [
     "SampledSignal",
     "Spectrum",
-    "signal_from_samples",
     "gaussian",
     "mexican_hat",
     "haar_wavelet",
@@ -94,8 +93,8 @@ class SampledSignal:
 
     @staticmethod
     def from_dict(d: dict) -> "SampledSignal":
-        vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return SampledSignal(float(d["t0"]), float(d["dt"]), vals)
+        return SampledSignal(_finite_float(d["t0"], "t0"), _finite_float(d["dt"], "dt"),
+                             _complex_samples(d))
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,6 @@ def _not_a_knot_slopes(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
     return np.array(rhs, dtype=d.dtype)
-
-
-def signal_from_samples(t0, dt, values) -> SampledSignal:
-    return SampledSignal(float(t0), float(dt), values)
 
 
 def grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:

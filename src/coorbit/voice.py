@@ -109,14 +109,20 @@ def admissibility_constant(psi: SampledSignal):
     return math.sqrt(c2)
 
 
-def normalize_admissible(psi: SampledSignal) -> SampledSignal:
-    """Rescale so the admissibility constant equals one."""
+def _admissible_constant(psi: SampledSignal, refusal: str) -> float:
+    """The admissibility constant; refused as ``"<refusal>: DC magnitude ..."``."""
     c = admissibility_constant(psi)
     if isinstance(c, NotAdmissible):
         raise NotAdmissibleError(
-            f"cannot normalize: DC magnitude {c.dc_magnitude:g} "
-            f"(peak {c.peak_magnitude:g})"
+            f"{refusal}: DC magnitude {c.dc_magnitude:g} (peak {c.peak_magnitude:g})"
         )
+    return c
+
+
+def normalize_admissible(psi: SampledSignal) -> SampledSignal:
+    """Rescale so the admissibility constant equals one."""
+    # certify-atom writes this refusal into its artifact
+    c = _admissible_constant(psi, "cannot normalize")
     if c == 0.0:
         raise NotAdmissibleError("cannot normalize a zero window")
     return psi.with_values(psi.values / c)
@@ -183,10 +189,7 @@ def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> Sampl
     if not _b_grid_matches(quad, psi):
         raise ValueError("quadrature b-grid must match the window grid")
     if c_psi is None:
-        c = admissibility_constant(psi)
-        if isinstance(c, NotAdmissible):
-            raise NotAdmissibleError("icwt needs an admissible window")
-        c_psi = c
+        c_psi = _admissible_constant(psi, "icwt needs an admissible window")
     if c_psi <= 0:
         raise NotAdmissibleError("admissibility constant must be positive")
 
@@ -328,11 +331,7 @@ def istft(V: GroupField, g: SampledSignal) -> SampledSignal:
 def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     """Self-transform kernel: ``cwt(psi, psi)`` or ``V_gg`` on a TF chart."""
     if quad.kind == "affine":
-        c = admissibility_constant(psi)
-        if isinstance(c, NotAdmissible):
-            raise NotAdmissibleError(
-                f"kernel needs an admissible window (DC {c.dc_magnitude:g})"
-            )
+        _admissible_constant(psi, "kernel needs an admissible window")
         return cwt(psi, psi, quad)
     return stft(
         psi, psi,
@@ -343,12 +342,7 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
 
 def duflo_moore_wavelet(psi: SampledSignal) -> SampledSignal:
     """Spectral multiplier ``psihat / sqrt(|w|)`` (zero bin dropped)."""
-    c = admissibility_constant(psi)
-    if isinstance(c, NotAdmissible):
-        raise NotAdmissibleError(
-            f"Duflo-Moore multiplier undefined: DC magnitude {c.dc_magnitude:g} "
-            f"(peak {c.peak_magnitude:g})"
-        )
+    _admissible_constant(psi, "Duflo-Moore multiplier undefined")
     spec = fourier(psi)
     w = spec.grid()
     vals = spec.values.copy()

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import AffinePoint, HeisenbergPoint
+from .groups import AffinePoint, HeisenbergPoint, _finite_float
 
 __all__ = [
     "WeightSpec",
@@ -29,8 +29,7 @@ __all__ = [
     "poly_tf",
     "custom_weight",
     "eval_weight",
-    "eval_weight_affine",
-    "eval_weight_tf",
+    "eval_weight_at",
     "is_p_control",
     "submultiplicativity_probe",
     "moderateness_probe",
@@ -41,6 +40,9 @@ _PROBE_B_BOX = 10.0
 _PROBE_U_BOX = 3.0
 _PROBE_TF_BOX = 10.0
 _PROBE_TOL = 1e-12
+# the group and the serialized parameters of each closed-form family
+_FAMILIES = {"power_scale": ("affine", ("s",)), "symmetric_power": ("affine", ("rho",)),
+             "poly_tf": ("tf", ("r", "s"))}
 
 
 @dataclass(frozen=True)
@@ -66,31 +68,20 @@ class WeightSpec:
 
     @property
     def group_kind(self) -> str:
-        if self.family in ("power_scale", "symmetric_power"):
-            return "affine"
-        if self.family == "poly_tf":
-            return "tf"
-        return self.group
+        return _FAMILIES[self.family][0] if self.family in _FAMILIES else self.group
 
     def to_dict(self) -> dict:
-        if self.family == "power_scale":
-            return {"family": "power_scale", "s": self.s}
-        if self.family == "symmetric_power":
-            return {"family": "symmetric_power", "rho": self.rho}
-        if self.family == "poly_tf":
-            return {"family": "poly_tf", "r": self.r, "s": self.s}
-        raise ValueError("custom weights do not serialize")
+        if self.family not in _FAMILIES:
+            raise ValueError("custom weights do not serialize")
+        return {"family": self.family, **{k: getattr(self, k) for k in _FAMILIES[self.family][1]}}
 
     @staticmethod
     def from_dict(d: dict) -> "WeightSpec":
         fam = d["family"]
-        if fam == "power_scale":
-            return power_scale(d["s"])
-        if fam == "symmetric_power":
-            return symmetric_power(d["rho"])
-        if fam == "poly_tf":
-            return poly_tf(d["r"], d["s"])
-        raise ValueError(f"unknown weight family {fam!r}")
+        if not isinstance(fam, str) or fam not in _FAMILIES:
+            raise ValueError(f"unknown weight family {fam!r}")
+        params = {k: _finite_float(d[k], f"weight.{k}") for k in _FAMILIES[fam][1]}
+        return WeightSpec(fam, **params)
 
 
 def power_scale(s: float) -> WeightSpec:
@@ -109,45 +100,38 @@ def custom_weight(evaluator: Callable, group: str) -> WeightSpec:
     return WeightSpec(family="custom", evaluator=evaluator, group=group)
 
 
-def eval_weight_affine(w: WeightSpec, b, a):
-    """Vectorized evaluation on affine chart coordinates."""
-    if w.group_kind != "affine":
-        raise ValueError("weight is not defined on the affine group")
-    a = np.abs(np.asarray(a, dtype=float))
-    if w.family == "power_scale":
-        return a ** (-w.s)
-    if w.family == "symmetric_power":
-        return a**w.rho + a ** (-w.rho)
-    return w.evaluator(np.asarray(b, dtype=float), a)
+def eval_weight_at(w: WeightSpec, kind: str, c1, c2) -> np.ndarray:
+    """Vectorized evaluation at chart coordinates ``(c1, c2)`` of the group ``kind``.
 
-
-def eval_weight_tf(w: WeightSpec, x, omega):
-    """Vectorized evaluation on the time-frequency plane.
-
-    ``x`` and ``omega`` may be scalars, 1-d vectors (a single point in
-    dimension d) or arrays of scalar coordinates; ``|.|`` is the
-    euclidean length in the vector case.
+    Affine: ``(b, a)``, read as ``(b, |a|)``; TF: ``(x, omega)``, read as
+    ``(|x|, |omega|)``, by custom evaluators too.  A weight on the other group raises.
     """
-    if w.group_kind != "tf":
-        raise ValueError("weight is not defined on the TF plane")
-    x = np.abs(np.asarray(x, dtype=float))
-    omega = np.abs(np.asarray(omega, dtype=float))
+    if w.group_kind != kind:
+        raise ValueError(f"weight on {w.group_kind!r} applied to the {kind!r} group")
+    c1 = np.asarray(c1, dtype=float)
+    if kind == "tf":
+        c1 = np.abs(c1)
+    c2 = np.abs(np.asarray(c2, dtype=float))
+    if w.family == "power_scale":
+        return c2 ** (-w.s)
+    if w.family == "symmetric_power":
+        return c2**w.rho + c2 ** (-w.rho)
     if w.family == "poly_tf":
-        return (1.0 + x) ** w.r * (1.0 + omega) ** w.s
-    return w.evaluator(x, omega)
+        return (1.0 + c1) ** w.r * (1.0 + c2) ** w.s
+    return np.asarray(w.evaluator(c1, c2), dtype=float)
 
 
 def eval_weight(w: WeightSpec, point):
-    """Evaluate at a single group point (affine, Heisenberg or TF tuple)."""
+    """Evaluate at one group point: affine, Heisenberg (``|x|``, ``|omega|``) or a TF pair."""
     if isinstance(point, AffinePoint):
-        return float(eval_weight_affine(w, point.b, point.a))
-    if isinstance(point, HeisenbergPoint):
-        x = math.hypot(*point.x) if point.d > 1 else abs(point.x[0])
-        om = math.hypot(*point.omega) if point.d > 1 else abs(point.omega[0])
-        return float(eval_weight_tf(w, x, om))
-    if isinstance(point, (tuple, list)) and len(point) == 2:
-        return float(eval_weight_tf(w, point[0], point[1]))
-    raise ValueError(f"cannot evaluate weight at {point!r}")
+        coords = ("affine", point.b, point.a)
+    elif isinstance(point, HeisenbergPoint):
+        coords = ("tf", math.hypot(*point.x), math.hypot(*point.omega))
+    elif isinstance(point, (tuple, list)) and len(point) == 2:
+        coords = ("tf", *point)
+    else:
+        raise ValueError(f"cannot evaluate weight at {point!r}")
+    return float(eval_weight_at(w, *coords))
 
 
 def is_p_control(w: WeightSpec, m: WeightSpec, p: float) -> bool:
@@ -201,29 +185,31 @@ def _sample_points(group: str, samples: int, rng: np.random.Generator):
     return x, om
 
 
+def _product(group: str, p1, p2):
+    """Chart coordinates of the pointwise group products ``p1 p2``."""
+    if group == "affine":
+        (b1, a1), (b2, a2) = p1, p2
+        return b1 + a1 * b2, a1 * a2
+    return p1[0] + p2[0], p1[1] + p2[1]
+
+
+def _probe_pairs(group: str, samples: int, seed: int):
+    """Two seeded point samples on the probe box of ``group``."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    return _sample_points(group, samples, rng), _sample_points(group, samples, rng)
+
+
 def submultiplicativity_probe(
     w: WeightSpec, samples: int = 2000, seed: int = 0
 ) -> ProbeReport:
     """Search for violations of ``w(xy) <= w(x) w(y)`` on a chart box."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     group = w.group_kind
-    p1 = _sample_points(group, samples, rng)
-    p2 = _sample_points(group, samples, rng)
-    if group == "affine":
-        b1, a1 = p1
-        b2, a2 = p2
-        bp, ap = b1 + a1 * b2, a1 * a2
-        ratio = eval_weight_affine(w, bp, ap) / (
-            eval_weight_affine(w, b1, a1) * eval_weight_affine(w, b2, a2)
-        )
-    else:
-        x1, w1 = p1
-        x2, w2 = p2
-        ratio = eval_weight_tf(w, x1 + x2, w1 + w2) / (
-            eval_weight_tf(w, x1, w1) * eval_weight_tf(w, x2, w2)
-        )
+    p1, p2 = _probe_pairs(group, samples, seed)
+    ratio = eval_weight_at(w, group, *_product(group, p1, p2)) / (
+        eval_weight_at(w, group, *p1) * eval_weight_at(w, group, *p2)
+    )
     k = int(np.argmax(ratio))
     worst = ((p1[0][k], p1[1][k]), (p2[0][k], p2[1][k]))
     mx = float(ratio[k])
@@ -234,27 +220,11 @@ def moderateness_probe(
     m: WeightSpec, w: WeightSpec, samples: int = 2000, seed: int = 0
 ) -> ProbeReport:
     """Search for violations of ``m(xy) <= w(x)m(y)`` and ``m(xy) <= m(x)w(y)``."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if m.group_kind != w.group_kind:
-        raise ValueError("weights live on different groups")
-    rng = np.random.default_rng(seed)
     group = m.group_kind
-    p1 = _sample_points(group, samples, rng)
-    p2 = _sample_points(group, samples, rng)
-    if group == "affine":
-        b1, a1 = p1
-        b2, a2 = p2
-        bp, ap = b1 + a1 * b2, a1 * a2
-        m_prod = eval_weight_affine(m, bp, ap)
-        left = m_prod / (eval_weight_affine(w, b1, a1) * eval_weight_affine(m, b2, a2))
-        right = m_prod / (eval_weight_affine(m, b1, a1) * eval_weight_affine(w, b2, a2))
-    else:
-        x1, w1 = p1
-        x2, w2 = p2
-        m_prod = eval_weight_tf(m, x1 + x2, w1 + w2)
-        left = m_prod / (eval_weight_tf(w, x1, w1) * eval_weight_tf(m, x2, w2))
-        right = m_prod / (eval_weight_tf(m, x1, w1) * eval_weight_tf(w, x2, w2))
+    p1, p2 = _probe_pairs(group, samples, seed)
+    m_prod = eval_weight_at(m, group, *_product(group, p1, p2))
+    left = m_prod / (eval_weight_at(w, group, *p1) * eval_weight_at(m, group, *p2))
+    right = m_prod / (eval_weight_at(m, group, *p1) * eval_weight_at(w, group, *p2))
     mx_left = float(np.max(left))
     mx_right = float(np.max(right))
     mx = max(mx_left, mx_right)

@@ -449,6 +449,8 @@ class TestWrongTypedConfig:
                         "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
         return {
             "cwt": {"signal": atom, "atom": atom, "quadrature": small_affine},
+            "cwt/weight": {"signal": atom, "atom": atom, "quadrature": small_affine,
+                           "weight": {"family": "power_scale", "s": 1.5}},
             "stft": {"signal": window, "window": window,
                      "x_grid": {"origin": -4.0, "step": 0.5, "count": 17},
                      "w_grid": {"origin": -2.0, "step": 0.25, "count": 17}},
@@ -486,13 +488,15 @@ class TestWrongTypedConfig:
         ("design-lattice", "schedule", [1], "schedule"),
         ("certify-atom", "quadrature", {"b_lo": "a"}, "b_lo"),
         ("frame-bounds", "band", 5, "band"),
+        # a weight on the other group is refused before the field is written
+        ("cwt/weight", "weight", {"family": "poly_tf", "r": 1.0}, "weight on 'tf'"),
     ])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file,
                                      command, key, edit, named):
         cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[command]
         # a dict edit changes one entry of the (valid) nested object
         cfg[key] = {**cfg[key], **edit} if isinstance(edit, dict) else edit
-        rc, out = self._run(tmp_path, command, cfg)
+        rc, out = self._run(tmp_path, command.split("/")[0], cfg)
         assert rc == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
@@ -521,6 +525,11 @@ class TestWrongTypedConfig:
         ("stft", "x_grid.step", "0.5"),
         ("stft", "w_grid.step", True),
         ("frame-bounds", "quadrature.dx", "0.25"),
+        ("cwt/weight", "weight.s", "1.5"),
+        ("cwt/weight", "weight.s", True),
+        ("cwt/weight", "weight.s", "nan"),
+        ("design-lattice", "weight.rho", "nan"),
+        ("design-lattice", "weight.rho", False),
     ])
     def test_config_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
                                                  gauss_file, config, key, value):
@@ -535,6 +544,51 @@ class TestWrongTypedConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("moments", "t0", "0.5"),
+        ("moments", "dt", True),
+        ("moments", "re[5]", 1e999),
+        ("cwt", "t0", True),
+        ("cwt", "dt", "0.03125"),
+        ("cwt", "dt", 1e999),
+        ("cwt", "re[5]", "0.5"),
+        ("cwt", "im[7]", False),
+        ("reconstruct", "re[5]", "0.5"),
+        ("reconstruct", "im[7]", True),
+        ("reconstruct", "im[3]", 1e999),
+    ])
+    def test_input_file_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
+                                                      command, key, value):
+        # signal and field files hold finite real numbers, as configs do
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
+        if command == "reconstruct":
+            data = GroupField(cb.GroupQuadrature.from_dict(quad), np.zeros((2, 9, 64))).to_dict()
+        else:
+            data = mexhat_file[1].to_dict()
+        # 1e999 goes in as a literal: it parses as an infinite float, past the
+        # NaN/Infinity token check
+        entry = "LITERAL" if value == 1e999 else value
+        name, _, index = key.partition("[")
+        if index:
+            data[name][int(index[:-1])] = entry
+        else:
+            data[name] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"LITERAL"', "1e999"))
+        cfg = {"cwt": {"signal": str(bad), "atom": str(mexhat_file[0]), "quadrature": quad},
+               "moments": {"signal": str(bad)},
+               "reconstruct": {"atom": str(mexhat_file[0]), "quadrature": quad,
+                               "neighbourhood": {"kind": "affine", "beta": 1.0, "alpha": 2.0},
+                               "lattice": {"type": "affine", "alpha": 2.0, "beta": 1.0,
+                                           "j": [-1, 1], "k": [-4, 4]},
+                               "field": str(bad)}}[command]
+        rc, out = self._run(tmp_path, command, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_duplicate_lattice_signs_exit_2(self, tmp_path, capsys, mexhat_file):

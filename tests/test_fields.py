@@ -113,11 +113,11 @@ class TestNorms:
     def test_weight_reciprocal(self):
         w = cb.symmetric_power(1.0)
         inv = weight_reciprocal(w)
-        from coorbit.weights import eval_weight_affine
+        from coorbit.weights import eval_weight_at
 
         a = np.array([0.5, 1.0, 3.0])
         assert np.allclose(
-            eval_weight_affine(inv, 0 * a, a) * eval_weight_affine(w, 0 * a, a), 1.0
+            eval_weight_at(inv, "affine", 0 * a, a) * eval_weight_at(w, "affine", 0 * a, a), 1.0
         )
 
 

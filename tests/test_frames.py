@@ -522,3 +522,32 @@ class TestBesovExponent:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             besov_exponent(0.5, 1)
+
+
+def test_report_artifact_keys_pinned():
+    """The five reports written by the shared rule keep their artifact keys and list values."""
+    from coorbit.frames import (AtomSufficiencyReport, BoundsReport, ReconstructionReport,
+                                WindowSufficiencyReport)
+    from coorbit.lattices import NormEquivalenceReport
+
+    cases = [
+        (ReconstructionReport(3, (1.0, 0.5, 0.25), True, 0.01, 10, 4, 0, False),
+         {"iterations": 3, "residual_history": [1.0, 0.5, 0.25], "converged": True,
+          "final_relative_error": 0.01, "lattice_points": 10, "active_tiles": 4,
+          "uncovered_nodes": 0, "tiles_finer_than_cells": False}),
+        (BoundsReport(0.9, 1.1, (0.9, 1.1), 2),
+         {"a_hat": 0.9, "b_hat": 1.1, "ratios": [0.9, 1.1], "draws": 2}),
+        (AtomSufficiencyReport(2, 1.0, 1.5, (1.0, 2.0, 3.0), (4.0, 5.0), True),
+         {"vanishing_moments": 2, "rho": 1.0, "rho_bound": 1.5,
+          "absolute_moments": [1.0, 2.0, 3.0], "derivative_l1_norms": [4.0, 5.0],
+          "pass": True}),
+        (WindowSufficiencyReport(4.0, 2.0, 1.5, 1.25, 0.001, 0.002, False),
+         {"alpha": 4.0, "beta": 2.0, "time_norm": 1.5, "freq_norm": 1.25,
+          "time_tail_fraction": 0.001, "freq_tail_fraction": 0.002, "pass": False}),
+        (NormEquivalenceReport(1.0, (0.5, 2.0), True, 0.3, 2),
+         {"ratio": 1.0, "window": [0.5, 2.0], "pass": True, "haar_mass": 0.3,
+          "max_overlap": 2, "heuristic_window": False}),
+    ]
+    for report, expected in cases:
+        # == tells a list from a tuple, so the values' types are pinned too
+        assert report.to_dict() == expected, type(report).__name__

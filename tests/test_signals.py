@@ -152,6 +152,12 @@ class TestSerialization:
         assert again.t0 == mexhat.t0 and again.dt == mexhat.dt
         assert np.array_equal(again.values, mexhat.values)
 
+    def test_re_and_im_lengths_must_match(self, mexhat):
+        d = mexhat.to_dict()
+        d["im"] = d["im"][:1]
+        with pytest.raises(ValueError, match="re and im must have the same length"):
+            cb.SampledSignal.from_dict(d)
+
 
 class TestScipyReplacements:
     """The numpy antiderivative and spline against the scipy routines they replace."""

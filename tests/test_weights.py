@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.groups import AffinePoint, affine_inv
+from coorbit.groups import AffinePoint, HeisenbergPoint, affine_inv
 from coorbit.weights import (
+    custom_weight,
     eval_weight,
+    eval_weight_at,
     is_p_control,
     moderateness_probe,
     poly_tf,
@@ -30,14 +32,48 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             eval_weight(poly_tf(1, 1), AffinePoint(0, 1))
 
+    @pytest.mark.parametrize("spec, kind, closed_form", [
+        (power_scale(1.5), "affine", lambda b, a: np.abs(a) ** -1.5),
+        (symmetric_power(0.7), "affine", lambda b, a: np.abs(a) ** 0.7 + np.abs(a) ** -0.7),
+        (poly_tf(1.2, 0.5), "tf", lambda x, w: (1 + np.abs(x)) ** 1.2 * (1 + np.abs(w)) ** 0.5),
+        # a custom evaluator sees b itself and |a| on the affine group, |x| and |w| on the plane
+        (custom_weight(lambda b, a: b * a, "affine"), "affine", lambda b, a: b * np.abs(a)),
+        (custom_weight(lambda x, w: x - w, "tf"), "tf", lambda x, w: np.abs(x) - np.abs(w)),
+    ])
+    def test_eval_weight_at_closed_forms(self, spec, kind, closed_form):
+        rng = np.random.default_rng(3)
+        c1 = rng.uniform(-5, 5, 64)
+        c2 = rng.uniform(0.1, 5, 64) * rng.choice([-1, 1], 64)
+        np.testing.assert_allclose(eval_weight_at(spec, kind, c1, c2), closed_form(c1, c2),
+                                   rtol=1e-14)
+        assert eval_weight(spec, AffinePoint(c1[0], c2[0]) if kind == "affine"
+                           else (c1[0], c2[0])) == pytest.approx(closed_form(c1[0], c2[0]))
+
+    @pytest.mark.parametrize("spec, other", [
+        (power_scale(1.0), "tf"), (symmetric_power(1.0), "tf"), (poly_tf(1, 1), "affine"),
+        (custom_weight(lambda b, a: a, "affine"), "tf"),
+        (custom_weight(lambda x, w: x, "tf"), "affine"),
+    ])
+    def test_eval_weight_at_refuses_the_other_group(self, spec, other):
+        with pytest.raises(ValueError, match=f"applied to the '{other}' group"):
+            eval_weight_at(spec, other, np.ones(3), np.ones(3))
+
+    def test_probe_refuses_weights_on_two_groups(self):
+        with pytest.raises(ValueError, match="applied to the 'affine' group"):
+            moderateness_probe(power_scale(1.0), poly_tf(1, 1), 10)
+
+    def test_heisenberg_point_reads_euclidean_lengths(self):
+        p = HeisenbergPoint((3.0, -4.0), (12.0, 5.0), 1.0)
+        assert eval_weight(poly_tf(1, 1), p) == pytest.approx((1 + 5.0) * (1 + 13.0))
+
     def test_positive_everywhere(self):
         rng = np.random.default_rng(0)
         b = rng.uniform(-10, 10, 100)
         a = rng.uniform(0.01, 10, 100) * rng.choice([-1, 1], 100)
         for spec in (power_scale(-1.5), power_scale(2.0), symmetric_power(0.7)):
-            from coorbit.weights import eval_weight_affine
+            from coorbit.weights import eval_weight_at
 
-            assert np.all(eval_weight_affine(spec, b, a) > 0)
+            assert np.all(eval_weight_at(spec, "affine", b, a) > 0)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +141,7 @@ class TestProbes:
 
     def test_invariants_exact(self):
         rng = np.random.default_rng(8)
-        from coorbit.weights import eval_weight_affine
+        from coorbit.weights import eval_weight_at
 
         for _ in range(200):
             p = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.05, 8) * rng.choice([-1, 1]))
