@@ -37,7 +37,7 @@ from .frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from .groups import GroupField, GroupQuadrature, _finite_float, _integer
+from .groups import GroupField, GroupQuadrature, _finite_float, _integer, _object
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
@@ -152,40 +152,31 @@ def _reject_constant(token: str):
     raise ConfigError(f"non-finite number {token} in JSON input")
 
 
-def _read_json(path) -> dict:
-    """Parse a JSON input file; ``NaN`` and ``Infinity`` tokens are config errors."""
+def _read_json(path, key: str) -> dict:
+    """Parse the JSON object in the file at ``path``, the value of ``key``.
+
+    A value that is not a path, a file that holds no object, and ``NaN``
+    or ``Infinity`` tokens are config errors.
+    """
+    if not isinstance(path, str):  # an int would open a file descriptor
+        raise ConfigError(f"{key} must be a file path, got {path!r}")
     with open(path) as fh:
         try:
-            return json.load(fh, parse_constant=_reject_constant)
+            d = json.load(fh, parse_constant=_reject_constant)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-
-
-def _finite(value, key: str) -> float:
-    """A config number as a float; bools, strings and non-finite values are config errors."""
-    try:
-        return _finite_float(value, key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _count(value, key: str) -> int:
-    """A config integer; a fractional, non-finite or non-numeric value is a config error."""
-    try:
-        return _integer(value, key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _object(d, f"{key} file {path}")
 
 
 def _tf_axis(cfg: dict, name: str) -> tuple:
     """An ``(origin, step, count)`` triple from the config object ``cfg[name]``."""
-    axis = cfg[name]
-    return (_finite(axis["origin"], f"{name}.origin"), _finite(axis["step"], f"{name}.step"),
-            _count(axis["count"], f"{name}.count"))
+    axis = _object(cfg[name], name)
+    return (_finite_float(axis["origin"], f"{name}.origin"),
+            _finite_float(axis["step"], f"{name}.step"), _integer(axis["count"], f"{name}.count"))
 
 
-def _load_signal(path) -> SampledSignal:
-    return SampledSignal.from_dict(_read_json(path))
+def _load_signal(cfg: dict, key: str) -> SampledSignal:
+    return SampledSignal.from_dict(_read_json(cfg[key], key))
 
 
 _ALLOWED_KEYS = {
@@ -231,8 +222,8 @@ def _field_stats(field, weight) -> dict:
 
 
 def cmd_cwt(cfg: dict, out_dir: Path) -> int:
-    f = _load_signal(cfg["signal"])
-    psi = _load_signal(cfg["atom"])
+    f = _load_signal(cfg, "signal")
+    psi = _load_signal(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     W = cwt(f, psi, quad)
     stats = _field_stats(W, _weight_from(cfg, "affine"))
@@ -243,8 +234,8 @@ def cmd_cwt(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_stft(cfg: dict, out_dir: Path) -> int:
-    f = _load_signal(cfg["signal"])
-    g = _load_signal(cfg["window"])
+    f = _load_signal(cfg, "signal")
+    g = _load_signal(cfg, "window")
     V = stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid"))
     stats = _field_stats(V, _weight_from(cfg, "tf"))
     stem = cfg.get("out", "stft")
@@ -254,7 +245,7 @@ def cmd_stft(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_admissibility(cfg: dict, out_dir: Path) -> int:
-    psi = _load_signal(cfg["atom"])
+    psi = _load_signal(cfg, "atom")
     c = admissibility_constant(psi)
     stem = cfg.get("out", "admissibility")
     if isinstance(c, NotAdmissible):
@@ -269,9 +260,9 @@ def cmd_admissibility(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_moments(cfg: dict, out_dir: Path) -> int:
-    psi = _load_signal(cfg["signal"])
-    k_max = _count(cfg.get("k_max", 4), "k_max")
-    tol = _finite(cfg.get("tol", 1e-6), "tol")
+    psi = _load_signal(cfg, "signal")
+    k_max = _integer(cfg.get("k_max", 4), "k_max")
+    tol = _finite_float(cfg.get("tol", 1e-6), "tol")
     rep = moments(psi, k_max)
     out = rep.to_dict()
     out["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
@@ -280,15 +271,15 @@ def cmd_moments(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
-    psi = _load_signal(cfg["atom"])
+    psi = _load_signal(cfg, "atom")
     kind = cfg.get("kind", "wavelet")
     stem = cfg.get("out", "certificate")
     out: dict = {"kind": kind}
     passed = True
     if kind == "wavelet":
         if "rho" in cfg:
-            suff = wavelet_atom_sufficient(psi, _finite(cfg["rho"], "rho"),
-                                           _finite(cfg.get("tol", 1e-6), "tol"))
+            suff = wavelet_atom_sufficient(psi, _finite_float(cfg["rho"], "rho"),
+                                           _finite_float(cfg.get("tol", 1e-6), "tol"))
             out["sufficiency"] = suff.to_dict()
             passed = passed and suff.passed
         if "quadrature" in cfg:
@@ -305,8 +296,8 @@ def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
             out["certificate"] = cert.to_dict()
             passed = passed and cert.passed
     elif kind == "gabor":
-        suff = stft_window_sufficient(psi, _finite(cfg.get("r", 0.0), "r"),
-                                      _finite(cfg.get("s", 0.0), "s"))
+        suff = stft_window_sufficient(psi, _finite_float(cfg.get("r", 0.0), "r"),
+                                      _finite_float(cfg.get("s", 0.0), "s"))
         out["sufficiency"] = suff.to_dict()
         passed = suff.passed
     else:
@@ -317,20 +308,18 @@ def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
-    psi = _load_signal(cfg["atom"])
+    psi = _load_signal(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
-    sched = cfg.get("schedule", {})
-    if not isinstance(sched, dict):
-        raise ConfigError(f"schedule must be an object, got {sched!r}")
+    sched = _object(cfg.get("schedule", {}), "schedule")
     stem = cfg.get("out", "design")
     try:
         result = design_lattice(
             psi, quad, weight,
-            alpha0=_finite(sched.get("alpha0", 2.0), "schedule.alpha0"),
-            beta0=_finite(sched.get("beta0", 1.0), "schedule.beta0"),
-            gamma=_finite(sched.get("gamma", 0.7), "schedule.gamma"),
-            max_steps=_count(sched.get("max_steps", 20), "schedule.max_steps"),
+            alpha0=_finite_float(sched.get("alpha0", 2.0), "schedule.alpha0"),
+            beta0=_finite_float(sched.get("beta0", 1.0), "schedule.beta0"),
+            gamma=_finite_float(sched.get("gamma", 0.7), "schedule.gamma"),
+            max_steps=_integer(sched.get("max_steps", 20), "schedule.max_steps"),
         )
     except DesignSearchError as exc:
         _write_json(out_dir / f"{stem}.json", {
@@ -363,7 +352,7 @@ def _companion_lattice(result: DesignResult, quad: GroupQuadrature) -> AffineLat
 
 def _load_lattice(value):
     """A lattice from its config value: the object itself or the path of a JSON file."""
-    d = value if isinstance(value, dict) else _read_json(value)
+    d = value if isinstance(value, dict) else _read_json(value, "lattice")
     if d.get("type") == "affine":
         return AffineLattice.from_dict(d)
     if d.get("type") == "tf":
@@ -372,18 +361,18 @@ def _load_lattice(value):
 
 
 def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
-    g = _load_signal(cfg["window"])
+    g = _load_signal(cfg, "window")
     lat = _load_lattice(cfg["lattice"])
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
         raise ConfigError(f"band must be two numbers, got {band!r}")
-    band = (_finite(band[0], "band[0]"), _finite(band[1], "band[1]"))
+    band = (_finite_float(band[0], "band[0]"), _finite_float(band[1], "band[1]"))
     report = frame_bounds_empirical(
-        g, lat, p=_finite(cfg.get("p", 2.0), "p"),
-        m=WeightSpec.from_dict(cfg["weight"]) if cfg.get("weight") else None,
-        ensemble=_count(cfg.get("ensemble", 20), "ensemble"),
-        seed=_count(cfg.get("seed", 0), "seed"),
+        g, lat, p=_finite_float(cfg.get("p", 2.0), "p"),
+        m=_weight_from(cfg, quad.kind),
+        ensemble=_integer(cfg.get("ensemble", 20), "ensemble"),
+        seed=_integer(cfg.get("seed", 0), "seed"),
         quad=quad, band=band,
     )
     _write_json(out_dir / f"{cfg.get('out', 'bounds')}.json", report.to_dict())
@@ -391,14 +380,14 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
-    tol = _finite(cfg.get("tol", 1e-3), "tol")
-    max_iter = _count(cfg.get("max_iter", 100), "max_iter")
-    psi = _load_signal(cfg["atom"])
+    tol = _finite_float(cfg.get("tol", 1e-3), "tol")
+    max_iter = _integer(cfg.get("max_iter", 100), "max_iter")
+    psi = _load_signal(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
-    truth = GroupField.from_dict(_read_json(cfg["field"]))
+    truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
     stem = cfg.get("out", "reconstruct")
 
     K = atom_kernel(psi, quad)
@@ -461,7 +450,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _read_json(args.config) if args.config else {"version": FORMAT_VERSION}
+        cfg = _read_json(args.config, "config") if args.config else {"version": FORMAT_VERSION}
     except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return _EXIT_IO

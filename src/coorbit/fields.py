@@ -35,6 +35,7 @@ from .groups import (
     _finite_number,
     _in_chart,
     _in_chart_run,
+    _object,
     _read_rows,
     affine_field_interpolate,
     tf_field_interpolate,
@@ -121,22 +122,6 @@ class NeighborhoodSpec:
         dx, dw = np.meshgrid(ox, ow, indexing="ij")
         return dx.ravel(), dw.ravel()
 
-    def scaled(self, factor: float) -> "NeighborhoodSpec":
-        """Shrink (factor < 1) toward the identity, geometry preserved."""
-        if self.kind == "affine":
-            return NeighborhoodSpec(
-                "affine",
-                beta=self.beta * factor,
-                alpha=self.alpha**factor,
-                n_samples=self.n_samples,
-            )
-        return NeighborhoodSpec(
-            "tf",
-            beta_x=self.beta_x * factor,
-            beta_w=self.beta_w * factor,
-            n_samples=self.n_samples,
-        )
-
     def to_dict(self) -> dict:
         if self.kind == "affine":
             return {"kind": "affine", "beta": self.beta, "alpha": self.alpha,
@@ -149,7 +134,7 @@ class NeighborhoodSpec:
         def num(key):
             return _finite_number(d[key], f"neighbourhood.{key}")
 
-        n_samples = d.get("n_samples", _DEFAULT_OSC_SAMPLES)
+        n_samples = _object(d, "neighbourhood").get("n_samples", _DEFAULT_OSC_SAMPLES)
         if d["kind"] == "affine":
             return affine_box(num("beta"), num("alpha"), n_samples)
         if d["kind"] == "tf":
@@ -415,7 +400,7 @@ class KernelOperator:
     The fast path's kernel block spectra depend on K alone, so they are
     computed here once and reused by every :meth:`apply`.  When storing
     them would take more than ``_SPECTRA_BYTE_LIMIT`` bytes, each apply
-    recomputes them instead (same numbers, bounded memory).  ``apply(F)``
+    is ``convolve(F, K)``, which streams them (bounded memory).  ``apply(F)``
     equals ``convolve(F, K)`` bit for bit, truncation report included.
     """
 
@@ -433,12 +418,11 @@ class KernelOperator:
         return self._spectra is not None
 
     def apply(self, F: GroupField) -> GroupField:
+        if not self.stored:
+            return convolve(F, self.K)
         _check_affine_pair(F, self.K)
-        if self.stored:
-            vals = _apply_spectra(F, self._spectra, scratch=False)
-        else:
-            vals = _apply_spectra(F, _kernel_spectra(self.K), scratch=True)
-        return _with_truncation(F, vals, self._right_edge)
+        return _with_truncation(F, _apply_spectra(F, self._spectra, scratch=False),
+                                self._right_edge)
 
 
 def tf_convolve(F: GroupField, G: GroupField) -> GroupField:

@@ -335,8 +335,9 @@ def frame_bounds_empirical(
     m: WeightSpec | None = None,
     ensemble: int = 20,
     seed: int = 0,
-    quad: GroupQuadrature | None = None,
-    band: tuple | None = None,
+    *,
+    quad: GroupQuadrature,
+    band: tuple = (0.1, 1.0),
     envelope_width: float | None = None,
 ) -> BoundsReport:
     """Sampled-to-continuous norm ratios over an ensemble of random signals.
@@ -348,12 +349,8 @@ def frame_bounds_empirical(
     """
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
-    if quad is None:
-        raise ValueError("an evaluation chart is required")
     rng = np.random.default_rng(seed)
     is_affine = isinstance(lat, AffineLattice)
-    if band is None:
-        band = (0.1, 1.0)
     # every draw lands on one grid, so the STFT operator built on the first serves all
     stft_op = None
     ratios = []
@@ -364,10 +361,8 @@ def frame_bounds_empirical(
                 F = cwt(f, window, quad)
             else:
                 if stft_op is None:
-                    stft_op = _stft_operator(f, window, (quad.x0, quad.dx, quad.n_x),
-                                             (quad.w0, quad.dw, quad.n_w))
-                tf_quad, op = stft_op
-                F = GroupField(tf_quad, op.analyze(f.values).reshape(tf_quad.shape))
+                    stft_op = _stft_operator(f, window, quad)
+                F = GroupField(quad, stft_op.analyze(f.values).reshape(quad.shape))
             denom = lpm_norm(F, p, m)
             if denom > 0:
                 break

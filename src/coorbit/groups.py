@@ -269,7 +269,7 @@ class GroupQuadrature:
         def count(key):
             return _integer(d[key], f"quadrature.{key}")
 
-        if d.get("group") == "affine":
+        if _object(d, "quadrature").get("group") == "affine":
             return build_affine_quadrature(
                 num("b_lo"), num("b_hi"), count("n_b"), num("a_min"), num("a_max"),
                 count("n_scales"), _integers(d["signs"], "quadrature.signs"),
@@ -309,6 +309,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _object(value, key: str) -> dict:
+    """``value`` itself if it is a dict (a JSON object); anything else raises."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {type(value).__name__}")
+    return value
+
+
 def _integers(values, key: str) -> tuple:
     """A config list of integers as a tuple of ``int``."""
     if not isinstance(values, (list, tuple)):
@@ -339,7 +346,7 @@ def _complex_samples(d: dict) -> np.ndarray:
 
 def _sign_branches(signs) -> tuple:
     """Affine sign branches as a tuple of ints: a nonempty subset of {+1, -1}, each once."""
-    signs = tuple(int(s) for s in signs)
+    signs = tuple(_integer(s, f"signs[{i}]") for i, s in enumerate(signs))
     if not signs or any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be a nonempty subset of {+1, -1}")
     if len(set(signs)) != len(signs):

@@ -441,14 +441,6 @@ class SampledSequence:
     def coverage(self) -> float:
         return float(np.mean(self.in_chart))
 
-    def to_dict(self) -> dict:
-        return {
-            "lattice": self.lattice.to_dict(),
-            "re": self.values.real.tolist(),
-            "im": self.values.imag.tolist(),
-            "in_chart": self.in_chart.astype(int).tolist(),
-        }
-
 
 def _interpolate_at(F: GroupField, lat, c1, c2):
     """Field values at points of ``lat``'s group, with the in-chart mask."""
@@ -467,11 +459,17 @@ def _group_kind(lat) -> str:
     return "affine" if isinstance(lat, AffineLattice) else "tf"
 
 
-def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
-    """Discrete norm ``(sum |c_i|^p m(x_i)^p)^(1/p)`` (max at p = inf)."""
+def _coefficients(c, lat) -> np.ndarray:
+    """One value per point of ``lat``, from a ``SampledSequence`` or an array."""
     vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
     if vals.size != lat.n_points:
         raise ValueError("sequence length does not match the lattice")
+    return vals
+
+
+def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
+    """Discrete norm ``(sum |c_i|^p m(x_i)^p)^(1/p)`` (max at p = inf)."""
+    vals = _coefficients(c, lat)
     kind = _group_kind(lat)
     weights = eval_weight_at(m if m is not None else unit_weight(kind), kind,
                              *lat.point_arrays())
@@ -549,7 +547,7 @@ def norm_equivalence_check(
     overlap; a zero sequence passes by convention.
     """
     m_eval = m if m is not None else unit_weight(_group_kind(lat))
-    vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
+    vals = _coefficients(c, lat)
     seq_norm = seq_lpm_norm(vals, p, m_eval, lat)
     if quad is None:
         quad = covering_quadrature(lat, U)
@@ -587,10 +585,10 @@ class BUPU:
     covered point (points on shared boundaries are split evenly among the
     covering tiles).
 
-    The partition stores its map from chart nodes to covering tiles:
-    ``(pair_nodes, pair_tiles)`` are the (flat chart node, lattice flat
-    index) incidences in accumulation order.  ``active_tiles`` are the
-    distinct lattice indices that hold a chart node, ``active_points``
+    The partition stores its map from chart nodes to covering tiles, one
+    entry per (chart node, tile) incidence in accumulation order:
+    ``pair_nodes`` holds the flat chart node.  ``active_tiles`` are the
+    distinct lattice flat indices that hold a chart node, ``active_points``
     their lattice points, and ``pair_active`` the position of each pair's
     tile among them.  Synthesis on the chart reads only these tiles.
     """
@@ -600,7 +598,6 @@ class BUPU:
     quad: GroupQuadrature
     counts: np.ndarray
     pair_nodes: np.ndarray
-    pair_tiles: np.ndarray
     active_tiles: np.ndarray
     active_points: tuple
     pair_active: np.ndarray
@@ -696,7 +693,7 @@ def build_bupu(lat, U: NeighborhoodSpec, quad: GroupQuadrature) -> BUPU:
     nodes, tiles, n = _cover_pairs(lat, U, pts[0], pts[1])
     counts = np.bincount(nodes, minlength=n).reshape(quad.shape)
     active, pair_active = np.unique(tiles, return_inverse=True)
-    return BUPU(lat, U, quad, counts, nodes, tiles, active, lat.point_arrays(active),
+    return BUPU(lat, U, quad, counts, nodes, active, lat.point_arrays(active),
                 pair_active, {"probe_size": report.n_probe})
 
 
@@ -710,7 +707,5 @@ def _synthesize_pairs(bupu: BUPU, pair_values) -> GroupField:
 
 def bupu_synthesize(c, bupu: BUPU) -> GroupField:
     """Field ``sum_i c_i phi_i`` on the partition's chart."""
-    vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
-    if vals.size != bupu.lattice.n_points:
-        raise ValueError("coefficient length does not match the lattice")
-    return _synthesize_pairs(bupu, vals[bupu.pair_tiles])
+    vals = _coefficients(c, bupu.lattice)
+    return _synthesize_pairs(bupu, vals[bupu.active_tiles][bupu.pair_active])

@@ -223,8 +223,8 @@ def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
     are exact, others interpolate linearly.  The chart's rows are one
     :class:`_TFOperator` analysis.
     """
-    quad, op = _stft_operator(f, g, x_grid, w_grid)
-    return GroupField(quad, op.analyze(f.values).reshape(quad.shape))
+    quad = build_tf_quadrature(*x_grid, *w_grid)
+    return GroupField(quad, _stft_operator(f, g, quad).analyze(f.values).reshape(quad.shape))
 
 
 # |M dw dt - 1| below which dw dt counts as exactly 1/M
@@ -307,23 +307,22 @@ class _TFOperator:
         return np.conj(P.sum(axis=0))
 
 
-def _stft_operator(f: SampledSignal, g: SampledSignal, x_grid, w_grid):
-    """The chart of ``stft(f, g, x_grid, w_grid)`` and its operator on ``f``'s grid."""
+def _stft_operator(f: SampledSignal, g: SampledSignal, quad: GroupQuadrature) -> _TFOperator:
+    """The STFT operator of window ``g`` on the TF chart ``quad``, on ``f``'s grid."""
+    if quad.kind != "tf":
+        raise ValueError("the STFT needs a TF chart")
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
-    quad = build_tf_quadrature(*x_grid, *w_grid)
-    return quad, _TFOperator(g, quad.x_grid(), f.t0, f.dt, quad.w0, quad.dw, quad.n_w)
+    return _TFOperator(g, quad.x_grid(), f.t0, f.dt, quad.w0, quad.dw, quad.n_w)
 
 
 def istft(V: GroupField, g: SampledSignal) -> SampledSignal:
     """``|g|^-2 sum V(x,w) M_w T_x g dx dw``: the STFT operator's adjoint, scaled."""
     quad = V.quad
-    if quad.kind != "tf":
-        raise ValueError("istft needs a TF field")
+    op = _stft_operator(g, g, quad)
     gnorm2 = l2_norm(g) ** 2
     if gnorm2 == 0.0:
         raise ValueError("zero window")
-    op = _TFOperator(g, quad.x_grid(), g.t0, g.dt, quad.w0, quad.dw, quad.n_w)
     vals = op.synthesize(V.values) * (quad.dx * quad.dw) / gnorm2
     return SampledSignal(g.t0, g.dt, vals)
 
@@ -333,11 +332,7 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     if quad.kind == "affine":
         _admissible_constant(psi, "kernel needs an admissible window")
         return cwt(psi, psi, quad)
-    return stft(
-        psi, psi,
-        (quad.x0, quad.dx, quad.n_x),
-        (quad.w0, quad.dw, quad.n_w),
-    )
+    return GroupField(quad, _stft_operator(psi, psi, quad).analyze(psi.values).reshape(quad.shape))
 
 
 def duflo_moore_wavelet(psi: SampledSignal) -> SampledSignal:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import AffinePoint, HeisenbergPoint, _finite_float
+from .groups import AffinePoint, HeisenbergPoint, _finite_float, _object
 
 __all__ = [
     "WeightSpec",
@@ -77,7 +77,7 @@ class WeightSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "WeightSpec":
-        fam = d["family"]
+        fam = _object(d, "weight")["family"]
         if not isinstance(fam, str) or fam not in _FAMILIES:
             raise ValueError(f"unknown weight family {fam!r}")
         params = {k: _finite_float(d[k], f"weight.{k}") for k in _FAMILIES[fam][1]}
@@ -165,13 +165,6 @@ class ProbeReport:
     passed: bool
     worst: tuple = ()
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "pass": self.passed,
-            "detail": dict(self.detail),
-        }
 
 
 def _sample_points(group: str, samples: int, rng: np.random.Generator):

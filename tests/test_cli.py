@@ -440,6 +440,13 @@ class TestNonFiniteInputs:
         self._assert_rejected(capsys, out, "NaN")
 
 
+def _list_file(tmp_path):
+    """The path of a JSON file that holds a list, not an object."""
+    path = tmp_path / "list.json"
+    path.write_text("[0.0, 1.0]")
+    return str(path)
+
+
 class TestWrongTypedConfig:
     """A config value of the wrong type exits 2, naming it, before any file is written."""
 
@@ -483,6 +490,20 @@ class TestWrongTypedConfig:
         out.mkdir()
         return main([command, "--config", str(path), "--out-dir", str(out)]), out
 
+    @staticmethod
+    def _run_child(tmp_path, command, cfg):
+        """``_run`` in a child ``python -m coorbit.cli`` with an empty stdin; also its stderr."""
+        path = tmp_path / "cfg.json"
+        write_json(path, {"version": "coorbit/1", "command": command, **cfg})
+        out = tmp_path / "out"
+        out.mkdir()
+        src = str(Path(cb.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "coorbit.cli", command, "--config", str(path),
+             "--out-dir", str(out)], env=dict(os.environ, PYTHONPATH=src),
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stderr, out
+
     @pytest.mark.parametrize("command, key, edit, named", [
         ("certify-atom", "neighbourhood", {"n_samples": 7.5}, "n_samples"),
         ("design-lattice", "schedule", [1], "schedule"),
@@ -490,15 +511,30 @@ class TestWrongTypedConfig:
         ("frame-bounds", "band", 5, "band"),
         # a weight on the other group is refused before the field is written
         ("cwt/weight", "weight", {"family": "poly_tf", "r": 1.0}, "weight on 'tf'"),
+        # a value of the wrong container type
+        ("cwt/weight", "weight", 5, "weight must be an object"),
+        ("cwt", "quadrature", 5, "quadrature must be an object"),
+        ("certify-atom", "neighbourhood", 5, "neighbourhood must be an object"),
+        ("stft", "x_grid", 5, "x_grid must be an object"),
+        ("moments", "signal", _list_file, "signal file"),
+        # an int where a path belongs would be opened as a file descriptor
+        ("frame-bounds", "lattice", 5, "lattice must be a file path"),
+        ("moments", "signal", 0, "signal must be a file path"),
     ])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file,
                                      command, key, edit, named):
         cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[command]
+        if callable(edit):
+            edit = edit(tmp_path)
         # a dict edit changes one entry of the (valid) nested object
         cfg[key] = {**cfg[key], **edit} if isinstance(edit, dict) else edit
-        rc, out = self._run(tmp_path, command.split("/")[0], cfg)
+        if key in ("signal", "lattice") and isinstance(edit, int):
+            # in this process the file descriptor would be the test runner's own
+            rc, err, out = self._run_child(tmp_path, command, cfg)
+        else:
+            rc, out = self._run(tmp_path, command.split("/")[0], cfg)
+            err = capsys.readouterr().err
         assert rc == 2
-        err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
@@ -749,6 +785,32 @@ class TestReconstructCommand:
         # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
         assert rep["tiles_finer_than_cells"] is True
         assert capsys.readouterr().err.count("finer than chart cells") == 1
+
+    def test_divergence_exit_4(self, tmp_path, mexhat_file, monkeypatch, capsys):
+        # a kernel scaled far above idempotence makes the loop expansive, as in
+        # test_divergence_detection: exit 4, the report written, no field
+        atom, psi = mexhat_file
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
+        K = cb.atom_kernel(psi, cb.GroupQuadrature.from_dict(quad))
+        monkeypatch.setattr(cli, "atom_kernel", lambda *_: K.with_values(25.0 * K.values))
+        field_path = tmp_path / "field.json"
+        write_json(field_path, K.to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(atom), "quadrature": quad,
+            "neighbourhood": {"kind": "affine", "beta": 0.2, "alpha": 1.2},
+            "lattice": {"type": "affine", "alpha": 1.2, "beta": 0.2,
+                        "j": [-4, 4], "k": [-22, 22], "signs": [1, -1]},
+            "field": str(field_path),
+        })
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 4
+        assert "residual grew" in capsys.readouterr().err
+        rep = json.loads((out / "reconstruct.report.json").read_text())
+        assert rep["converged"] is False and rep["iterations"] >= 3
+        assert not (out / "reconstruct.field.json").exists()
 
     def test_gaussian_atom_not_admissible(self, tmp_path, gauss_file, capsys):
         # a Gaussian has a nonzero mean: exit 3, and no report is written

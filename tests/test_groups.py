@@ -227,6 +227,17 @@ def test_non_finite_geometry_refused(construct):
         construct()
 
 
+@pytest.mark.parametrize("sign", [1.5, True])
+@pytest.mark.parametrize("construct", [
+    lambda signs: build_affine_quadrature(-1, 1, 8, 0.5, 2, 3, signs),
+    lambda signs: cb.AffineLattice(2.0, 1.0, -2, 2, -4, 4, signs),
+])
+def test_sign_branch_read_as_an_integer(construct, sign):
+    # as in a config: 1.5 does not truncate to 1, and True is not a number
+    with pytest.raises(ValueError, match=r"signs\[0\] must be"):
+        construct((sign, -1))
+
+
 class TestLeftTranslation:
     def test_identity_translation(self):
         quad = build_affine_quadrature(-4, 4, 64, 0.25, 4.0, 33, (1, -1))

@@ -12,6 +12,7 @@ from coorbit.lattices import (
     _TIE_EPS,
     AffineLattice,
     TFLattice,
+    _cover_pairs,
     build_bupu,
     bupu_synthesize,
     cover_counts,
@@ -192,6 +193,39 @@ class TestNormEquivalence:
         assert rep.passed
 
 
+class TestModerationWindow:
+    """The norm-equivalence window is the closed form of each weight family's bound."""
+
+    @staticmethod
+    def _case(group):
+        if group == "affine":
+            lat = AffineLattice(2.0, 1.0, -3, 3, -8, 8, (1, -1))
+            U = affine_box(1.0, 2.0)
+            return lat, U, covering_quadrature(lat, U, cells_per_tile=4)
+        lat = TFLattice.separable(0.5, 0.5, (-8, 8), (-8, 8))
+        return lat, tf_box(0.5, 1.0), build_tf_quadrature(-4, 0.125, 65, -4, 0.125, 65)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("group, m, bound", [
+        ("affine", cb.power_scale(-1.5), 2.0**0.75),  # alpha_U^(|s|/2)
+        ("affine", cb.symmetric_power(1.0), 2.0**0.5),  # alpha_U^(rho/2)
+        ("tf", cb.poly_tf(1.0, 2.0), 1.25 * 1.5**2),  # (1 + beta_x/2)^r (1 + beta_w/2)^s
+        # a custom weight's bound is its max over U's offsets: b = 1/2; |x| = 1/4, |w| = 1/2
+        ("affine", cb.custom_weight(lambda b, a: 1.0 + b**2, "affine"), 1.25),
+        ("tf", cb.custom_weight(lambda x, w: 1.0 + x + w, "tf"), 1.75),
+    ])
+    def test_window_is_the_closed_form(self, group, m, bound, p):
+        lat, U, quad = self._case(group)
+        c = np.random.default_rng(7).normal(size=lat.n_points)
+        rep = norm_equivalence_check(c, p, m, lat, U, quad)
+        root = U.haar_mass() ** (1 / p)
+        n = max(rep.max_overlap, 1)
+        window = (1 / bound, n * bound) if math.isinf(p) else (
+            root / bound, root * n ** (1 - 1 / p) * bound)
+        assert rep.window == pytest.approx(window, rel=1e-12)
+        assert rep.heuristic_window is (m.family == "custom")
+
+
 class TestBUPU:
     def test_exact_tiling_partition(self, lat12, quad12):
         U = affine_box(1.0, 2.0)
@@ -330,7 +364,9 @@ class TestCompiledStep:
         bupu = build_bupu(lat12, U, quad12)
         b, a = quad12.node_points()
         assert np.array_equal(bupu.counts.ravel(), cover_counts(lat12, U, b, a))
-        assert np.array_equal(bupu.active_tiles[bupu.pair_active], bupu.pair_tiles)
+        nodes, tiles, _ = _cover_pairs(lat12, U, b, a)
+        assert np.array_equal(bupu.pair_nodes, nodes)
+        assert np.array_equal(bupu.active_tiles[bupu.pair_active], tiles)
         pb, pa = lat12.point_arrays()
         assert np.array_equal(bupu.active_points[0], pb[bupu.active_tiles])
         assert np.array_equal(bupu.active_points[1], pa[bupu.active_tiles])
