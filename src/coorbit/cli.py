@@ -2,7 +2,8 @@
 
 Every subcommand reads a JSON config (``--config`` plus ``--key value``
 overrides), runs one library pipeline, and writes JSON artifacts into
-``--out-dir``.  The CLI adds no computation of its own; every number in
+``--out-dir``, each named after the config's ``out`` stem, which must be
+one file name.  The CLI adds no computation of its own; every number in
 an output file is reproducible by the corresponding library call.
 
 Exit codes: 0 success/pass, 2 I/O or config errors (including a
@@ -49,10 +50,6 @@ _EXIT_OK = 0
 _EXIT_IO = 2
 _EXIT_CERT = 3
 _EXIT_DIVERGED = 4
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _canon(obj):
@@ -149,22 +146,24 @@ def _write_field(path: Path, field: GroupField) -> None:
 
 
 def _reject_constant(token: str):
-    raise ConfigError(f"non-finite number {token} in JSON input")
+    raise ValueError(f"non-finite number {token} in JSON input")
 
 
 def _read_json(path, key: str) -> dict:
     """Parse the JSON object in the file at ``path``, the value of ``key``.
 
     A value that is not a path, a file that holds no object, and ``NaN``
-    or ``Infinity`` tokens are config errors.
+    or ``Infinity`` tokens raise ``ValueError``.
     """
     if not isinstance(path, str):  # an int would open a file descriptor
-        raise ConfigError(f"{key} must be a file path, got {path!r}")
+        raise ValueError(f"{key} must be a file path, got {path!r}")
     with open(path) as fh:
         try:
             d = json.load(fh, parse_constant=_reject_constant)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # a NaN/Infinity token: name the file
+            raise ValueError(f"{path}: {exc}") from None
     return _object(d, f"{key} file {path}")
 
 
@@ -179,108 +178,66 @@ def _load_signal(cfg: dict, key: str) -> SampledSignal:
     return SampledSignal.from_dict(_read_json(cfg[key], key))
 
 
-_ALLOWED_KEYS = {
-    "cwt": {"signal", "atom", "quadrature", "weight", "out"},
-    "stft": {"signal", "window", "x_grid", "w_grid", "weight", "out"},
-    "admissibility": {"atom", "out"},
-    "moments": {"signal", "k_max", "tol", "out"},
-    "certify-atom": {"atom", "kind", "quadrature", "weight", "neighbourhood",
-                     "rho", "r", "s", "tol", "out"},
-    "design-lattice": {"atom", "quadrature", "weight", "schedule", "out"},
-    "frame-bounds": {"window", "lattice", "quadrature", "p", "weight",
-                     "ensemble", "band", "out"},
-    "reconstruct": {"atom", "quadrature", "weight", "neighbourhood", "lattice",
-                    "field", "tol", "max_iter", "out"},
-}
-_COMMON_KEYS = {"version", "command", "seed"}
-
-
-def _validate_config(cfg: dict, command: str) -> dict:
-    if cfg.get("version") != FORMAT_VERSION:
-        raise ConfigError(
-            f"config version {cfg.get('version')!r} does not match {FORMAT_VERSION!r}"
-        )
-    allowed = _ALLOWED_KEYS[command] | _COMMON_KEYS
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    return cfg
-
-
 def _weight_from(cfg: dict, kind: str) -> WeightSpec:
     if "weight" in cfg and cfg["weight"] is not None:
         return WeightSpec.from_dict(cfg["weight"])
     return unit_weight(kind)
 
 
-def _field_stats(field, weight) -> dict:
-    return {
-        "l1": lpm_norm(field, 1.0, weight),
-        "l2": lpm_norm(field, 2.0, weight),
-        "linf": lpm_norm(field, math.inf, weight),
-    }
+def _write_transform(cfg: dict, out: Path, F: GroupField) -> int:
+    """Write ``<out>.field.json`` and the weighted norms in ``<out>.stats.json``.
 
-
-def cmd_cwt(cfg: dict, out_dir: Path) -> int:
-    f = _load_signal(cfg, "signal")
-    psi = _load_signal(cfg, "atom")
-    quad = GroupQuadrature.from_dict(cfg["quadrature"])
-    W = cwt(f, psi, quad)
-    stats = _field_stats(W, _weight_from(cfg, "affine"))
-    stem = cfg.get("out", "cwt")
-    _write_field(out_dir / f"{stem}.field.json", W)
-    _write_json(out_dir / f"{stem}.stats.json", stats)
+    The norms come first, so a weight that cannot be evaluated leaves no file.
+    """
+    weight = _weight_from(cfg, F.quad.kind)
+    stats = {"l1": lpm_norm(F, 1.0, weight), "l2": lpm_norm(F, 2.0, weight),
+             "linf": lpm_norm(F, math.inf, weight)}
+    _write_field(Path(f"{out}.field.json"), F)
+    _write_json(Path(f"{out}.stats.json"), stats)
     return _EXIT_OK
 
 
-def cmd_stft(cfg: dict, out_dir: Path) -> int:
-    f = _load_signal(cfg, "signal")
-    g = _load_signal(cfg, "window")
-    V = stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid"))
-    stats = _field_stats(V, _weight_from(cfg, "tf"))
-    stem = cfg.get("out", "stft")
-    _write_field(out_dir / f"{stem}.field.json", V)
-    _write_json(out_dir / f"{stem}.stats.json", stats)
-    return _EXIT_OK
+def cmd_cwt(cfg: dict, out: Path) -> int:
+    f, psi = _load_signal(cfg, "signal"), _load_signal(cfg, "atom")
+    return _write_transform(cfg, out, cwt(f, psi, GroupQuadrature.from_dict(cfg["quadrature"])))
 
 
-def cmd_admissibility(cfg: dict, out_dir: Path) -> int:
-    psi = _load_signal(cfg, "atom")
-    c = admissibility_constant(psi)
-    stem = cfg.get("out", "admissibility")
+def cmd_stft(cfg: dict, out: Path) -> int:
+    f, g = _load_signal(cfg, "signal"), _load_signal(cfg, "window")
+    return _write_transform(cfg, out, stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid")))
+
+
+def cmd_admissibility(cfg: dict, out: Path) -> int:
+    c = admissibility_constant(_load_signal(cfg, "atom"))
     if isinstance(c, NotAdmissible):
-        _write_json(out_dir / f"{stem}.json", {
-            "admissible": False,
-            "dc_magnitude": c.dc_magnitude,
-            "peak_magnitude": c.peak_magnitude,
-        })
+        rep = {"admissible": False, "dc_magnitude": c.dc_magnitude,
+               "peak_magnitude": c.peak_magnitude}
     else:
-        _write_json(out_dir / f"{stem}.json", {"admissible": True, "constant": c})
+        rep = {"admissible": True, "constant": c}
+    _write_json(Path(f"{out}.json"), rep)
     return _EXIT_OK
 
 
-def cmd_moments(cfg: dict, out_dir: Path) -> int:
+def cmd_moments(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "signal")
     k_max = _integer(cfg.get("k_max", 4), "k_max")
     tol = _finite_float(cfg.get("tol", 1e-6), "tol")
-    rep = moments(psi, k_max)
-    out = rep.to_dict()
-    out["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
-    _write_json(out_dir / f"{cfg.get('out', 'moments')}.json", out)
+    rep = moments(psi, k_max).to_dict()
+    rep["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
+    _write_json(Path(f"{out}.json"), rep)
     return _EXIT_OK
 
 
-def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
+def cmd_certify_atom(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "atom")
     kind = cfg.get("kind", "wavelet")
-    stem = cfg.get("out", "certificate")
-    out: dict = {"kind": kind}
+    rep: dict = {"kind": kind}
     passed = True
     if kind == "wavelet":
         if "rho" in cfg:
             suff = wavelet_atom_sufficient(psi, _finite_float(cfg["rho"], "rho"),
                                            _finite_float(cfg.get("tol", 1e-6), "tol"))
-            out["sufficiency"] = suff.to_dict()
+            rep["sufficiency"] = suff.to_dict()
             passed = passed and suff.passed
         if "quadrature" in cfg:
             quad = GroupQuadrature.from_dict(cfg["quadrature"])
@@ -289,30 +246,28 @@ def cmd_certify_atom(cfg: dict, out_dir: Path) -> int:
             try:
                 cert = atom_certificate(psi, quad, weight, U)
             except NotAdmissibleError as exc:
-                _write_json(out_dir / f"{stem}.json",
-                            {"kind": kind, "error": str(exc), "pass": False})
+                _write_json(Path(f"{out}.json"), {"kind": kind, "error": str(exc), "pass": False})
                 print(f"not admissible: {exc}", file=sys.stderr)
                 return _EXIT_CERT
-            out["certificate"] = cert.to_dict()
+            rep["certificate"] = cert.to_dict()
             passed = passed and cert.passed
     elif kind == "gabor":
         suff = stft_window_sufficient(psi, _finite_float(cfg.get("r", 0.0), "r"),
                                       _finite_float(cfg.get("s", 0.0), "s"))
-        out["sufficiency"] = suff.to_dict()
+        rep["sufficiency"] = suff.to_dict()
         passed = suff.passed
     else:
-        raise ConfigError(f"unknown certification kind {kind!r}")
-    out["pass"] = bool(passed)
-    _write_json(out_dir / f"{stem}.json", out)
+        raise ValueError(f"unknown certification kind {kind!r}")
+    rep["pass"] = bool(passed)
+    _write_json(Path(f"{out}.json"), rep)
     return _EXIT_OK if passed else _EXIT_CERT
 
 
-def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
+def cmd_design_lattice(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     sched = _object(cfg.get("schedule", {}), "schedule")
-    stem = cfg.get("out", "design")
     try:
         result = design_lattice(
             psi, quad, weight,
@@ -322,15 +277,15 @@ def cmd_design_lattice(cfg: dict, out_dir: Path) -> int:
             max_steps=_integer(sched.get("max_steps", 20), "schedule.max_steps"),
         )
     except DesignSearchError as exc:
-        _write_json(out_dir / f"{stem}.json", {
+        _write_json(Path(f"{out}.json"), {
             "pass": False, "best_q": exc.best_q, "q_history": list(exc.q_history),
         })
         print(str(exc), file=sys.stderr)
         return _EXIT_CERT
-    out = result.to_dict()
-    out["pass"] = True
-    _write_json(out_dir / f"{stem}.json", out)
-    _write_json(out_dir / f"{stem}.lattice.json", _companion_lattice(result, quad).to_dict())
+    rep = result.to_dict()
+    rep["pass"] = True
+    _write_json(Path(f"{out}.json"), rep)
+    _write_json(Path(f"{out}.lattice.json"), _companion_lattice(result, quad).to_dict())
     return _EXIT_OK
 
 
@@ -357,16 +312,16 @@ def _load_lattice(value):
         return AffineLattice.from_dict(d)
     if d.get("type") == "tf":
         return TFLattice.from_dict(d)
-    raise ConfigError("unknown lattice type")
+    raise ValueError("unknown lattice type")
 
 
-def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
+def cmd_frame_bounds(cfg: dict, out: Path) -> int:
     g = _load_signal(cfg, "window")
     lat = _load_lattice(cfg["lattice"])
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
-        raise ConfigError(f"band must be two numbers, got {band!r}")
+        raise ValueError(f"band must be two numbers, got {band!r}")
     band = (_finite_float(band[0], "band[0]"), _finite_float(band[1], "band[1]"))
     report = frame_bounds_empirical(
         g, lat, p=_finite_float(cfg.get("p", 2.0), "p"),
@@ -375,11 +330,11 @@ def cmd_frame_bounds(cfg: dict, out_dir: Path) -> int:
         seed=_integer(cfg.get("seed", 0), "seed"),
         quad=quad, band=band,
     )
-    _write_json(out_dir / f"{cfg.get('out', 'bounds')}.json", report.to_dict())
+    _write_json(Path(f"{out}.json"), report.to_dict())
     return _EXIT_OK
 
 
-def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
+def cmd_reconstruct(cfg: dict, out: Path) -> int:
     tol = _finite_float(cfg.get("tol", 1e-3), "tol")
     max_iter = _integer(cfg.get("max_iter", 100), "max_iter")
     psi = _load_signal(cfg, "atom")
@@ -388,7 +343,6 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
-    stem = cfg.get("out", "reconstruct")
 
     K = atom_kernel(psi, quad)
     cert = _certificate_from_kernel(K, weight, U, quad.to_dict())
@@ -406,30 +360,42 @@ def cmd_reconstruct(cfg: dict, out_dir: Path) -> int:
             ground_truth=truth,
         )
     except ReconstructionDivergence as exc:
-        _write_json(out_dir / f"{stem}.report.json", exc.report.to_dict())
+        _write_json(Path(f"{out}.report.json"), exc.report.to_dict())
         print(str(exc), file=sys.stderr)
         return _EXIT_DIVERGED
-    _write_field(out_dir / f"{stem}.field.json", rec)
-    out = report.to_dict()
-    out["certificate"] = cert.to_dict()
-    _write_json(out_dir / f"{stem}.report.json", out)
+    _write_field(Path(f"{out}.field.json"), rec)
+    rep = report.to_dict()
+    rep["certificate"] = cert.to_dict()
+    _write_json(Path(f"{out}.report.json"), rep)
     return _EXIT_OK
 
 
+# command: (handler, default output stem, config keys besides _COMMON_KEYS)
 _COMMANDS = {
-    "cwt": cmd_cwt,
-    "stft": cmd_stft,
-    "admissibility": cmd_admissibility,
-    "moments": cmd_moments,
-    "certify-atom": cmd_certify_atom,
-    "design-lattice": cmd_design_lattice,
-    "frame-bounds": cmd_frame_bounds,
-    "reconstruct": cmd_reconstruct,
+    "cwt": (cmd_cwt, "cwt", {"signal", "atom", "quadrature", "weight"}),
+    "stft": (cmd_stft, "stft", {"signal", "window", "x_grid", "w_grid", "weight"}),
+    "admissibility": (cmd_admissibility, "admissibility", {"atom"}),
+    "moments": (cmd_moments, "moments", {"signal", "k_max", "tol"}),
+    "certify-atom": (cmd_certify_atom, "certificate", {
+        "atom", "kind", "quadrature", "weight", "neighbourhood", "rho", "r", "s", "tol"}),
+    "design-lattice": (cmd_design_lattice, "design", {"atom", "quadrature", "weight", "schedule"}),
+    "frame-bounds": (cmd_frame_bounds, "bounds", {
+        "window", "lattice", "quadrature", "p", "weight", "ensemble", "band"}),
+    "reconstruct": (cmd_reconstruct, "reconstruct", {
+        "atom", "quadrature", "weight", "neighbourhood", "lattice", "field", "tol", "max_iter"}),
 }
+_COMMON_KEYS = {"version", "command", "seed", "out"}
+
+
+def _stem(value) -> str:
+    """The config's ``out``: one file name inside ``--out-dir``, never a path."""
+    if not isinstance(value, str) or value in ("", ".", "..") or {"/", os.sep} & set(value):
+        raise ValueError(f"out must be one file name, got {value!r}")
+    return value
 
 
 def _parse_override(value: str):
-    """A JSON value, or the raw string; ``NaN``/``Infinity`` are config errors."""
+    """A JSON value, or the raw string; ``NaN``/``Infinity`` raise ``ValueError``."""
     try:
         return json.loads(value, parse_constant=_reject_constant)
     except json.JSONDecodeError:
@@ -458,19 +424,22 @@ def main(argv=None) -> int:
     for key, value in args.set:
         try:
             cfg[key] = _parse_override(value)
-        except ConfigError as exc:
-            print(f"config error: --set {key}: {exc}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"invalid input: --set {key}: {exc}", file=sys.stderr)
             return _EXIT_IO
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("command", args.command)
 
+    handler, stem, keys = _COMMANDS[args.command]
     try:
-        cfg = _validate_config(cfg, args.command)
-        return _COMMANDS[args.command](cfg, Path(args.out_dir))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        if cfg.get("version") != FORMAT_VERSION:
+            raise ValueError(
+                f"config version {cfg.get('version')!r} does not match {FORMAT_VERSION!r}")
+        unknown = set(cfg) - keys - _COMMON_KEYS
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        return handler(cfg, Path(args.out_dir) / _stem(cfg.get("out", stem)))
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return _EXIT_IO

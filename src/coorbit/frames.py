@@ -350,7 +350,7 @@ def frame_bounds_empirical(
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     rng = np.random.default_rng(seed)
-    is_affine = isinstance(lat, AffineLattice)
+    is_affine = lat.kind == "affine"
     # every draw lands on one grid, so the STFT operator built on the first serves all
     stft_op = None
     ratios = []
@@ -487,8 +487,6 @@ def design_lattice(
     beta0: float = 1.0,
     gamma: float = 0.7,
     max_steps: int = 20,
-    n_samples: int = 7,
-    rho_tol: float = 1e-6,
 ) -> DesignResult:
     """Shrink ``(alpha_n, beta_n) = (1 + (alpha0-1) gamma^n, beta0 gamma^n)``
     until the frame certificate passes.
@@ -500,7 +498,7 @@ def design_lattice(
     if max_steps < 1:
         raise DesignSearchError("iteration cap reached before any candidate", math.inf, [])
     if w.family == "symmetric_power":
-        suff = wavelet_atom_sufficient(psi, w.rho, rho_tol)
+        suff = wavelet_atom_sufficient(psi, w.rho)
         if not suff.passed:
             raise ValueError(
                 f"window has {suff.vanishing_moments} vanishing moments; "
@@ -514,7 +512,7 @@ def design_lattice(
     for n in range(max_steps):
         alpha_n = 1.0 + (alpha0 - 1.0) * gamma**n
         beta_n = beta0 * gamma**n
-        U = affine_box(beta_n, alpha_n, n_samples)
+        U = affine_box(beta_n, alpha_n)
         cert = _certificate_from_kernel(K, w, U, chart, kernel_l1w)
         q_history.append(cert.q)
         best_q = min(best_q, cert.q)

@@ -56,12 +56,14 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-9  # index-space slack so shared tile boundaries count both sides
+_COVERING_MAX_NODES = 2_000_000  # covering_quadrature halves its b-nodes below this
 
 
 @dataclass(frozen=True)
 class AffineLattice:
     """``(eps alpha^j beta k, eps alpha^j)`` over a finite index window."""
 
+    kind = "affine"
     alpha: float
     beta: float
     j_min: int
@@ -142,6 +144,7 @@ class AffineLattice:
 class TFLattice:
     """Scaled plane lattice ``c A Z^2``; separable when A is diagonal."""
 
+    kind = "tf"
     generator: np.ndarray  # 2x2, invertible
     scale: float = 1.0
     n1_min: int = 0
@@ -236,8 +239,6 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
     and ``|eps alpha^{-j} b - beta k| <= beta_U / 2``; both conditions
     are solved for integer (j, k) directly.
     """
-    if U.kind != "affine":
-        raise ValueError("affine lattice needs an affine neighbourhood")
     nodes, tiles = [], []
     ln_alpha = math.log(lat.alpha)
     half_u = math.log(U.alpha) / (2 * ln_alpha)
@@ -274,8 +275,6 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
 
 
 def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
-    if U.kind != "tf":
-        raise ValueError("tf lattice needs a tf neighbourhood")
     nodes, tiles = [], []
     gen_inv = np.linalg.inv(lat.scale * lat.generator)
     # integer coordinates of candidate lattice points around each query
@@ -312,6 +311,14 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     return nodes, tiles
 
 
+def _same_group(lat, *parts) -> None:
+    """Refuse a neighbourhood or chart that lives on another group than ``lat``."""
+    for part in parts:
+        if part.kind != lat.kind:
+            raise ValueError(f"lattice on {lat.kind!r} with a {type(part).__name__} "
+                             f"on {part.kind!r}")
+
+
 def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     """Every ``(point, tile)`` incidence of the query points, and their number.
 
@@ -320,9 +327,10 @@ def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     membership code path behind cover counts, cover sums and the
     partition's stored map.
     """
+    _same_group(lat, U)
     c1 = np.asarray(c1, dtype=float).ravel()
     c2 = np.asarray(c2, dtype=float).ravel()
-    cover = _affine_cover if isinstance(lat, AffineLattice) else _tf_cover
+    cover = _affine_cover if lat.kind == "affine" else _tf_cover
     nodes, tiles = cover(lat, U, c1, c2)
     empty = [np.zeros(0, dtype=np.int64)]
     return np.concatenate(empty + nodes), np.concatenate(empty + tiles), c1.size
@@ -394,13 +402,12 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     ``atil`` in ``[1/alpha_K, alpha_K]`` and ``|btil| <= (1 + atil)
     beta_K / 2``; the TF condition is the difference box.
     """
+    _same_group(lat, K)
     b, a = lat.point_arrays()
     n = b.size
     max_count = 0
     chunk = max(1, int(2e7) // max(n, 1))
-    if isinstance(lat, AffineLattice):
-        if K.kind != "affine":
-            raise ValueError("affine lattice needs an affine neighbourhood")
+    if lat.kind == "affine":
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             atil = a[lo:hi, None] / a[None, :]
@@ -413,8 +420,6 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
             )
             max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
     else:
-        if K.kind != "tf":
-            raise ValueError("tf lattice needs a tf neighbourhood")
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             ok = (np.abs(b[lo:hi, None] - b[None, :]) <= K.beta_x + _TIE_EPS) & (
@@ -444,7 +449,7 @@ class SampledSequence:
 
 def _interpolate_at(F: GroupField, lat, c1, c2):
     """Field values at points of ``lat``'s group, with the in-chart mask."""
-    if isinstance(lat, AffineLattice):
+    if lat.kind == "affine":
         return affine_field_interpolate(F, c1, c2, with_mask=True)
     return tf_field_interpolate(F, c1, c2, with_mask=True)
 
@@ -453,10 +458,6 @@ def sample_field(F: GroupField, lat) -> SampledSequence:
     """Interpolated field values at the lattice points (out-of-chart flagged)."""
     vals, mask = _interpolate_at(F, lat, *lat.point_arrays())
     return SampledSequence(lat, vals, mask, {"coverage": float(np.mean(mask))})
-
-
-def _group_kind(lat) -> str:
-    return "affine" if isinstance(lat, AffineLattice) else "tf"
 
 
 def _coefficients(c, lat) -> np.ndarray:
@@ -470,17 +471,14 @@ def _coefficients(c, lat) -> np.ndarray:
 def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
     """Discrete norm ``(sum |c_i|^p m(x_i)^p)^(1/p)`` (max at p = inf)."""
     vals = _coefficients(c, lat)
-    kind = _group_kind(lat)
-    weights = eval_weight_at(m if m is not None else unit_weight(kind), kind,
+    weights = eval_weight_at(m if m is not None else unit_weight(lat.kind), lat.kind,
                              *lat.point_arrays())
     return _p_norm(vals, weights, p)
 
 
-def covering_quadrature(
-    lat, U: NeighborhoodSpec, cells_per_tile: int = 6, max_nodes: int = 2_000_000
-) -> GroupQuadrature:
+def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> GroupQuadrature:
     """Affine chart that contains every tile of the (finite) lattice."""
-    if not isinstance(lat, AffineLattice):
+    if lat.kind != "affine":
         raise ValueError("covering charts are built for affine lattices")
     b, a = lat.point_arrays()
     half_b = np.abs(a) * U.beta / 2
@@ -490,12 +488,12 @@ def covering_quadrature(
     a_min = float(np.min(a_abs) / math.sqrt(U.alpha))
     a_max = float(np.max(a_abs) * math.sqrt(U.alpha))
     smallest_tile = float(np.min(a_abs)) * U.beta
-    n_b = int(min(max_nodes, math.ceil((b_hi - b_lo) / smallest_tile * cells_per_tile)))
+    n_b = int(min(_COVERING_MAX_NODES, math.ceil((b_hi - b_lo) / smallest_tile * cells_per_tile)))
     n_scales = int(
         math.ceil((math.log(a_max) - math.log(a_min)) / math.log(U.alpha) * cells_per_tile)
     ) + 1
     signs = tuple(lat.signs)
-    while n_b * n_scales * len(signs) > max_nodes:
+    while n_b * n_scales * len(signs) > _COVERING_MAX_NODES:
         n_b = max(2, n_b // 2)
         if n_b == 2:
             break
@@ -546,7 +544,7 @@ def norm_equivalence_check(
     the weight family, the Haar mass of U and the measured maximal tile
     overlap; a zero sequence passes by convention.
     """
-    m_eval = m if m is not None else unit_weight(_group_kind(lat))
+    m_eval = m if m is not None else unit_weight(lat.kind)
     vals = _coefficients(c, lat)
     seq_norm = seq_lpm_norm(vals, p, m_eval, lat)
     if quad is None:
@@ -657,10 +655,11 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
     the window ends and shifts within one tile of the k-range ends do not
     enter the verdict.
     """
+    _same_group(lat, U, quad)
     pts = quad.node_points()
     c1 = np.asarray(pts[0], dtype=float).ravel()
     c2 = np.asarray(pts[1], dtype=float).ravel()
-    if isinstance(lat, AffineLattice):
+    if lat.kind == "affine":
         a_lo = lat.alpha**lat.j_min * math.sqrt(lat.alpha)
         a_hi = lat.alpha**lat.j_max / math.sqrt(lat.alpha)
         ok = (np.abs(c2) >= a_lo) & (np.abs(c2) <= a_hi)

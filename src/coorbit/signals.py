@@ -250,15 +250,13 @@ def fourier(f: SampledSignal) -> Spectrum:
     return Spectrum(w[0], dw, vals, t_origin=f.t0)
 
 
-def inverse_fourier(spec: Spectrum, t0=None) -> SampledSignal:
+def inverse_fourier(spec: Spectrum) -> SampledSignal:
     """Inverse of :func:`fourier`; restores the carried time origin."""
     n = spec.n
     dt = 1.0 / (n * spec.dw)
-    t0 = spec.t_origin if t0 is None else float(t0)
-    w = spec.grid()
-    phased = spec.values * np.exp(2j * np.pi * t0 * w)
+    phased = spec.values * np.exp(2j * np.pi * spec.t_origin * spec.grid())
     vals = np.fft.ifft(np.fft.ifftshift(phased)) / dt
-    return SampledSignal(t0, dt, vals)
+    return SampledSignal(spec.t_origin, dt, vals)
 
 
 def _complex_interp(tq, t, values):

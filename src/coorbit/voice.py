@@ -177,7 +177,7 @@ def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupFie
     return GroupField(quad, out, meta)
 
 
-def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> SampledSignal:
+def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
     """Inverse wavelet transform, scale-by-scale in the spectral domain.
 
     Accumulates ``C^-2 |a|^(1/2) F_b[W(., a)](w) psihat(a w) du/|a|``
@@ -188,8 +188,7 @@ def icwt(W: GroupField, psi: SampledSignal, c_psi: float | None = None) -> Sampl
         raise ValueError("icwt needs an affine field")
     if not _b_grid_matches(quad, psi):
         raise ValueError("quadrature b-grid must match the window grid")
-    if c_psi is None:
-        c_psi = _admissible_constant(psi, "icwt needs an admissible window")
+    c_psi = _admissible_constant(psi, "icwt needs an admissible window")
     if c_psi <= 0:
         raise NotAdmissibleError("admissibility constant must be positive")
 

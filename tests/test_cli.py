@@ -641,6 +641,25 @@ class TestWrongTypedConfig:
         assert "duplicate sign branch" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("stem", ["../escaped", "sub/dir", "", ".", "..", 5, True, "run.v2"])
+    def test_out_is_one_file_name(self, tmp_path, capsys, mexhat_file, stem):
+        # a stem that is not one file name would write outside --out-dir or
+        # into a hidden or nested file; a dotted name is still one file name
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "admissibility",
+                         "atom": str(mexhat_file[0]), "out": stem})
+        out = tmp_path / "od"
+        before = set(tmp_path.rglob("*"))
+        rc = main(["admissibility", "--config", str(cfg), "--out-dir", str(out)])
+        new = set(tmp_path.rglob("*")) - before
+        if stem == "run.v2":
+            assert rc == 0 and new == {out, out / "run.v2.json"}
+            return
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "invalid input: out must be" in err and "Traceback" not in err
+        assert new == set()
+
 
 class TestNonFiniteOutputs:
     """A non-finite value in an output array exits 2 and writes no file."""

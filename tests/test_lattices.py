@@ -267,6 +267,17 @@ class TestBUPU:
         counts = cover_counts(lat12, U, *default_density_probe(quad12, lat12, U))
         assert int(np.max(counts)) <= c_u
 
+    @pytest.mark.parametrize("lat, U, quad", [
+        (AffineLattice(2.0, 1.0, -2, 2, -6, 6), affine_box(1.0, 2.0),
+         build_tf_quadrature(0.5, 0.25, 8, 0.5, 0.25, 8)),
+        (TFLattice.separable(0.5, 0.5, (-4, 4), (-4, 4)), tf_box(0.5, 0.5),
+         build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
+    ])
+    def test_chart_on_another_group_raises(self, lat, U, quad):
+        # the chart's (x, w) nodes are not (b, a) points, nor the reverse
+        with pytest.raises(ValueError, match="GroupQuadrature on"):
+            build_bupu(lat, U, quad)
+
     def test_density_failure_raises(self):
         lat = AffineLattice(4.0, 2.0, -2, 2, -8, 8, (1, -1))
         quad = covering_quadrature(lat, affine_box(2.0, 4.0), cells_per_tile=6)
