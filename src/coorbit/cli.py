@@ -228,9 +228,21 @@ def cmd_moments(cfg: dict, out: Path) -> int:
     return _EXIT_OK
 
 
+# config keys each certify-atom kind reads, besides "atom" and "kind"
+_CERTIFY_KEYS = {"wavelet": {"rho", "tol", "quadrature", "weight", "neighbourhood"},
+                 "gabor": {"r", "s"}}
+
+
 def cmd_certify_atom(cfg: dict, out: Path) -> int:
-    psi = _load_signal(cfg, "atom")
     kind = cfg.get("kind", "wavelet")
+    if kind not in ("wavelet", "gabor"):
+        raise ValueError(f"unknown certification kind {kind!r}")
+    unread = sorted(set(cfg) & _CERTIFY_KEYS["gabor" if kind == "wavelet" else "wavelet"])
+    if unread:
+        raise ValueError(f"certify-atom kind {kind!r} never reads config keys {unread}")
+    if kind == "wavelet" and not {"rho", "quadrature"} & set(cfg):
+        raise ValueError("certify-atom kind 'wavelet' needs rho, quadrature or both")
+    psi = _load_signal(cfg, "atom")
     rep: dict = {"kind": kind}
     passed = True
     if kind == "wavelet":
@@ -251,13 +263,11 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
                 return _EXIT_CERT
             rep["certificate"] = cert.to_dict()
             passed = passed and cert.passed
-    elif kind == "gabor":
+    else:
         suff = stft_window_sufficient(psi, _finite_float(cfg.get("r", 0.0), "r"),
                                       _finite_float(cfg.get("s", 0.0), "s"))
         rep["sufficiency"] = suff.to_dict()
         passed = suff.passed
-    else:
-        raise ValueError(f"unknown certification kind {kind!r}")
     rep["pass"] = bool(passed)
     _write_json(Path(f"{out}.json"), rep)
     return _EXIT_OK if passed else _EXIT_CERT
@@ -376,8 +386,8 @@ _COMMANDS = {
     "stft": (cmd_stft, "stft", {"signal", "window", "x_grid", "w_grid", "weight"}),
     "admissibility": (cmd_admissibility, "admissibility", {"atom"}),
     "moments": (cmd_moments, "moments", {"signal", "k_max", "tol"}),
-    "certify-atom": (cmd_certify_atom, "certificate", {
-        "atom", "kind", "quadrature", "weight", "neighbourhood", "rho", "r", "s", "tol"}),
+    "certify-atom": (cmd_certify_atom, "certificate",
+                     {"atom", "kind", *_CERTIFY_KEYS["wavelet"], *_CERTIFY_KEYS["gabor"]}),
     "design-lattice": (cmd_design_lattice, "design", {"atom", "quadrature", "weight", "schedule"}),
     "frame-bounds": (cmd_frame_bounds, "bounds", {
         "window", "lattice", "quadrature", "p", "weight", "ensemble", "band"}),
@@ -436,6 +446,8 @@ def main(argv=None) -> int:
         if cfg.get("version") != FORMAT_VERSION:
             raise ValueError(
                 f"config version {cfg.get('version')!r} does not match {FORMAT_VERSION!r}")
+        if cfg["command"] != args.command:
+            raise ValueError(f"config command {cfg['command']!r} does not match {args.command!r}")
         unknown = set(cfg) - keys - _COMMON_KEYS
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")

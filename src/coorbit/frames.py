@@ -23,7 +23,7 @@ be tested by widening the chart, never extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +156,28 @@ class ReconstructionDivergence(RuntimeError):
     def __init__(self, message: str, report: ReconstructionReport):
         super().__init__(message)
         self.report = report
+
+
+def _fixed_point(step, x0, norm_b: float, tol: float, max_iter: int, **tiles):
+    """The loop of both frame iterations: ``x, res = step(x)`` until ``res <= tol * norm_b``.
+
+    Zero data (``norm_b == 0``) returns ``x0`` after one iteration of
+    residual zero.  Residual growth beyond 0.1% per step, three steps in
+    a row, raises :class:`ReconstructionDivergence` with the report;
+    stagnation at a consistency floor jitters but does not grow.
+    """
+    x, streak = x0, 0
+    history, converged = ([0.0], True) if norm_b == 0.0 else ([], False)
+    while not converged and len(history) < max_iter:
+        x, res = step(x)
+        streak = streak + 1 if history and res > history[-1] * 1.001 else 0
+        history.append(res)
+        converged = bool(res <= tol * norm_b)
+        if streak >= 3:
+            raise ReconstructionDivergence(
+                "residual grew for three consecutive iterations",
+                ReconstructionReport(len(history), tuple(history), False, **tiles))
+    return x, ReconstructionReport(len(history), tuple(history), converged, **tiles)
 
 
 class DesignSearchError(RuntimeError):
@@ -389,8 +411,8 @@ def neumann_reconstruct(
     ``Y`` is T applied to the (unknown) field with the known samples
     (a ``SampledSequence`` or one coefficient per lattice point);
     the iteration ``F <- Y + (F - T F)`` converges geometrically when
-    the certificate's q is below one.  Divergence (three consecutive
-    residual increases) raises, carrying the report; the q bound is a
+    the certificate's q is below one.  Divergence (three residual
+    increases in a row) raises, carrying the report; the q bound is a
     chart-truncated estimate and may be optimistic, so garbage is never
     returned silently.  Each iteration reads F only at the tiles that
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
@@ -415,43 +437,17 @@ def neumann_reconstruct(
         "tiles_finer_than_cells": bupu.tiles_finer_than_cells,
     }
     Y = project(bupu_synthesize(samples, bupu))
-    norm_y = field_l2_norm(Y)
-    if norm_y == 0.0:
-        report = ReconstructionReport(1, (0.0,), True, None, **tiles)
-        return Y, report
 
-    F = Y
-    history = []
-    prev = math.inf
-    streak = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    def step(F):
         TF = project(bupu.sample_synthesize(F))
         F_next = GroupField(K.quad, Y.values + F.values - TF.values)
-        res = field_l2_norm(GroupField(K.quad, F_next.values - F.values))
-        history.append(res)
-        # growth beyond 0.1% per step counts as divergence; stagnation at
-        # the chart-consistency floor jitters but does not grow
-        streak = streak + 1 if res > prev * 1.001 else 0
-        prev = res
-        F = F_next
-        if streak >= 3:
-            report = ReconstructionReport(iterations, tuple(history), False, None, **tiles)
-            raise ReconstructionDivergence(
-                "residual grew for three consecutive iterations", report
-            )
-        if res <= tol * norm_y:
-            converged = True
-            break
-    final_err = None
-    if ground_truth is not None:
-        denom = field_l2_norm(ground_truth)
-        if denom > 0:
-            final_err = field_l2_norm(
-                GroupField(K.quad, F.values - ground_truth.values)
-            ) / denom
-    report = ReconstructionReport(iterations, tuple(history), converged, final_err, **tiles)
+        return F_next, field_l2_norm(GroupField(K.quad, F_next.values - F.values))
+
+    F, report = _fixed_point(step, Y, field_l2_norm(Y), tol, max_iter, **tiles)
+    denom = 0.0 if ground_truth is None else field_l2_norm(ground_truth)
+    if denom > 0:
+        err = field_l2_norm(GroupField(K.quad, F.values - ground_truth.values)) / denom
+        report = replace(report, final_relative_error=err)
     return F, report
 
 
@@ -619,8 +615,9 @@ def frame_operator_invert(
 
     With ``lam = 2/(A+B)`` the iteration ``x <- x + lam (y - S x)``
     contracts at rate ``(B-A)/(B+A)``; near-tight frames converge in a
-    handful of steps.  The frame operator is built once per call, as one
-    :class:`GaborOperator`.
+    handful of steps.  Bounds too small for the frame make it diverge,
+    which raises as in :func:`neumann_reconstruct`.  The frame operator
+    is built once per call, as one :class:`GaborOperator`.
     """
     a, b = bounds
     if not (0 < a <= b < math.inf):
@@ -630,22 +627,12 @@ def frame_operator_invert(
     lam = 2.0 / (a + b)
     op = GaborOperator(g, lat)
 
-    x_vals = lam * y.values
-    norm_y = l2_norm(y)
-    history = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        resid = y.values - op.apply(x_vals)
-        x_vals = x_vals + lam * resid
-        res = float(np.sqrt(y.dt * np.sum(np.abs(resid) ** 2)))
-        history.append(res)
-        if norm_y > 0 and res <= tol * norm_y:
-            converged = True
-            break
-    return y.with_values(x_vals), ReconstructionReport(
-        iterations, tuple(history), converged, None
-    )
+    def step(x):
+        r = y.values - op.apply(x)
+        return x + lam * r, l2_norm(y.with_values(r))
+
+    x, report = _fixed_point(step, lam * y.values, l2_norm(y), tol, max_iter)
+    return y.with_values(x), report
 
 
 def besov_exponent(p, s):

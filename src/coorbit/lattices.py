@@ -436,7 +436,6 @@ class SampledSequence:
     lattice: object
     values: np.ndarray
     in_chart: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
@@ -457,7 +456,7 @@ def _interpolate_at(F: GroupField, lat, c1, c2):
 def sample_field(F: GroupField, lat) -> SampledSequence:
     """Interpolated field values at the lattice points (out-of-chart flagged)."""
     vals, mask = _interpolate_at(F, lat, *lat.point_arrays())
-    return SampledSequence(lat, vals, mask, {"coverage": float(np.mean(mask))})
+    return SampledSequence(lat, vals, mask)
 
 
 def _coefficients(c, lat) -> np.ndarray:

@@ -252,6 +252,42 @@ class TestOtherCommands:
                          "atom": str(gpath), "kind": "gabor", "r": 1.0, "s": 1.0})
         assert main(["certify-atom", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("kind, keys, named", [
+        # a wavelet run with neither rho nor quadrature certifies nothing
+        ("wavelet", {}, "needs rho, quadrature or both"),
+        ("wavelet", {"tol": 1e-6}, "needs rho, quadrature or both"),
+        # keys the kind never reads are refused, not ignored
+        ("wavelet", {"rho": 1.0, "r": 1.0, "s": 1.0}, "['r', 's']"),
+        ("gabor", {"rho": 1.0, "quadrature": quad_dict()}, "['quadrature', 'rho']"),
+        ("gabor", {"tol": 1e-6, "weight": {"family": "symmetric_power", "rho": 1.0},
+                   "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
+         "['neighbourhood', 'tol', 'weight']"),
+    ])
+    def test_certify_refuses_what_it_would_not_check(self, tmp_path, capsys, mexhat_file,
+                                                     kind, keys, named):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "certify-atom",
+                         "atom": str(mexhat_file[0]), "kind": kind, **keys})
+        out = tmp_path / "out"
+        assert main(["certify-atom", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_command_must_match(self, tmp_path, capsys, mexhat_file):
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": "reconstruct",
+                         "atom": str(mexhat_file[0])})
+        out = tmp_path / "out"
+        assert main(["admissibility", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "command 'reconstruct'" in err and "'admissibility'" in err
+        assert not out.exists()
+        # a config without a command runs as the subcommand
+        write_json(cfg, {"version": "coorbit/1", "atom": str(mexhat_file[0])})
+        assert main(["admissibility", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "admissibility.json").read_text())["admissible"]
+
     def test_frame_bounds_single_draw(self, tmp_path, gauss_file):
         gpath, _ = gauss_file
         cfg = tmp_path / "cfg.json"

@@ -161,6 +161,23 @@ class TestGabor:
                       / np.sum(np.abs(f.values) ** 2))
         assert err <= 1e-6
 
+    def test_zero_signal_returns_at_once(self, g, lat):
+        zero = g.with_values(np.zeros(g.n))
+        rec, rep = frame_operator_invert(zero, g, lat, (2.82, 2.83))
+        assert (rep.iterations, rep.residual_history, rep.converged) == (1, (0.0,), True)
+        assert np.max(np.abs(rec.values)) == 0.0
+
+    def test_too_small_bounds_diverge(self, g, lat):
+        # the criterion-10 problem with bounds far below the frame's: the
+        # step 2/(A+B) overshoots, and the residual grows every iteration
+        rng = np.random.default_rng(11)
+        f = random_bandlimited_signal(g, (0.25, 1.0), rng, envelope_width=2.2)
+        sf = gabor_frame_operator(f, g, lat)
+        with pytest.raises(ReconstructionDivergence) as exc:
+            frame_operator_invert(sf, g, lat, (0.5, 0.6), tol=1e-10, max_iter=50)
+        assert exc.value.report.iterations >= 3
+        assert not exc.value.report.converged
+
     def test_bad_bounds_rejected(self, g, lat):
         with pytest.raises(ValueError):
             frame_operator_invert(g, g, lat, (0.0, 1.0))
@@ -378,6 +395,13 @@ class TestNeumann:
         field, rep = neumann_reconstruct(zero, bupu, K, certificate=cert)
         assert rep.converged
         assert np.max(np.abs(field.values)) == 0.0
+
+    def test_zero_samples_error_against_truth(self, neumann_setup):
+        # zero data reconstructs zero; a nonzero truth is then missed entirely
+        psi, cert, lat, bupu, K = neumann_setup
+        zero = sample_field(K.with_values(np.zeros_like(K.values)), lat)
+        _, rep = neumann_reconstruct(zero, bupu, K, certificate=cert, ground_truth=K)
+        assert (rep.iterations, rep.converged, rep.final_relative_error) == (1, True, 1.0)
 
     def test_kernel_reconstruction(self, neumann_setup):
         # K itself lies in the reproducing space: its samples determine it

@@ -113,6 +113,19 @@ class TestHeisenbergArithmetic:
         assert inv.x == (-1.0,) and inv.omega == (-1.0,)
         assert abs(inv.tau - (-1j)) < 1e-12
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 3).flatmap(lambda d: st.builds(
+        HeisenbergPoint,
+        st.lists(st.floats(-50, 50), min_size=d, max_size=d),
+        st.lists(st.floats(-50, 50), min_size=d, max_size=d),
+        st.floats(0, 1).map(lambda turn: np.exp(2j * np.pi * turn)),
+    )))
+    def test_inverse_law_random(self, p):
+        e = heis_identity(p.d)
+        for out in (heis_mul(p, heis_inv(p)), heis_mul(heis_inv(p), p)):
+            assert out.x == e.x and out.omega == e.omega
+            assert abs(out.tau - 1) <= 1e-12
+
     def test_associativity_random(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):

@@ -37,6 +37,22 @@ class TestFourier:
         spec_norm = np.sqrt(spec.dw * np.sum(np.abs(spec.values) ** 2))
         assert spec_norm == pytest.approx(l2_norm(mexhat), rel=1e-10)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(half=st.integers(1, 256), t0=st.floats(-20, 20).filter(bool),
+           dt=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_and_plancherel_random_grids(self, parity, half, t0, dt, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * half + parity
+        f = cb.SampledSignal(t0, dt, rng.normal(size=n) + 1j * rng.normal(size=n))
+        spec = fourier(f)
+        back = inverse_fourier(spec)
+        assert back.t0 == t0
+        assert back.dt == pytest.approx(dt, rel=1e-14)
+        assert np.max(np.abs(back.values - f.values)) <= 1e-10 * np.max(np.abs(f.values))
+        spec_norm = np.sqrt(spec.dw * np.sum(np.abs(spec.values) ** 2))
+        assert spec_norm == pytest.approx(l2_norm(f), rel=1e-10)
+
     def test_spectrum_bin_width(self, mexhat):
         spec = fourier(mexhat)
         assert spec.dw == pytest.approx(1.0 / (mexhat.n * mexhat.dt), rel=1e-14)
