@@ -231,6 +231,8 @@ def cmd_moments(cfg: dict, out: Path) -> int:
 # config keys each certify-atom kind reads, besides "atom" and "kind"
 _CERTIFY_KEYS = {"wavelet": {"rho", "tol", "quadrature", "weight", "neighbourhood"},
                  "gabor": {"r", "s"}}
+# wavelet keys read only together with another: tol with rho, the rest with quadrature
+_CERTIFY_PARTNERS = {"tol": "rho", "weight": "quadrature", "neighbourhood": "quadrature"}
 
 
 def cmd_certify_atom(cfg: dict, out: Path) -> int:
@@ -242,6 +244,10 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
         raise ValueError(f"certify-atom kind {kind!r} never reads config keys {unread}")
     if kind == "wavelet" and not {"rho", "quadrature"} & set(cfg):
         raise ValueError("certify-atom kind 'wavelet' needs rho, quadrature or both")
+    alone = sorted(k for k, partner in _CERTIFY_PARTNERS.items() if k in cfg and partner not in cfg)
+    if alone:
+        raise ValueError(f"certify-atom reads config keys {alone} only together with "
+                         f"{sorted({_CERTIFY_PARTNERS[k] for k in alone})}")
     psi = _load_signal(cfg, "atom")
     rep: dict = {"kind": kind}
     passed = True

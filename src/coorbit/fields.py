@@ -36,9 +36,9 @@ from .groups import (
     _in_chart,
     _in_chart_run,
     _object,
+    _read_chart,
     _read_rows,
     affine_field_interpolate,
-    tf_field_interpolate,
 )
 from .weights import (
     WeightSpec,
@@ -200,10 +200,8 @@ def involute(F: GroupField, kind: str = "nabla") -> GroupField:
     if kind not in ("vee", "nabla"):
         raise ValueError("kind must be 'vee' or 'nabla'")
     c1, c2 = F.quad.node_points()
-    if F.quad.kind == "affine":
-        vals = affine_field_interpolate(F, -c1 / c2, 1.0 / c2)
-    else:
-        vals = tf_field_interpolate(F, -c1, -c2)
+    inverse = (-c1 / c2, 1.0 / c2) if F.quad.kind == "affine" else (-c1, -c2)
+    vals, _ = _read_chart(F, *inverse)
     if kind == "nabla":
         vals = np.conj(vals)
     return GroupField(F.quad, vals)

@@ -74,7 +74,9 @@ __all__ = [
     "atom_kernel",
     "atom_certificate",
     "wavelet_atom_sufficient",
+    "AtomSufficiencyReport",
     "stft_window_sufficient",
+    "WindowSufficiencyReport",
     "frame_bounds_empirical",
     "BoundsReport",
     "neumann_reconstruct",

@@ -41,6 +41,7 @@ __all__ = [
     "build_tf_quadrature",
     "haar_integral",
     "affine_field_interpolate",
+    "tf_field_interpolate",
     "left_translate_field",
 ]
 
@@ -519,23 +520,6 @@ def _bilinear(plane: np.ndarray, f0, f1):
     return out, ok
 
 
-def _bilinear_grid(plane: np.ndarray, f0, f1):
-    """Bilinear read of ``plane`` on the tensor product of ``f0`` and ``f1``.
-
-    ``f0`` (1-D, axis 0) and ``f1`` (1-D, axis 1) are fractional node
-    indices; the result is the ``(f0.size, f1.size)`` block with its
-    in-chart mask.  Rows are blended once per ``f0`` entry, then columns
-    once per ``f1`` entry: each element gets the operations
-    :func:`_bilinear` gives it at the same point, bit for bit.
-    """
-    n0, n1 = plane.shape
-    ok0, ok1 = _in_chart(f0, n0), _in_chart(f1, n1)
-    out = np.zeros((f0.size, f1.size), dtype=np.complex128)
-    if np.any(ok0) and np.any(ok1):
-        out[np.ix_(ok0, ok1)] = _read_rows(_read_rows(plane, f0[ok0]).T, f1[ok1]).T
-    return out, ok0[:, None] & ok1
-
-
 def _chart_index(quad: GroupQuadrature, c1, c2):
     """Fractional node indices ``(axis 0, axis 1)`` of chart points.
 
@@ -548,78 +532,63 @@ def _chart_index(quad: GroupQuadrature, c1, c2):
     return (c1 - quad.x0) / quad.dx, (c2 - quad.w0) / quad.dw
 
 
-def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
-    """Evaluate an affine field at arbitrary chart points.
+def _read_chart(F: GroupField, c1, c2):
+    """Bilinear read of ``F`` at points of its group, with the in-chart mask.
 
-    Bilinear interpolation in ``(b, u)`` on the matching sign branch;
-    points outside the chart read as zero.  Returns the values, plus the
-    in-chart mask when ``with_mask`` is set.
+    Affine points ``(c1, c2) = (b, a)`` read the sign branch ``sign(a)``;
+    TF points are ``(x, w)``.  A point off the chart, or on a branch the
+    chart lacks, reads as zero.
     """
     quad = F.quad
-    if quad.kind != "affine":
-        raise ValueError("affine interpolation on a non-affine field")
-    b_q, a_q = np.broadcast_arrays(
-        np.asarray(b_q, dtype=float), np.asarray(a_q, dtype=float)
-    )
-    out = np.zeros(b_q.shape, dtype=np.complex128)
-    inside = np.zeros(b_q.shape, dtype=bool)
+    c1, c2 = np.broadcast_arrays(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
+    if quad.kind == "tf":
+        return _bilinear(F.values, *_chart_index(quad, c1, c2))
+    out = np.zeros(c1.shape, dtype=np.complex128)
+    inside = np.zeros(c1.shape, dtype=bool)
     for s_idx, sgn in enumerate(quad.signs):
-        sel = (np.sign(a_q) == sgn) & (a_q != 0)
-        if not np.any(sel):
-            continue
-        out[sel], inside[sel] = _bilinear(
-            F.values[s_idx], *_chart_index(quad, b_q[sel], a_q[sel])
-        )
-    if with_mask:
-        return out, inside
-    return out
+        sel = np.sign(c2) == sgn
+        if np.any(sel):
+            out[sel], inside[sel] = _bilinear(
+                F.values[s_idx], *_chart_index(quad, c1[sel], c2[sel]))
+    return out, inside
+
+
+def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
+    """Bilinear interpolation on an affine field at points ``(b, a)``; zero outside the chart.
+
+    Returns the values, plus the in-chart mask when ``with_mask`` is set.
+    """
+    if F.quad.kind != "affine":
+        raise ValueError("affine interpolation on a non-affine field")
+    out, inside = _read_chart(F, b_q, a_q)
+    return (out, inside) if with_mask else out
 
 
 def tf_field_interpolate(F: GroupField, x_q, w_q, with_mask: bool = False):
     """Bilinear interpolation on a TF-plane field; zero outside the chart."""
-    quad = F.quad
-    if quad.kind != "tf":
+    if F.quad.kind != "tf":
         raise ValueError("tf interpolation on a non-tf field")
-    x_q, w_q = np.broadcast_arrays(
-        np.asarray(x_q, dtype=float), np.asarray(w_q, dtype=float)
-    )
-    out, ok = _bilinear(F.values, *_chart_index(quad, x_q, w_q))
-    if with_mask:
-        return out, ok
-    return out
+    out, inside = _read_chart(F, x_q, w_q)
+    return (out, inside) if with_mask else out
 
 
 def left_translate_field(F: GroupField, y) -> GroupField:
     """Left translation ``(L_y F)(x) = F(y^{-1} x)`` by chart interpolation.
 
-    The pullback of each sign branch's nodes is a tensor product in chart
-    coordinates on the branch ``sign(a / y.a)``, read through
-    :func:`_bilinear_grid`, so the values equal pointwise interpolation
-    bit for bit.  Out-of-chart pullback points (and a pullback branch the
-    chart lacks) read as zero; the fraction of nodes whose pullback stayed
-    in-chart is recorded in ``meta["coverage"]``.
+    Each node is read at its pullback ``y^{-1} x``: ``((b - y.b)/y.a,
+    a/y.a)`` on the affine chart, ``(x - yx, w - yw)`` on the TF plane.
+    Out-of-chart pullback points (and a pullback branch the chart lacks)
+    read as zero; the fraction of nodes whose pullback stayed in-chart is
+    recorded in ``meta["coverage"]``.
     """
     quad = F.quad
+    c1, c2 = quad.node_points()
     if quad.kind == "affine":
         if not isinstance(y, AffinePoint):
             raise ValueError("affine field needs an AffinePoint translation")
-        vals = np.zeros(quad.shape, dtype=np.complex128)
-        mask = np.zeros(quad.shape, dtype=bool)
-        b_pull = (quad.b_grid() - y.b) / y.a
-        for s_idx, sgn in enumerate(quad.signs):
-            source = sgn if y.a > 0 else -sgn
-            if source not in quad.signs:
-                continue
-            a_pull = sgn * quad.scale_grid() / y.a
-            vals[s_idx], mask[s_idx] = _bilinear_grid(
-                F.values[quad.signs.index(source)], *_chart_index(quad, b_pull, a_pull)
-            )
+        vals, mask = _read_chart(F, (c1 - y.b) / y.a, c2 / y.a)
     else:
         if not isinstance(y, (tuple, list, np.ndarray)):
             raise ValueError("tf field needs an (x, w) translation")
-        yx, yw = float(y[0]), float(y[1])
-        vals, mask = _bilinear_grid(
-            F.values, *_chart_index(quad, quad.x_grid() - yx, quad.w_grid() - yw)
-        )
-    coverage = float(np.mean(mask))
-    return GroupField(quad, vals, {"coverage": coverage})
+        vals, mask = _read_chart(F, c1 - float(y[0]), c2 - float(y[1]))
+    return GroupField(quad, vals, {"coverage": float(np.mean(mask))})

@@ -17,7 +17,7 @@ for every adjacent tile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "cover_counts",
     "cover_sum",
     "covering_quadrature",
+    "default_density_probe",
 ]
 
 _TIE_EPS = 1e-9  # index-space slack so shared tile boundaries count both sides
@@ -598,7 +599,6 @@ class BUPU:
     active_tiles: np.ndarray
     active_points: tuple
     pair_active: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def uncovered_nodes(self) -> int:
@@ -691,16 +691,14 @@ def build_bupu(lat, U: NeighborhoodSpec, quad: GroupQuadrature) -> BUPU:
     nodes, tiles, n = _cover_pairs(lat, U, pts[0], pts[1])
     counts = np.bincount(nodes, minlength=n).reshape(quad.shape)
     active, pair_active = np.unique(tiles, return_inverse=True)
-    return BUPU(lat, U, quad, counts, nodes, active, lat.point_arrays(active),
-                pair_active, {"probe_size": report.n_probe})
+    return BUPU(lat, U, quad, counts, nodes, active, lat.point_arrays(active), pair_active)
 
 
 def _synthesize_pairs(bupu: BUPU, pair_values) -> GroupField:
     """``sum_i c_i phi_i`` on the chart from one coefficient per stored pair."""
     counts = bupu.counts.ravel()
     out = _tile_average(counts, _pair_sum(bupu.pair_nodes, pair_values, counts.size))
-    return GroupField(bupu.quad, out.reshape(bupu.quad.shape),
-                      {"uncovered_fraction": float(np.mean(counts == 0))})
+    return GroupField(bupu.quad, out.reshape(bupu.quad.shape))
 
 
 def bupu_synthesize(c, bupu: BUPU) -> GroupField:

@@ -185,7 +185,7 @@ def _not_a_knot_slopes(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.array(rhs, dtype=d.dtype)
 
 
-def grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
+def _grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
     dt = (t_hi - t_lo) / n
     t = t_lo + dt * np.arange(n)
     return SampledSignal(t_lo, dt, fn(t))
@@ -193,12 +193,12 @@ def grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
 
 def gaussian(t_lo=-16.0, t_hi=16.0, n=2048) -> SampledSignal:
     """The self-dual Gaussian ``exp(-pi t^2)``."""
-    return grid_signal(t_lo, t_hi, n, lambda t: np.exp(-np.pi * t * t))
+    return _grid_signal(t_lo, t_hi, n, lambda t: np.exp(-np.pi * t * t))
 
 
 def mexican_hat(t_lo=-20.0, t_hi=20.0, n=4096) -> SampledSignal:
     """``(1 - t^2) exp(-t^2/2)``: two vanishing moments."""
-    return grid_signal(t_lo, t_hi, n, lambda t: (1 - t * t) * np.exp(-t * t / 2))
+    return _grid_signal(t_lo, t_hi, n, lambda t: (1 - t * t) * np.exp(-t * t / 2))
 
 
 def haar_wavelet(t_lo=-2.0, t_hi=2.0, n=256) -> SampledSignal:
@@ -209,7 +209,7 @@ def haar_wavelet(t_lo=-2.0, t_hi=2.0, n=256) -> SampledSignal:
             (t >= 0.5) & (t < 1.0), 1.0, 0.0
         )
 
-    return grid_signal(t_lo, t_hi, n, fn)
+    return _grid_signal(t_lo, t_hi, n, fn)
 
 
 def signal_from_spectrum_profile(

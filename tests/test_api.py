@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,20 @@ def test_every_name_in_all_resolves(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"coorbit.{name}.__all__ names {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exactly_the_public_definitions(name):
+    # every public function or class the module defines, and no other; constants may join
+    module = importlib.import_module(f"coorbit.{name}")
+
+    def definition(obj):
+        return inspect.isfunction(obj) or inspect.isclass(obj)
+
+    defined = {attr for attr, obj in vars(module).items() if not attr.startswith("_")
+               and definition(obj) and obj.__module__ == module.__name__}
+    exported = {attr for attr in module.__all__ if definition(getattr(module, attr))}
+    assert (sorted(defined - exported), sorted(exported - defined)) == ([], [])
 
 
 def _package_imports():

@@ -262,6 +262,13 @@ class TestOtherCommands:
         ("gabor", {"tol": 1e-6, "weight": {"family": "symmetric_power", "rho": 1.0},
                    "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
          "['neighbourhood', 'tol', 'weight']"),
+        # keys a wavelet run reads only with a partner key that is missing
+        ("wavelet", {"rho": 1.0, "weight": {"family": "symmetric_power", "rho": 1.0},
+                     "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
+         "['neighbourhood', 'weight'] only together with ['quadrature']"),
+        ("wavelet", {"quadrature": quad_dict(), "tol": 1e-6,
+                     "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
+         "['tol'] only together with ['rho']"),
     ])
     def test_certify_refuses_what_it_would_not_check(self, tmp_path, capsys, mexhat_file,
                                                      kind, keys, named):

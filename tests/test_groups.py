@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit.fields import NeighborhoodSpec, _kernel_blocks, _kernel_reads, oscillation
+from coorbit.fields import NeighborhoodSpec, _kernel_blocks, _kernel_reads, involute, oscillation
 from coorbit.groups import (
     AFFINE_IDENTITY,
     AffinePoint,
     HeisenbergPoint,
     affine_inv,
     _bilinear,
-    _bilinear_grid,
     affine_modular,
     affine_mul,
     affine_field_interpolate,
@@ -25,6 +24,11 @@ from coorbit.groups import (
 )
 
 from conftest import bump_field
+
+
+# affine points on the seeded tests' ranges, on both sign branches
+_AFFINE_POINT = st.builds(lambda b, a, s: AffinePoint(b, s * a),
+                          st.floats(-5, 5), st.floats(0.1, 4), st.sampled_from([1, -1]))
 
 
 class TestAffineArithmetic:
@@ -78,6 +82,19 @@ class TestAffineArithmetic:
             assert abs(
                 affine_modular(affine_mul(p, q)) - affine_modular(p) * affine_modular(q)
             ) <= 1e-12 * affine_modular(p) * affine_modular(q)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_AFFINE_POINT)
+    def test_inverse_law_hypothesis(self, p):
+        for e in (affine_mul(p, affine_inv(p)), affine_mul(affine_inv(p), p)):
+            assert abs(e.b) < 1e-12 and abs(e.a - 1) < 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_AFFINE_POINT, _AFFINE_POINT)
+    def test_modular_homomorphism_hypothesis(self, p, q):
+        assert abs(
+            affine_modular(affine_mul(p, q)) - affine_modular(p) * affine_modular(q)
+        ) <= 1e-12 * affine_modular(p) * affine_modular(q)
 
 
 class TestHeisenbergArithmetic:
@@ -359,6 +376,26 @@ class TestBilinearKernel:
         assert np.all(vals == 0)
 
     @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
+    def test_affine_involution_reads_inverse_points(self, quad, seed):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        b, a = quad.node_points()
+        inv = [affine_inv(AffinePoint(*p)) for p in zip(b.ravel(), a.ravel())]
+        vals = affine_field_interpolate(F, np.reshape([p.b for p in inv], quad.shape),
+                                        np.reshape([p.a for p in inv], quad.shape))
+        assert np.array_equal(involute(F, "vee").values, vals)
+        assert np.array_equal(involute(F, "nabla").values, np.conj(vals))
+
+    @_PROPERTY
+    @given(_TF_CHART, st.integers(0, 2**32 - 1))
+    def test_tf_involution_reads_inverse_points(self, quad, seed):
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        x, w = quad.node_points()
+        vals = tf_field_interpolate(F, -x, -w)
+        assert np.array_equal(involute(F, "vee").values, vals)
+        assert np.array_equal(involute(F, "nabla").values, np.conj(vals))
+
+    @_PROPERTY
     @given(_TF_CHART, st.integers(0, 2**32 - 1), _BEYOND, st.floats(0, 1))
     def test_tf_beyond_chart_reads_zero(self, quad, seed, d, t):
         F = cb.GroupField(quad, _random_values(quad.shape, seed))
@@ -373,11 +410,9 @@ class TestBilinearKernel:
         assert np.all(vals == 0)
 
 
-# Every tensor-product reader (the masked grid read, oscillation, the
-# convolution kernel's blocks) blends axis 0 first, as the scattered
-# kernel does, so each is compared with scattered reads bit for bit.
-_INDEX = st.one_of(st.integers(-2, 14).map(float), st.floats(-3.0, 15.0))
-_INDICES = st.lists(_INDEX, min_size=1, max_size=10).map(np.array)
+# Every tensor-product reader (oscillation, the convolution kernel's
+# blocks) blends axis 0 first, as the scattered kernel does, so each is
+# compared with scattered reads bit for bit; so are left translations.
 _GROWTH = st.floats(1e-3, 4.0)  # neighbourhood side over chart side
 
 
@@ -402,16 +437,6 @@ def _assert_oscillation_matches_reference(G, U):
 
 
 class TestBilinearGrid:
-    @_PROPERTY
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
-           _INDICES, _INDICES)
-    def test_matches_scattered_kernel_on_meshgrid(self, n0, n1, seed, f0, f1):
-        plane = _random_values((n0, n1), seed)
-        vals, mask = _bilinear_grid(plane, f0, f1)
-        ref_vals, ref_mask = _bilinear(plane, *np.meshgrid(f0, f1, indexing="ij"))
-        assert np.array_equal(mask, ref_mask)
-        assert np.array_equal(vals, ref_vals)
-
     @_PROPERTY
     @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
     def test_kernel_blocks_match_scattered_kernel(self, quad, seed):
