@@ -9,8 +9,9 @@ an output file is reproducible by the corresponding library call.
 Exit codes: 0 success/pass, 2 I/O or config errors (including a
 ``NaN``/``Infinity`` token in a JSON input or ``--set`` value, a config
 number given as a string (``"nan"``, ``"0.5"``) or a bool, and a
-non-finite number in an output, which is never written), 3 certification
-failure (including non-admissible windows), 4 numerical divergence.
+non-finite value in a field, a signal or an output, which is never
+written, and an input too large to allocate), 3 certification failure
+(including non-admissible windows), 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from .fields import NeighborhoodSpec, lpm_norm, unit_weight
 from .frames import (
-    DesignResult,
     DesignSearchError,
     ReconstructionDivergence,
     _certificate_from_kernel,
@@ -132,14 +132,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_field(path: Path, field: GroupField) -> None:
-    """Write a field artifact; a non-finite value raises and leaves no file.
+    """Write a field artifact, whose values are finite (``GroupField`` refuses others).
 
-    Array values are never encoded as strings: an infinite value refuses
-    as NaN does.  The ``re``/``im`` arrays go to the writer as arrays,
-    with the same bytes as ``field.to_dict()``.
+    The ``re``/``im`` arrays go to the writer as arrays, with the same
+    bytes as ``field.to_dict()``.
     """
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError(f"non-finite value in the field for {path.name}")
     flat = field.values.ravel()
     _write_json(path, {"quadrature": field.quad.to_dict(),
                        "re": flat.real, "im": flat.imag})
@@ -301,24 +298,8 @@ def cmd_design_lattice(cfg: dict, out: Path) -> int:
     rep = result.to_dict()
     rep["pass"] = True
     _write_json(Path(f"{out}.json"), rep)
-    _write_json(Path(f"{out}.lattice.json"), _companion_lattice(result, quad).to_dict())
+    _write_json(Path(f"{out}.lattice.json"), result.lattice(quad).to_dict())
     return _EXIT_OK
-
-
-def _companion_lattice(result: DesignResult, quad: GroupQuadrature) -> AffineLattice:
-    """The designed lattice over a window whose tiles cover every chart node.
-
-    The tiles are the designed neighbourhood, the lattice's own
-    ``(alpha, beta)`` box.  Scale levels reach ``a_min`` and ``a_max``;
-    shifts reach the b-range at the finest level, where tile k covers
-    half a tile either side of ``beta * k``.
-    """
-    ln_alpha = math.log(result.alpha)
-    j_lo = int(math.floor(math.log(quad.a_min) / ln_alpha))
-    j_hi = int(math.ceil(math.log(quad.a_max) / ln_alpha))
-    reach = max(abs(quad.b_lo), abs(quad.b_hi)) / (result.beta * result.alpha**j_lo)
-    k_span = int(math.ceil(reach - 0.5))
-    return result.lattice((j_lo, j_hi), (-k_span, k_span), quad.signs)
 
 
 def _load_lattice(value):
@@ -361,7 +342,7 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
 
     K = atom_kernel(psi, quad)
-    cert = _certificate_from_kernel(K, weight, U, quad.to_dict())
+    cert = _certificate_from_kernel(K, weight, U)
     bupu = build_bupu(lat, U, quad)
     if bupu.tiles_finer_than_cells:
         print("warning: lattice tiles are finer than chart cells; most tiles "
@@ -467,7 +448,7 @@ def main(argv=None) -> int:
     except NotAdmissibleError as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return _EXIT_CERT
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:  # MemoryError: a chart too large
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_IO
 

@@ -456,8 +456,7 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     ``U``, a lower estimate.  Out-of-chart evaluations read zero, so a
     node whose moved point leaves the chart takes ``|G(x)|``; this only
     inflates the oscillation near the chart edge (the safe direction for
-    every certificate built on top of it).  Non-finite field values are
-    refused.
+    every certificate built on top of it).
 
     Each offset moves the node set to a tensor product in chart
     coordinates whose axis-0 index depends on one offset component
@@ -473,8 +472,6 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     quad = G.quad
     if U.kind != quad.kind:
         raise ValueError("neighbourhood and field live on different groups")
-    if not np.all(np.isfinite(G.values)):
-        raise ValueError("oscillation needs finite field values")
     affine = quad.kind == "affine"
     planes = G.values if affine else G.values[None]
     c1, c2 = (quad.b_grid(), quad.scale_grid()) if affine else (quad.x_grid(), quad.w_grid())

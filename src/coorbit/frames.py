@@ -36,7 +36,7 @@ from .fields import (
     lpm_norm,
     oscillation,
 )
-from .groups import GroupField, GroupQuadrature, _report_dict
+from .groups import GroupField, GroupQuadrature, _Report
 from .lattices import (
     BUPU,
     AffineLattice,
@@ -101,17 +101,17 @@ _TRUNCATION_CAVEAT = (
 class FrameCertificate:
     kernel_l1w: float
     osc_l1w: float
-    q: float
     U: NeighborhoodSpec
     wspec: WeightSpec
     chart: dict
-    passed: bool
 
-    def __post_init__(self):
-        if abs(self.q - self.kernel_l1w * self.osc_l1w) > 1e-12 * max(1.0, self.q):
-            raise ValueError("certificate q must equal the product of its factors")
-        if self.passed != (self.q < 1.0):
-            raise ValueError("certificate verdict must match q < 1")
+    @property
+    def q(self) -> float:
+        return self.kernel_l1w * self.osc_l1w
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.q < 1.0)
 
     @property
     def caveat(self) -> str:
@@ -133,7 +133,7 @@ class FrameCertificate:
 
 
 @dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(_Report):
     iterations: int
     residual_history: tuple
     converged: bool
@@ -149,9 +149,6 @@ class ReconstructionReport:
             return np.asarray([])
         with np.errstate(divide="ignore", invalid="ignore"):
             return h[1:] / h[:-1]
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 class ReconstructionDivergence(RuntimeError):
@@ -189,13 +186,12 @@ class DesignSearchError(RuntimeError):
         self.q_history = q_history
 
 
-def _certificate_from_kernel(K, w, U, chart, kernel_l1w=None) -> FrameCertificate:
-    """Certificate of kernel ``K`` for ``U``; ``kernel_l1w`` skips recomputing the norm."""
+def _certificate_from_kernel(K, w, U, kernel_l1w=None) -> FrameCertificate:
+    """Certificate of kernel ``K`` for ``U`` on its chart; ``kernel_l1w`` skips the norm."""
     if kernel_l1w is None:
         kernel_l1w = lpm_norm(K, 1.0, w)
-    osc_l1w = lpm_norm(oscillation(K, U), 1.0, w)
-    q = kernel_l1w * osc_l1w
-    return FrameCertificate(kernel_l1w, osc_l1w, q, U, w, chart, bool(q < 1.0))
+    return FrameCertificate(kernel_l1w, lpm_norm(oscillation(K, U), 1.0, w), U, w,
+                            K.quad.to_dict())
 
 
 def atom_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
@@ -217,20 +213,17 @@ def atom_certificate(
     psi: SampledSignal, quad: GroupQuadrature, w: WeightSpec, U: NeighborhoodSpec
 ) -> FrameCertificate:
     """Certificate for the self-kernel (``atom_kernel``) of ``psi`` on the chart."""
-    return _certificate_from_kernel(atom_kernel(psi, quad), w, U, quad.to_dict())
+    return _certificate_from_kernel(atom_kernel(psi, quad), w, U)
 
 
 @dataclass(frozen=True)
-class AtomSufficiencyReport:
+class AtomSufficiencyReport(_Report):
     vanishing_moments: int
     rho: float
     rho_bound: float
     absolute_moments: tuple
     derivative_l1_norms: tuple
     passed: bool
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def wavelet_atom_sufficient(
@@ -258,7 +251,7 @@ def wavelet_atom_sufficient(
 
 
 @dataclass(frozen=True)
-class WindowSufficiencyReport:
+class WindowSufficiencyReport(_Report):
     alpha: float
     beta: float
     time_norm: float
@@ -266,9 +259,6 @@ class WindowSufficiencyReport:
     time_tail_fraction: float
     freq_tail_fraction: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def _weighted_l1_with_tail(x: np.ndarray, vals: np.ndarray, dx: float, exponent: float):
@@ -342,14 +332,11 @@ def random_bandlimited_signal(
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Report):
     a_hat: float
     b_hat: float
     ratios: tuple
     draws: int
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def frame_bounds_empirical(
@@ -461,11 +448,20 @@ class DesignResult:
     steps: int
     q_history: tuple
 
-    def lattice(self, j_window: tuple, k_window: tuple, signs=(1, -1)) -> AffineLattice:
-        return AffineLattice(
-            self.alpha, self.beta, j_window[0], j_window[1],
-            k_window[0], k_window[1], signs,
-        )
+    def lattice(self, quad: GroupQuadrature) -> AffineLattice:
+        """The designed lattice over a window whose tiles cover every node of ``quad``.
+
+        The tiles are the designed neighbourhood, the lattice's own
+        ``(alpha, beta)`` box.  Scale levels reach ``a_min`` and ``a_max``;
+        shifts reach the b-range at the finest level, where tile k covers
+        half a tile either side of ``beta * k``.
+        """
+        ln_alpha = math.log(self.alpha)
+        j_lo = int(math.floor(math.log(quad.a_min) / ln_alpha))
+        j_hi = int(math.ceil(math.log(quad.a_max) / ln_alpha))
+        reach = max(abs(quad.b_lo), abs(quad.b_hi)) / (self.beta * self.alpha**j_lo)
+        k_span = int(math.ceil(reach - 0.5))
+        return AffineLattice(self.alpha, self.beta, j_lo, j_hi, -k_span, k_span, quad.signs)
 
     def to_dict(self) -> dict:
         return {
@@ -504,14 +500,13 @@ def design_lattice(
             )
     K = atom_kernel(psi, quad)
     kernel_l1w = lpm_norm(K, 1.0, w)
-    chart = quad.to_dict()
     q_history = []
     best_q = math.inf
     for n in range(max_steps):
         alpha_n = 1.0 + (alpha0 - 1.0) * gamma**n
         beta_n = beta0 * gamma**n
         U = affine_box(beta_n, alpha_n)
-        cert = _certificate_from_kernel(K, w, U, chart, kernel_l1w)
+        cert = _certificate_from_kernel(K, w, U, kernel_l1w)
         q_history.append(cert.q)
         best_q = min(best_q, cert.q)
         if cert.passed:

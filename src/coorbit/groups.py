@@ -355,14 +355,17 @@ def _sign_branches(signs) -> tuple:
     return signs
 
 
-def _report_dict(report) -> dict:
-    """A report dataclass as an artifact: fields by name, ``passed`` as "pass", tuples as lists."""
-    out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        out["pass" if f.name == "passed" else f.name] = (
-            list(value) if isinstance(value, tuple) else value)
-    return out
+class _Report:
+    """Base of the report dataclasses whose artifact is their fields, and nothing else."""
+
+    def to_dict(self) -> dict:
+        """Fields by name, ``passed`` as "pass", tuples as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out["pass" if f.name == "passed" else f.name] = (
+                list(value) if isinstance(value, tuple) else value)
+        return out
 
 
 def build_affine_quadrature(
@@ -430,6 +433,8 @@ class GroupField:
             raise ValueError(
                 f"values shape {vals.shape} does not match quadrature {self.quad.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite value in a field")
         object.__setattr__(self, "values", vals)
 
     def with_values(self, values, **meta) -> "GroupField":

@@ -27,7 +27,7 @@ from .groups import (
     GroupQuadrature,
     _finite_number,
     _integers,
-    _report_dict,
+    _Report,
     _sign_branches,
     affine_field_interpolate,
     build_affine_quadrature,
@@ -370,7 +370,6 @@ def cover_sum(lat, U: NeighborhoodSpec, c1, c2, coeffs):
 class DensityReport:
     covered: bool
     witness: tuple | None = None
-    n_probe: int = 0
 
     def __bool__(self):
         return self.covered
@@ -388,8 +387,8 @@ def is_U_dense(lat, U: NeighborhoodSpec, probe) -> DensityReport:
     bad = np.flatnonzero(counts == 0)
     if bad.size:
         i = int(bad[0])
-        return DensityReport(False, (float(c1[i]), float(c2[i])), c1.size)
-    return DensityReport(True, None, c1.size)
+        return DensityReport(False, (float(c1[i]), float(c2[i])))
+    return DensityReport(True)
 
 
 def is_relatively_separated(lat, K: NeighborhoodSpec):
@@ -408,25 +407,20 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     n = b.size
     max_count = 0
     chunk = max(1, int(2e7) // max(n, 1))
-    if lat.kind == "affine":
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            atil = a[lo:hi, None] / a[None, :]
-            btil = (b[lo:hi, None] - b[None, :]) / a[None, :]
+    for lo in range(0, n, chunk):
+        bi, ai = b[lo:lo + chunk, None], a[lo:lo + chunk, None]
+        if lat.kind == "affine":
+            atil = ai / a[None, :]
             ok = (
                 (atil > 0)
                 & (atil >= 1.0 / K.alpha - _TIE_EPS)
                 & (atil <= K.alpha + _TIE_EPS)
-                & (np.abs(btil) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS)
+                & (np.abs((bi - b[None, :]) / a[None, :]) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS)
             )
-            max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
-    else:
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            ok = (np.abs(b[lo:hi, None] - b[None, :]) <= K.beta_x + _TIE_EPS) & (
-                np.abs(a[lo:hi, None] - a[None, :]) <= K.beta_w + _TIE_EPS
-            )
-            max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
+        else:
+            ok = ((np.abs(bi - b[None, :]) <= K.beta_x + _TIE_EPS)
+                  & (np.abs(ai - a[None, :]) <= K.beta_w + _TIE_EPS))
+        max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
     return max_count
 
 
@@ -502,16 +496,13 @@ def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> Gr
 
 
 @dataclass(frozen=True)
-class NormEquivalenceReport:
+class NormEquivalenceReport(_Report):
     ratio: float
     window: tuple
     passed: bool
     haar_mass: float
     max_overlap: int
     heuristic_window: bool = False
-
-    def to_dict(self) -> dict:
-        return _report_dict(self)
 
 
 def _moderation_bound(m: WeightSpec, U: NeighborhoodSpec):
@@ -654,6 +645,12 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
     the window ends and shifts within one tile of the k-range ends do not
     enter the verdict.
     """
+    c1, c2, ok = _density_probe(quad, lat, U)
+    return c1[ok], c2[ok]
+
+
+def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
+    """The chart nodes, flat in node order, and the mask of ``default_density_probe``'s."""
     _same_group(lat, U, quad)
     pts = quad.node_points()
     c1 = np.asarray(pts[0], dtype=float).ravel()
@@ -676,20 +673,19 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
             & (c2 >= np.min(w_pts) + U.beta_w / 2)
             & (c2 <= np.max(w_pts) - U.beta_w / 2)
         )
-    return c1[ok], c2[ok]
+    return c1, c2, ok
 
 
 def build_bupu(lat, U: NeighborhoodSpec, quad: GroupQuadrature) -> BUPU:
-    """Tile partition of unity over the chart; fails loudly if not dense."""
-    probe = default_density_probe(quad, lat, U)
-    report = is_U_dense(lat, U, probe)
-    if not report.covered:
-        raise ValueError(
-            f"lattice is not U-dense on the working region; witness {report.witness}"
-        )
-    pts = quad.node_points()
-    nodes, tiles, n = _cover_pairs(lat, U, pts[0], pts[1])
+    """Tile partition of unity over the chart; one cover also checks the density probe."""
+    c1, c2, probe = _density_probe(quad, lat, U)
+    nodes, tiles, n = _cover_pairs(lat, U, c1, c2)
     counts = np.bincount(nodes, minlength=n).reshape(quad.shape)
+    uncovered = np.flatnonzero(probe & (counts.ravel() == 0))
+    if uncovered.size:
+        i = uncovered[0]
+        raise ValueError("lattice is not U-dense on the working region; "
+                         f"witness {(float(c1[i]), float(c2[i]))}")
     active, pair_active = np.unique(tiles, return_inverse=True)
     return BUPU(lat, U, quad, counts, nodes, active, lat.point_arrays(active), pair_active)
 

@@ -61,6 +61,8 @@ class SampledSignal:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("need a 1-d sample array of length >= 2")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite value in a signal")
         _finite_number(self.t0, "t0")
         if _finite_number(self.dt, "dt") <= 0:
             raise ValueError("dt must be positive")

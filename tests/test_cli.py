@@ -3,16 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
 from coorbit import cli
-from coorbit.cli import _companion_lattice, _json_chunks, _write_json, main
+from coorbit.cli import _json_chunks, _write_json, main
 from coorbit.fields import lpm_norm
 from coorbit.groups import GroupField
 
@@ -91,10 +92,11 @@ class TestCwtCommand:
 
     def test_nan_sample_never_written(self, tmp_path, mexhat_file):
         atom_path, psi = mexhat_file
-        vals = psi.values.copy()
-        vals[300] = np.nan
+        # a signal refuses NaN, so the NaN goes into its file's dict
+        data = psi.to_dict()
+        data["re"][300] = math.nan
         sig_path = tmp_path / "nan_signal.json"
-        write_json(sig_path, psi.with_values(vals).to_dict())
+        write_json(sig_path, data)
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {
             "version": "coorbit/1", "command": "cwt",
@@ -354,7 +356,7 @@ class TestDesignCommand:
     def test_companion_lattice_covers_chart(self, a_min, a_max):
         alpha, beta = 1 + 0.7**6, 0.7**6
         quad = cb.build_affine_quadrature(-2, 2, 64, a_min, a_max, 25, (1, -1))
-        lat = _companion_lattice(cb.DesignResult(alpha, beta, None, 7, ()), quad)
+        lat = cb.DesignResult(alpha, beta, None, 7, ()).lattice(quad)
         assert cb.build_bupu(lat, cb.affine_box(beta, alpha), quad).uncovered_nodes == 0
 
     def test_design_cap_exit_3(self, tmp_path, mexhat_file):
@@ -390,10 +392,11 @@ class TestNonFiniteInputs:
 
     def test_nan_signal_sample(self, tmp_path, capsys, mexhat_file):
         atom_path, psi = mexhat_file
-        vals = psi.values.copy()
-        vals[300] = np.nan
+        # a signal refuses NaN, so the NaN goes into its file's dict
+        data = psi.to_dict()
+        data["re"][300] = math.nan
         sig_path = tmp_path / "nan_signal.json"
-        write_json(sig_path, psi.with_values(vals).to_dict())
+        write_json(sig_path, data)
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {
             "version": "coorbit/1", "command": "cwt",
@@ -459,10 +462,11 @@ class TestNonFiniteInputs:
         atom_path, psi = mexhat_file
         quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 16,
                 "a_min": 0.5, "a_max": 2.0, "n_scales": 5, "signs": [1, -1]}
-        vals = np.zeros((2, 5, 16))
-        vals[1, 2, 7] = np.nan
+        # a field refuses NaN, so the NaN goes into its file's dict, at node [1, 2, 7]
+        data = GroupField(cb.GroupQuadrature.from_dict(quad), np.zeros((2, 5, 16))).to_dict()
+        data["re"][np.ravel_multi_index((1, 2, 7), (2, 5, 16))] = math.nan
         field_path = tmp_path / "field.json"
-        write_json(field_path, GroupField(cb.GroupQuadrature.from_dict(quad), vals).to_dict())
+        write_json(field_path, data)
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {
             "version": "coorbit/1", "command": "reconstruct",
@@ -488,6 +492,63 @@ def _list_file(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[0.0, 1.0]")
     return str(path)
+
+
+# fuzzed config values: integers and floats stay small, because ensemble,
+# k_max and max_steps (a float with no fraction reads as an integer) run as
+# long as they are asked to; generated strings hold no "/", so a path made
+# of one stays in the cwd
+_DELETE = object()
+_FUZZ_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-64, 64), st.floats(-64, 64),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(alphabet="ab0.-_ ", max_size=6))
+
+
+def _fuzz_values(keys):
+    """Config values to put in place of a key, dicts keyed by the config's own keys."""
+    names = st.one_of(st.sampled_from(keys), st.text(alphabet="abkns_", max_size=6))
+    return st.recursive(_FUZZ_LEAF, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(names, inner, max_size=3)), max_leaves=6)
+
+
+def _fuzz_like(value, strings):
+    """Values of the JSON type of ``value``, so that runs also get past the type checks."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(-64, 64)
+    if isinstance(value, float):
+        return st.floats(-64, 64)
+    if isinstance(value, str):
+        return st.sampled_from(strings)
+    if isinstance(value, list) and value:
+        return st.lists(_fuzz_like(value[0], strings), min_size=len(value) - 1,
+                        max_size=len(value) + 1)
+    return st.nothing()
+
+
+def _entries(obj, prefix=()):
+    """``(key path, value)`` of every entry of a config, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,), value
+        if isinstance(value, dict):
+            yield from _entries(value, prefix + (key,))
+
+
+def _edit_config(cfg, path, pick):
+    """Delete or replace the entry at ``path``, if an earlier edit left it.
+
+    ``pick(old)`` gives the new value, or ``_DELETE``.
+    """
+    *parents, leaf = path
+    for key in parents:
+        cfg = cfg.get(key) if isinstance(cfg, dict) else None
+    if isinstance(cfg, dict) and leaf in cfg:
+        value = pick(cfg[leaf])
+        if value is _DELETE:
+            del cfg[leaf]
+        else:
+            cfg[leaf] = value
 
 
 class TestWrongTypedConfig:
@@ -702,6 +763,53 @@ class TestWrongTypedConfig:
         assert rc == 2
         assert "invalid input: out must be" in err and "Traceback" not in err
         assert new == set()
+
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, mexhat_file, gauss_file):
+        # a chart too large to allocate (say quadrature.n_b = 10**12); the
+        # allocation is simulated, since a real one can succeed on an
+        # overcommitting host and be killed later
+        def cwt_out_of_memory(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr("coorbit.cli.cwt", cwt_out_of_memory)
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))["cwt"]
+        rc, out = self._run(tmp_path, "cwt", cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: Unable to allocate 14.6 TiB for an array\n"
+        assert list(out.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_config_exits_with_a_documented_code(self, tmp_path, monkeypatch, mexhat_file,
+                                                         gauss_file, data):
+        # one or two entries of a working config, nested ones included, are
+        # deleted or replaced: the run exits 0, 2, 3 or 4, never raises, and
+        # writes nothing when it exits 2
+        monkeypatch.chdir(tmp_path)
+        configs = self._configs(str(mexhat_file[0]), str(gauss_file[0]))
+        name = data.draw(st.sampled_from(sorted(configs)))
+        command = name.split("/")[0]
+        cfg = configs[name]
+        paths = sorted(path for path, _ in _entries(cfg))
+        values = _fuzz_values(sorted({path[-1] for path in paths}))
+        strings = sorted({v for config in configs.values() for _, v in _entries(config)
+                          if isinstance(v, str)})
+
+        def pick(old):
+            return data.draw(st.one_of(st.just(_DELETE), _fuzz_like(old, strings), values))
+
+        for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2,
+                                       unique=True)):
+            _edit_config(cfg, path, pick)
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        write_json(work / "cfg.json", {"version": "coorbit/1", "command": command, **cfg})
+        (work / "out").mkdir()
+        rc = main([command, "--config", str(work / "cfg.json"), "--out-dir", str(work / "out")])
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            assert list((work / "out").iterdir()) == []
 
 
 class TestNonFiniteOutputs:

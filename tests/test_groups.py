@@ -257,6 +257,21 @@ def test_non_finite_geometry_refused(construct):
         construct()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("construct", [
+    lambda vals: cb.GroupField(build_affine_quadrature(-1, 1, 4, 0.5, 2.0, 3, (1,)),
+                               vals.reshape(1, 3, 4)),
+    lambda vals: cb.GroupField(cb.build_tf_quadrature(0.0, 0.1, 3, 0.0, 0.1, 4),
+                               vals.reshape(3, 4)),
+    lambda vals: cb.SampledSignal(0.0, 0.1, vals),
+])
+def test_non_finite_values_refused(construct, bad):
+    vals = np.ones(12, dtype=complex)
+    vals[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        construct(vals)
+
+
 @pytest.mark.parametrize("sign", [1.5, True])
 @pytest.mark.parametrize("construct", [
     lambda signs: build_affine_quadrature(-1, 1, 8, 0.5, 2, 3, signs),
