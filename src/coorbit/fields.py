@@ -14,8 +14,12 @@ evaluated as one FFT correlation per input-scale row (the inner sum
 over ``b'`` is a discrete correlation on the uniform b-grid).  The
 kernel is read at exactly the interpolated points of the literal double
 sum, which stays as the test oracle ``_convolve_direct``, so the two
-agree to roundoff.  The kernel's block spectra depend on the kernel alone, so
-:class:`KernelOperator` builds them once for repeated application.
+agree to roundoff.  The kernel is read once per kernel plane and
+positive input scale ``s``: the points of the input scale ``-s`` are
+those of ``s`` reversed along b, so negative-scale rows run through the
+same block b-reversed.  The kernel's block spectra depend on the kernel
+alone, so :class:`KernelOperator` builds them once for repeated
+application.
 Convolutions are truncated-domain quantities: the outer chart ring's
 share of each operand's L1 mass is attached to the result as a tail
 report, never hidden.
@@ -258,15 +262,33 @@ def _fft_len(quad) -> int:
     return _next_fast_len(2 * quad.n_b)
 
 
-def _kernel_blocks(quad):
-    """Geometry of the fast path's kernel blocks, grouped by output sign.
+def _sign_routes(quad, p: int):
+    """``(input, output, flipped)`` branch positions that kernel plane ``p`` joins.
 
-    One block per (output sign, input sign, input scale): the kernel is
-    read at the bilinear points of the direct sum, trimmed to the
-    b-offsets that map into the chart (``cols`` of the zero-padded FFT
-    row) and to the output ``rows`` whose scale ratio lies in the u-range.
-    Yields ``(si, j, so, rows, cols, w_j, fu, fb)``; ``fu`` and ``fb``
-    are the kernel's fractional indices of the rows and the columns.
+    Plane ``sigma`` takes an input on branch ``s`` to the output branch
+    ``sigma * s``.  A negative-scale input is read b-reversed and its
+    output reversed back (``flipped``): its blocks are the positive-scale
+    blocks of the same plane, b-reversed.
+    """
+    sigma = quad.signs[p]
+    return [(quad.signs.index(s), quad.signs.index(sigma * s), s < 0)
+            for s in quad.signs if sigma * s in quad.signs]
+
+
+def _kernel_blocks(quad):
+    """Geometry of the fast path's kernel blocks, grouped by kernel plane.
+
+    One block per (kernel plane, input scale) with a positive input scale
+    ``a_in = s_j``: the kernel is read at the bilinear points of the direct
+    sum, trimmed to the b-offsets that map into the chart (``cols`` of the
+    zero-padded FFT row) and to the output ``rows`` whose scale ratio lies
+    in the u-range.  The input scale ``-s_j`` needs no block of its own: its
+    b-indices ``(m db / a_in - b_lo) / db`` over the symmetric offsets
+    ``m`` are those of ``s_j`` reversed, exactly, so its block is this one
+    b-reversed (see :func:`_sign_routes`).  Planes that join no pair of
+    the chart's branches are skipped.  Yields ``(p, j, rows, cols, w_j, fu,
+    fb)``; ``p`` is the plane's branch position, and ``fu`` and ``fb`` are
+    the kernel's fractional indices of the rows and the columns.
     """
     n_b = quad.n_b
     n_u = quad.n_scales
@@ -275,15 +297,14 @@ def _kernel_blocks(quad):
     u = quad.u_grid()
     scales = np.exp(u)
     ms = np.arange(-(n_b - 1), n_b)
-    for (so, sgn_out), (si, sgn_in) in itertools.product(enumerate(quad.signs), repeat=2):
-        if sgn_out * sgn_in not in quad.signs:
+    for p in range(len(quad.signs)):
+        if not _sign_routes(quad, p):
             continue
         for j in range(n_u):
-            a_in = sgn_in * scales[j]
             # kernel b-index of each node offset m, kept by the same in-chart
             # test (snap included) that the direct sum's interpolation applies;
             # both index arrays are monotone, so what is kept is one run
-            fb_all = (ms * db / a_in - quad.b_lo) / db
+            fb_all = (ms * db / scales[j] - quad.b_lo) / db
             kept_b = np.flatnonzero(_in_chart(fb_all, n_b))
             fu_all = (u - u[j] - quad.u_lo) / du
             kept_u = np.flatnonzero(_in_chart(fu_all, n_u))
@@ -291,74 +312,80 @@ def _kernel_blocks(quad):
                 continue
             cols = slice(kept_b[0], kept_b[-1] + 1)
             rows = slice(kept_u[0], kept_u[-1] + 1)
-            w_j = db * du / abs(a_in)
-            yield si, j, so, rows, cols, w_j, fu_all[rows], fb_all[cols]
+            w_j = db * du / scales[j]
+            yield p, j, rows, cols, w_j, fu_all[rows], fb_all[cols]
 
 
 def _spectra_nbytes(quad) -> int:
     """Bytes the kernel's block spectra take if stored, before any FFT."""
-    n_rows = sum(rows.stop - rows.start for _, _, _, rows, *_ in _kernel_blocks(quad))
+    n_rows = sum(rows.stop - rows.start for _, _, rows, *_ in _kernel_blocks(quad))
     return n_rows * _fft_len(quad) * np.dtype(np.complex128).itemsize
 
 
 def _kernel_reads(G: GroupField):
-    """``(si, j, so, rows, cols, w_j, block)``: the kernel read at each block's points.
+    """``(p, j, rows, cols, w_j, block)``: the kernel read at each block's points.
 
     Log-scale rows are blended first, then b-columns, so each value equals
     :func:`~coorbit.groups._bilinear` at the same indices bit for bit.
     """
-    quad = G.quad
-    sign_pos = {s: i for i, s in enumerate(quad.signs)}
-    for si, j, so, rows, cols, w_j, fu, fb in _kernel_blocks(quad):
-        plane = G.values[sign_pos[quad.signs[so] * quad.signs[si]]]
-        yield si, j, so, rows, cols, w_j, _read_rows(_read_rows(plane, fu).T, fb).T
+    for p, j, rows, cols, w_j, fu, fb in _kernel_blocks(G.quad):
+        yield p, j, rows, cols, w_j, _read_rows(_read_rows(G.values[p], fu).T, fb).T
 
 
 def _kernel_spectra(G: GroupField):
-    """``(si, j, so, rows, w_j, spectrum)`` of every nonzero kernel block.
+    """``(p, j, rows, w_j, spectrum)`` of every nonzero kernel block.
 
     The block is zero-padded to the FFT length and transformed along b.
     """
     L = _fft_len(G.quad)
-    for si, j, so, rows, cols, w_j, block in _kernel_reads(G):
+    for p, j, rows, cols, w_j, block in _kernel_reads(G):
         if not np.any(block):
             continue
         gm = np.zeros((block.shape[0], L), dtype=np.complex128)
         gm[:, cols] = block
-        yield si, j, so, rows, w_j, np.fft.fft(gm, axis=-1, out=gm)
+        yield p, j, rows, w_j, np.fft.fft(gm, axis=-1, out=gm)
 
 
 def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
-    """``F * G`` from G's block spectra, one FFT correlation per block.
+    """``F * G`` from G's block spectra, one FFT correlation per block and input branch.
 
-    For each output sign (the spectra come grouped by it), each block
-    spectrum times ``w_j`` times the spectrum of F's input row is summed
-    into its output rows in the frequency domain; one inverse FFT per
-    output row follows.  F's rows are transformed one input sign at a
-    time into a reused buffer.  ``scratch`` lets the products overwrite
-    the spectra (streamed blocks); stored spectra are left intact.
+    The spectra come grouped by kernel plane.  Each plane's block for
+    input scale ``j`` meets F's row ``j`` on every input branch the plane
+    joins (:func:`_sign_routes`), negative-scale rows b-reversed: the
+    block spectrum times ``w_j`` times the row's spectrum is summed into
+    that branch's accumulator in the frequency domain.  One inverse FFT
+    per accumulated row follows, and the result is added to its output
+    branch, reversed back for a reversed input.  ``scratch`` lets the last
+    product overwrite the spectrum (streamed blocks); stored spectra are
+    left intact.
     """
     quad = F.quad
     n_b = quad.n_b
     L = _fft_len(quad)
     out = np.zeros(quad.shape, dtype=np.complex128)
-    acc = np.empty((quad.n_scales, L), dtype=np.complex128)
-    F_hat = np.empty_like(acc)
-    buf = None if scratch else np.empty_like(acc)
-    for so, blocks in itertools.groupby(spectra, key=lambda block: block[2]):
-        acc.fill(0)
-        cur = None
-        for si, j, _, rows, w_j, spec in blocks:
-            if si != cur:
-                F_hat.fill(0)
-                F_hat[:, :n_b] = F.values[si]
-                np.fft.fft(F_hat, axis=-1, out=F_hat)
-                cur = si
-            prod = spec if scratch else buf[: spec.shape[0]]
-            np.multiply(spec, w_j * F_hat[j], out=prod)
-            acc[rows] += prod
-        np.fft.ifft(acc, axis=-1, out=acc)
-        out[so] = acc[:, n_b - 1 : 2 * n_b - 1]
+    acc = np.empty((2, quad.n_scales, L), dtype=np.complex128)
+    rows_hat = np.empty((2, L), dtype=np.complex128)
+    buf = None if scratch else np.empty((quad.n_scales, L), dtype=np.complex128)
+    for p, blocks in itertools.groupby(spectra, key=lambda block: block[0]):
+        routes = _sign_routes(quad, p)
+        n = len(routes)
+        acc[:n] = 0
+        x = rows_hat[:n]
+        for _, j, rows, w_j, spec in blocks:
+            x[:, n_b:] = 0
+            for k, (si, _, flipped) in enumerate(routes):
+                x[k, :n_b] = F.values[si, j, ::-1] if flipped else F.values[si, j]
+            np.fft.fft(x, axis=-1, out=x)
+            x *= w_j
+            # streaming holds no product buffer: a first product takes a
+            # temporary, the last one the spent spectrum
+            prods = [None] * (n - 1) + [spec] if scratch else [buf[: len(spec)]] * n
+            for k, prod in enumerate(prods):
+                acc[k, rows] += np.multiply(spec, x[k], out=prod)
+        for k, (_, so, flipped) in enumerate(routes):
+            np.fft.ifft(acc[k], axis=-1, out=acc[k])
+            window = acc[k, :, n_b - 1 : 2 * n_b - 1]
+            out[so] += window[:, ::-1] if flipped else window
     return out
 
 
@@ -384,8 +411,8 @@ def convolve(F: GroupField, G: GroupField) -> GroupField:
     Runs one FFT correlation per input-scale row.  It queries the kernel
     at the interpolation points of the literal double sum
     (``_convolve_direct``, kept as the test oracle) and matches it to
-    roundoff.  G's block spectra are streamed; :class:`KernelOperator`
-    stores them for reuse.
+    roundoff.  G's block spectra, one per kernel plane and positive input
+    scale, are streamed; :class:`KernelOperator` stores them for reuse.
     """
     _check_affine_pair(F, G)
     vals = _apply_spectra(F, _kernel_spectra(G), scratch=True)
@@ -396,9 +423,11 @@ class KernelOperator:
     """Right convolution with a fixed kernel, ``F -> F * K``, built once.
 
     The fast path's kernel block spectra depend on K alone, so they are
-    computed here once and reused by every :meth:`apply`.  When storing
-    them would take more than ``_SPECTRA_BYTE_LIMIT`` bytes, each apply
-    is ``convolve(F, K)``, which streams them (bounded memory).  ``apply(F)``
+    computed here once and reused by every :meth:`apply`: one per kernel
+    plane and positive input scale, up to ``n_signs * n_scales**2`` rows of
+    the FFT length.  When storing them would take more than
+    ``_SPECTRA_BYTE_LIMIT`` bytes, each apply is ``convolve(F, K)``,
+    which streams them (bounded memory).  ``apply(F)``
     equals ``convolve(F, K)`` bit for bit, truncation report included.
     """
 

@@ -211,7 +211,7 @@ def _random_field(quad, seed):
 class TestFastConvolveProperty:
     # random small charts: the fast path reads the kernel at the direct
     # sum's interpolation points, so the two agree to roundoff
-    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    @pytest.mark.parametrize("signs", [(1,), (1, -1), (-1,), (-1, 1)])
     @pytest.mark.parametrize("parity", [0, 1])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -241,31 +241,48 @@ def test_next_fast_len_matches_scipy():
 
 class TestKernelOperator:
     @pytest.fixture(scope="class")
-    def chart_kernel(self):
+    def chart_kernels(self):
+        # negative-first charts too: planes and inputs are indexed by branch position
         psi = cb.normalize_admissible(cb.mexican_hat(-16, 16, 512))
-        quad = build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, (1, -1))
-        return cwt(psi, psi, quad)
+        return [cwt(psi, psi, build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, signs))
+                for signs in ((1, -1), (-1,), (-1, 1))]
+
+    @pytest.fixture(scope="class")
+    def chart_kernel(self, chart_kernels):
+        return chart_kernels[0]
 
     def _assert_same(self, a, b):
         assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
         assert a.meta == b.meta
 
-    def test_stored_matches_convolve_bit_for_bit(self, chart_kernel):
-        K = chart_kernel
-        op = KernelOperator(K)
-        assert op.stored
-        # the second apply also shows the first left the stored spectra intact
-        for seed in (1, 2):
-            F = _random_field(K.quad, seed)
+    def test_stored_matches_convolve_bit_for_bit(self, chart_kernels):
+        for K in chart_kernels:
+            op = KernelOperator(K)
+            assert op.stored
+            # the second apply also shows the first left the stored spectra intact
+            for seed in (1, 2):
+                F = _random_field(K.quad, seed)
+                self._assert_same(op.apply(F), convolve(F, K))
+
+    def test_streamed_matches_convolve_bit_for_bit(self, chart_kernels, monkeypatch):
+        # below zero: the (-1,) chart's kernel has no block, so storing it takes 0 bytes
+        monkeypatch.setattr(fields, "_SPECTRA_BYTE_LIMIT", -1)
+        for K in chart_kernels:
+            op = KernelOperator(K)
+            assert not op.stored
+            F = _random_field(K.quad, 3)
             self._assert_same(op.apply(F), convolve(F, K))
 
-    def test_streamed_matches_convolve_bit_for_bit(self, chart_kernel, monkeypatch):
-        K = chart_kernel
-        monkeypatch.setattr(fields, "_SPECTRA_BYTE_LIMIT", 0)
-        op = KernelOperator(K)
-        assert not op.stored
-        F = _random_field(K.quad, 3)
-        self._assert_same(op.apply(F), convolve(F, K))
+    def test_two_sign_spectra_take_twice_one_sign(self, chart_kernels):
+        # one block per (kernel plane, input scale): a negative input scale
+        # reuses the positive one's block reversed, so two signs cost 2x, not
+        # 4x, and a (-1,) chart, whose kernel plane joins no branches, none
+        one = fields._spectra_nbytes(build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, (1,)))
+        for K, factor in zip(chart_kernels, (2, 0, 2), strict=True):
+            nbytes = fields._spectra_nbytes(K.quad)
+            assert nbytes == factor * one
+            held = sum(spec.nbytes for *_, spec in KernelOperator(K)._spectra)
+            assert held <= nbytes
 
     def test_other_chart_refused(self, chart_kernel):
         op = KernelOperator(chart_kernel)

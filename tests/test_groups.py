@@ -11,6 +11,8 @@ from coorbit.groups import (
     HeisenbergPoint,
     affine_inv,
     _bilinear,
+    _in_chart,
+    _read_rows,
     affine_modular,
     affine_mul,
     affine_field_interpolate,
@@ -458,12 +460,30 @@ class TestBilinearGrid:
         # the convolution's pre-FFT blocks, against scattered reads at the
         # same fractional indices, on the branch the block reads
         G = cb.GroupField(quad, _random_values(quad.shape, seed))
-        for (si, _, so, *_, fu, fb), (*_, block) in zip(_kernel_blocks(quad), _kernel_reads(G),
-                                                        strict=True):
-            plane = G.values[quad.signs.index(quad.signs[so] * quad.signs[si])]
-            ref, mask = _bilinear(plane, *np.meshgrid(fu, fb, indexing="ij"))
+        for (p, *_, fu, fb), (*_, block) in zip(_kernel_blocks(quad), _kernel_reads(G),
+                                                strict=True):
+            ref, mask = _bilinear(G.values[p], *np.meshgrid(fu, fb, indexing="ij"))
             assert np.all(mask)
             assert np.array_equal(block, ref)
+
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
+    def test_negative_input_scale_reads_are_reversed_blocks(self, quad, seed):
+        # the kernel read for input scale -s_j, by its own b-indices and
+        # in-chart test, is the block for +s_j reversed along b, bit for bit
+        G = cb.GroupField(quad, _random_values(quad.shape, seed))
+        n_b = quad.n_b
+        ms = np.arange(-(n_b - 1), n_b)
+        scales = quad.scale_grid()
+        for (p, j, _, cols, _, block), (*_, fu, _) in zip(
+                _kernel_reads(G), _kernel_blocks(quad), strict=True):
+            padded = np.zeros((block.shape[0], 2 * n_b - 1), dtype=complex)
+            padded[:, cols] = block
+            fb_neg = (ms * quad.db / -scales[j] - quad.b_lo) / quad.db
+            kept = _in_chart(fb_neg, n_b)
+            neg = np.zeros_like(padded)
+            neg[:, kept] = _read_rows(_read_rows(G.values[p], fu).T, fb_neg[kept]).T
+            assert np.array_equal(neg, padded[:, ::-1])
 
     @_PROPERTY
     @given(_AFFINE_CHART, st.integers(0, 2**32 - 1), st.floats(-6, 6),
