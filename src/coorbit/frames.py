@@ -397,9 +397,11 @@ def neumann_reconstruct(
 ):
     """Invert ``T F = (sum_i F(x_i) phi_i) * K`` by the fixed-point iteration.
 
-    ``Y`` is T applied to the (unknown) field with the known samples
-    (a ``SampledSequence`` or one coefficient per lattice point);
-    the iteration ``F <- Y + (F - T F)`` converges geometrically when
+    ``Y`` is T applied to the (unknown) field with the known samples,
+    read as ``bupu_synthesize`` reads them: a ``SampledSequence`` or one
+    coefficient per lattice point, or one per active tile as
+    ``BUPU.active_samples`` returns them.  The iteration
+    ``F <- Y + (F - T F)`` converges geometrically when
     the certificate's q is below one.  Divergence (three residual
     increases in a row) raises, carrying the report; the q bound is a
     chart-truncated estimate and may be optimistic, so garbage is never

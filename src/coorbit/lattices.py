@@ -454,12 +454,30 @@ def sample_field(F: GroupField, lat) -> SampledSequence:
     return SampledSequence(lat, vals, mask)
 
 
-def _coefficients(c, lat) -> np.ndarray:
-    """One value per point of ``lat``, from a ``SampledSequence`` or an array."""
-    vals = c.values if isinstance(c, SampledSequence) else np.asarray(c)
-    if vals.size != lat.n_points:
-        raise ValueError("sequence length does not match the lattice")
-    return vals
+def _coefficients(c, lat, active=None) -> np.ndarray:
+    """1-D coefficients on ``lat``, from a ``SampledSequence`` on ``lat`` or an array.
+
+    ``c`` holds one value per lattice point or, given the sorted unique
+    ``active`` tile indices, one per active tile; the result is per point
+    without ``active`` and per active tile with it.  When every tile is
+    active the two readings are the same vector.
+    """
+    if isinstance(c, SampledSequence):
+        if c.lattice.to_dict() != lat.to_dict():
+            raise ValueError("sequence was sampled on another lattice")
+        vals = c.values
+    else:
+        vals = np.asarray(c)
+    if vals.ndim != 1:
+        raise ValueError(f"coefficients must be a 1-D vector, got shape {vals.shape}")
+    if vals.size == lat.n_points:
+        return vals if active is None else vals[active]
+    if active is not None and vals.size == active.size:
+        return vals
+    accepted = f"{lat.n_points} (one per lattice point)"
+    if active is not None:
+        accepted += f" or {active.size} (one per active tile)"
+    raise ValueError(f"got {vals.size} coefficients; the lattice takes {accepted}")
 
 
 def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
@@ -611,15 +629,13 @@ class BUPU:
         return bool(U.beta_x < quad.dx or U.beta_w < quad.dw)
 
     def active_samples(self, F: GroupField) -> np.ndarray:
-        """Lattice coefficients of F read at the active tiles, zero elsewhere.
+        """F read at the active tiles' points, one value per tile in ``active_tiles`` order.
 
-        Synthesizes bit for bit like ``sample_field(F, lattice)``: the
-        partition reads no other tile.
+        Equals ``sample_field(F, lattice).values[active_tiles]`` bit for
+        bit, and ``bupu_synthesize`` takes it as it takes the full
+        sequence: the partition reads no other tile.
         """
-        vals, _ = _interpolate_at(F, self.lattice, *self.active_points)
-        c = np.zeros(self.lattice.n_points, dtype=np.complex128)
-        c[self.active_tiles] = vals
-        return c
+        return _interpolate_at(F, self.lattice, *self.active_points)[0]
 
     def partition_sum(self, c1, c2, coeffs=None):
         """``sum_i coeffs_i phi_i`` at arbitrary points (ones by default)."""
@@ -634,8 +650,7 @@ class BUPU:
         the active points come from ``point_arrays``, are interpolated by
         the same kernel, and are summed in the same order.
         """
-        vals, _ = _interpolate_at(F, self.lattice, *self.active_points)
-        return _synthesize_pairs(self, vals[self.pair_active])
+        return _synthesize_pairs(self, self.active_samples(F)[self.pair_active])
 
 
 def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
@@ -698,6 +713,12 @@ def _synthesize_pairs(bupu: BUPU, pair_values) -> GroupField:
 
 
 def bupu_synthesize(c, bupu: BUPU) -> GroupField:
-    """Field ``sum_i c_i phi_i`` on the partition's chart."""
-    vals = _coefficients(c, bupu.lattice)
-    return _synthesize_pairs(bupu, vals[bupu.active_tiles][bupu.pair_active])
+    """Field ``sum_i c_i phi_i`` on the partition's chart.
+
+    ``c`` holds one coefficient per lattice point (a ``SampledSequence``
+    on the partition's lattice or an array) or one per active tile, in
+    ``active_tiles`` order, as ``BUPU.active_samples`` returns them; only
+    the active tiles' coefficients are read, so both synthesize the same.
+    """
+    vals = _coefficients(c, bupu.lattice, bupu.active_tiles)
+    return _synthesize_pairs(bupu, vals[bupu.pair_active])

@@ -937,6 +937,15 @@ class TestReconstructCommand:
             return cwt_once(*args, **kwargs)
 
         monkeypatch.setattr(cb.voice, "cwt", counting_cwt)
+        # the loop receives the active tiles' coefficients, not the whole lattice's
+        received = []
+        reconstruct_once = cli.neumann_reconstruct
+
+        def recording_reconstruct(samples, *args, **kwargs):
+            received.append(np.shape(samples))
+            return reconstruct_once(samples, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "neumann_reconstruct", recording_reconstruct)
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 0
         assert len(calls) == 1
@@ -951,6 +960,7 @@ class TestReconstructCommand:
         assert rep["lattice_points"] == lat.n_points == 2 * (2 * j_span + 1) * (2 * k_span + 1)
         assert rep["active_tiles"] == bupu.active_tiles.size
         assert 0 < rep["active_tiles"] < rep["lattice_points"]
+        assert received == [(rep["active_tiles"],)]
         assert rep["uncovered_nodes"] == int(np.sum(bupu.counts == 0))
         # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
         assert rep["tiles_finer_than_cells"] is True

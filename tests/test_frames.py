@@ -472,7 +472,9 @@ class TestNeumann:
         quad, K, lat, bupu, W = designed_loop
         full = sample_field(W, lat)
         active = bupu.active_samples(W)
-        assert np.array_equal(active[bupu.active_tiles], full.values[bupu.active_tiles])
+        assert active.shape == (bupu.active_tiles.size,)
+        assert np.array_equal(active.view(np.int64),
+                              full.values[bupu.active_tiles].view(np.int64))
         Y_full = bupu_synthesize(full, bupu)
         Y_active = bupu_synthesize(active, bupu)
         assert np.array_equal(Y_active.values.view(np.int64), Y_full.values.view(np.int64))
@@ -481,6 +483,35 @@ class TestNeumann:
         (rec_full, rep_full), (rec_active, rep_active) = runs
         assert rep_active == rep_full
         assert np.array_equal(rec_active.values.view(np.int64), rec_full.values.view(np.int64))
+
+    def test_wrong_coefficient_length_raises(self, designed_loop):
+        # neither one per lattice point nor one per active tile: the error
+        # names both lengths it would have taken
+        quad, K, lat, bupu, W = designed_loop
+        n_active = bupu.active_tiles.size
+        for n in (n_active - 1, n_active + 1, lat.n_points + 1):
+            with pytest.raises(ValueError, match=f"{lat.n_points} .* {n_active} "):
+                bupu_synthesize(np.zeros(n), bupu)
+            with pytest.raises(ValueError, match=f"got {n} coefficients"):
+                neumann_reconstruct(np.zeros(n), bupu, K, allow_uncertified=True)
+
+    def test_all_tiles_active_readings_agree(self):
+        # a coarse lattice under a chart that reaches past its window: every
+        # tile holds a node, so a vector's length reads the same either way
+        lat = AffineLattice(2.0, 1.0, -1, 1, -2, 2, (1, -1))
+        quad = build_affine_quadrature(-4, 4, 32, 1 / 8, 8, 13, (1, -1))
+        bupu = build_bupu(lat, affine_box(1.0, 2.0), quad)
+        assert np.array_equal(bupu.active_tiles, np.arange(lat.n_points))
+        rng = np.random.default_rng(5)
+        W = GroupField(quad, rng.normal(size=quad.shape) + 1j * rng.normal(size=quad.shape))
+        per_point = sample_field(W, lat)
+        per_tile = bupu.active_samples(W)
+        assert per_tile.shape == per_point.values.shape
+        Y_point = bupu_synthesize(per_point, bupu)
+        Y_tile = bupu_synthesize(per_tile, bupu)
+        assert np.array_equal(Y_tile.values.view(np.int64), Y_point.values.view(np.int64))
+        assert np.array_equal(Y_tile.values.view(np.int64),
+                              bupu.sample_synthesize(W).values.view(np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -164,6 +164,37 @@ class TestSampling:
             3 * seq_lpm_norm(c, 2.0, m, lat12), rel=1e-12
         )
 
+    def test_non_vector_coefficients_refused(self, lat12, quad12):
+        # a column of n ones broadcast against the n weights to n x n and
+        # read n instead of sqrt(n); synthesis raised numpy's own error
+        ones = np.ones(lat12.n_points)
+        assert seq_lpm_norm(ones, 2.0, None, lat12) == pytest.approx(math.sqrt(ones.size))
+        bupu = build_bupu(lat12, affine_box(1.0, 2.0), quad12)
+        for bad in (ones[:, None], ones[None, :], np.float64(1.0)):
+            with pytest.raises(ValueError, match="1-D"):
+                seq_lpm_norm(bad, 2.0, None, lat12)
+            with pytest.raises(ValueError, match="1-D"):
+                bupu_synthesize(bad, bupu)
+
+    def test_sequence_from_another_lattice_refused(self):
+        # two windows of 350 points each: equal lengths, different points
+        lat = AffineLattice(1.3, 0.4, -3, 3, -12, 12, (1, -1))
+        other = AffineLattice(1.5, 0.3, -3, 3, -12, 12, (1, -1))
+        assert lat.n_points == other.n_points == 350
+        quad = build_affine_quadrature(-2, 2, 64, 0.5, 2, 9, (1, -1))
+        bupu = build_bupu(lat, affine_box(0.4, 1.3), quad)
+        F = GroupField(quad, np.ones(quad.shape))
+        foreign = sample_field(F, other)
+        with pytest.raises(ValueError, match="another lattice"):
+            bupu_synthesize(foreign, bupu)
+        with pytest.raises(ValueError, match="another lattice"):
+            seq_lpm_norm(foreign, 2.0, None, lat)
+        # an equal lattice built apart is the same lattice
+        own = sample_field(F, AffineLattice(1.3, 0.4, -3, 3, -12, 12, (1, -1)))
+        assert seq_lpm_norm(own, 2.0, None, lat) == seq_lpm_norm(own.values, 2.0, None, lat)
+        assert np.array_equal(bupu_synthesize(own, bupu).values,
+                              bupu_synthesize(own.values, bupu).values)
+
 
 class TestNormEquivalence:
     def test_single_coefficient(self, lat12, quad12):
@@ -320,7 +351,7 @@ def _assert_step_bit_identical(F, lat, bupu):
     # compare the bits of real and imaginary parts, not values up to roundoff
     assert np.array_equal(ref.values.view(np.int64), step.values.view(np.int64))
     assert step.meta == ref.meta
-    # the zero-filled active coefficients synthesize the same field
+    # the active tiles' coefficients alone synthesize the same field
     active = bupu_synthesize(bupu.active_samples(F), bupu)
     assert np.array_equal(ref.values.view(np.int64), active.values.view(np.int64))
 
