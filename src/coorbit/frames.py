@@ -31,10 +31,12 @@ import numpy as np
 from .fields import (
     KernelOperator,
     NeighborhoodSpec,
+    _p_norm,
     affine_box,
     field_l2_norm,
     lpm_norm,
     oscillation,
+    unit_weight,
 )
 from .groups import GroupField, GroupQuadrature, _Report
 from .lattices import (
@@ -42,12 +44,13 @@ from .lattices import (
     AffineLattice,
     SampledSequence,
     TFLattice,
+    _interpolate_at,
     bupu_synthesize,
-    sample_field,
-    seq_lpm_norm,
 )
 from .signals import (
     SampledSignal,
+    Spectrum,
+    _frequencies,
     fourier,
     inverse_fourier,
     l2_norm,
@@ -63,7 +66,7 @@ from .voice import (
     normalize_admissible,
     reproducing_kernel,
 )
-from .weights import WeightSpec
+from .weights import WeightSpec, eval_weight_at
 
 __all__ = [
     "FrameCertificate",
@@ -307,8 +310,8 @@ def random_bandlimited_signal(
     w_lo, w_hi = band
     if not (0 <= w_lo < w_hi):
         raise ValueError("need 0 <= w_lo < w_hi")
-    spec = fourier(template)
-    w = spec.grid()
+    w_c, dw = _frequencies(template.n, template.dt)
+    w = w_c[0] + dw * np.arange(template.n)  # Spectrum.grid() of fourier(template)
     amp = np.zeros(w.size, dtype=np.complex128)
     mask = (np.abs(w) >= w_lo) & (np.abs(w) <= w_hi)
     phase = np.exp(2j * np.pi * rng.uniform(size=int(np.sum(mask))))
@@ -317,9 +320,7 @@ def random_bandlimited_signal(
         np.pi / 2 * (2 * (np.abs(w[mask]) - w_lo) / (w_hi - w_lo) - 1.0)
     ) ** 2
     amp[mask] = mag * phase * taper
-    sig = inverse_fourier(
-        type(spec)(spec.w0, spec.dw, amp, spec.t_origin)
-    )
+    sig = inverse_fourier(Spectrum(w_c[0], dw, amp, template.t0))
     t = sig.grid()
     center = t[0] + (t[-1] - t[0]) / 2
     width = envelope_width or (t[-1] - t[0]) / 6
@@ -362,6 +363,13 @@ def frame_bounds_empirical(
         raise ValueError("ensemble must be >= 1")
     rng = np.random.default_rng(seed)
     is_affine = lat.kind == "affine"
+    # what every draw shares, as lpm_norm, sample_field and seq_lpm_norm compute it
+    chart_weights = eval_weight_at(m if m is not None else unit_weight(quad.kind), quad.kind,
+                                   *quad.node_points())
+    node_weights = quad.node_weights()
+    points = lat.point_arrays()
+    point_weights = eval_weight_at(m if m is not None else unit_weight(lat.kind), lat.kind,
+                                   *points)
     # every draw lands on one grid, so the STFT operator built on the first serves all
     stft_op = None
     ratios = []
@@ -374,13 +382,13 @@ def frame_bounds_empirical(
                 if stft_op is None:
                     stft_op = _stft_operator(f, window, quad)
                 F = GroupField(quad, stft_op.analyze(f.values).reshape(quad.shape))
-            denom = lpm_norm(F, p, m)
+            denom = _p_norm(F.values, chart_weights, p, node_weights)
             if denom > 0:
                 break
         else:
             raise ValueError("could not draw a test signal with nonzero transform")
-        seq = sample_field(F, lat)
-        ratios.append(seq_lpm_norm(seq, p, m, lat) / denom)
+        samples, _ = _interpolate_at(F, lat, *points)
+        ratios.append(_p_norm(samples, point_weights, p) / denom)
     ratios = tuple(float(r) for r in ratios)
     return BoundsReport(min(ratios), max(ratios), ratios, ensemble)
 
@@ -408,8 +416,8 @@ def neumann_reconstruct(
     returned silently.  Each iteration reads F only at the tiles that
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
     the partition's tile counts.  The kernel is applied through one
-    :class:`~coorbit.fields.KernelOperator`, built before the first
-    iteration.
+    :class:`~coorbit.fields.KernelOperator`, built after the samples are
+    read and before the first iteration.
     """
     if certificate is None and not allow_uncertified:
         raise ValueError(
@@ -420,6 +428,8 @@ def neumann_reconstruct(
     if bupu.quad.to_dict() != K.quad.to_dict():
         raise ValueError("partition chart must match the kernel chart")
 
+    # synthesized first: refused samples never pay for the kernel operator
+    Y = bupu_synthesize(samples, bupu)
     project = KernelOperator(K).apply
     tiles = {
         "lattice_points": bupu.lattice.n_points,
@@ -427,7 +437,7 @@ def neumann_reconstruct(
         "uncovered_nodes": bupu.uncovered_nodes,
         "tiles_finer_than_cells": bupu.tiles_finer_than_cells,
     }
-    Y = project(bupu_synthesize(samples, bupu))
+    Y = project(Y)
 
     def step(F):
         TF = project(bupu.sample_synthesize(F))

@@ -117,7 +117,9 @@ class AffineLattice:
         eps_idx, rest = np.divmod(np.asarray(flat, dtype=np.int64), self.n_j * self.n_k)
         j, k = np.divmod(rest, self.n_k)
         eps = np.asarray(self.signs, dtype=float)[eps_idx]
-        a = eps * self.alpha ** (j + self.j_min).astype(float)
+        # one power per scale row, indexed: the same values as one per point
+        levels = self.alpha ** np.arange(self.j_min, self.j_max + 1).astype(float)
+        a = eps * levels[j]
         b = a * self.beta * (k + self.k_min).astype(float)
         return b, a
 
@@ -636,12 +638,6 @@ class BUPU:
         sequence: the partition reads no other tile.
         """
         return _interpolate_at(F, self.lattice, *self.active_points)[0]
-
-    def partition_sum(self, c1, c2, coeffs=None):
-        """``sum_i coeffs_i phi_i`` at arbitrary points (ones by default)."""
-        if coeffs is None:
-            coeffs = np.ones(self.lattice.n_points)
-        return _tile_average(*cover_sum(self.lattice, self.U, c1, c2, coeffs))
 
     def sample_synthesize(self, F: GroupField) -> GroupField:
         """``sum_i F(x_i) phi_i``, reading F only at the active tiles.

@@ -223,9 +223,7 @@ def signal_from_spectrum_profile(
     zero bin is forced to ``profile``'s limit at 0 if finite, else 0)
     and inverted; handy for atoms given by a closed-form ``psi_hat``.
     """
-    dt = (t_hi - t_lo) / n
-    dw = 1.0 / (n * dt)
-    w = (np.arange(n) - n // 2) * dw
+    w, dw = _frequencies(n, (t_hi - t_lo) / n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.asarray(profile(w), dtype=np.complex128)
     vals[~np.isfinite(vals)] = 0.0
@@ -243,11 +241,15 @@ def inner(f: SampledSignal, g: SampledSignal) -> complex:
     return complex(f.dt * np.sum(f.values * np.conj(g.values)))
 
 
+def _frequencies(n: int, dt: float):
+    """The centered DFT frequencies ``(k - n//2) dw`` of ``n`` samples, and ``dw = 1/(n dt)``."""
+    dw = 1.0 / (n * dt)
+    return (np.arange(n) - n // 2) * dw, dw
+
+
 def fourier(f: SampledSignal) -> Spectrum:
     """dt-scaled DFT with frequencies centered at zero."""
-    n = f.n
-    dw = 1.0 / (n * f.dt)
-    w = (np.arange(n) - n // 2) * dw
+    w, dw = _frequencies(f.n, f.dt)
     vals = f.dt * np.exp(-2j * np.pi * f.t0 * w) * np.fft.fftshift(np.fft.fft(f.values))
     return Spectrum(w[0], dw, vals, t_origin=f.t0)
 
@@ -267,17 +269,28 @@ def _complex_interp(tq, t, values):
     return re + 1j * im
 
 
+def _grid_shift(values: np.ndarray, dt: float, x: float, out: np.ndarray) -> bool:
+    """Write ``values[n - x/dt]`` into the zeroed ``out`` when ``x`` is grid-aligned.
+
+    Returns ``False``, writing nothing, when ``x`` is not a whole number
+    of steps ``dt``.
+    """
+    steps = x / dt
+    k = round(steps)
+    if abs(steps - k) >= 1e-9:
+        return False
+    n = values.size
+    if k >= 0:
+        out[k:] = values[: n - k] if k < n else 0.0
+    else:
+        out[:k] = values[-k:]
+    return True
+
+
 def translate(f: SampledSignal, x: float) -> SampledSignal:
     """``(T_x f)(t) = f(t - x)``; exact for grid-aligned shifts."""
-    steps = x / f.dt
-    k = round(steps)
     out = np.zeros(f.n, dtype=np.complex128)
-    if abs(steps - k) < 1e-9:
-        if k >= 0:
-            out[k:] = f.values[: f.n - k] if k < f.n else 0.0
-        else:
-            out[:k] = f.values[-k:]
-    else:
+    if not _grid_shift(f.values, f.dt, x, out):
         out = _complex_interp(f.grid() - x, f.grid(), f.values)
     return f.with_values(out)
 

@@ -13,8 +13,9 @@ per spectrum.
 The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)``,
 its adjoint ``istft`` and the Gabor frame operator of
 :mod:`coorbit.frames` are one factored operator, :class:`_TFOperator`:
-window rows times a uniform frequency axis.  Its analysis is one
-length-``M`` FFT per folded row when ``dw * dt = 1/M``.
+window rows times a uniform frequency axis.  Its analysis and its
+synthesis each take one length-``M`` FFT per folded row when ``dw * dt
+= 1/M``; only axes that do not fold build the dense phase table.
 
 Admissibility, inversion, reproducing kernels and the explicit wavelet
 Duflo-Moore multiplier ``psihat / sqrt|w|`` round out the module.
@@ -35,6 +36,8 @@ from .signals import (
     SampledSignal,
     Spectrum,
     _complex_interp,
+    _frequencies,
+    _grid_shift,
     fourier,
     inverse_fourier,
     l2_norm,
@@ -193,13 +196,11 @@ def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
         raise NotAdmissibleError("admissibility constant must be positive")
 
     psihat = fourier(psi)
-    n = psi.n
-    dw = 1.0 / (n * quad.db)
-    w = (np.arange(n) - n // 2) * dw
+    w, dw = _frequencies(psi.n, quad.db)
     du = quad.du
     scales = quad.scale_grid()
 
-    acc = np.zeros(n, dtype=np.complex128)
+    acc = np.zeros(psi.n, dtype=np.complex128)
     for s_idx, sgn in enumerate(quad.signs):
         rows = W.values[s_idx]
         # forward transform of every b-row at once
@@ -251,27 +252,42 @@ def _modulation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(a, b))
 
 
+def _fold_rows(Y: np.ndarray, m: int) -> np.ndarray:
+    """Row sums of ``Y`` over its columns modulo ``m``, shape ``(rows, m)``."""
+    q, r = divmod(Y.shape[1], m)
+    Z = Y[:, :q * m].reshape(Y.shape[0], q, m).sum(axis=1)
+    Z[:, :r] += Y[:, q * m:]
+    return Z
+
+
 class _TFOperator:
     """STFT analysis on a uniform frequency axis, and its adjoint, built once.
 
     Rows ``R[r] = g(t - xs[r]) exp(2 pi i t row_w[r])`` (no phase without
-    ``row_w``) on the samples ``t_n = t0 + n dt``, axis ``w_k = w0 + k dw``.
-    ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``.
-    When ``dw dt = 1/M`` (:func:`_fold_length`) the phase is ``t0 w_k +
-    n dt w0 + n k / M``: the rows of ``conj(R) v exp(-2 pi i n dt w0)``
-    are summed modulo ``M``, one length-``M`` FFT per row gives column
-    ``k mod M``, and ``exp(-2 pi i t0 w_k) dt`` scales each column;
-    otherwise the axis is the dense product with ``exp(-2 pi i t_n w_k)
-    dt``.  ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``,
-    the adjoint up to the factor ``dt``, is always dense.
+    ``row_w`` or when every ``row_w`` is 0) on the samples ``t_n = t0 + n
+    dt``, axis ``w_k = w0 + k dw``.  Grid-aligned shifts are slices of
+    ``g``; others interpolate, as :func:`~coorbit.signals.translate` does.
+    ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``
+    and ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``, its
+    adjoint up to the factor ``dt``.  When ``dw dt = 1/M``
+    (:func:`_fold_length`) the phase is ``t0 w_k + n dt w0 + n k / M`` and
+    both directions fold.  Analysis sums the rows of ``conj(R) v exp(-2 pi
+    i n dt w0)`` modulo ``M``, takes one length-``M`` FFT per row for
+    column ``k mod M`` and scales column k by ``exp(-2 pi i t0 w_k) dt``.
+    Synthesis sums the rows of ``conj(C) exp(-2 pi i t0 w_k)`` modulo
+    ``M``, takes one length-``M`` FFT per row, reads it at ``n mod M``,
+    multiplies by ``conj(R) exp(-2 pi i n dt w0)``, sums the rows and
+    conjugates.  Axes that do not fold take the dense product with
+    ``exp(-2 pi i t_n w_k)``.
     """
 
     def __init__(self, g: SampledSignal, xs, t0: float, dt: float,
                  w0: float, dw: float, n_w: int, row_w=None):
-        G = np.empty((len(xs), g.n), dtype=np.complex128)
+        G = np.zeros((len(xs), g.n), dtype=np.complex128)
         for i, x in enumerate(xs):
-            G[i] = translate(g, x).values
-        if row_w is not None:
+            if not _grid_shift(g.values, g.dt, x, G[i]):
+                G[i] = translate(g, x).values
+        if row_w is not None and np.any(row_w):
             G *= _modulation(row_w, g.grid())
         self._G = np.conj(G, out=G)
         self.shape, self.dt = (len(xs), n_w), dt
@@ -279,12 +295,12 @@ class _TFOperator:
         self._w = w0 + dw * np.arange(n_w)
         m = _fold_length(dt, dw, g.n)
         self._fold = None if m is None else (
-            m, _unit_phase(np.arange(g.n) * (dt * w0)),
-            _unit_phase(self._w * t0) * dt, np.arange(n_w) % m)
+            m, _unit_phase(np.arange(g.n) * (dt * w0)), _unit_phase(self._w * t0),
+            np.arange(n_w) % m)
 
     @cached_property
     def _phases(self) -> np.ndarray:
-        """``exp(-2 pi i t_n w_k)``, shape ``(n_t, n_w)``, built on first use."""
+        """``exp(-2 pi i t_n w_k)``, shape ``(n_t, n_w)``, built on first unfolded use."""
         return _modulation(-self._t, self._w)
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
@@ -292,18 +308,26 @@ class _TFOperator:
         if self._fold is None:
             return ((self._G * v[None, :]) @ (self._phases * self.dt)).ravel()
         m, pre, post, cols = self._fold
-        q, r = divmod(v.size, m)
-        Y = self._G * (v * pre)[None, :]
-        Z = Y[:, :q * m].reshape(self.shape[0], q, m).sum(axis=1)
-        Z[:, :r] += Y[:, q * m:]
-        return (np.fft.fft(Z, axis=-1)[:, cols] * post[None, :]).ravel()
+        Z = _fold_rows(self._G * (v * pre)[None, :], m)
+        return (np.fft.fft(Z, axis=-1)[:, cols] * (post * self.dt)[None, :]).ravel()
 
     def synthesize(self, C: np.ndarray) -> np.ndarray:
         """``sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))`` for ``C`` in ``analyze``'s order."""
         # each term conj(R[r]) (conj(C[r]) @ exp(-2 pi i w t)), conjugated once
-        P = np.conj(np.reshape(C, self.shape)) @ self._phases.T
-        P *= self._G
-        return np.conj(P.sum(axis=0))
+        C = np.conj(np.reshape(C, self.shape))
+        if self._fold is None:
+            P = C @ self._phases.T
+            P *= self._G
+            return np.conj(P.sum(axis=0))
+        m, pre, post, _ = self._fold
+        F = np.fft.fft(_fold_rows(C * post[None, :], m), axis=-1)
+        # F read at n mod M: whole periods as a broadcast, then the remainder
+        rows, n = self._G.shape
+        q = n // m
+        out = np.empty(n, dtype=np.complex128)
+        out[:q * m] = (self._G[:, :q * m].reshape(rows, q, m) * F[:, None, :]).sum(axis=0).ravel()
+        out[q * m:] = (self._G[:, q * m:] * F[:, :n - q * m]).sum(axis=0)
+        return np.conj(out * pre, out=out)
 
 
 def _stft_operator(f: SampledSignal, g: SampledSignal, quad: GroupQuadrature) -> _TFOperator:

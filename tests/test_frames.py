@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coorbit as cb
+from coorbit import frames
 from coorbit.fields import affine_box, convolve, field_l2_norm, lpm_norm, tf_box
 from coorbit.frames import (
     DesignSearchError,
@@ -276,8 +277,8 @@ def test_gabor_analysis_path(g, lat):
     assert GaborOperator(g, _ORACLE_LATTICES["upper"])._fold is None
 
 
-def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6):
-    """Reference ratios: one full ``stft`` or ``cwt`` call per draw."""
+def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6, p=2, m=None):
+    """Reference ratios: one full ``stft`` or ``cwt`` call, and the public norms, per draw."""
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(ensemble):
@@ -286,8 +287,8 @@ def _bounds_per_draw(window, lat, quad, seed, band, envelope_width, ensemble=6):
             F = cwt(f, window, quad)
         else:
             F = stft(f, window, (quad.x0, quad.dx, quad.n_x), (quad.w0, quad.dw, quad.n_w))
-        ratios.append(float(seq_lpm_norm(sample_field(F, lat), 2, None, lat)
-                            / lpm_norm(F, 2, None)))
+        ratios.append(float(seq_lpm_norm(sample_field(F, lat), p, m, lat)
+                            / lpm_norm(F, p, m)))
     return tuple(ratios)
 
 
@@ -314,6 +315,61 @@ def test_frame_bounds_ratios_bit_identical_affine(s0_atom_normalized, atom_chart
                                  quad=atom_chart, band=(0.2, 1.0))
     assert rep.ratios == _bounds_per_draw(s0_atom_normalized, lat, atom_chart, 2,
                                           (0.2, 1.0), None)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_frame_bounds_weighted_ratios_bit_identical(p, s0_atom_normalized, atom_chart):
+    # the chart and lattice weights are computed once per call; each draw's
+    # norms must still equal lpm_norm's and seq_lpm_norm's bit for bit
+    g = cb.gaussian(-10, 10.5, 1800)
+    lat = TFLattice(np.array([[0.5, 0.0], [0.25, 0.5]]), 1.0, -16, 16, -7, 7)
+    quad = build_tf_quadrature(-8, 0.125, 129, -3.5, 0.125, 57)
+    m = cb.poly_tf(1.0, 0.5)
+    rep = frame_bounds_empirical(g, lat, p=p, m=m, ensemble=3, seed=4, quad=quad,
+                                 band=(0.2, 1.2), envelope_width=3.0)
+    assert rep.ratios == _bounds_per_draw(g, lat, quad, 4, (0.2, 1.2), 3.0, 3, p, m)
+    lat = AffineLattice(2.0, 0.5, -2, 2, -12, 12, (1, -1))
+    m = cb.symmetric_power(1.0)
+    rep = frame_bounds_empirical(s0_atom_normalized, lat, p=p, m=m, ensemble=3, seed=5,
+                                 quad=atom_chart, band=(0.2, 1.0))
+    assert rep.ratios == _bounds_per_draw(s0_atom_normalized, lat, atom_chart, 5,
+                                          (0.2, 1.0), None, 3, p, m)
+
+
+def _bandlimited_by_transform(template, band, rng, envelope_width=None):
+    """Oracle: the draw with its band read off ``fourier(template)``, spectrum and all."""
+    w_lo, w_hi = band
+    spec = cb.fourier(template)
+    w = spec.grid()
+    amp = np.zeros(w.size, dtype=np.complex128)
+    mask = (np.abs(w) >= w_lo) & (np.abs(w) <= w_hi)
+    phase = np.exp(2j * np.pi * rng.uniform(size=int(np.sum(mask))))
+    mag = rng.uniform(0.2, 1.0, int(np.sum(mask)))
+    taper = np.cos(np.pi / 2 * (2 * (np.abs(w[mask]) - w_lo) / (w_hi - w_lo) - 1.0)) ** 2
+    amp[mask] = mag * phase * taper
+    sig = cb.inverse_fourier(type(spec)(spec.w0, spec.dw, amp, spec.t_origin))
+    t = sig.grid()
+    center = t[0] + (t[-1] - t[0]) / 2
+    width = envelope_width or (t[-1] - t[0]) / 6
+    out = cb.SampledSignal(sig.t0, sig.dt, sig.values * np.exp(-(((t - center) / width) ** 2)))
+    return out.with_values(out.values / cb.l2_norm(out))
+
+
+@pytest.mark.parametrize("template, band, width", [
+    (cb.gaussian(-16, 16, 2048), (0.25, 1.0), 2.2),
+    (cb.gaussian(-10, 10.5, 1800), (0.2, 1.2), 3.0),
+    (cb.SampledSignal(-3.7, 0.13, np.arange(301) % 7 - 3.0), (0.0, 2.5), None),
+    (cb.SampledSignal(0.25, 0.05, np.ones(64)), (1.0, 10.0), 0.8),
+])
+def test_random_draws_bit_identical_to_transforming_the_template(template, band, width):
+    # the draws need only the template's grid: they equal, bit for bit, the
+    # draws that read the band off the template's spectrum
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3):
+        f = random_bandlimited_signal(template, band, rng, width)
+        ref = _bandlimited_by_transform(template, band, ref_rng, width)
+        assert (f.t0, f.dt) == (ref.t0, ref.dt)
+        assert np.array_equal(f.values.view(np.int64), ref.values.view(np.int64))
 
 
 class TestFrameBounds:
@@ -494,6 +550,33 @@ class TestNeumann:
                 bupu_synthesize(np.zeros(n), bupu)
             with pytest.raises(ValueError, match=f"got {n} coefficients"):
                 neumann_reconstruct(np.zeros(n), bupu, K, allow_uncertified=True)
+
+    def test_refused_samples_build_no_kernel_operator(self, designed_loop, monkeypatch):
+        # wrong length, not a vector, or sampled on another lattice: the
+        # refusal comes before the kernel operator is built
+        quad, K, lat, bupu, W = designed_loop
+        builds = []
+
+        class Counted(frames.KernelOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "KernelOperator", Counted)
+        other = AffineLattice(lat.alpha * 1.01, lat.beta, lat.j_min, lat.j_max,
+                              lat.k_min, lat.k_max, lat.signs)
+        refused = (
+            (np.zeros(bupu.active_tiles.size + 1), "got .* coefficients"),
+            (np.zeros((lat.n_points, 1)), "1-D vector"),
+            (sample_field(W, other), "another lattice"),
+        )
+        for samples, message in refused:
+            with pytest.raises(ValueError, match=message):
+                neumann_reconstruct(samples, bupu, K, allow_uncertified=True)
+        assert builds == []
+        neumann_reconstruct(bupu.active_samples(W), bupu, K, max_iter=1,
+                            allow_uncertified=True)
+        assert builds == [1]
 
     def test_all_tiles_active_readings_agree(self):
         # a coarse lattice under a chart that reaches past its window: every

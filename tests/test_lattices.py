@@ -13,9 +13,11 @@ from coorbit.lattices import (
     AffineLattice,
     TFLattice,
     _cover_pairs,
+    _tile_average,
     build_bupu,
     bupu_synthesize,
     cover_counts,
+    cover_sum,
     covering_quadrature,
     default_density_probe,
     is_relatively_separated,
@@ -47,6 +49,29 @@ class TestLatticePoints:
         assert lookup[(0, 0, 1)] == (0.0, 1.0)
         bb, aa = lat.point(-1, 1, -1)
         assert (bb, aa) == (-0.5, -0.5)
+
+    @pytest.mark.parametrize("lat", [
+        AffineLattice(2.0, 1.0, -2, 2, -4, 4, (1, -1)),
+        AffineLattice(1.3, 0.4, -7, 9, -5, 6, (-1,)),
+        # the designed s0 lattice of the reconstruct workload: 3,959,902 points
+        AffineLattice(1 + 0.7**15, 0.7**15, -293, 293, -1686, 1686, (1, -1)),
+    ])
+    def test_affine_points_equal_one_power_per_point(self, lat):
+        # one power per scale row, indexed, against the formula evaluated
+        # at every point as a float power, for the whole lattice and subsets
+        def per_point(flat):
+            eps_idx, rest = np.divmod(flat, lat.n_j * lat.n_k)
+            j, k = np.divmod(rest, lat.n_k)
+            eps = np.asarray(lat.signs, dtype=float)[eps_idx]
+            a = eps * lat.alpha ** (j + lat.j_min).astype(float)
+            return a * lat.beta * (k + lat.k_min).astype(float), a
+
+        rng = np.random.default_rng(2)
+        for flat in (None, rng.integers(0, lat.n_points, 1000), np.array([lat.n_points - 1, 0]),
+                     np.zeros(0, dtype=np.int64)):
+            ref = per_point(np.arange(lat.n_points) if flat is None else flat)
+            for got, want in zip(lat.point_arrays(flat), ref):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_count(self):
         lat = AffineLattice(2.0, 1.0, -2, 2, -4, 4, (1, -1))
@@ -257,6 +282,11 @@ class TestModerationWindow:
         assert rep.heuristic_window is (m.family == "custom")
 
 
+def _partition_sum(bupu, c1, c2, coeffs):
+    """``sum_i coeffs_i phi_i`` at arbitrary points: the cover sum averaged over its tiles."""
+    return _tile_average(*cover_sum(bupu.lattice, bupu.U, c1, c2, coeffs))
+
+
 class TestBUPU:
     def test_exact_tiling_partition(self, lat12, quad12):
         U = affine_box(1.0, 2.0)
@@ -266,7 +296,7 @@ class TestBUPU:
         rng = np.random.default_rng(1)
         b = rng.uniform(-2, 2, 10000)
         a = np.exp(rng.uniform(-1.5, 1.5, 10000)) * rng.choice([-1.0, 1.0], 10000)
-        sums = bupu.partition_sum(b, a)
+        sums = _partition_sum(bupu, b, a, np.ones(lat12.n_points))
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
     def test_tile_interior_indicator(self, lat12, quad12):
@@ -276,10 +306,10 @@ class TestBUPU:
         tags = lat12.index_tags()
         c[tags.index((0, 0, 1))] = 1.0
         # strict interior of the (0,0,+1) tile: phi = 1 there
-        vals = bupu.partition_sum(np.array([0.2, -0.3]), np.array([1.1, 0.9]), c)
+        vals = _partition_sum(bupu, np.array([0.2, -0.3]), np.array([1.1, 0.9]), c)
         assert np.allclose(vals, 1.0)
         # outside: 0
-        vals = bupu.partition_sum(np.array([3.0]), np.array([1.0]), c)
+        vals = _partition_sum(bupu, np.array([3.0]), np.array([1.0]), c)
         assert np.allclose(vals, 0.0)
 
     def test_boundary_split_evenly(self, lat12, quad12):
@@ -289,7 +319,7 @@ class TestBUPU:
         tags = lat12.index_tags()
         c[tags.index((0, 0, 1))] = 1.0
         # b = 1/2 sits on the shared boundary of tiles k=0 and k=1
-        vals = bupu.partition_sum(np.array([0.5]), np.array([1.0]), c)
+        vals = _partition_sum(bupu, np.array([0.5]), np.array([1.0]), c)
         assert np.allclose(vals, 0.5)
 
     def test_local_finiteness_bound(self, lat12, quad12):

@@ -391,7 +391,7 @@ class TestSTFTAdjoint:
                                       phased, seed):
         m = 1 + round(m_frac * (n_t - 1))
         dw = 1.0 / (m * dt) * (1.0 if fold else 1.0137)
-        # w span at most 12, as in the fold oracle: synthesis keeps dense phases
+        # w span at most 12, as in the fold oracle: unfolded axes keep dense phases
         n_w = 1 + round(n_w_frac * min(3 * m, 12 / dw))
         assert (_fold_length(dt, dw, n_t) is not None) == fold
         rng = np.random.default_rng(seed)
@@ -407,6 +407,87 @@ class TestSTFTAdjoint:
         scale = max(np.linalg.norm(C) * np.linalg.norm(A),
                     dt * np.linalg.norm(S) * np.linalg.norm(v))
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_t=st.integers(2, 96),
+        m_frac=st.floats(0.0, 1.0),
+        dt=st.sampled_from([1 / 16, 0.1, 1 / 8, 0.15, 0.2]),
+        t0=st.floats(-4.0, 4.0),
+        w0=st.floats(-4.0, 4.0),
+        n_w_frac=st.floats(0.0, 1.0),
+        n_r=st.integers(1, 4),
+        aligned=st.booleans(),
+        phased=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # M = N with n_w > M; one node on each axis; n_w > M with N not a
+    # multiple of M; M = 1
+    @example(n_t=24, m_frac=1.0, dt=1 / 8, t0=-1.5, w0=0.3, n_w_frac=1.0, n_r=3,
+             aligned=True, phased=False, seed=1)
+    @example(n_t=17, m_frac=0.3, dt=0.2, t0=2.5, w0=-1.1, n_w_frac=0.0, n_r=1,
+             aligned=False, phased=True, seed=2)
+    @example(n_t=50, m_frac=0.1, dt=0.1, t0=-3.05, w0=0.37, n_w_frac=1.0, n_r=4,
+             aligned=True, phased=True, seed=3)
+    @example(n_t=5, m_frac=0.0, dt=0.2, t0=0.4, w0=-2.0, n_w_frac=1.0, n_r=2,
+             aligned=False, phased=False, seed=4)
+    def test_folded_synthesis_matches_dense_product(self, n_t, m_frac, dt, t0, w0, n_w_frac,
+                                                    n_r, aligned, phased, seed):
+        m = 1 + round(m_frac * (n_t - 1))
+        dw = 1.0 / (m * dt)
+        # w span at most 12 keeps |t w|, and so the oracle's phase roundoff, small
+        n_w = 1 + round(n_w_frac * min(3 * m, 12 / dw))
+        rng = np.random.default_rng(seed)
+        g = cb.SampledSignal(t0, dt, np.exp(-np.linspace(-2, 2, n_t) ** 2))
+        if aligned:
+            xs = dt * rng.integers(-n_t - 2, n_t + 3, size=n_r)
+        else:
+            xs = n_t * dt * rng.uniform(-1, 1, size=n_r)
+        row_w = rng.uniform(-2, 2, n_r) if phased else None
+        op = _TFOperator(g, xs, t0, dt, w0, dw, n_w, row_w=row_w)
+        assert op._fold is not None and op._fold[0] == m
+        C = rng.normal(size=(n_r, n_w)) + 1j * rng.normal(size=(n_r, n_w))
+        # the dense product, with rows built atom by atom
+        t, ws = g.grid(), w0 + dw * np.arange(n_w)
+        R = np.array([cb.translate(g, x).values for x in xs])
+        if phased:
+            R *= np.exp(2j * np.pi * np.outer(row_w, t))
+        E = np.exp(2j * np.pi * np.outer(ws, t))
+        ref = np.sum(R * (C @ E), axis=0)
+        # the triangle-inequality bound of each sample: the scale of its roundoff
+        scale = np.max(np.abs(R).T @ np.sum(np.abs(C), axis=1))
+        assert np.max(np.abs(op.synthesize(C) - ref)) <= 1e-12 * scale
+
+
+def _index_shift(values, k):
+    """``values[n - k]``, zero where ``n - k`` leaves the grid: a grid-aligned shift by index."""
+    src = np.arange(values.size) - k
+    ok = (src >= 0) & (src < values.size)
+    out = np.zeros(values.size, dtype=np.complex128)
+    out[ok] = values[src[ok]]
+    return out
+
+
+class TestTFOperatorRows:
+    """Window rows filled by slicing against ``translate``, bit for bit."""
+
+    @pytest.mark.parametrize("row_w", ["none", "zero", "phased"])
+    def test_rows_match_translate(self, row_w):
+        t = np.linspace(-2, 2, 40)
+        g = cb.SampledSignal(-1.3, 0.1, np.exp(-t ** 2 + 1j * t))
+        # inside, at and beyond the window's length, both ways, then off the grid
+        steps = (0, 1, -1, 17, -17, 39, -39, 40, -40, 41, -45, 1000)
+        xs = [k * g.dt for k in steps] + [0.37 * g.dt, -2.5 * g.dt, 41.5 * g.dt, 0.7]
+        ref = np.array([cb.translate(g, x).values for x in xs])
+        for i, k in enumerate(steps):
+            assert np.array_equal(ref[i].view(np.int64), _index_shift(g.values, k).view(np.int64))
+        phases = {"none": None, "zero": np.zeros(len(xs)),
+                  "phased": np.linspace(-1.5, 2.0, len(xs))}[row_w]
+        if phases is not None:
+            # the rows' modulation as it was applied to every row, zero phases included
+            ref = ref * np.exp(2j * np.pi * np.outer(phases, g.grid()))
+        op = _TFOperator(g, xs, g.t0, g.dt, 0.0, 1.0, 1, row_w=phases)
+        assert np.array_equal(op._G.view(np.int64), np.conj(ref).view(np.int64))
 
 
 class TestReproducingKernel:
