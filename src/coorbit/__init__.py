@@ -100,7 +100,6 @@ from .lattices import (
     bupu_synthesize,
     is_relatively_separated,
     is_U_dense,
-    lattice_points,
     norm_equivalence_check,
     sample_field,
     seq_lpm_norm,

@@ -340,13 +340,15 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
-
-    K = atom_kernel(psi, quad)
-    cert = _certificate_from_kernel(K, weight, U)
+    if truth.quad.to_dict() != quad.to_dict():
+        raise ValueError("field must be sampled on the chart given as quadrature")
+    # the partition refuses a lattice or neighbourhood before any kernel is built
     bupu = build_bupu(lat, U, quad)
     if bupu.tiles_finer_than_cells:
         print("warning: lattice tiles are finer than chart cells; most tiles "
               "hold no chart node", file=sys.stderr)
+    K = atom_kernel(psi, quad)
+    cert = _certificate_from_kernel(K, weight, U)
     try:
         rec, report = neumann_reconstruct(
             bupu.active_samples(truth), bupu, K,

@@ -427,6 +427,8 @@ def neumann_reconstruct(
         raise ValueError("certificate did not pass (q >= 1)")
     if bupu.quad.to_dict() != K.quad.to_dict():
         raise ValueError("partition chart must match the kernel chart")
+    if ground_truth is not None and ground_truth.quad.to_dict() != K.quad.to_dict():
+        raise ValueError("ground truth chart must match the kernel chart")
 
     # synthesized first: refused samples never pay for the kernel operator
     Y = bupu_synthesize(samples, bupu)

@@ -26,6 +26,7 @@ from .groups import (
     GroupField,
     GroupQuadrature,
     _finite_number,
+    _integer,
     _integers,
     _Report,
     _sign_branches,
@@ -40,7 +41,6 @@ __all__ = [
     "TFLattice",
     "SampledSequence",
     "BUPU",
-    "lattice_points",
     "is_U_dense",
     "DensityReport",
     "is_relatively_separated",
@@ -76,8 +76,7 @@ class AffineLattice:
     def __post_init__(self):
         if _finite_number(self.alpha, "alpha") <= 1 or _finite_number(self.beta, "beta") <= 0:
             raise ValueError("need alpha > 1 and beta > 0")
-        if self.j_min > self.j_max or self.k_min > self.k_max:
-            raise ValueError("empty index window")
+        _index_window(self, "j_min", "j_max", "k_min", "k_max")
         object.__setattr__(self, "signs", _sign_branches(self.signs))
 
     @property
@@ -92,23 +91,11 @@ class AffineLattice:
     def n_points(self) -> int:
         return len(self.signs) * self.n_j * self.n_k
 
-    def point(self, j: int, k: int, eps: int):
-        a = eps * self.alpha**j
-        return (a * self.beta * k, a)
-
     def flat_index(self, j, k, eps_idx):
         """Position in the canonical enumeration (sign-major, j, k)."""
         return (np.asarray(eps_idx) * self.n_j + (np.asarray(j) - self.j_min)) * self.n_k + (
             np.asarray(k) - self.k_min
         )
-
-    def index_tags(self) -> list:
-        return [
-            (j, k, eps)
-            for eps in self.signs
-            for j in range(self.j_min, self.j_max + 1)
-            for k in range(self.k_min, self.k_max + 1)
-        ]
 
     def point_arrays(self, flat=None):
         """Points ``(b, a)`` in canonical order, or at the given flat indices."""
@@ -156,15 +143,15 @@ class TFLattice:
     n2_max: int = 0
 
     def __post_init__(self):
-        gen = np.asarray(self.generator, dtype=float).reshape(2, 2)
+        gen = np.array(self.generator, dtype=float).reshape(2, 2)  # a copy the caller cannot reach
+        gen.flags.writeable = False
         if not np.all(np.isfinite(gen)):
             raise ValueError("lattice generator must be finite")
         if abs(np.linalg.det(gen)) < 1e-12:
             raise ValueError("lattice generator must be invertible")
         if _finite_number(self.scale, "scale") <= 0:
             raise ValueError("lattice scale must be positive")
-        if self.n1_min > self.n1_max or self.n2_min > self.n2_max:
-            raise ValueError("empty index window")
+        _index_window(self, "n1_min", "n1_max", "n2_min", "n2_max")
         object.__setattr__(self, "generator", gen)
 
     @staticmethod
@@ -177,20 +164,17 @@ class TFLattice:
     def n_points(self) -> int:
         return (self.n1_max - self.n1_min + 1) * (self.n2_max - self.n2_min + 1)
 
-    def index_tags(self) -> list:
-        return [
-            (n1, n2)
-            for n1 in range(self.n1_min, self.n1_max + 1)
-            for n2 in range(self.n2_min, self.n2_max + 1)
-        ]
-
     def point_arrays(self, flat=None):
         """Points ``(x, w)`` in canonical order, or at the given flat indices."""
         if flat is None:
             flat = np.arange(self.n_points)
         n1, n2 = np.divmod(np.asarray(flat, dtype=np.int64), self.n2_max - self.n2_min + 1)
-        pts = self.scale * (self.generator @ np.vstack([n1 + self.n1_min, n2 + self.n2_min]))
-        return pts[0], pts[1]
+        return self._points(n1 + self.n1_min, n2 + self.n2_min)
+
+    def _points(self, n1, n2):
+        """The points ``c A (n1, n2)``, elementwise: the one formula for points and tile centres."""
+        g, c = self.generator, self.scale
+        return c * (g[0, 0] * n1 + g[0, 1] * n2), c * (g[1, 0] * n1 + g[1, 1] * n2)
 
     def flat_index(self, n1, n2):
         width = self.n2_max - self.n2_min + 1
@@ -225,9 +209,13 @@ def _index_range(value, key: str) -> tuple:
     return bounds
 
 
-def lattice_points(lat):
-    """Exact lattice points with their index tags."""
-    return lat.index_tags(), lat.point_arrays()
+def _index_window(lat, lo1: str, hi1: str, lo2: str, hi2: str) -> None:
+    """Store the four named index bounds of ``lat`` as ints; refuse an empty window."""
+    bounds = [_integer(getattr(lat, name), name) for name in (lo1, hi1, lo2, hi2)]
+    for name, value in zip((lo1, hi1, lo2, hi2), bounds):
+        object.__setattr__(lat, name, value)
+    if bounds[0] > bounds[1] or bounds[2] > bounds[3]:
+        raise ValueError("empty index window")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +278,6 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     ).T
     reach = np.max(np.abs(gen_inv @ corners), axis=1)
     r1, r2 = int(math.ceil(reach[0] + _TIE_EPS)), int(math.ceil(reach[1] + _TIE_EPS))
-    gen = lat.scale * lat.generator
     for d1 in range(-r1, r1 + 1):
         for d2 in range(-r2, r2 + 1):
             n1 = n1_near + d1
@@ -301,8 +288,7 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
             )
             if not np.any(ok):
                 continue
-            px = gen[0, 0] * n1 + gen[0, 1] * n2
-            pw = gen[1, 0] * n1 + gen[1, 1] * n2
+            px, pw = lat._points(n1, n2)
             inside = np.flatnonzero(
                 ok
                 & (np.abs(x - px) <= U.beta_x / 2 + _TIE_EPS)

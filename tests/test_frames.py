@@ -573,6 +573,13 @@ class TestNeumann:
         for samples, message in refused:
             with pytest.raises(ValueError, match=message):
                 neumann_reconstruct(samples, bupu, K, allow_uncertified=True)
+        # a ground truth of the same shape on a shifted chart: its node
+        # values are not the chart's, so the error would compare other points
+        moved = cb.GroupQuadrature.from_dict({**quad.to_dict(), "b_lo": quad.b_lo + quad.db,
+                                              "b_hi": quad.b_hi + quad.db})
+        with pytest.raises(ValueError, match="ground truth chart"):
+            neumann_reconstruct(bupu.active_samples(W), bupu, K, allow_uncertified=True,
+                                ground_truth=GroupField(moved, W.values))
         assert builds == []
         neumann_reconstruct(bupu.active_samples(W), bupu, K, max_iter=1,
                             allow_uncertified=True)

@@ -22,12 +22,25 @@ from coorbit.lattices import (
     default_density_probe,
     is_relatively_separated,
     is_U_dense,
-    lattice_points,
     norm_equivalence_check,
     sample_field,
     seq_lpm_norm,
 )
 
+
+
+def _index_tags(lat) -> list:
+    """Index tags in canonical order by nested loops: the oracle for ``point_arrays``' order."""
+    if lat.kind == "affine":
+        return [(j, k, eps) for eps in lat.signs for j in range(lat.j_min, lat.j_max + 1)
+                for k in range(lat.k_min, lat.k_max + 1)]
+    return [(n1, n2) for n1 in range(lat.n1_min, lat.n1_max + 1)
+            for n2 in range(lat.n2_min, lat.n2_max + 1)]
+
+
+def _points_by_tag(lat) -> dict:
+    """Each index tag's point, read off ``point_arrays``."""
+    return dict(zip(_index_tags(lat), zip(*lat.point_arrays())))
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +56,10 @@ def quad12(lat12):
 class TestLatticePoints:
     def test_affine_point_formula(self):
         lat = AffineLattice(2.0, 1.0, -2, 2, -4, 4, (1, -1))
-        tags, (b, a) = lattice_points(lat)
-        lookup = dict(zip(tags, zip(b, a)))
+        lookup = _points_by_tag(lat)
         assert lookup[(1, 3, 1)] == (6.0, 2.0)
         assert lookup[(0, 0, 1)] == (0.0, 1.0)
-        bb, aa = lat.point(-1, 1, -1)
-        assert (bb, aa) == (-0.5, -0.5)
+        assert lookup[(-1, 1, -1)] == (-0.5, -0.5)
 
     @pytest.mark.parametrize("lat", [
         AffineLattice(2.0, 1.0, -2, 2, -4, 4, (1, -1)),
@@ -73,14 +84,57 @@ class TestLatticePoints:
             for got, want in zip(lat.point_arrays(flat), ref):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("lat", [
+        TFLattice(np.array([[0.5, 0.1], [0.0, 0.4]]), 1.0, -12, 12, -12, 12),
+        TFLattice(np.array([[0.37, 0.11], [-0.13, 0.91]]), 0.73, -40, 40, -40, 40),
+    ])
+    def test_tf_points_are_the_elementwise_formula(self, lat):
+        # c (A00 n1 + A01 n2), c (A10 n1 + A11 n2) per point, bit for bit: a
+        # matrix product, or c A formed first, rounds differently on such lattices
+        tags = np.array(_index_tags(lat), dtype=float)
+        (g00, g01), (g10, g11) = lat.generator
+        want = [lat.scale * (g00 * tags[:, 0] + g01 * tags[:, 1]),
+                lat.scale * (g10 * tags[:, 0] + g11 * tags[:, 1])]
+        flat = np.random.default_rng(3).integers(0, lat.n_points, 200)
+        for got, ref in zip(lat.point_arrays(), want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for got, ref in zip(lat.point_arrays(flat), want):
+            assert np.array_equal(got.view(np.int64), ref[flat].view(np.int64))
+
     def test_count(self):
         lat = AffineLattice(2.0, 1.0, -2, 2, -4, 4, (1, -1))
         assert lat.n_points == 5 * 9 * 2
 
+    @pytest.mark.parametrize("make, args", [
+        (TFLattice, (np.eye(2), 1.0, 0, 2.5, 0, 1)),
+        (TFLattice, (np.eye(2), 1.0, 0, 2, True, 1)),
+        (AffineLattice, (2.0, 1.0, 0.5, 2, -1, 1)),
+        (AffineLattice, (2.0, 1.0, True, 2, -1, 1)),
+    ])
+    def test_index_bounds_must_be_integers(self, make, args):
+        # a fraction once built a TF point past n1_max and a non-integer
+        # point count; the affine one failed later, inside point_arrays
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            make(*args)
+
+    def test_integral_bounds_are_stored_as_ints(self):
+        lat = AffineLattice(2.0, 1.0, np.int64(-1), 1.0, -2.0, 2, (1, -1))
+        assert [type(v) for v in (lat.j_min, lat.j_max, lat.k_min, lat.k_max)] == [int] * 4
+        assert lat.n_points == 2 * 3 * 5
+
+    def test_tf_generator_is_owned_and_read_only(self):
+        A = 0.5 * np.eye(2)
+        lat = TFLattice(A, 1.0, -2, 2, -2, 2)
+        before = lat.to_dict()
+        A[0, 0] = 3.0  # the caller's array is not the lattice's
+        assert lat.to_dict() == before
+        with pytest.raises(ValueError, match="read-only"):
+            lat.generator[1, 1] = 7.0
+        assert lat.to_dict() == before
+
     def test_tf_separable(self):
         lat = TFLattice.separable(0.5, 0.25, (-2, 2), (-4, 4))
-        tags, (x, w) = lattice_points(lat)
-        lookup = dict(zip(tags, zip(x, w)))
+        lookup = _points_by_tag(lat)
         assert lookup[(1, -2)] == (0.5, -0.5)
 
     def test_invalid(self):
@@ -172,7 +226,7 @@ class TestSampling:
         K = cb.cwt(psi, psi, quad)
         lat = AffineLattice(2.0, 1.0, -1, 1, -4, 4, (1, -1))
         seq = sample_field(K, lat)
-        tags = lat.index_tags()
+        tags = _index_tags(lat)
         idx = tags.index((0, 0, 1))
         assert seq.values[idx].real == pytest.approx(cb.l2_norm(psi) ** 2, rel=1e-6)
 
@@ -182,7 +236,7 @@ class TestSampling:
         c = np.ones(lat12.n_points)
         m = cb.power_scale(1.0)
         # discretized weight: m_s at (j,k,eps) equals alpha^{-js}
-        tags = lat12.index_tags()
+        tags = _index_tags(lat12)
         expected = np.sqrt(sum(2.0 ** (-2 * j) for j, k, e in tags))
         assert seq_lpm_norm(c, 2.0, m, lat12) == pytest.approx(expected, rel=1e-12)
         assert seq_lpm_norm(3 * c, 2.0, m, lat12) == pytest.approx(
@@ -224,7 +278,7 @@ class TestSampling:
 class TestNormEquivalence:
     def test_single_coefficient(self, lat12, quad12):
         c = np.zeros(lat12.n_points)
-        tags = lat12.index_tags()
+        tags = _index_tags(lat12)
         c[tags.index((0, 0, 1))] = 1.0
         rep = norm_equivalence_check(c, 2.0, cb.power_scale(1.0), lat12,
                                      affine_box(1.0, 2.0), quad12)
@@ -303,7 +357,7 @@ class TestBUPU:
         U = affine_box(1.0, 2.0)
         bupu = build_bupu(lat12, U, quad12)
         c = np.zeros(lat12.n_points)
-        tags = lat12.index_tags()
+        tags = _index_tags(lat12)
         c[tags.index((0, 0, 1))] = 1.0
         # strict interior of the (0,0,+1) tile: phi = 1 there
         vals = _partition_sum(bupu, np.array([0.2, -0.3]), np.array([1.1, 0.9]), c)
@@ -316,7 +370,7 @@ class TestBUPU:
         U = affine_box(1.0, 2.0)
         bupu = build_bupu(lat12, U, quad12)
         c = np.zeros(lat12.n_points)
-        tags = lat12.index_tags()
+        tags = _index_tags(lat12)
         c[tags.index((0, 0, 1))] = 1.0
         # b = 1/2 sits on the shared boundary of tiles k=0 and k=1
         vals = _partition_sum(bupu, np.array([0.5]), np.array([1.0]), c)
@@ -351,7 +405,7 @@ class TestBUPU:
         zero = bupu_synthesize(np.zeros(lat12.n_points), bupu)
         assert np.max(np.abs(zero.values)) == 0.0
         c = np.zeros(lat12.n_points)
-        tags = lat12.index_tags()
+        tags = _index_tags(lat12)
         c[tags.index((0, 1, 1))] = 2.0
         F = bupu_synthesize(c, bupu)
         assert np.max(np.abs(F.values)) == pytest.approx(2.0)
@@ -459,7 +513,7 @@ _EDGE_STEPS = np.array([(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1) if p or q
 
 
 def _affine_brute_counts(lat, U, b, a):
-    j, k, eps = (np.array(v)[:, None] for v in zip(*lat.index_tags()))
+    j, k, eps = (np.array(v)[:, None] for v in zip(*_index_tags(lat)))
     level = lat.alpha ** (-j.astype(float))
     scale = level * np.abs(a)
     in_scale = (
@@ -493,7 +547,7 @@ class TestCoverCountsBruteForce:
         a = rng.choice([-1.0, 1.0], 200) * alpha ** rng.uniform(j_min - 1.5, j_max + 1.5, 200)
         b = a * beta * rng.uniform(k_min - 2, k_max + 2, 200)
         # points exactly on the edges and corners of some tiles
-        tags = lat.index_tags()
+        tags = _index_tags(lat)
         for i in rng.choice(len(tags), min(len(tags), 10), replace=False):
             j, k, eps = tags[i]
             sa, sb = _EDGE_STEPS

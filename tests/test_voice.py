@@ -274,7 +274,7 @@ def _max_rel_diff(V, ref):
 class TestSTFTFrequencyAxis:
     """The folded frequency axis (``dw * dt = 1/M``) against the dense product."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         n_t=st.integers(2, 96),
         m_frac=st.floats(0.0, 1.0),
@@ -374,7 +374,7 @@ class TestSTFTAdjoint:
         rec = istft(V, g).values
         assert np.max(np.abs(rec - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         n_t=st.integers(2, 80),
         m_frac=st.floats(0.0, 1.0),
@@ -408,7 +408,7 @@ class TestSTFTAdjoint:
                     dt * np.linalg.norm(S) * np.linalg.norm(v))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         n_t=st.integers(2, 96),
         m_frac=st.floats(0.0, 1.0),
