@@ -340,7 +340,7 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
-    if truth.quad.to_dict() != quad.to_dict():
+    if truth.quad != quad:
         raise ValueError("field must be sampled on the chart given as quadrature")
     # the partition refuses a lattice or neighbourhood before any kernel is built
     bupu = build_bupu(lat, U, quad)

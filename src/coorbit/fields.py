@@ -211,11 +211,6 @@ def involute(F: GroupField, kind: str = "nabla") -> GroupField:
     return GroupField(F.quad, vals)
 
 
-def _check_same_quadrature(F: GroupField, G: GroupField):
-    if F.quad.to_dict() != G.quad.to_dict():
-        raise ValueError("convolution needs matching quadratures")
-
-
 def _edge_l1_fraction(F: GroupField) -> float:
     wts = F.quad.node_weights()
     mass = np.abs(F.values) * wts
@@ -346,18 +341,17 @@ def _kernel_spectra(G: GroupField):
         yield p, j, rows, w_j, np.fft.fft(gm, axis=-1, out=gm)
 
 
-def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
+def _apply_spectra(F: GroupField, spectra) -> np.ndarray:
     """``F * G`` from G's block spectra, one FFT correlation per block and input branch.
 
-    The spectra come grouped by kernel plane.  Each plane's block for
-    input scale ``j`` meets F's row ``j`` on every input branch the plane
-    joins (:func:`_sign_routes`), negative-scale rows b-reversed: the
-    block spectrum times ``w_j`` times the row's spectrum is summed into
-    that branch's accumulator in the frequency domain.  One inverse FFT
-    per accumulated row follows, and the result is added to its output
-    branch, reversed back for a reversed input.  ``scratch`` lets the last
-    product overwrite the spectrum (streamed blocks); stored spectra are
-    left intact.
+    The spectra come grouped by kernel plane, stored or streamed.  Each
+    plane's block for input scale ``j`` meets F's row ``j`` on every
+    input branch the plane joins (:func:`_sign_routes`), negative-scale
+    rows b-reversed: the block spectrum times ``w_j`` times the row's
+    spectrum goes into one product buffer and is summed into that
+    branch's accumulator in the frequency domain, leaving the spectrum
+    intact.  One inverse FFT per accumulated row follows, and the result
+    is added to its output branch, reversed back for a reversed input.
     """
     quad = F.quad
     n_b = quad.n_b
@@ -365,7 +359,7 @@ def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
     out = np.zeros(quad.shape, dtype=np.complex128)
     acc = np.empty((2, quad.n_scales, L), dtype=np.complex128)
     rows_hat = np.empty((2, L), dtype=np.complex128)
-    buf = None if scratch else np.empty((quad.n_scales, L), dtype=np.complex128)
+    buf = np.empty((quad.n_scales, L), dtype=np.complex128)
     for p, blocks in itertools.groupby(spectra, key=lambda block: block[0]):
         routes = _sign_routes(quad, p)
         n = len(routes)
@@ -377,11 +371,8 @@ def _apply_spectra(F: GroupField, spectra, scratch: bool) -> np.ndarray:
                 x[k, :n_b] = F.values[si, j, ::-1] if flipped else F.values[si, j]
             np.fft.fft(x, axis=-1, out=x)
             x *= w_j
-            # streaming holds no product buffer: a first product takes a
-            # temporary, the last one the spent spectrum
-            prods = [None] * (n - 1) + [spec] if scratch else [buf[: len(spec)]] * n
-            for k, prod in enumerate(prods):
-                acc[k, rows] += np.multiply(spec, x[k], out=prod)
+            for k in range(n):
+                acc[k, rows] += np.multiply(spec, x[k], out=buf[: len(spec)])
         for k, (_, so, flipped) in enumerate(routes):
             np.fft.ifft(acc[k], axis=-1, out=acc[k])
             window = acc[k, :, n_b - 1 : 2 * n_b - 1]
@@ -402,7 +393,8 @@ def _with_truncation(F: GroupField, vals, right_edge: float) -> GroupField:
 def _check_affine_pair(F: GroupField, G: GroupField):
     if F.quad.kind != "affine" or G.quad.kind != "affine":
         raise ValueError("convolve works on affine fields; use tf_convolve")
-    _check_same_quadrature(F, G)
+    if F.quad != G.quad:
+        raise ValueError("convolution needs matching quadratures")
 
 
 def convolve(F: GroupField, G: GroupField) -> GroupField:
@@ -415,8 +407,7 @@ def convolve(F: GroupField, G: GroupField) -> GroupField:
     scale, are streamed; :class:`KernelOperator` stores them for reuse.
     """
     _check_affine_pair(F, G)
-    vals = _apply_spectra(F, _kernel_spectra(G), scratch=True)
-    return _with_truncation(F, vals, _edge_l1_fraction(G))
+    return _with_truncation(F, _apply_spectra(F, _kernel_spectra(G)), _edge_l1_fraction(G))
 
 
 class KernelOperator:
@@ -426,8 +417,8 @@ class KernelOperator:
     computed here once and reused by every :meth:`apply`: one per kernel
     plane and positive input scale, up to ``n_signs * n_scales**2`` rows of
     the FFT length.  When storing them would take more than
-    ``_SPECTRA_BYTE_LIMIT`` bytes, each apply is ``convolve(F, K)``,
-    which streams them (bounded memory).  ``apply(F)``
+    ``_SPECTRA_BYTE_LIMIT`` bytes, each apply streams them through the
+    same loop, as :func:`convolve` does (bounded memory).  ``apply(F)``
     equals ``convolve(F, K)`` bit for bit, truncation report included.
     """
 
@@ -445,18 +436,17 @@ class KernelOperator:
         return self._spectra is not None
 
     def apply(self, F: GroupField) -> GroupField:
-        if not self.stored:
-            return convolve(F, self.K)
         _check_affine_pair(F, self.K)
-        return _with_truncation(F, _apply_spectra(F, self._spectra, scratch=False),
-                                self._right_edge)
+        spectra = self._spectra if self.stored else _kernel_spectra(self.K)
+        return _with_truncation(F, _apply_spectra(F, spectra), self._right_edge)
 
 
 def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
     """Abelian plane convolution, ``dx*dw``-scaled, charts matching."""
     if F.quad.kind != "tf" or G.quad.kind != "tf":
         raise ValueError("tf_convolve needs two TF fields")
-    _check_same_quadrature(F, G)
+    if F.quad != G.quad:
+        raise ValueError("convolution needs matching quadratures")
     quad = F.quad
     ox = -quad.x0 / quad.dx
     ow = -quad.w0 / quad.dw

@@ -306,10 +306,13 @@ def random_bandlimited_signal(
     Random complex bin amplitudes under a raised-cosine band taper,
     inverted to the time grid and localized by a Gaussian envelope so
     the samples decay inside the window; normalized to unit L2 norm.
+    ``envelope_width`` defaults to a sixth of the window's span.
     """
     w_lo, w_hi = band
     if not (0 <= w_lo < w_hi):
         raise ValueError("need 0 <= w_lo < w_hi")
+    if envelope_width is not None and not envelope_width > 0:
+        raise ValueError(f"envelope_width must be positive, got {envelope_width!r}")
     w_c, dw = _frequencies(template.n, template.dt)
     w = w_c[0] + dw * np.arange(template.n)  # Spectrum.grid() of fourier(template)
     amp = np.zeros(w.size, dtype=np.complex128)
@@ -323,7 +326,7 @@ def random_bandlimited_signal(
     sig = inverse_fourier(Spectrum(w_c[0], dw, amp, template.t0))
     t = sig.grid()
     center = t[0] + (t[-1] - t[0]) / 2
-    width = envelope_width or (t[-1] - t[0]) / 6
+    width = (t[-1] - t[0]) / 6 if envelope_width is None else envelope_width
     vals = sig.values * np.exp(-(((t - center) / width) ** 2))
     out = SampledSignal(sig.t0, sig.dt, vals)
     n = l2_norm(out)
@@ -417,17 +420,19 @@ def neumann_reconstruct(
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
     the partition's tile counts.  The kernel is applied through one
     :class:`~coorbit.fields.KernelOperator`, built after the samples are
-    read and before the first iteration.
+    read and before the first iteration; ``max_iter < 1`` raises first.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if certificate is None and not allow_uncertified:
         raise ValueError(
             "no certificate supplied; pass allow_uncertified=True to override"
         )
     if certificate is not None and not certificate.passed and not allow_uncertified:
         raise ValueError("certificate did not pass (q >= 1)")
-    if bupu.quad.to_dict() != K.quad.to_dict():
+    if bupu.quad != K.quad:
         raise ValueError("partition chart must match the kernel chart")
-    if ground_truth is not None and ground_truth.quad.to_dict() != K.quad.to_dict():
+    if ground_truth is not None and ground_truth.quad != K.quad:
         raise ValueError("ground truth chart must match the kernel chart")
 
     # synthesized first: refused samples never pay for the kernel operator
@@ -501,8 +506,14 @@ def design_lattice(
 
     The kernel and its weighted L1 norm are fixed along the schedule;
     only the oscillation shrinks, so q is expected to be nonincreasing
-    for smooth kernels.  Raises with the best q when the cap is hit.
+    for smooth kernels.  Raises with the best q when the cap is hit, and
+    before the kernel is built when the schedule cannot shrink.
     """
+    for key, value, ok in (("alpha0", alpha0, alpha0 > 1), ("beta0", beta0, beta0 > 0),
+                           ("gamma", gamma, 0 < gamma < 1)):
+        if not ok:
+            raise ValueError(f"schedule.{key} = {value!r}: the schedule needs alpha0 > 1, "
+                             "beta0 > 0 and 0 < gamma < 1")
     if max_steps < 1:
         raise DesignSearchError("iteration cap reached before any candidate", math.inf, [])
     if w.family == "symmetric_power":
@@ -628,8 +639,10 @@ def frame_operator_invert(
     contracts at rate ``(B-A)/(B+A)``; near-tight frames converge in a
     handful of steps.  Bounds too small for the frame make it diverge,
     which raises as in :func:`neumann_reconstruct`.  The frame operator
-    is built once per call, as one :class:`GaborOperator`.
+    is built once per call, as one :class:`GaborOperator`, after ``max_iter`` is checked.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     a, b = bounds
     if not (0 < a <= b < math.inf):
         raise ValueError("need finite frame bounds 0 < a <= b < inf")

@@ -130,7 +130,7 @@ class AffineLattice:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TFLattice:
     """Scaled plane lattice ``c A Z^2``; separable when A is diagonal."""
 
@@ -175,6 +175,17 @@ class TFLattice:
         """The points ``c A (n1, n2)``, elementwise: the one formula for points and tile centres."""
         g, c = self.generator, self.scale
         return c * (g[0, 0] * n1 + g[0, 1] * n2), c * (g[1, 0] * n1 + g[1, 1] * n2)
+
+    def _key(self) -> tuple:
+        """What ``==`` and ``hash`` read: the generator as floats, so ``-0.0 == 0.0`` holds."""
+        return (*self.generator.ravel().tolist(), self.scale, self.n1_min, self.n1_max,
+                self.n2_min, self.n2_max)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, TFLattice) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def flat_index(self, n1, n2):
         width = self.n2_max - self.n2_min + 1
@@ -451,7 +462,7 @@ def _coefficients(c, lat, active=None) -> np.ndarray:
     active the two readings are the same vector.
     """
     if isinstance(c, SampledSequence):
-        if c.lattice.to_dict() != lat.to_dict():
+        if c.lattice != lat:
             raise ValueError("sequence was sampled on another lattice")
         vals = c.values
     else:
@@ -632,7 +643,7 @@ class BUPU:
         the active points come from ``point_arrays``, are interpolated by
         the same kernel, and are summed in the same order.
         """
-        return _synthesize_pairs(self, self.active_samples(F)[self.pair_active])
+        return bupu_synthesize(self.active_samples(F), self)
 
 
 def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
@@ -687,13 +698,6 @@ def build_bupu(lat, U: NeighborhoodSpec, quad: GroupQuadrature) -> BUPU:
     return BUPU(lat, U, quad, counts, nodes, active, lat.point_arrays(active), pair_active)
 
 
-def _synthesize_pairs(bupu: BUPU, pair_values) -> GroupField:
-    """``sum_i c_i phi_i`` on the chart from one coefficient per stored pair."""
-    counts = bupu.counts.ravel()
-    out = _tile_average(counts, _pair_sum(bupu.pair_nodes, pair_values, counts.size))
-    return GroupField(bupu.quad, out.reshape(bupu.quad.shape))
-
-
 def bupu_synthesize(c, bupu: BUPU) -> GroupField:
     """Field ``sum_i c_i phi_i`` on the partition's chart.
 
@@ -703,4 +707,6 @@ def bupu_synthesize(c, bupu: BUPU) -> GroupField:
     the active tiles' coefficients are read, so both synthesize the same.
     """
     vals = _coefficients(c, bupu.lattice, bupu.active_tiles)
-    return _synthesize_pairs(bupu, vals[bupu.pair_active])
+    counts = bupu.counts.ravel()
+    out = _tile_average(counts, _pair_sum(bupu.pair_nodes, vals[bupu.pair_active], counts.size))
+    return GroupField(bupu.quad, out.reshape(bupu.quad.shape))

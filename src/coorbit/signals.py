@@ -269,29 +269,15 @@ def _complex_interp(tq, t, values):
     return re + 1j * im
 
 
-def _grid_shift(values: np.ndarray, dt: float, x: float, out: np.ndarray) -> bool:
-    """Write ``values[n - x/dt]`` into the zeroed ``out`` when ``x`` is grid-aligned.
-
-    Returns ``False``, writing nothing, when ``x`` is not a whole number
-    of steps ``dt``.
-    """
-    steps = x / dt
+def translate(f: SampledSignal, x: float) -> SampledSignal:
+    """``(T_x f)(t) = f(t - x)``; a shift by whole steps ``dt`` is exact, others interpolate."""
+    steps = x / f.dt
     k = round(steps)
     if abs(steps - k) >= 1e-9:
-        return False
-    n = values.size
-    if k >= 0:
-        out[k:] = values[: n - k] if k < n else 0.0
-    else:
-        out[:k] = values[-k:]
-    return True
-
-
-def translate(f: SampledSignal, x: float) -> SampledSignal:
-    """``(T_x f)(t) = f(t - x)``; exact for grid-aligned shifts."""
+        return f.with_values(_complex_interp(f.grid() - x, f.grid(), f.values))
     out = np.zeros(f.n, dtype=np.complex128)
-    if not _grid_shift(f.values, f.dt, x, out):
-        out = _complex_interp(f.grid() - x, f.grid(), f.values)
+    if abs(k) < f.n:  # out[n] = values[n - k] wherever both lie on the grid
+        out[max(k, 0):f.n + min(k, 0)] = f.values[max(-k, 0):f.n - max(k, 0)]
     return f.with_values(out)
 
 

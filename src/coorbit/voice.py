@@ -37,7 +37,6 @@ from .signals import (
     Spectrum,
     _complex_interp,
     _frequencies,
-    _grid_shift,
     fourier,
     inverse_fourier,
     l2_norm,
@@ -265,8 +264,8 @@ class _TFOperator:
 
     Rows ``R[r] = g(t - xs[r]) exp(2 pi i t row_w[r])`` (no phase without
     ``row_w`` or when every ``row_w`` is 0) on the samples ``t_n = t0 + n
-    dt``, axis ``w_k = w0 + k dw``.  Grid-aligned shifts are slices of
-    ``g``; others interpolate, as :func:`~coorbit.signals.translate` does.
+    dt``, axis ``w_k = w0 + k dw``; each translate is
+    :func:`~coorbit.signals.translate` of ``g``.
     ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``
     and ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``, its
     adjoint up to the factor ``dt``.  When ``dw dt = 1/M``
@@ -283,10 +282,9 @@ class _TFOperator:
 
     def __init__(self, g: SampledSignal, xs, t0: float, dt: float,
                  w0: float, dw: float, n_w: int, row_w=None):
-        G = np.zeros((len(xs), g.n), dtype=np.complex128)
+        G = np.empty((len(xs), g.n), dtype=np.complex128)
         for i, x in enumerate(xs):
-            if not _grid_shift(g.values, g.dt, x, G[i]):
-                G[i] = translate(g, x).values
+            G[i] = translate(g, x).values
         if row_w is not None and np.any(row_w):
             G *= _modulation(row_w, g.grid())
         self._G = np.conj(G, out=G)

@@ -371,6 +371,38 @@ class TestDesignCommand:
         assert main(["design-lattice", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 1.5), ("gamma", 1.0), ("gamma", 0.0), ("gamma", -0.5), ("alpha0", 1.0),
+        ("beta0", -1.0),
+    ])
+    def test_schedule_that_cannot_shrink_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                mexhat_file, key, value):
+        # a config error, not a certification failure: gamma >= 1 would
+        # search to the cap, the others would fail after the kernel is built
+        from coorbit import frames
+
+        path, _ = mexhat_file
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "design-lattice",
+            "atom": str(path), "quadrature": quad_dict(),
+            "weight": {"family": "symmetric_power", "rho": 1.0},
+            "schedule": {"max_steps": 4, key: value},
+        })
+        calls = []
+        for name in ("atom_kernel", "oscillation"):
+            real = getattr(frames, name)
+            monkeypatch.setattr(frames, name,
+                                lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                                or _real(*a, **k))
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["design-lattice", "--config", str(cfg), "--out-dir", str(out)])
+        assert (rc, calls) == (2, [])
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"schedule.{key}" in err
+        assert list(out.iterdir()) == []
+
     def test_set_override(self, tmp_path, mexhat_file):
         path, _ = mexhat_file
         cfg = tmp_path / "cfg.json"
@@ -1038,6 +1070,43 @@ class TestReconstructCommand:
         assert (rc, calls) == (2, [])
         err = capsys.readouterr().err
         assert "invalid input" in err and message in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_exit_2(self, tmp_path, mexhat_file, monkeypatch, capsys,
+                                       max_iter):
+        # a cap that runs no iteration would write an unconverged report
+        # and the data field as the result
+        from coorbit import frames
+
+        atom, _ = mexhat_file
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 16,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 5, "signs": [1, -1]}
+        field_path = tmp_path / "field.json"
+        write_json(field_path, GroupField(cb.GroupQuadrature.from_dict(quad),
+                                          np.ones((2, 5, 16))).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(atom), "quadrature": quad,
+            "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5},
+            "lattice": {"type": "affine", "alpha": 1.5, "beta": 0.5,
+                        "j": [-2, 2], "k": [-8, 8], "signs": [1, -1]},
+            "field": str(field_path), "max_iter": max_iter,
+        })
+        builds = []
+
+        class Counted(frames.KernelOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "KernelOperator", Counted)
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)])
+        assert (rc, builds) == (2, [])
+        assert "max_iter must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_gaussian_atom_not_admissible(self, tmp_path, gauss_file, capsys):

@@ -183,6 +183,24 @@ class TestGabor:
         with pytest.raises(ValueError):
             frame_operator_invert(g, g, lat, (0.0, 1.0))
 
+    def test_max_iter_below_one_builds_no_operator(self, g, lat, monkeypatch):
+        # a cap that runs no step would return x0 unconverged; it is refused
+        # before the frame operator is built
+        builds = []
+
+        class Counted(frames.GaborOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "GaborOperator", Counted)
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                frame_operator_invert(g, g, lat, (2.82, 2.83), max_iter=max_iter)
+        assert builds == []
+        _, rep = frame_operator_invert(g, g, lat, (2.82, 2.83), tol=0.0, max_iter=1)
+        assert (builds, rep.iterations) == ([1], 1)
+
     @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.inf, math.inf),
                                         (1.0, math.nan)])
     def test_non_finite_bounds_rejected(self, g, lat, bounds):
@@ -370,6 +388,24 @@ def test_random_draws_bit_identical_to_transforming_the_template(template, band,
         ref = _bandlimited_by_transform(template, band, ref_rng, width)
         assert (f.t0, f.dt) == (ref.t0, ref.dt)
         assert np.array_equal(f.values.view(np.int64), ref.values.view(np.int64))
+
+
+def test_envelope_width_none_is_the_default_and_nonpositive_refused(g, lat):
+    # None takes a sixth of the span; 0.0 is not read as None, and a
+    # negative width, whose envelope is that of its absolute value, is refused
+    f = random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4))
+    t = f.grid()
+    same = random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4),
+                                     envelope_width=(t[-1] - t[0]) / 6)
+    assert np.array_equal(f.values.view(np.int64), same.values.view(np.int64))
+    quad = build_tf_quadrature(-12, 0.125, 193, -4.0, 0.125, 65)
+    for width in (0.0, -0.0, -2.2, math.nan):
+        with pytest.raises(ValueError, match="envelope_width must be positive"):
+            random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4), width)
+        with pytest.raises(ValueError, match="envelope_width must be positive"):
+            frame_bounds_empirical(g, lat, ensemble=2, quad=quad, envelope_width=width)
+        with pytest.raises(ValueError, match="envelope_width must be positive"):
+            gabor_tightness_probe(g, lat, ensemble=2, envelope_width=width)
 
 
 class TestFrameBounds:
@@ -585,6 +621,24 @@ class TestNeumann:
                             allow_uncertified=True)
         assert builds == [1]
 
+    def test_max_iter_below_one_builds_no_kernel_operator(self, designed_loop, monkeypatch):
+        # a cap that runs no step would return Y unconverged; it is refused
+        # before the kernel operator is built
+        quad, K, lat, bupu, W = designed_loop
+        builds = []
+
+        class Counted(frames.KernelOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "KernelOperator", Counted)
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                neumann_reconstruct(bupu.active_samples(W), bupu, K, max_iter=max_iter,
+                                    allow_uncertified=True)
+        assert builds == []
+
     def test_all_tiles_active_readings_agree(self):
         # a coarse lattice under a chart that reaches past its window: every
         # tile holds a node, so a vector's length reads the same either way
@@ -627,6 +681,24 @@ class TestDesign:
     def test_insufficient_moments_rejected(self, gauss, atom_chart):
         with pytest.raises(ValueError):
             design_lattice(gauss, atom_chart, cb.symmetric_power(1.0))
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha0", 1.0), ("alpha0", 0.5), ("alpha0", math.nan), ("beta0", 0.0),
+        ("beta0", -1.0), ("gamma", 0.0), ("gamma", -0.5), ("gamma", 1.0), ("gamma", 1.5),
+    ])
+    def test_schedule_that_cannot_shrink_refused_first(self, s0_atom, atom_chart, monkeypatch,
+                                                       key, value):
+        # gamma >= 1 would search to the cap; gamma <= 0, alpha0 <= 1 or
+        # beta0 <= 0 would fail in affine_box after the kernel was built
+        calls = []
+        for name in ("wavelet_atom_sufficient", "atom_kernel", "oscillation"):
+            real = getattr(frames, name)
+            monkeypatch.setattr(frames, name,
+                                lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                                or _real(*a, **k))
+        with pytest.raises(ValueError, match=f"schedule.{key} = "):
+            design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), **{key: value})
+        assert calls == []
 
     def test_monotone_q_and_success(self, s0_design):
         result = s0_design

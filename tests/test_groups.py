@@ -221,6 +221,9 @@ class TestAffineQuadrature:
         quad = build_affine_quadrature(-3, 5, 32, 0.25, 8.0, 17, (1, -1))
         again = cb.GroupQuadrature.from_dict(quad.to_dict())
         assert again.to_dict() == quad.to_dict()
+        # charts compare and hash by value, which is how fields are matched
+        assert again == quad and hash(again) == hash(quad)
+        assert again != cb.GroupQuadrature.from_dict({**quad.to_dict(), "n_b": 33})
 
     def test_refinement_second_order(self):
         # Richardson ratio of successive refinements ~ 1/4 on smooth fields

@@ -273,6 +273,22 @@ class TestSampling:
         assert seq_lpm_norm(own, 2.0, None, lat) == seq_lpm_norm(own.values, 2.0, None, lat)
         assert np.array_equal(bupu_synthesize(own, bupu).values,
                               bupu_synthesize(own.values, bupu).values)
+        # the same on the TF plane: two windows of 121 points each
+        tlat = TFLattice.separable(0.5, 0.5, (-5, 5), (-5, 5))
+        tother = TFLattice.separable(0.6, 0.4, (-5, 5), (-5, 5))
+        assert tlat.n_points == tother.n_points == 121
+        tquad = build_tf_quadrature(-2, 0.125, 33, -2, 0.125, 33)
+        tbupu = build_bupu(tlat, tf_box(0.5, 0.5), tquad)
+        G = GroupField(tquad, np.ones(tquad.shape))
+        foreign = sample_field(G, tother)
+        with pytest.raises(ValueError, match="another lattice"):
+            bupu_synthesize(foreign, tbupu)
+        with pytest.raises(ValueError, match="another lattice"):
+            seq_lpm_norm(foreign, 2.0, None, tlat)
+        own = sample_field(G, TFLattice(np.diag([0.5, 0.5]), 1.0, -5, 5, -5, 5))
+        assert seq_lpm_norm(own, 2.0, None, tlat) == seq_lpm_norm(own.values, 2.0, None, tlat)
+        assert np.array_equal(bupu_synthesize(own, tbupu).values,
+                              bupu_synthesize(own.values, tbupu).values)
 
 
 class TestNormEquivalence:
@@ -580,9 +596,31 @@ class TestCoverCountsBruteForce:
 class TestSerialization:
     def test_affine_lattice_roundtrip(self, lat12):
         assert AffineLattice.from_dict(lat12.to_dict()) == lat12
+        assert hash(AffineLattice.from_dict(lat12.to_dict())) == hash(lat12)
 
     def test_tf_lattice_roundtrip(self):
         lat = TFLattice.separable(0.5, 0.5, (-4, 4), (-4, 4))
         again = TFLattice.from_dict(lat.to_dict())
         assert np.allclose(again.generator, lat.generator)
         assert again.to_dict() == lat.to_dict()
+        assert again == lat and hash(again) == hash(lat)
+
+
+class TestLatticeIdentity:
+    def test_tf_equality_and_hash_read_the_values(self):
+        # -0.0 == 0.0 as numbers, though their bytes differ
+        pos = TFLattice(np.array([[0.5, 0.0], [0.0, 0.4]]), 1.0, -3, 3, -2, 2)
+        neg = TFLattice(np.array([[0.5, -0.0], [-0.0, 0.4]]), 1.0, -3, 3, -2, 2)
+        assert pos.generator.tobytes() != neg.generator.tobytes()
+        assert pos == neg and hash(pos) == hash(neg)
+        assert len({pos, neg}) == 1
+        # integral float bounds and an int scale read as the same numbers
+        assert TFLattice(np.diag([0.5, 0.4]), 1, -3.0, 3.0, -2, 2) == pos
+        for other in (TFLattice(np.array([[0.5, 0.1], [0.0, 0.4]]), 1.0, -3, 3, -2, 2),
+                      TFLattice(np.diag([0.5, 0.4]), 2.0, -3, 3, -2, 2),
+                      TFLattice(np.diag([0.5, 0.4]), 1.0, -3, 4, -2, 2),
+                      TFLattice(np.diag([0.5, 0.4]), 1.0, -3, 3, -2, 1)):
+            assert pos != other and not pos == other
+        # a lattice of the other group is never equal
+        affine = AffineLattice(2.0, 0.5, -3, 3, -2, 2, (1,))
+        assert affine != pos and pos != affine and not affine == pos
