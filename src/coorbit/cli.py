@@ -30,6 +30,7 @@ from .frames import (
     DesignSearchError,
     ReconstructionDivergence,
     _certificate_from_kernel,
+    _iteration_cap,
     atom_certificate,
     atom_kernel,
     design_lattice,
@@ -176,17 +177,20 @@ def _load_signal(cfg: dict, key: str) -> SampledSignal:
 
 
 def _weight_from(cfg: dict, kind: str) -> WeightSpec:
-    if "weight" in cfg and cfg["weight"] is not None:
-        return WeightSpec.from_dict(cfg["weight"])
-    return unit_weight(kind)
+    """The config's weight, refused unless it lives on the group ``kind``; else the unit weight."""
+    if "weight" not in cfg or cfg["weight"] is None:
+        return unit_weight(kind)
+    weight = WeightSpec.from_dict(cfg["weight"])
+    if weight.group_kind != kind:
+        raise ValueError(f"weight on {weight.group_kind!r} applied to the {kind!r} group")
+    return weight
 
 
-def _write_transform(cfg: dict, out: Path, F: GroupField) -> int:
+def _write_transform(out: Path, F: GroupField, weight: WeightSpec) -> int:
     """Write ``<out>.field.json`` and the weighted norms in ``<out>.stats.json``.
 
     The norms come first, so a weight that cannot be evaluated leaves no file.
     """
-    weight = _weight_from(cfg, F.quad.kind)
     stats = {"l1": lpm_norm(F, 1.0, weight), "l2": lpm_norm(F, 2.0, weight),
              "linf": lpm_norm(F, math.inf, weight)}
     _write_field(Path(f"{out}.field.json"), F)
@@ -196,12 +200,14 @@ def _write_transform(cfg: dict, out: Path, F: GroupField) -> int:
 
 def cmd_cwt(cfg: dict, out: Path) -> int:
     f, psi = _load_signal(cfg, "signal"), _load_signal(cfg, "atom")
-    return _write_transform(cfg, out, cwt(f, psi, GroupQuadrature.from_dict(cfg["quadrature"])))
+    quad, weight = GroupQuadrature.from_dict(cfg["quadrature"]), _weight_from(cfg, "affine")
+    return _write_transform(out, cwt(f, psi, quad), weight)
 
 
 def cmd_stft(cfg: dict, out: Path) -> int:
     f, g = _load_signal(cfg, "signal"), _load_signal(cfg, "window")
-    return _write_transform(cfg, out, stft(f, g, _tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid")))
+    grids, weight = (_tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid")), _weight_from(cfg, "tf")
+    return _write_transform(out, stft(f, g, *grids), weight)
 
 
 def cmd_admissibility(cfg: dict, out: Path) -> int:
@@ -333,7 +339,7 @@ def cmd_frame_bounds(cfg: dict, out: Path) -> int:
 
 def cmd_reconstruct(cfg: dict, out: Path) -> int:
     tol = _finite_float(cfg.get("tol", 1e-3), "tol")
-    max_iter = _integer(cfg.get("max_iter", 100), "max_iter")
+    max_iter = _iteration_cap(_integer(cfg.get("max_iter", 100), "max_iter"))
     psi = _load_signal(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")

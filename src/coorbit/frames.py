@@ -160,6 +160,13 @@ class ReconstructionDivergence(RuntimeError):
         self.report = report
 
 
+def _iteration_cap(max_iter: int) -> int:
+    """``max_iter``, refused below 1: an iteration that takes no step would return its data."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return max_iter
+
+
 def _fixed_point(step, x0, norm_b: float, tol: float, max_iter: int, **tiles):
     """The loop of both frame iterations: ``x, res = step(x)`` until ``res <= tol * norm_b``.
 
@@ -422,8 +429,7 @@ def neumann_reconstruct(
     :class:`~coorbit.fields.KernelOperator`, built after the samples are
     read and before the first iteration; ``max_iter < 1`` raises first.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _iteration_cap(max_iter)
     if certificate is None and not allow_uncertified:
         raise ValueError(
             "no certificate supplied; pass allow_uncertified=True to override"
@@ -507,15 +513,14 @@ def design_lattice(
     The kernel and its weighted L1 norm are fixed along the schedule;
     only the oscillation shrinks, so q is expected to be nonincreasing
     for smooth kernels.  Raises with the best q when the cap is hit, and
-    before the kernel is built when the schedule cannot shrink.
+    before the kernel is built when the schedule cannot shrink or takes no step.
     """
     for key, value, ok in (("alpha0", alpha0, alpha0 > 1), ("beta0", beta0, beta0 > 0),
-                           ("gamma", gamma, 0 < gamma < 1)):
+                           ("gamma", gamma, 0 < gamma < 1),
+                           ("max_steps", max_steps, max_steps >= 1)):
         if not ok:
             raise ValueError(f"schedule.{key} = {value!r}: the schedule needs alpha0 > 1, "
-                             "beta0 > 0 and 0 < gamma < 1")
-    if max_steps < 1:
-        raise DesignSearchError("iteration cap reached before any candidate", math.inf, [])
+                             "beta0 > 0, 0 < gamma < 1 and max_steps >= 1")
     if w.family == "symmetric_power":
         suff = wavelet_atom_sufficient(psi, w.rho)
         if not suff.passed:
@@ -641,8 +646,7 @@ def frame_operator_invert(
     which raises as in :func:`neumann_reconstruct`.  The frame operator
     is built once per call, as one :class:`GaborOperator`, after ``max_iter`` is checked.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _iteration_cap(max_iter)
     a, b = bounds
     if not (0 < a <= b < math.inf):
         raise ValueError("need finite frame bounds 0 < a <= b < inf")

@@ -271,14 +271,18 @@ def _complex_interp(tq, t, values):
 
 def translate(f: SampledSignal, x: float) -> SampledSignal:
     """``(T_x f)(t) = f(t - x)``; a shift by whole steps ``dt`` is exact, others interpolate."""
+    return f.with_values(_translate_into(np.zeros(f.n, dtype=np.complex128), f, x))
+
+
+def _translate_into(out: np.ndarray, f: SampledSignal, x: float) -> np.ndarray:
+    """The samples of ``T_x f`` written into ``out``, which holds zeros."""
     steps = x / f.dt
     k = round(steps)
     if abs(steps - k) >= 1e-9:
-        return f.with_values(_complex_interp(f.grid() - x, f.grid(), f.values))
-    out = np.zeros(f.n, dtype=np.complex128)
-    if abs(k) < f.n:  # out[n] = values[n - k] wherever both lie on the grid
+        out[:] = _complex_interp(f.grid() - x, f.grid(), f.values)
+    elif abs(k) < f.n:  # out[n] = values[n - k] wherever both lie on the grid
         out[max(k, 0):f.n + min(k, 0)] = f.values[max(-k, 0):f.n - max(k, 0)]
-    return f.with_values(out)
+    return out
 
 
 def modulate(f: SampledSignal, omega: float) -> SampledSignal:

@@ -37,6 +37,7 @@ from .signals import (
     Spectrum,
     _complex_interp,
     _frequencies,
+    _translate_into,
     fourier,
     inverse_fourier,
     l2_norm,
@@ -153,29 +154,28 @@ def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupFie
 
     fhat = fourier(f)
     psihat = fourier(psi)
-    w = fhat.grid()
-    n = f.n
+    # rows are built in the inverse FFT's input order: ifftshift permutes
+    # the grid, the spectrum and the t0 phase once, never a row
+    w, fvals = np.fft.ifftshift(fhat.grid()), np.fft.ifftshift(fhat.values)
+    phase = np.exp(2j * np.pi * f.t0 * w)
 
     b_grid = quad.b_grid()
     resample = not _b_grid_matches(quad, f)
-
     out = np.empty(quad.shape, dtype=np.complex128)
+    # one row block serves both branches; on the signal's grid it is the output
+    buf = np.empty((quad.n_scales, f.n), dtype=np.complex128) if resample else None
     scales = quad.scale_grid()
     t = f.grid()
     for s_idx, sgn in enumerate(quad.signs):
-        a_vals = sgn * scales
-        rows = np.empty((quad.n_scales, n), dtype=np.complex128)
-        for j, a in enumerate(a_vals):
-            psi_a = psihat.interpolate(a * w)
-            rows[j] = math.sqrt(abs(a)) * fhat.values * np.conj(psi_a)
-        # batched inverse transform back to the b axis
-        phased = rows * np.exp(2j * np.pi * f.t0 * w)[None, :]
-        rows_b = np.fft.ifft(np.fft.ifftshift(phased, axes=-1), axis=-1) / f.dt
+        rows = out[s_idx] if buf is None else buf
+        for j, a in enumerate(sgn * scales):
+            rows[j] = math.sqrt(abs(a)) * fvals * np.conj(psihat.interpolate(a * w))
+        rows *= phase
+        np.fft.ifft(rows, axis=-1, out=rows)
+        rows /= f.dt
         if resample:
             for j in range(quad.n_scales):
-                out[s_idx, j] = _complex_interp(b_grid, t, rows_b[j])
-        else:
-            out[s_idx] = rows_b
+                out[s_idx, j] = _complex_interp(b_grid, t, rows[j])
     return GroupField(quad, out, meta)
 
 
@@ -198,20 +198,20 @@ def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
     w, dw = _frequencies(psi.n, quad.db)
     du = quad.du
     scales = quad.scale_grid()
+    # kept in the forward FFT's output order: the grid and phase are permuted once
+    w_fft = np.fft.ifftshift(w)
+    db_phase = quad.db * np.exp(-2j * np.pi * quad.b_lo * w_fft)
 
     acc = np.zeros(psi.n, dtype=np.complex128)
+    spec_rows = np.empty((quad.n_scales, psi.n), dtype=np.complex128)
     for s_idx, sgn in enumerate(quad.signs):
-        rows = W.values[s_idx]
-        # forward transform of every b-row at once
-        spec_rows = quad.db * np.exp(-2j * np.pi * quad.b_lo * w)[None, :] * (
-            np.fft.fftshift(np.fft.fft(rows, axis=-1), axes=-1)
-        )
-        for j, s in enumerate(scales):
-            a = sgn * s
-            psi_a = psihat.interpolate(a * w)
-            acc += math.sqrt(abs(a)) * spec_rows[j] * psi_a * (du / abs(a))
+        # forward transform of every b-row at once, into the one row block
+        np.fft.fft(W.values[s_idx], axis=-1, out=spec_rows)
+        np.multiply(db_phase, spec_rows, out=spec_rows)
+        for row, a in zip(spec_rows, sgn * scales):
+            acc += math.sqrt(abs(a)) * row * psihat.interpolate(a * w_fft) * (du / abs(a))
     acc /= c_psi**2
-    return inverse_fourier(Spectrum(w[0], dw, acc, t_origin=quad.b_lo))
+    return inverse_fourier(Spectrum(w[0], dw, np.fft.fftshift(acc), t_origin=quad.b_lo))
 
 
 def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
@@ -264,8 +264,8 @@ class _TFOperator:
 
     Rows ``R[r] = g(t - xs[r]) exp(2 pi i t row_w[r])`` (no phase without
     ``row_w`` or when every ``row_w`` is 0) on the samples ``t_n = t0 + n
-    dt``, axis ``w_k = w0 + k dw``; each translate is
-    :func:`~coorbit.signals.translate` of ``g``.
+    dt``, axis ``w_k = w0 + k dw``; each translate is written in place by
+    :func:`~coorbit.signals.translate`'s rule.
     ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``
     and ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``, its
     adjoint up to the factor ``dt``.  When ``dw dt = 1/M``
@@ -282,9 +282,9 @@ class _TFOperator:
 
     def __init__(self, g: SampledSignal, xs, t0: float, dt: float,
                  w0: float, dw: float, n_w: int, row_w=None):
-        G = np.empty((len(xs), g.n), dtype=np.complex128)
+        G = np.zeros((len(xs), g.n), dtype=np.complex128)
         for i, x in enumerate(xs):
-            G[i] = translate(g, x).values
+            _translate_into(G[i], g, x)
         if row_w is not None and np.any(row_w):
             G *= _modulation(row_w, g.grid())
         self._G = np.conj(G, out=G)

@@ -155,6 +155,55 @@ class TestCwtCommand:
         assert (out1 / "k.stats.json").read_bytes() == (out2 / "k.stats.json").read_bytes()
 
 
+class TestTransformWeight:
+    """``cwt`` and ``stft`` read their weight before the transform runs."""
+
+    @staticmethod
+    def _config(command, mexhat_file, gauss_file):
+        if command == "cwt":
+            path = str(mexhat_file[0])
+            return {"signal": path, "atom": path, "quadrature": quad_dict()}
+        path = str(gauss_file[0])
+        return {"signal": path, "window": path,
+                "x_grid": {"origin": -4.0, "step": 0.5, "count": 17},
+                "w_grid": {"origin": -2.0, "step": 0.25, "count": 17}}
+
+    @pytest.mark.parametrize("command, weight, message", [
+        ("cwt", {"family": "nope"}, "unknown weight family 'nope'"),
+        ("cwt", {"family": "poly_tf", "r": 1.0, "s": 0.0}, "weight on 'tf'"),
+        ("cwt", {"family": "power_scale"}, "'s'"),
+        ("cwt", {"family": "symmetric_power", "rho": -1.0}, "rho must be >= 0"),
+        ("stft", {"family": "nope"}, "unknown weight family 'nope'"),
+        ("stft", {"family": "power_scale", "s": 1.0}, "weight on 'affine'"),
+        ("stft", {"family": "poly_tf", "r": -1.0, "s": 0.0}, "exponents must be >= 0"),
+        ("cwt", {"family": "power_scale", "s": 1.5}, None),
+        ("stft", {"family": "poly_tf", "r": 1.0, "s": 0.5}, None),
+    ])
+    def test_refused_before_the_transform(self, tmp_path, capsys, monkeypatch, mexhat_file,
+                                          gauss_file, command, weight, message):
+        calls = []
+        for name in ("cwt", "stft"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _real=real, _name=name, **k: calls.append(_name)
+                                or _real(*a, **k))
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": command, "weight": weight,
+                         **self._config(command, mexhat_file, gauss_file)})
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
+        if message is None:  # a weight on the right group: one transform, two files
+            assert (rc, calls) == (0, [command])
+            assert sorted(p.name for p in out.iterdir()) == [f"{command}.field.json",
+                                                              f"{command}.stats.json"]
+            return
+        assert (rc, calls) == (2, [])
+        err = capsys.readouterr().err
+        assert "invalid input" in err and message in err
+        assert list(out.iterdir()) == []
+
+
 class TestOtherCommands:
     def test_stft(self, tmp_path, gauss_file):
         path, g = gauss_file
@@ -373,12 +422,13 @@ class TestDesignCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("gamma", 1.5), ("gamma", 1.0), ("gamma", 0.0), ("gamma", -0.5), ("alpha0", 1.0),
-        ("beta0", -1.0),
+        ("beta0", -1.0), ("max_steps", 0), ("max_steps", -2),
     ])
     def test_schedule_that_cannot_shrink_exit_2(self, tmp_path, capsys, monkeypatch,
                                                 mexhat_file, key, value):
         # a config error, not a certification failure: gamma >= 1 would
-        # search to the cap, the others would fail after the kernel is built
+        # search to the cap, max_steps < 1 would report a search of no step,
+        # the others would fail after the kernel is built
         from coorbit import frames
 
         path, _ = mexhat_file
@@ -1098,10 +1148,16 @@ class TestReconstructCommand:
 
         class Counted(frames.KernelOperator):
             def __init__(self, *args, **kwargs):
-                builds.append(1)
+                builds.append("KernelOperator")
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(frames, "KernelOperator", Counted)
+        # refused on reading, before the partition, the kernel and the certificate
+        for name in ("build_bupu", "atom_kernel"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _real=real, _name=name, **k: builds.append(_name)
+                                or _real(*a, **k))
         out = tmp_path / "out"
         out.mkdir()
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)])

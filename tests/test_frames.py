@@ -675,7 +675,8 @@ _S0_DESIGN_Q = (
 
 class TestDesign:
     def test_zero_cap_errors(self, s0_atom, atom_chart):
-        with pytest.raises(DesignSearchError):
+        # a schedule of no step is a config error, not a search that found nothing
+        with pytest.raises(ValueError, match="schedule.max_steps = 0"):
             design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), max_steps=0)
 
     def test_insufficient_moments_rejected(self, gauss, atom_chart):
@@ -685,11 +686,13 @@ class TestDesign:
     @pytest.mark.parametrize("key, value", [
         ("alpha0", 1.0), ("alpha0", 0.5), ("alpha0", math.nan), ("beta0", 0.0),
         ("beta0", -1.0), ("gamma", 0.0), ("gamma", -0.5), ("gamma", 1.0), ("gamma", 1.5),
+        ("max_steps", 0), ("max_steps", -3),
     ])
     def test_schedule_that_cannot_shrink_refused_first(self, s0_atom, atom_chart, monkeypatch,
                                                        key, value):
         # gamma >= 1 would search to the cap; gamma <= 0, alpha0 <= 1 or
-        # beta0 <= 0 would fail in affine_box after the kernel was built
+        # beta0 <= 0 would fail in affine_box after the kernel was built;
+        # max_steps < 1 would be a search of no step
         calls = []
         for name in ("wavelet_atom_sufficient", "atom_kernel", "oscillation"):
             real = getattr(frames, name)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from coorbit.voice import (
     stft,
     wavelet_rep,
 )
-from coorbit.voice import _TFOperator, _fold_length
+from coorbit.signals import Spectrum, _complex_interp, _frequencies, fourier, inverse_fourier
+from coorbit.voice import _b_grid_matches, _TFOperator, _fold_length
 
 from conftest import chirp
 
@@ -166,6 +168,83 @@ class TestWaveletTransform:
             v1 = affine_field_interpolate(Wfg, np.array([p.b]), np.array([p.a]))[0]
             v2 = affine_field_interpolate(Wgf, np.array([q.b]), np.array([q.a]))[0]
             assert abs(v1 - np.conj(v2)) <= 2e-3 * peak
+
+
+def _cwt_reference(f, psi, quad):
+    """``cwt`` as one fresh array per step: rows, phase, ifftshift, ifft and ``/ dt``."""
+    fhat, psihat = fourier(f), fourier(psi)
+    w = fhat.grid()
+    out = np.empty(quad.shape, dtype=np.complex128)
+    for s_idx, sgn in enumerate(quad.signs):
+        rows = np.empty((quad.n_scales, f.n), dtype=np.complex128)
+        for j, a in enumerate(sgn * quad.scale_grid()):
+            rows[j] = math.sqrt(abs(a)) * fhat.values * np.conj(psihat.interpolate(a * w))
+        phased = rows * np.exp(2j * np.pi * f.t0 * w)[None, :]
+        rows_b = np.fft.ifft(np.fft.ifftshift(phased, axes=-1), axis=-1) / f.dt
+        if _b_grid_matches(quad, f):
+            out[s_idx] = rows_b
+        else:
+            for j in range(quad.n_scales):
+                out[s_idx, j] = _complex_interp(quad.b_grid(), f.grid(), rows_b[j])
+    return out
+
+
+def _icwt_reference(W, psi):
+    """``icwt`` with centred spectra: fft, fftshift and the ``db`` phase as fresh arrays."""
+    quad = W.quad
+    psihat = fourier(psi)
+    w, dw = _frequencies(psi.n, quad.db)
+    acc = np.zeros(psi.n, dtype=np.complex128)
+    for s_idx, sgn in enumerate(quad.signs):
+        spec_rows = quad.db * np.exp(-2j * np.pi * quad.b_lo * w)[None, :] * (
+            np.fft.fftshift(np.fft.fft(W.values[s_idx], axis=-1), axes=-1))
+        for j, s in enumerate(quad.scale_grid()):
+            a = sgn * s
+            acc += math.sqrt(abs(a)) * spec_rows[j] * psihat.interpolate(a * w) * (quad.du / abs(a))
+    acc /= admissibility_constant(psi) ** 2
+    return inverse_fourier(Spectrum(w[0], dw, acc, t_origin=quad.b_lo)).values
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestTransformRowBlock:
+    """``cwt`` and ``icwt`` in one row block per call, bit for bit against fresh arrays."""
+
+    @pytest.mark.parametrize("chart", ["resampled", "transform", "one_sign"])
+    def test_bit_identical_to_fresh_arrays(self, chart):
+        # (signal grid, chart): a 2x97x1024 chart on 4,096 samples, the
+        # on-grid transform chart (n_b = n = 2048), and an odd-length
+        # signal under one negative branch on its own grid
+        t_lo, t_hi, n, quad = {
+            "resampled": (-32, 32, 4096,
+                          cb.build_affine_quadrature(-4, 4, 1024, 1 / 8, 8, 97, (1, -1))),
+            "transform": (-32, 32, 2048,
+                          cb.build_affine_quadrature(-32, 32, 2048, 1 / 16, 16, 64, (1, -1))),
+            "one_sign": (-20.3, 20.1, 1001,
+                         cb.build_affine_quadrature(-20.3, 20.1, 1001, 0.2, 5, 9, (-1,))),
+        }[chart]
+        psi = normalize_admissible(cb.mexican_hat(t_lo, t_hi, n))
+        f = chirp(psi.t0, psi.dt, n, 5.0, 0.35, 0.004)
+        W = cwt(f, psi, quad)
+        assert np.array_equal(_bits(W.values), _bits(_cwt_reference(f, psi, quad)))
+        if chart != "resampled":
+            assert _b_grid_matches(quad, psi)
+            assert np.array_equal(_bits(icwt(W, psi).values), _bits(_icwt_reference(W, psi)))
+
+    def test_cwt_peak_is_one_row_block(self, mexhat_desk_normalized):
+        # rows, phase, ifftshift, ifft and / dt were five row blocks (33.8 MiB)
+        psi = mexhat_desk_normalized
+        quad = cb.build_affine_quadrature(-4, 4, 1024, 1 / 8, 8, 97, (1, -1))
+        tracemalloc.start()
+        try:
+            W = cwt(psi, psi, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_block = quad.n_scales * psi.n * np.dtype(np.complex128).itemsize
+        assert peak < row_block + W.values.nbytes + 2 * 2**20
 
 
 class TestInverseWavelet:
