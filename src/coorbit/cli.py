@@ -39,7 +39,7 @@ from .frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from .groups import GroupField, GroupQuadrature, _finite_float, _integer, _object
+from .groups import GroupField, GroupQuadrature, _finite_float, _integer, _object, _on_group
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
@@ -181,8 +181,7 @@ def _weight_from(cfg: dict, kind: str) -> WeightSpec:
     if "weight" not in cfg or cfg["weight"] is None:
         return unit_weight(kind)
     weight = WeightSpec.from_dict(cfg["weight"])
-    if weight.group_kind != kind:
-        raise ValueError(f"weight on {weight.group_kind!r} applied to the {kind!r} group")
+    _on_group(kind, weight=weight)
     return weight
 
 
@@ -255,15 +254,17 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
     rep: dict = {"kind": kind}
     passed = True
     if kind == "wavelet":
+        if "quadrature" in cfg:  # read, and refused off the affine group, before any work
+            quad = GroupQuadrature.from_dict(cfg["quadrature"])
+            weight = _weight_from(cfg, "affine")
+            U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
+            _on_group("affine", chart=quad, neighbourhood=U)
         if "rho" in cfg:
             suff = wavelet_atom_sufficient(psi, _finite_float(cfg["rho"], "rho"),
                                            _finite_float(cfg.get("tol", 1e-6), "tol"))
             rep["sufficiency"] = suff.to_dict()
             passed = passed and suff.passed
         if "quadrature" in cfg:
-            quad = GroupQuadrature.from_dict(cfg["quadrature"])
-            weight = _weight_from(cfg, "affine")
-            U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
             try:
                 cert = atom_certificate(psi, quad, weight, U)
             except NotAdmissibleError as exc:
@@ -345,10 +346,11 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
     weight = _weight_from(cfg, "affine")
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
+    _on_group("affine", chart=quad, neighbourhood=U, lattice=lat)
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
     if truth.quad != quad:
         raise ValueError("field must be sampled on the chart given as quadrature")
-    # the partition refuses a lattice or neighbourhood before any kernel is built
+    # the partition refuses a lattice that is not U-dense before any kernel is built
     bupu = build_bupu(lat, U, quad)
     if bupu.tiles_finer_than_cells:
         print("warning: lattice tiles are finer than chart cells; most tiles "

@@ -36,10 +36,12 @@ import numpy as np
 from .groups import (
     GroupField,
     _chart_index,
+    _exponent,
     _finite_number,
     _in_chart,
     _in_chart_run,
     _object,
+    _on_group,
     _read_chart,
     _read_rows,
     affine_field_interpolate,
@@ -179,10 +181,8 @@ def weight_reciprocal(w: WeightSpec) -> WeightSpec:
 def _p_norm(values, weights, p: float, measure=1.0) -> float:
     """The field and sequence norm ``(sum |v w|^p measure)^(1/p)``; ``max |v w|`` at p = inf."""
     a = np.abs(values) * weights
-    if math.isinf(p):
+    if math.isinf(_exponent(p)):
         return float(np.max(a))
-    if p < 1:
-        raise ValueError("p must lie in [1, inf]")
     return float(np.sum(a**p * measure) ** (1.0 / p))
 
 
@@ -391,8 +391,7 @@ def _with_truncation(F: GroupField, vals, right_edge: float) -> GroupField:
 
 
 def _check_affine_pair(F: GroupField, G: GroupField):
-    if F.quad.kind != "affine" or G.quad.kind != "affine":
-        raise ValueError("convolve works on affine fields; use tf_convolve")
+    _on_group("affine", field=F.quad, kernel=G.quad)
     if F.quad != G.quad:
         raise ValueError("convolution needs matching quadratures")
 
@@ -423,8 +422,7 @@ class KernelOperator:
     """
 
     def __init__(self, K: GroupField):
-        if K.quad.kind != "affine":
-            raise ValueError("KernelOperator needs an affine kernel")
+        _on_group("affine", kernel=K.quad)
         self.K = K
         self._right_edge = _edge_l1_fraction(K)
         stored = _spectra_nbytes(K.quad) <= _SPECTRA_BYTE_LIMIT
@@ -443,8 +441,7 @@ class KernelOperator:
 
 def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
     """Abelian plane convolution, ``dx*dw``-scaled, charts matching."""
-    if F.quad.kind != "tf" or G.quad.kind != "tf":
-        raise ValueError("tf_convolve needs two TF fields")
+    _on_group("tf", field=F.quad, kernel=G.quad)
     if F.quad != G.quad:
         raise ValueError("convolution needs matching quadratures")
     quad = F.quad
@@ -489,8 +486,7 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
     pointwise interpolation bit for bit.
     """
     quad = G.quad
-    if U.kind != quad.kind:
-        raise ValueError("neighbourhood and field live on different groups")
+    _on_group(quad.kind, neighbourhood=U)
     affine = quad.kind == "affine"
     planes = G.values if affine else G.values[None]
     c1, c2 = (quad.b_grid(), quad.scale_grid()) if affine else (quad.x_grid(), quad.w_grid())

@@ -38,7 +38,7 @@ from .fields import (
     oscillation,
     unit_weight,
 )
-from .groups import GroupField, GroupQuadrature, _Report
+from .groups import GroupField, GroupQuadrature, _exponent, _on_group, _Report
 from .lattices import (
     BUPU,
     AffineLattice,
@@ -222,7 +222,9 @@ def atom_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
 def atom_certificate(
     psi: SampledSignal, quad: GroupQuadrature, w: WeightSpec, U: NeighborhoodSpec
 ) -> FrameCertificate:
-    """Certificate for the self-kernel (``atom_kernel``) of ``psi`` on the chart."""
+    """Certificate for the self-kernel (``atom_kernel``) of ``psi`` on the chart;
+    a weight or U on another group than the chart's raises before the kernel is built."""
+    _on_group(quad.kind, weight=w, neighbourhood=U)
     return _certificate_from_kernel(atom_kernel(psi, quad), w, U)
 
 
@@ -367,26 +369,27 @@ def frame_bounds_empirical(
     For each draw ``f``, the ratio is the discrete ``l^p_m`` norm of the
     transform sampled on the lattice against the chart ``L^p_m`` norm of
     the transform itself; the empirical bounds are the extremes.  Draws
-    whose transform norm vanishes are redrawn (at most ten times each).
+    whose transform norm vanishes are redrawn (at most ten times each).  A bad
+    ``ensemble`` or ``p``, or a lattice off the chart's group, raises before any draw.
     """
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
+    _exponent(p)
+    _on_group(quad.kind, lattice=lat)
     rng = np.random.default_rng(seed)
-    is_affine = lat.kind == "affine"
     # what every draw shares, as lpm_norm, sample_field and seq_lpm_norm compute it
-    chart_weights = eval_weight_at(m if m is not None else unit_weight(quad.kind), quad.kind,
-                                   *quad.node_points())
+    m = m if m is not None else unit_weight(quad.kind)
+    chart_weights = eval_weight_at(m, quad.kind, *quad.node_points())
     node_weights = quad.node_weights()
     points = lat.point_arrays()
-    point_weights = eval_weight_at(m if m is not None else unit_weight(lat.kind), lat.kind,
-                                   *points)
+    point_weights = eval_weight_at(m, lat.kind, *points)
     # every draw lands on one grid, so the STFT operator built on the first serves all
     stft_op = None
     ratios = []
     for _ in range(ensemble):
         for _attempt in range(10):
             f = random_bandlimited_signal(window, band, rng, envelope_width)
-            if is_affine:
+            if quad.kind == "affine":
                 F = cwt(f, window, quad)
             else:
                 if stft_op is None:
@@ -513,7 +516,8 @@ def design_lattice(
     The kernel and its weighted L1 norm are fixed along the schedule;
     only the oscillation shrinks, so q is expected to be nonincreasing
     for smooth kernels.  Raises with the best q when the cap is hit, and
-    before the kernel is built when the schedule cannot shrink or takes no step.
+    before the kernel is built when the schedule cannot shrink or takes no
+    step, or when the chart or the weight is not on the affine group.
     """
     for key, value, ok in (("alpha0", alpha0, alpha0 > 1), ("beta0", beta0, beta0 > 0),
                            ("gamma", gamma, 0 < gamma < 1),
@@ -521,6 +525,7 @@ def design_lattice(
         if not ok:
             raise ValueError(f"schedule.{key} = {value!r}: the schedule needs alpha0 > 1, "
                              "beta0 > 0, 0 < gamma < 1 and max_steps >= 1")
+    _on_group("affine", chart=quad, weight=w)
     if w.family == "symmetric_power":
         suff = wavelet_atom_sufficient(psi, w.rho)
         if not suff.passed:
@@ -668,15 +673,13 @@ def besov_exponent(p, s):
 
     Exact over the rationals: integer and Fraction inputs stay Fractions.
     """
+    _exponent(p)
     if isinstance(p, float) and math.isinf(p):
         inv_p = Fraction(0) if isinstance(s, (int, Fraction)) else 0.0
+    elif isinstance(p, (int, Fraction)):
+        inv_p = Fraction(1, 1) / Fraction(p)
     else:
-        if p < 1:
-            raise ValueError("p must lie in [1, inf]")
-        if isinstance(p, (int, Fraction)):
-            inv_p = Fraction(1, 1) / Fraction(p)
-        else:
-            inv_p = 1.0 / p
+        inv_p = 1.0 / p
     if isinstance(s, (int, Fraction)) and isinstance(inv_p, Fraction):
         sigma = Fraction(s) - Fraction(1, 2) + inv_p
     else:

@@ -310,6 +310,20 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _exponent(p):
+    """``p`` itself if it lies in ``[1, inf]``; ``p < 1``, ``-inf`` and NaN raise."""
+    if not 1 <= p:
+        raise ValueError(f"p must lie in [1, inf], got {p!r}")
+    return p
+
+
+def _on_group(kind: str, **parts) -> None:
+    """Refuse the first keyword part (a chart, lattice, U or weight) not on the group ``kind``."""
+    for name, part in parts.items():
+        if part.kind != kind:
+            raise ValueError(f"{name} on {part.kind!r} applied to the {kind!r} group")
+
+
 def _object(value, key: str) -> dict:
     """``value`` itself if it is a dict (a JSON object); anything else raises."""
     if not isinstance(value, dict):
@@ -563,16 +577,14 @@ def affine_field_interpolate(F: GroupField, b_q, a_q, with_mask: bool = False):
 
     Returns the values, plus the in-chart mask when ``with_mask`` is set.
     """
-    if F.quad.kind != "affine":
-        raise ValueError("affine interpolation on a non-affine field")
+    _on_group("affine", field=F.quad)
     out, inside = _read_chart(F, b_q, a_q)
     return (out, inside) if with_mask else out
 
 
 def tf_field_interpolate(F: GroupField, x_q, w_q, with_mask: bool = False):
     """Bilinear interpolation on a TF-plane field; zero outside the chart."""
-    if F.quad.kind != "tf":
-        raise ValueError("tf interpolation on a non-tf field")
+    _on_group("tf", field=F.quad)
     out, inside = _read_chart(F, x_q, w_q)
     return (out, inside) if with_mask else out
 

@@ -28,6 +28,7 @@ from .groups import (
     _finite_number,
     _integer,
     _integers,
+    _on_group,
     _Report,
     _sign_branches,
     affine_field_interpolate,
@@ -311,14 +312,6 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     return nodes, tiles
 
 
-def _same_group(lat, *parts) -> None:
-    """Refuse a neighbourhood or chart that lives on another group than ``lat``."""
-    for part in parts:
-        if part.kind != lat.kind:
-            raise ValueError(f"lattice on {lat.kind!r} with a {type(part).__name__} "
-                             f"on {part.kind!r}")
-
-
 def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     """Every ``(point, tile)`` incidence of the query points, and their number.
 
@@ -327,7 +320,7 @@ def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     membership code path behind cover counts, cover sums and the
     partition's stored map.
     """
-    _same_group(lat, U)
+    _on_group(lat.kind, neighbourhood=U)
     c1 = np.asarray(c1, dtype=float).ravel()
     c2 = np.asarray(c2, dtype=float).ravel()
     cover = _affine_cover if lat.kind == "affine" else _tf_cover
@@ -401,7 +394,7 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     ``atil`` in ``[1/alpha_K, alpha_K]`` and ``|btil| <= (1 + atil)
     beta_K / 2``; the TF condition is the difference box.
     """
-    _same_group(lat, K)
+    _on_group(lat.kind, neighbourhood=K)
     b, a = lat.point_arrays()
     n = b.size
     max_count = 0
@@ -489,8 +482,7 @@ def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
 
 def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> GroupQuadrature:
     """Affine chart that contains every tile of the (finite) lattice."""
-    if lat.kind != "affine":
-        raise ValueError("covering charts are built for affine lattices")
+    _on_group("affine", lattice=lat, neighbourhood=U)
     b, a = lat.point_arrays()
     half_b = np.abs(a) * U.beta / 2
     b_lo = float(np.min(b - half_b))
@@ -659,7 +651,7 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
 
 def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
     """The chart nodes, flat in node order, and the mask of ``default_density_probe``'s."""
-    _same_group(lat, U, quad)
+    _on_group(lat.kind, neighbourhood=U, chart=quad)
     pts = quad.node_points()
     c1 = np.asarray(pts[0], dtype=float).ravel()
     c2 = np.asarray(pts[1], dtype=float).ravel()

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupField, GroupQuadrature, build_tf_quadrature
+from .groups import GroupField, GroupQuadrature, _on_group, build_tf_quadrature
 from .signals import (
     SampledSignal,
     Spectrum,
@@ -144,8 +144,7 @@ def _b_grid_matches(quad: GroupQuadrature, s: SampledSignal) -> bool:
 
 def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     """Wavelet transform of ``f`` against ``psi`` on an affine chart."""
-    if quad.kind != "affine":
-        raise ValueError("cwt needs an affine quadrature")
+    _on_group("affine", chart=quad)
     if not f.same_grid(psi):
         raise ValueError("f and psi must share grid parameters")
     meta: dict = {}
@@ -186,8 +185,7 @@ def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
     over all scale nodes and sign branches, then inverts one spectrum.
     """
     quad = W.quad
-    if quad.kind != "affine":
-        raise ValueError("icwt needs an affine field")
+    _on_group("affine", field=quad)
     if not _b_grid_matches(quad, psi):
         raise ValueError("quadrature b-grid must match the window grid")
     c_psi = _admissible_constant(psi, "icwt needs an admissible window")
@@ -330,8 +328,7 @@ class _TFOperator:
 
 def _stft_operator(f: SampledSignal, g: SampledSignal, quad: GroupQuadrature) -> _TFOperator:
     """The STFT operator of window ``g`` on the TF chart ``quad``, on ``f``'s grid."""
-    if quad.kind != "tf":
-        raise ValueError("the STFT needs a TF chart")
+    _on_group("tf", chart=quad)
     if not f.same_grid(g):
         raise ValueError("window must share the signal grid")
     return _TFOperator(g, quad.x_grid(), f.t0, f.dt, quad.w0, quad.dw, quad.n_w)

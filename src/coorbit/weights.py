@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import AffinePoint, HeisenbergPoint, _finite_float, _object
+from .groups import AffinePoint, HeisenbergPoint, _exponent, _finite_float, _object, _on_group
 
 __all__ = [
     "WeightSpec",
@@ -67,7 +67,7 @@ class WeightSpec:
             raise ValueError("custom weight needs an evaluator and a group tag")
 
     @property
-    def group_kind(self) -> str:
+    def kind(self) -> str:
         return _FAMILIES[self.family][0] if self.family in _FAMILIES else self.group
 
     def to_dict(self) -> dict:
@@ -106,8 +106,7 @@ def eval_weight_at(w: WeightSpec, kind: str, c1, c2) -> np.ndarray:
     Affine: ``(b, a)``, read as ``(b, |a|)``; TF: ``(x, omega)``, read as
     ``(|x|, |omega|)``, by custom evaluators too.  A weight on the other group raises.
     """
-    if w.group_kind != kind:
-        raise ValueError(f"weight on {w.group_kind!r} applied to the {kind!r} group")
+    _on_group(kind, weight=w)
     c1 = np.asarray(c1, dtype=float)
     if kind == "tf":
         c1 = np.abs(c1)
@@ -144,13 +143,10 @@ def is_p_control(w: WeightSpec, m: WeightSpec, p: float) -> bool:
     """
     if w.family == "custom" or m.family == "custom":
         raise ValueError("no closed form for custom weights; use the probes")
-    if w.group_kind != m.group_kind:
-        raise ValueError("weights live on different groups")
-    if not (1 <= p):
-        raise ValueError("p must lie in [1, inf]")
-    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    _on_group(m.kind, weight=w)
+    inv_p = 0.0 if math.isinf(_exponent(p)) else 1.0 / p
     inv_q = 1.0 - inv_p
-    if w.group_kind == "affine":
+    if w.kind == "affine":
         if w.family != "symmetric_power" or m.family != "power_scale":
             raise ValueError(
                 "affine control test expects symmetric_power vs power_scale"
@@ -198,7 +194,7 @@ def submultiplicativity_probe(
     w: WeightSpec, samples: int = 2000, seed: int = 0
 ) -> ProbeReport:
     """Search for violations of ``w(xy) <= w(x) w(y)`` on a chart box."""
-    group = w.group_kind
+    group = w.kind
     p1, p2 = _probe_pairs(group, samples, seed)
     ratio = eval_weight_at(w, group, *_product(group, p1, p2)) / (
         eval_weight_at(w, group, *p1) * eval_weight_at(w, group, *p2)
@@ -213,7 +209,7 @@ def moderateness_probe(
     m: WeightSpec, w: WeightSpec, samples: int = 2000, seed: int = 0
 ) -> ProbeReport:
     """Search for violations of ``m(xy) <= w(x)m(y)`` and ``m(xy) <= m(x)w(y)``."""
-    group = m.group_kind
+    group = m.kind
     p1, p2 = _probe_pairs(group, samples, seed)
     m_prod = eval_weight_at(m, group, *_product(group, p1, p2))
     left = m_prod / (eval_weight_at(w, group, *p1) * eval_weight_at(m, group, *p2))

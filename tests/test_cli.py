@@ -59,6 +59,24 @@ def gauss_file(tmp_path):
     return path, g
 
 
+# a chart small enough for one whole reconstruct run in milliseconds, and a
+# lattice and U that partition it
+_TINY_AFFINE = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 16,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 5, "signs": [1, -1]}
+_TINY_U = {"kind": "affine", "beta": 0.5, "alpha": 1.5}
+_TINY_LATTICE = {"type": "affine", "alpha": 1.5, "beta": 0.5, "j": [-2, 2], "k": [-8, 8],
+                 "signs": [1, -1]}
+
+
+@pytest.fixture()
+def truth_file(tmp_path):
+    """A field of ones on the tiny chart, as a reconstruct truth field."""
+    quad = cb.GroupQuadrature.from_dict(_TINY_AFFINE)
+    path = tmp_path / "truth.json"
+    write_json(path, GroupField(quad, np.ones(quad.shape)).to_dict())
+    return path
+
+
 def quad_dict():
     return {
         "group": "affine",
@@ -637,7 +655,7 @@ class TestWrongTypedConfig:
     """A config value of the wrong type exits 2, naming it, before any file is written."""
 
     @staticmethod
-    def _configs(atom, window):
+    def _configs(atom, window, truth):
         small_affine = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
                         "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
         return {
@@ -648,7 +666,9 @@ class TestWrongTypedConfig:
                      "x_grid": {"origin": -4.0, "step": 0.5, "count": 17},
                      "w_grid": {"origin": -2.0, "step": 0.25, "count": 17}},
             "moments": {"signal": atom},
-            "reconstruct": {"atom": atom},
+            "reconstruct": {"atom": atom, "quadrature": dict(_TINY_AFFINE),
+                            "neighbourhood": dict(_TINY_U), "lattice": dict(_TINY_LATTICE),
+                            "field": truth, "max_iter": 2},
             "frame-bounds/affine": {
                 "window": atom,
                 "lattice": {"type": "affine", "alpha": 2, "beta": 1.0,
@@ -658,7 +678,8 @@ class TestWrongTypedConfig:
             "certify-atom": {"atom": atom, "kind": "wavelet", "quadrature": small_affine,
                              "neighbourhood": {"kind": "affine", "beta": 0.5, "alpha": 1.5}},
             "design-lattice": {"atom": atom, "quadrature": small_affine,
-                               "weight": {"family": "symmetric_power", "rho": 1.0}},
+                               "weight": {"family": "symmetric_power", "rho": 1.0},
+                               "schedule": {"max_steps": 2}},
             "frame-bounds": {
                 "window": window,
                 "lattice": {"type": "tf", "generator": [[0.5, 0], [0, 0.5]],
@@ -707,9 +728,9 @@ class TestWrongTypedConfig:
         ("frame-bounds", "lattice", 5, "lattice must be a file path"),
         ("moments", "signal", 0, "signal must be a file path"),
     ])
-    def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file,
+    def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file, truth_file,
                                      command, key, edit, named):
-        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[command]
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[command]
         if callable(edit):
             edit = edit(tmp_path)
         # a dict edit changes one entry of the (valid) nested object
@@ -754,9 +775,9 @@ class TestWrongTypedConfig:
         ("design-lattice", "weight.rho", False),
     ])
     def test_config_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
-                                                 gauss_file, config, key, value):
+                                                 gauss_file, truth_file, config, key, value):
         # numbers must be finite reals (no bools or strings), counts integers
-        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))[config]
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[config]
         *parents, leaf = key.split(".")
         node = cfg
         for name in parents:
@@ -846,7 +867,8 @@ class TestWrongTypedConfig:
         assert "invalid input: out must be" in err and "Traceback" not in err
         assert new == set()
 
-    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, mexhat_file, gauss_file):
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, mexhat_file, gauss_file,
+                                 truth_file):
         # a chart too large to allocate (say quadrature.n_b = 10**12); the
         # allocation is simulated, since a real one can succeed on an
         # overcommitting host and be killed later
@@ -854,7 +876,7 @@ class TestWrongTypedConfig:
             raise MemoryError("Unable to allocate 14.6 TiB for an array")
 
         monkeypatch.setattr("coorbit.cli.cwt", cwt_out_of_memory)
-        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]))["cwt"]
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))["cwt"]
         rc, out = self._run(tmp_path, "cwt", cfg)
         assert rc == 2
         err = capsys.readouterr().err
@@ -865,12 +887,12 @@ class TestWrongTypedConfig:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_fuzzed_config_exits_with_a_documented_code(self, tmp_path, monkeypatch, mexhat_file,
-                                                         gauss_file, data):
+                                                         gauss_file, truth_file, data):
         # one or two entries of a working config, nested ones included, are
         # deleted or replaced: the run exits 0, 2, 3 or 4, never raises, and
         # writes nothing when it exits 2
         monkeypatch.chdir(tmp_path)
-        configs = self._configs(str(mexhat_file[0]), str(gauss_file[0]))
+        configs = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))
         name = data.draw(st.sampled_from(sorted(configs)))
         command = name.split("/")[0]
         cfg = configs[name]
@@ -1186,6 +1208,79 @@ class TestReconstructCommand:
         out.mkdir()
         assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 3
         assert "not admissible" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+_TINY_TF = {"group": "tf", "x0": -2.0, "dx": 0.25, "n_x": 17, "w0": -2.0, "dw": 0.25, "n_w": 17}
+_TF_U = {"kind": "tf", "beta_x": 0.5, "beta_w": 0.5}
+_TF_LATTICE = {"type": "tf", "generator": [[0.5, 0.0], [0.0, 0.5]], "scale": 1.0,
+               "n1": [-4, 4], "n2": [-4, 4]}
+
+
+class TestRefusedBeforeAnyWork:
+    """A config on the wrong group, or one a command cannot read, computes nothing."""
+
+    _STAGES = ("wavelet_atom_sufficient", "atom_kernel", "oscillation", "build_bupu", "cwt")
+
+    @pytest.mark.parametrize("command, keys, message", [
+        ("certify-atom", {"rho": 1.0, "quadrature": _TINY_AFFINE, "neighbourhood": _TF_U},
+         "neighbourhood on 'tf' applied to the 'affine' group"),
+        ("certify-atom", {"rho": 1.0, "quadrature": _TINY_TF, "neighbourhood": _TF_U},
+         "chart on 'tf' applied to the 'affine' group"),
+        ("certify-atom", {"rho": 1.0, "quadrature": _TINY_AFFINE, "neighbourhood": _TINY_U,
+                          "weight": {"family": "poly_tf", "r": 1.0, "s": 0.0}},
+         "weight on 'tf' applied to the 'affine' group"),
+        ("certify-atom", {"rho": 1.0, "quadrature": {**_TINY_AFFINE, "n_b": "a"},
+                          "neighbourhood": _TINY_U}, "quadrature.n_b"),
+        ("certify-atom", {"rho": 1.0, "quadrature": _TINY_AFFINE,
+                          "neighbourhood": {**_TINY_U, "n_samples": 7.5}}, "n_samples"),
+        ("design-lattice", {"quadrature": _TINY_TF,
+                            "weight": {"family": "symmetric_power", "rho": 1.0}},
+         "chart on 'tf' applied to the 'affine' group"),
+        ("reconstruct", {"quadrature": _TINY_TF, "neighbourhood": _TF_U,
+                         "lattice": _TF_LATTICE, "max_iter": 2},
+         "chart on 'tf' applied to the 'affine' group"),
+        ("frame-bounds", {"p": 0.5}, "p must lie in [1, inf]"),
+        ("frame-bounds", {"p": 0}, "p must lie in [1, inf]"),
+        ("frame-bounds", {"lattice": _TF_LATTICE}, "lattice on 'tf' applied to the 'affine' group"),
+        ("certify-atom", {"rho": 1.0, "quadrature": _TINY_AFFINE, "neighbourhood": _TINY_U},
+         None),
+    ], ids=["certify/tf_U", "certify/tf_chart", "certify/tf_weight", "certify/bad_chart",
+            "certify/bad_U", "design/tf_chart", "reconstruct/tf", "bounds/p_half",
+            "bounds/p_zero", "bounds/tf_lattice", "certify/accepted"])
+    def test_exit_2_with_no_transform_kernel_or_partition(self, tmp_path, capsys, monkeypatch,
+                                                         mexhat_file, command, keys, message):
+        from coorbit import frames
+
+        calls = []
+        for module in (cli, frames):
+            for name in self._STAGES:
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda *a, _real=real, _name=name, **k:
+                                        calls.append(_name) or _real(*a, **k))
+        atom = str(mexhat_file[0])
+        truth = tmp_path / "truth.json"
+        write_json(truth, GroupField(cb.GroupQuadrature.from_dict(_TINY_TF),
+                                     np.ones((17, 17))).to_dict())
+        base = {"certify-atom": {"atom": atom},
+                "design-lattice": {"atom": atom},
+                "reconstruct": {"atom": atom, "field": str(truth)},
+                "frame-bounds": {"window": atom, "quadrature": _TINY_AFFINE,
+                                 "lattice": _TINY_LATTICE, "ensemble": 1}}[command]
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"version": "coorbit/1", "command": command, **base, **keys})
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        if message is None:  # the same counting sees an accepted run's work
+            assert rc in (0, 3) and calls == ["wavelet_atom_sufficient", "atom_kernel",
+                                              "oscillation"]
+            return
+        assert (rc, calls) == (2, [])
+        assert "invalid input" in err and message in err
         assert list(out.iterdir()) == []
 
 

@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit.fields import NeighborhoodSpec, _kernel_blocks, _kernel_reads, involute, oscillation
+from coorbit.fields import (
+    KernelOperator,
+    NeighborhoodSpec,
+    _kernel_blocks,
+    _kernel_reads,
+    convolve,
+    involute,
+    oscillation,
+    tf_convolve,
+)
 from coorbit.groups import (
     AFFINE_IDENTITY,
     AffinePoint,
@@ -24,6 +33,8 @@ from coorbit.groups import (
     left_translate_field,
     tf_field_interpolate,
 )
+from coorbit.lattices import cover_counts, covering_quadrature
+from coorbit.weights import eval_weight_at
 
 from conftest import bump_field
 
@@ -526,3 +537,99 @@ class TestBilinearGrid:
         _assert_oscillation_matches_reference(G, NeighborhoodSpec(
             "tf", beta_x=gx * quad.n_x * quad.dx, beta_w=gw * quad.n_w * quad.dw,
             n_samples=n))
+
+
+# one small chart, field, lattice and U on each group, for the group and exponent rules
+_AFF_QUAD = build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))
+_TF_QUAD = cb.build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)
+_AFF_FIELD = cb.GroupField(_AFF_QUAD, np.ones(_AFF_QUAD.shape))
+_TF_FIELD = cb.GroupField(_TF_QUAD, np.ones(_TF_QUAD.shape))
+_AFF_LAT = cb.AffineLattice(1.5, 0.5, -2, 2, -8, 8, (1, -1))
+_TF_LAT = cb.TFLattice.separable(0.5, 0.5, (-4, 4), (-4, 4))
+_PSI = cb.mexican_hat(-8, 8, 256)
+_AFF_U, _TF_U = cb.affine_box(0.5, 1.5), cb.tf_box(0.5, 0.5)
+# one call per library entry point, with one part on the other group
+_WRONG_GROUP_CALLS = {
+    "oscillation": lambda: oscillation(_AFF_FIELD, _TF_U),
+    "eval_weight_at": lambda: eval_weight_at(cb.poly_tf(1, 1), "affine", 1.0, 1.0),
+    "is_p_control": lambda: cb.is_p_control(cb.poly_tf(1, 1), cb.power_scale(1.0), 2.0),
+    "convolve": lambda: convolve(_AFF_FIELD, _TF_FIELD),
+    "KernelOperator": lambda: KernelOperator(_TF_FIELD),
+    "tf_convolve": lambda: tf_convolve(_TF_FIELD, _AFF_FIELD),
+    "affine_field_interpolate": lambda: affine_field_interpolate(_TF_FIELD, 0.0, 1.0),
+    "tf_field_interpolate": lambda: tf_field_interpolate(_AFF_FIELD, 0.0, 1.0),
+    "covering_quadrature": lambda: covering_quadrature(_TF_LAT, _TF_U),
+    "cwt": lambda: cb.cwt(_PSI, _PSI, _TF_QUAD),
+    "icwt": lambda: cb.icwt(_TF_FIELD, _PSI),
+    "istft": lambda: cb.istft(_AFF_FIELD, _PSI),
+    "cover_counts": lambda: cover_counts(_AFF_LAT, _TF_U, [0.0], [1.0]),
+    "is_relatively_separated": lambda: cb.is_relatively_separated(_AFF_LAT, _TF_U),
+    "build_bupu": lambda: cb.build_bupu(_AFF_LAT, _AFF_U, _TF_QUAD),
+    "atom_certificate/U": lambda: cb.atom_certificate(
+        _PSI, _AFF_QUAD, cb.power_scale(0.0), _TF_U),
+    "atom_certificate/weight": lambda: cb.atom_certificate(
+        _PSI, _AFF_QUAD, cb.poly_tf(0.0, 0.0), _AFF_U),
+    "design_lattice": lambda: cb.design_lattice(_PSI, _TF_QUAD, cb.poly_tf(0.0, 0.0)),
+    "frame_bounds_empirical": lambda: cb.frame_bounds_empirical(
+        _PSI, _TF_LAT, ensemble=1, quad=_AFF_QUAD),
+}
+
+
+class TestOneGroupRule:
+    """Every entry point refuses a part on the other group, in one message format."""
+
+    @pytest.mark.parametrize("name, message", [
+        ("oscillation", "neighbourhood on 'tf' applied to the 'affine' group"),
+        ("eval_weight_at", "weight on 'tf' applied to the 'affine' group"),
+        ("is_p_control", "weight on 'tf' applied to the 'affine' group"),
+        ("convolve", "kernel on 'tf' applied to the 'affine' group"),
+        ("KernelOperator", "kernel on 'tf' applied to the 'affine' group"),
+        ("tf_convolve", "kernel on 'affine' applied to the 'tf' group"),
+        ("affine_field_interpolate", "field on 'tf' applied to the 'affine' group"),
+        ("tf_field_interpolate", "field on 'affine' applied to the 'tf' group"),
+        ("covering_quadrature", "lattice on 'tf' applied to the 'affine' group"),
+        ("cwt", "chart on 'tf' applied to the 'affine' group"),
+        ("icwt", "field on 'tf' applied to the 'affine' group"),
+        ("istft", "chart on 'affine' applied to the 'tf' group"),
+        ("cover_counts", "neighbourhood on 'tf' applied to the 'affine' group"),
+        ("is_relatively_separated", "neighbourhood on 'tf' applied to the 'affine' group"),
+        ("build_bupu", "chart on 'tf' applied to the 'affine' group"),
+        ("atom_certificate/U", "neighbourhood on 'tf' applied to the 'affine' group"),
+        ("atom_certificate/weight", "weight on 'tf' applied to the 'affine' group"),
+        ("design_lattice", "chart on 'tf' applied to the 'affine' group"),
+        ("frame_bounds_empirical", "lattice on 'tf' applied to the 'affine' group"),
+    ])
+    def test_refused_in_one_format_before_any_kernel(self, monkeypatch, name, message):
+        from coorbit import frames
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a kernel, transform or draw ran before the refusal")
+
+        for stage in ("atom_kernel", "cwt", "random_bandlimited_signal",
+                      "wavelet_atom_sufficient"):
+            monkeypatch.setattr(frames, stage, no_work)
+        with pytest.raises(ValueError) as exc:
+            _WRONG_GROUP_CALLS[name]()
+        assert str(exc.value) == message
+
+
+class TestOneExponentRule:
+    """``p`` must lie in ``[1, inf]`` for every norm and exponent map."""
+
+    _ENTRIES = {
+        "lpm_norm": lambda p: cb.lpm_norm(_AFF_FIELD, p),
+        "seq_lpm_norm": lambda p: cb.seq_lpm_norm(np.ones(_AFF_LAT.n_points), p, None, _AFF_LAT),
+        "is_p_control": lambda p: cb.is_p_control(cb.symmetric_power(2.0), cb.power_scale(1.0), p),
+        "besov_exponent": lambda p: cb.besov_exponent(p, 1.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("p", [-np.inf, np.nan, 0.5])
+    def test_outside_refused(self, entry, p):
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+            self._ENTRIES[entry](p)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_inside_accepted(self, entry, p):
+        self._ENTRIES[entry](p)
