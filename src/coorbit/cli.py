@@ -299,6 +299,7 @@ def cmd_design_lattice(cfg: dict, out: Path) -> int:
     except DesignSearchError as exc:
         _write_json(Path(f"{out}.json"), {
             "pass": False, "best_q": exc.best_q, "q_history": list(exc.q_history),
+            "q_steps": list(exc.q_steps),
         })
         print(str(exc), file=sys.stderr)
         return _EXIT_CERT

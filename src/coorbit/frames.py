@@ -22,7 +22,9 @@ be tested by widening the chart, never extrapolated.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -190,10 +192,11 @@ def _fixed_point(step, x0, norm_b: float, tol: float, max_iter: int, **tiles):
 
 
 class DesignSearchError(RuntimeError):
-    def __init__(self, message: str, best_q: float, q_history: list):
+    def __init__(self, message: str, best_q: float, q_history: list, q_steps: list):
         super().__init__(message)
         self.best_q = best_q
         self.q_history = q_history
+        self.q_steps = q_steps
 
 
 def _certificate_from_kernel(K, w, U, kernel_l1w=None) -> FrameCertificate:
@@ -475,6 +478,7 @@ class DesignResult:
     certificate: FrameCertificate
     steps: int
     q_history: tuple
+    q_steps: tuple = ()
 
     def lattice(self, quad: GroupQuadrature) -> AffineLattice:
         """The designed lattice over a window whose tiles cover every node of ``quad``.
@@ -497,8 +501,31 @@ class DesignResult:
             "beta": self.beta,
             "steps": self.steps,
             "q_history": list(self.q_history),
+            "q_steps": list(self.q_steps),
             "certificate": self.certificate.to_dict(),
         }
+
+
+def _first_pass(n_steps: int, passes) -> int | None:
+    """An index in ``range(n_steps)`` where ``passes`` holds, or None if none does.
+
+    Probes 0, 1, 3, 7, ..., 2^k - 1, capped at ``n_steps - 1``, until one
+    passes, then bisects between the last failing probe and the passing
+    one.  If the capped probe fails too, the other indices are tried in
+    ascending order.  No index is evaluated twice.  The index returned
+    passes, and it is 0 or its predecessor was evaluated and failed; on a
+    monotone ``passes`` it is the first passing index, found in at most
+    ``max(1, 2 ceil(log2(n + 1)))`` evaluations.
+    """
+    failed = []
+    probe = 0
+    while not passes(probe):
+        failed.append(probe)
+        if probe == n_steps - 1:
+            return next((n for n in range(n_steps) if n not in failed and passes(n)), None)
+        probe = min(2 * probe + 1, n_steps - 1)
+    lo = failed[-1] + 1 if failed else 0
+    return bisect.bisect_left(range(lo, probe), True, key=passes) + lo
 
 
 def design_lattice(
@@ -514,10 +541,14 @@ def design_lattice(
     until the frame certificate passes.
 
     The kernel and its weighted L1 norm are fixed along the schedule;
-    only the oscillation shrinks, so q is expected to be nonincreasing
-    for smooth kernels.  Raises with the best q when the cap is hit, and
-    before the kernel is built when the schedule cannot shrink or takes no
-    step, or when the chart or the weight is not on the affine group.
+    only the oscillation shrinks over nested neighbourhoods, so q is
+    expected to be nonincreasing, and ``_first_pass`` searches the steps.
+    ``q_history`` holds the q of each evaluated step and ``q_steps`` their
+    1-based numbers, in ascending order.  The search stops at
+    ``max_steps`` or at the first step whose alpha rounds to 1 or beta to
+    0.  Raises with the best q when no step passes, and before the kernel
+    is built when the schedule cannot shrink or takes no step, or when the
+    chart or the weight is not on the affine group.
     """
     for key, value, ok in (("alpha0", alpha0, alpha0 > 1), ("beta0", beta0, beta0 > 0),
                            ("gamma", gamma, 0 < gamma < 1),
@@ -533,24 +564,38 @@ def design_lattice(
                 f"window has {suff.vanishing_moments} vanishing moments; "
                 f"needs rho={w.rho} < {suff.rho_bound}"
             )
+
+    def schedule(n):
+        return 1.0 + (alpha0 - 1.0) * gamma**n, beta0 * gamma**n
+
+    def stalled(n):
+        alpha_n, beta_n = schedule(n)
+        return alpha_n <= 1.0 or beta_n <= 0.0
+
+    # both roundings are monotone in n, so the usable steps are a prefix;
+    # alpha rounds to 1 before step 7e18 < sys.maxsize even at gamma = 1 - 2**-53
+    n_steps = bisect.bisect_left(range(min(max_steps, sys.maxsize)), True, key=stalled)
     K = atom_kernel(psi, quad)
     kernel_l1w = lpm_norm(K, 1.0, w)
-    q_history = []
-    best_q = math.inf
-    for n in range(max_steps):
-        alpha_n = 1.0 + (alpha0 - 1.0) * gamma**n
-        beta_n = beta0 * gamma**n
-        U = affine_box(beta_n, alpha_n)
-        cert = _certificate_from_kernel(K, w, U, kernel_l1w)
-        q_history.append(cert.q)
-        best_q = min(best_q, cert.q)
-        if cert.passed:
-            return DesignResult(alpha_n, beta_n, cert, n + 1, tuple(q_history))
-    raise DesignSearchError(
-        f"no passing certificate in {max_steps} steps (best q = {best_q:.4g})",
-        best_q,
-        q_history,
-    )
+    certs = {}
+
+    def passes(n):
+        alpha_n, beta_n = schedule(n)
+        certs[n] = _certificate_from_kernel(K, w, affine_box(beta_n, alpha_n), kernel_l1w)
+        return certs[n].passed
+
+    found = _first_pass(n_steps, passes)
+    evaluated = sorted(certs)
+    q_history = [certs[n].q for n in evaluated]
+    q_steps = [n + 1 for n in evaluated]
+    if found is None:
+        stop = ("" if n_steps == max_steps
+                else f"; the schedule stops shrinking at step {n_steps + 1}")
+        raise DesignSearchError(
+            f"no passing certificate in {n_steps} steps (best q = {min(q_history):.4g}){stop}",
+            min(q_history), q_history, q_steps)
+    return DesignResult(*schedule(found), certs[found], found + 1, tuple(q_history),
+                        tuple(q_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,8 @@ class TestDesignCommand:
         assert rc == 0
         rep = json.loads((tmp_path / "design.json").read_text())
         assert rep["pass"] is True and rep["certificate"]["q"] < 1.0
+        assert rep["q_steps"] == [1, 2, 4, 8, 12, 14, 15, 16]
+        assert len(rep["q_history"]) == len(rep["q_steps"])
         lattice = json.loads((tmp_path / "design.lattice.json").read_text())
         assert lattice["type"] == "affine"
         assert lattice["alpha"] == rep["alpha"]
@@ -437,6 +439,30 @@ class TestDesignCommand:
         })
         assert main(["design-lattice", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 3
+        rep = json.loads((tmp_path / "design.json").read_text())
+        assert rep["pass"] is False and rep["q_steps"] == [1, 2, 3]
+        assert len(rep["q_history"]) == 3 and rep["best_q"] == min(rep["q_history"])
+
+    def test_schedule_that_stops_shrinking_exit_3(self, tmp_path, capsys, s0_atom):
+        # alpha_n rounds to 1 from step 40 on: the search stops there with a
+        # failed certification, not with a refused neighbourhood
+        path = tmp_path / "atom.json"
+        write_json(path, s0_atom.to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "design-lattice",
+            "atom": str(path), "quadrature": {
+                "group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 512, "a_min": 0.25,
+                "a_max": 4.0, "n_scales": 49, "signs": [1, -1]},
+            "weight": {"family": "symmetric_power", "rho": 1.0},
+            "schedule": {"alpha0": 1.0000000001, "beta0": 1e4, "gamma": 0.7,
+                         "max_steps": 60},
+        })
+        assert main(["design-lattice", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "stops shrinking at step 40" in capsys.readouterr().err
+        rep = json.loads((tmp_path / "design.json").read_text())
+        assert rep["pass"] is False and rep["q_steps"] == list(range(1, 40))
 
     @pytest.mark.parametrize("key, value", [
         ("gamma", 1.5), ("gamma", 1.0), ("gamma", 0.0), ("gamma", -0.5), ("alpha0", 1.0),

@@ -663,7 +663,28 @@ def s0_design(s0_atom, atom_chart):
     return design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), max_steps=18)
 
 
-# q per schedule step of the s0 design search, recorded from the scattered
+def _scan(psi, quad, w, alpha0=2.0, beta0=1.0, gamma=0.7, max_steps=20):
+    """Oracle for ``design_lattice``: a certificate at every step up to the
+    first pass, in order; ``(alpha, beta, steps, certificate, qs)``."""
+    K = frames.atom_kernel(psi, quad)
+    kernel_l1w = lpm_norm(K, 1.0, w)
+    qs = []
+    for n in range(max_steps):
+        alpha_n = 1.0 + (alpha0 - 1.0) * gamma**n
+        beta_n = beta0 * gamma**n
+        cert = frames._certificate_from_kernel(K, w, affine_box(beta_n, alpha_n), kernel_l1w)
+        qs.append(cert.q)
+        if cert.passed:
+            return alpha_n, beta_n, n + 1, cert, qs
+    return None, None, None, None, qs
+
+
+@pytest.fixture(scope="module")
+def s0_scan(s0_atom, atom_chart):
+    return _scan(s0_atom, atom_chart, cb.symmetric_power(1.0), max_steps=18)
+
+
+# q per schedule step of the s0 design scan, recorded from the scattered
 # oscillation kernel; the separable kernel must reproduce them to roundoff.
 _S0_DESIGN_Q = (
     163.4984751035727, 131.0949242709559, 99.97592495399215, 73.21089624155891,
@@ -709,18 +730,87 @@ class TestDesign:
         qs = np.asarray(result.q_history)
         assert np.all(np.diff(qs) < 0)
         assert result.beta == pytest.approx(0.7 ** (result.steps - 1))
+        # probes 1, 2, 4, 8, 16, then bisection between 8 and 16
+        assert result.q_steps == (1, 2, 4, 8, 12, 14, 15, 16)
 
-    def test_s0_chart_passes_at_step_16_with_pinned_q(self, s0_design):
+    def test_s0_chart_passes_at_step_16_with_pinned_q(self, s0_design, s0_scan):
         assert s0_design.steps == 16
-        qs = np.asarray(s0_design.q_history)
+        qs = np.asarray(s0_scan[4])
         assert qs.shape == (len(_S0_DESIGN_Q),)
         assert np.all(np.abs(qs - _S0_DESIGN_Q) <= 1e-13 * np.asarray(_S0_DESIGN_Q))
+        assert list(s0_design.q_history) == [qs[n - 1] for n in s0_design.q_steps]
 
     def test_cap_below_crossing_reports_best(self, s0_atom, atom_chart):
         with pytest.raises(DesignSearchError) as exc:
             design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), max_steps=4)
         assert exc.value.best_q > 1.0
         assert len(exc.value.q_history) == 4
+
+    @pytest.mark.parametrize("schedule", [
+        {"max_steps": 18},
+        {"alpha0": 1.004, "beta0": 0.004, "max_steps": 18},
+        {"max_steps": 16},
+    ], ids=["step_16", "step_1", "pass_at_cap"])
+    def test_matches_scan(self, s0_atom, atom_chart, s0_design, s0_scan, schedule):
+        # every certificate the search builds is the scan's, bit for bit
+        w = cb.symmetric_power(1.0)
+        if schedule == {"max_steps": 18}:
+            result, oracle = s0_design, s0_scan
+        else:
+            result = design_lattice(s0_atom, atom_chart, w, **schedule)
+            oracle = _scan(s0_atom, atom_chart, w, **schedule)
+        alpha, beta, steps, cert, _ = oracle
+        assert (result.alpha, result.beta, result.steps) == (alpha, beta, steps)
+        assert result.certificate.to_dict() == cert.to_dict()
+
+    @pytest.mark.parametrize("schedule, steps", [
+        ({"alpha0": 1.0000000001, "beta0": 100.0, "max_steps": 60}, 28),
+        ({"max_steps": 200}, 16),
+        ({"max_steps": 10**30}, 16),
+    ])
+    def test_probes_stop_where_the_schedule_stops_shrinking(self, s0_atom, atom_chart,
+                                                            schedule, steps):
+        # alpha_n rounds to 1 from step 40 on, and from step 104 on the
+        # default schedule: probes past it would be refused by affine_box
+        result = design_lattice(s0_atom, atom_chart, cb.symmetric_power(1.0), **schedule)
+        assert result.steps == steps and result.certificate.passed
+
+
+def _evaluations(n_steps, passes):
+    """``_first_pass`` on ``passes`` and the indices it evaluated, in order."""
+    seen = []
+
+    def recorded(n):
+        assert 0 <= n < n_steps
+        seen.append(n)
+        return passes(n)
+
+    return frames._first_pass(n_steps, recorded), seen
+
+
+class TestFirstPass:
+    @pytest.mark.parametrize("n_steps", range(1, 41))
+    def test_monotone_crossings(self, n_steps):
+        for c in range(n_steps + 1):
+            found, seen = _evaluations(n_steps, lambda n: n >= c)
+            assert len(seen) == len(set(seen))
+            if c == n_steps:
+                assert found is None and sorted(seen) == list(range(n_steps))
+                continue
+            assert found == c
+            assert len(seen) <= max(1, 2 * math.ceil(math.log2(c + 1)))
+            assert len(seen) <= c + 2
+
+    @pytest.mark.parametrize("pattern", [
+        "0110000", "0001000", "1000000", "0000001", "0100111", "0000000000100",
+        "1010101010", "0111111101111111", "0000000011110000", "000000000000000001000",
+    ])
+    def test_non_monotone_sequences(self, pattern):
+        passing = [ch == "1" for ch in pattern]
+        found, seen = _evaluations(len(passing), passing.__getitem__)
+        assert len(seen) == len(set(seen))
+        assert found is not None and passing[found]
+        assert found == 0 or (found - 1 in seen and not passing[found - 1])
 
 
 class TestBesovExponent:
