@@ -2,8 +2,8 @@
 
 Highlights:
 
-* exact arithmetic and Haar quadrature on the affine group and the
-  reduced Heisenberg group (:mod:`coorbit.groups`);
+* the affine group law and Haar quadrature on the affine group and the
+  time-frequency plane (:mod:`coorbit.groups`);
 * the weight families driving weighted-norm estimates
   (:mod:`coorbit.weights`);
 * wavelet and short-time Fourier transforms with admissibility,
@@ -21,22 +21,17 @@ from .groups import (
     AffinePoint,
     GroupField,
     GroupQuadrature,
-    HeisenbergPoint,
     affine_inv,
     affine_modular,
     affine_mul,
     build_affine_quadrature,
     build_tf_quadrature,
     haar_integral,
-    heis_identity,
-    heis_inv,
-    heis_mul,
     left_translate_field,
 )
 from .weights import (
     WeightSpec,
     custom_weight,
-    eval_weight,
     is_p_control,
     moderateness_probe,
     poly_tf,
@@ -67,15 +62,11 @@ from .voice import (
     NotAdmissibleError,
     admissibility_constant,
     cwt,
-    duflo_moore_wavelet,
-    gabor_atom,
     icwt,
     istft,
     normalize_admissible,
     reproducing_kernel,
-    schrodinger_atom,
     stft,
-    wavelet_rep,
 )
 from .fields import (
     KernelOperator,
@@ -88,7 +79,6 @@ from .fields import (
     lpm_norm,
     oscillation,
     tf_box,
-    tf_convolve,
     young_check,
 )
 from .lattices import (

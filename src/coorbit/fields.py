@@ -64,7 +64,6 @@ __all__ = [
     "involute",
     "convolve",
     "KernelOperator",
-    "tf_convolve",
     "oscillation",
     "young_check",
     "YoungReport",
@@ -437,32 +436,6 @@ class KernelOperator:
         _check_affine_pair(F, self.K)
         spectra = self._spectra if self.stored else _kernel_spectra(self.K)
         return _with_truncation(F, _apply_spectra(F, spectra), self._right_edge)
-
-
-def tf_convolve(F: GroupField, G: GroupField) -> GroupField:
-    """Abelian plane convolution, ``dx*dw``-scaled, charts matching."""
-    _on_group("tf", field=F.quad, kernel=G.quad)
-    if F.quad != G.quad:
-        raise ValueError("convolution needs matching quadratures")
-    quad = F.quad
-    ox = -quad.x0 / quad.dx
-    ow = -quad.w0 / quad.dw
-    if abs(ox - round(ox)) > 1e-6 or abs(ow - round(ow)) > 1e-6:
-        raise ValueError("grid origins must be integer multiples of the steps")
-    ox, ow = int(round(ox)), int(round(ow))
-    # full linear convolution: zero-padded 2-D FFTs, cropped to 2n - 1 per axis
-    full_shape = (2 * quad.n_x - 1, 2 * quad.n_w - 1)
-    L = [_next_fast_len(n) for n in full_shape]
-    full = np.fft.ifft2(np.fft.fft2(F.values, L) * np.fft.fft2(G.values, L))
-    full = full[: full_shape[0], : full_shape[1]]
-    out = np.zeros_like(F.values)
-    # clip the needed window of the full convolution against its bounds
-    x_sel = np.arange(quad.n_x) + ox
-    w_sel = np.arange(quad.n_w) + ow
-    x_ok = (x_sel >= 0) & (x_sel < full.shape[0])
-    w_ok = (w_sel >= 0) & (w_sel < full.shape[1])
-    out[np.ix_(x_ok, w_ok)] = full[np.ix_(x_sel[x_ok], w_sel[w_ok])]
-    return F.with_values(out * (quad.dx * quad.dw))
 
 
 def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:

@@ -550,12 +550,13 @@ def design_lattice(
     is built when the schedule cannot shrink or takes no step, or when the
     chart or the weight is not on the affine group.
     """
-    for key, value, ok in (("alpha0", alpha0, alpha0 > 1), ("beta0", beta0, beta0 > 0),
+    for key, value, ok in (("alpha0", alpha0, 1 < alpha0 < math.inf),
+                           ("beta0", beta0, 0 < beta0 < math.inf),
                            ("gamma", gamma, 0 < gamma < 1),
                            ("max_steps", max_steps, max_steps >= 1)):
         if not ok:
-            raise ValueError(f"schedule.{key} = {value!r}: the schedule needs alpha0 > 1, "
-                             "beta0 > 0, 0 < gamma < 1 and max_steps >= 1")
+            raise ValueError(f"schedule.{key} = {value!r}: the schedule needs a finite "
+                             "alpha0 > 1, a finite beta0 > 0, 0 < gamma < 1 and max_steps >= 1")
     _on_group("affine", chart=quad, weight=w)
     if w.family == "symmetric_power":
         suff = wavelet_atom_sufficient(psi, w.rho)

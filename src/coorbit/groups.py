@@ -5,10 +5,9 @@ The toolkit operates on two locally compact groups:
 * the affine group ``Aff = R x R*`` with the law
   ``(b1, a1)(b2, a2) = (b1 + a1*b2, a1*a2)``, left Haar measure
   ``db da / a**2`` and modular function ``|a|``;
-* the reduced Heisenberg group ``R^d x R^d x S1`` with a phase-twisted
-  law.  It is unimodular; all integrals on it reduce to Lebesgue
-  integrals over the time-frequency plane, so the quadrature side only
-  carries the plane.
+* the time-frequency plane ``R x R``, the Heisenberg group with its
+  phase factored out.  Every field and norm on it is phase-free, so its
+  integrals are Lebesgue integrals over the plane.
 
 A :class:`GroupQuadrature` is a truncated chart of one of these groups
 together with per-node Haar weights.  A :class:`GroupField` attaches
@@ -19,7 +18,6 @@ node-index order so results are bitwise reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, fields
 
@@ -27,16 +25,12 @@ import numpy as np
 
 __all__ = [
     "AffinePoint",
-    "HeisenbergPoint",
     "GroupQuadrature",
     "GroupField",
     "AFFINE_IDENTITY",
     "affine_mul",
     "affine_inv",
     "affine_modular",
-    "heis_mul",
-    "heis_inv",
-    "heis_identity",
     "build_affine_quadrature",
     "build_tf_quadrature",
     "haar_integral",
@@ -45,7 +39,6 @@ __all__ = [
     "left_translate_field",
 ]
 
-_UNIT_MODULUS_TOL = 1e-12
 _CHART_SNAP = 1e-9  # relative slack when deciding grid membership
 
 
@@ -77,58 +70,6 @@ def affine_inv(p: AffinePoint) -> AffinePoint:
 def affine_modular(p: AffinePoint) -> float:
     """Modular function ``|a|`` (multiplicative on products)."""
     return abs(p.a)
-
-
-@dataclass(frozen=True)
-class HeisenbergPoint:
-    """Point ``(x, omega, tau)`` of the reduced Heisenberg group.
-
-    ``x`` and ``omega`` are real d-vectors (stored as tuples), ``tau``
-    is a unit-modulus complex phase.
-    """
-
-    x: tuple
-    omega: tuple
-    tau: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in np.atleast_1d(self.x)))
-        object.__setattr__(
-            self, "omega", tuple(float(v) for v in np.atleast_1d(self.omega))
-        )
-        object.__setattr__(self, "tau", complex(self.tau))
-        if len(self.x) != len(self.omega):
-            raise ValueError("x and omega must have the same dimension")
-        if abs(abs(self.tau) - 1.0) > _UNIT_MODULUS_TOL:
-            raise ValueError("tau must have unit modulus")
-
-    @property
-    def d(self) -> int:
-        return len(self.x)
-
-
-def heis_identity(d: int = 1) -> HeisenbergPoint:
-    return HeisenbergPoint((0.0,) * d, (0.0,) * d, 1.0 + 0.0j)
-
-
-def heis_mul(p: HeisenbergPoint, q: HeisenbergPoint) -> HeisenbergPoint:
-    """Phase-twisted product; the phase picks up ``exp(pi*i*(q.x . p.w - p.x . q.w))``."""
-    if p.d != q.d:
-        raise ValueError("dimension mismatch in Heisenberg product")
-    cross = sum(qx * pw for qx, pw in zip(q.x, p.omega)) - sum(
-        px * qw for px, qw in zip(p.x, q.omega)
-    )
-    tau = p.tau * q.tau * cmath.exp(1j * math.pi * cross)
-    x = tuple(a + b for a, b in zip(p.x, q.x))
-    w = tuple(a + b for a, b in zip(p.omega, q.omega))
-    return HeisenbergPoint(x, w, tau)
-
-
-def heis_inv(p: HeisenbergPoint) -> HeisenbergPoint:
-    """Inverse ``(-x, -omega, conj(tau))``; the cross term vanishes at ``q = -p``."""
-    return HeisenbergPoint(
-        tuple(-v for v in p.x), tuple(-v for v in p.omega), p.tau.conjugate()
-    )
 
 
 @dataclass(frozen=True)

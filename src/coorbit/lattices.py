@@ -234,6 +234,16 @@ def _index_window(lat, lo1: str, hi1: str, lo2: str, hi2: str) -> None:
 # tile membership machinery
 # ---------------------------------------------------------------------------
 
+def _in_window(lo, hi, lo_min: int, hi_max: int):
+    """Integer ranges ``[lo, hi]``, cut to the index window ``[lo_min, hi_max]``.
+
+    A range outside the window comes back empty (``lo > hi``), and every
+    range spans at most the window, however far the float bounds reach.
+    """
+    return (np.clip(lo, lo_min, hi_max + 1).astype(np.int64),
+            np.clip(hi, lo_min - 1, hi_max).astype(np.int64))
+
+
 def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
     """Tile-membership pairs ``(point, lattice flat index)``, one array each per pass.
 
@@ -253,23 +263,23 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
         if sel.size == 0:
             continue
         t = np.log(np.abs(a[sel])) / ln_alpha
-        j_lo = np.ceil(t - half_u - _TIE_EPS).astype(np.int64)
-        j_hi = np.floor(t + half_u + _TIE_EPS).astype(np.int64)
+        j_lo, j_hi = _in_window(np.ceil(t - half_u - _TIE_EPS),
+                                np.floor(t + half_u + _TIE_EPS), lat.j_min, lat.j_max)
         max_span_j = int(np.max(j_hi - j_lo, initial=-1)) + 1
         for dj in range(max_span_j):
             j = j_lo + dj
-            ok_j = (j <= j_hi) & (j >= lat.j_min) & (j <= lat.j_max)
+            ok_j = j <= j_hi
             if not np.any(ok_j):
                 continue
             idx_j = sel[ok_j]
             jj = j[ok_j]
             y = sgn * b[idx_j] * lat.alpha ** (-jj.astype(float)) / lat.beta
-            k_lo = np.ceil(y - half_b - _TIE_EPS).astype(np.int64)
-            k_hi = np.floor(y + half_b + _TIE_EPS).astype(np.int64)
+            k_lo, k_hi = _in_window(np.ceil(y - half_b - _TIE_EPS),
+                                    np.floor(y + half_b + _TIE_EPS), lat.k_min, lat.k_max)
             max_span_k = int(np.max(k_hi - k_lo, initial=-1)) + 1
             for dk in range(max_span_k):
                 k = k_lo + dk
-                ok_k = (k <= k_hi) & (k >= lat.k_min) & (k <= lat.k_max)
+                ok_k = k <= k_hi
                 if not np.any(ok_k):
                     continue
                 nodes.append(idx_j[ok_k])
@@ -281,30 +291,26 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     nodes, tiles = [], []
     gen_inv = np.linalg.inv(lat.scale * lat.generator)
     # integer coordinates of candidate lattice points around each query
-    base = gen_inv @ np.vstack([x, w])
-    n1_near = np.round(base[0]).astype(np.int64)
-    n2_near = np.round(base[1]).astype(np.int64)
-    # radius in index space needed to cover the box U
-    corners = np.array(
-        [[sx * U.beta_x / 2, sw * U.beta_w / 2] for sx in (-1, 1) for sw in (-1, 1)]
-    ).T
+    near = np.round(gen_inv @ np.vstack([x, w]))
+    # radius in index space needed to cover the box U and its boundary slack
+    half_x, half_w = U.beta_x / 2 + _TIE_EPS, U.beta_w / 2 + _TIE_EPS
+    corners = np.array([[sx * half_x, sw * half_w] for sx in (-1, 1) for sw in (-1, 1)]).T
     reach = np.max(np.abs(gen_inv @ corners), axis=1)
-    r1, r2 = int(math.ceil(reach[0] + _TIE_EPS)), int(math.ceil(reach[1] + _TIE_EPS))
-    for d1 in range(-r1, r1 + 1):
-        for d2 in range(-r2, r2 + 1):
-            n1 = n1_near + d1
-            n2 = n2_near + d2
-            ok = (
-                (n1 >= lat.n1_min) & (n1 <= lat.n1_max)
-                & (n2 >= lat.n2_min) & (n2 <= lat.n2_max)
-            )
+    r1, r2 = np.ceil(reach + _TIE_EPS)
+    n1_lo, n1_hi = _in_window(near[0] - r1, near[0] + r1, lat.n1_min, lat.n1_max)
+    n2_lo, n2_hi = _in_window(near[1] - r2, near[1] + r2, lat.n2_min, lat.n2_max)
+    for d1 in range(int(np.max(n1_hi - n1_lo, initial=-1)) + 1):
+        for d2 in range(int(np.max(n2_hi - n2_lo, initial=-1)) + 1):
+            n1 = n1_lo + d1
+            n2 = n2_lo + d2
+            ok = (n1 <= n1_hi) & (n2 <= n2_hi)
             if not np.any(ok):
                 continue
             px, pw = lat._points(n1, n2)
             inside = np.flatnonzero(
                 ok
-                & (np.abs(x - px) <= U.beta_x / 2 + _TIE_EPS)
-                & (np.abs(w - pw) <= U.beta_w / 2 + _TIE_EPS)
+                & (np.abs(x - px) <= half_x)
+                & (np.abs(w - pw) <= half_w)
             )
             if inside.size:
                 nodes.append(inside)
@@ -315,8 +321,10 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
 def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     """Every ``(point, tile)`` incidence of the query points, and their number.
 
-    The order is fixed, pass by pass over the tile offsets, and every sum
-    over a point's tiles adds them in this order.  This is the one
+    The order is fixed, pass by pass over the offsets from each point's
+    first tile in the lattice's window, so a point meets its tiles in
+    ascending index order, and every sum over a point's tiles adds them
+    in this order.  The passes are bounded by the window.  This is the one
     membership code path behind cover counts, cover sums and the
     partition's stored map.
     """

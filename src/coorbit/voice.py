@@ -17,10 +17,9 @@ window rows times a uniform frequency axis.  Its analysis and its
 synthesis each take one length-``M`` FFT per folded row when ``dw * dt
 = 1/M``; only axes that do not fold build the dense phase table.
 
-Admissibility, inversion, reproducing kernels and the explicit wavelet
-Duflo-Moore multiplier ``psihat / sqrt|w|`` round out the module.
-Heisenberg phases never enter any field or norm; they are applied only
-by :func:`schrodinger_atom` for group-law level tests.
+Admissibility, inversion and reproducing kernels round out the module.
+The STFT's atoms are the phase-free shifts ``M_w T_x g``: Heisenberg
+phases never enter any field or norm.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ from .signals import (
     fourier,
     inverse_fourier,
     l2_norm,
-    modulate,
-    translate,
-    dilate,
 )
 
 __all__ = [
@@ -56,10 +52,6 @@ __all__ = [
     "admissibility_constant",
     "normalize_admissible",
     "reproducing_kernel",
-    "duflo_moore_wavelet",
-    "wavelet_rep",
-    "gabor_atom",
-    "schrodinger_atom",
 ]
 
 _DC_TOLERANCE = 1e-6
@@ -129,11 +121,6 @@ def normalize_admissible(psi: SampledSignal) -> SampledSignal:
     if c == 0.0:
         raise NotAdmissibleError("cannot normalize a zero window")
     return psi.with_values(psi.values / c)
-
-
-def wavelet_rep(f: SampledSignal, b: float, a: float) -> SampledSignal:
-    """Unitary wavelet action ``T_b D_a f``: dilate, then shift."""
-    return translate(dilate(f, a), b)
 
 
 def _b_grid_matches(quad: GroupQuadrature, s: SampledSignal) -> bool:
@@ -351,34 +338,3 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
         _admissible_constant(psi, "kernel needs an admissible window")
         return cwt(psi, psi, quad)
     return GroupField(quad, _stft_operator(psi, psi, quad).analyze(psi.values).reshape(quad.shape))
-
-
-def duflo_moore_wavelet(psi: SampledSignal) -> SampledSignal:
-    """Spectral multiplier ``psihat / sqrt(|w|)`` (zero bin dropped)."""
-    _admissible_constant(psi, "Duflo-Moore multiplier undefined")
-    spec = fourier(psi)
-    w = spec.grid()
-    vals = spec.values.copy()
-    mask = w != 0.0
-    vals[mask] = vals[mask] / np.sqrt(np.abs(w[mask]))
-    vals[~mask] = 0.0
-    out = inverse_fourier(Spectrum(spec.w0, spec.dw, vals, spec.t_origin))
-    return psi.with_values(out.values)
-
-
-def gabor_atom(g: SampledSignal, x: float, omega: float) -> SampledSignal:
-    """Phase-free time-frequency shift ``M_w T_x g``."""
-    return modulate(translate(g, x), omega)
-
-
-def schrodinger_atom(
-    g: SampledSignal, x: float, omega: float, tau: complex = 1.0
-) -> SampledSignal:
-    """Full Heisenberg action ``tau exp(-pi i w x) M_w T_x g``.
-
-    Only the modulus of coefficients against these atoms matters for
-    any norm in the toolkit; this exists to verify exactly that.
-    """
-    atom = gabor_atom(g, x, omega)
-    phase = tau * np.exp(-1j * np.pi * omega * x)
-    return atom.with_values(phase * atom.values)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import AffinePoint, HeisenbergPoint, _exponent, _finite_float, _object, _on_group
+from .groups import _exponent, _finite_float, _object, _on_group
 
 __all__ = [
     "WeightSpec",
@@ -28,7 +28,6 @@ __all__ = [
     "symmetric_power",
     "poly_tf",
     "custom_weight",
-    "eval_weight",
     "eval_weight_at",
     "is_p_control",
     "submultiplicativity_probe",
@@ -118,19 +117,6 @@ def eval_weight_at(w: WeightSpec, kind: str, c1, c2) -> np.ndarray:
     if w.family == "poly_tf":
         return (1.0 + c1) ** w.r * (1.0 + c2) ** w.s
     return np.asarray(w.evaluator(c1, c2), dtype=float)
-
-
-def eval_weight(w: WeightSpec, point):
-    """Evaluate at one group point: affine, Heisenberg (``|x|``, ``|omega|``) or a TF pair."""
-    if isinstance(point, AffinePoint):
-        coords = ("affine", point.b, point.a)
-    elif isinstance(point, HeisenbergPoint):
-        coords = ("tf", math.hypot(*point.x), math.hypot(*point.omega))
-    elif isinstance(point, (tuple, list)) and len(point) == 2:
-        coords = ("tf", *point)
-    else:
-        raise ValueError(f"cannot evaluate weight at {point!r}")
-    return float(eval_weight_at(w, *coords))
 
 
 def is_p_control(w: WeightSpec, m: WeightSpec, p: float) -> bool:

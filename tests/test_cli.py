@@ -661,6 +661,11 @@ def _entries(obj, prefix=()):
             yield from _entries(value, prefix + (key,))
 
 
+def _positive(value) -> bool:
+    """Whether a config value is a positive number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+
+
 def _edit_config(cfg, path, pick):
     """Delete or replace the entry at ``path``, if an earlier edit left it.
 
@@ -928,7 +933,9 @@ class TestWrongTypedConfig:
                           if isinstance(v, str)})
 
         def pick(old):
-            return data.draw(st.one_of(st.just(_DELETE), _fuzz_like(old, strings), values))
+            # a positive number scaled by 1e-9 probes tiny steps, as a lattice step of 1e-9
+            tiny = [st.just(old * 1e-9)] if _positive(old) else []
+            return data.draw(st.one_of(st.just(_DELETE), _fuzz_like(old, strings), values, *tiny))
 
         for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2,
                                        unique=True)):
@@ -940,6 +947,23 @@ class TestWrongTypedConfig:
         assert rc in (0, 2, 3, 4)
         if rc == 2:
             assert list((work / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("name, path", [
+        pytest.param(name, path, id=f"{name}:{'.'.join(path)}")
+        for name, cfg in sorted(_configs("atom", "window", "truth").items())
+        for path, value in _entries(cfg) if _positive(value)])
+    def test_tiny_positive_number_exits_with_a_documented_code(
+            self, tmp_path, monkeypatch, mexhat_file, gauss_file, truth_file, name, path):
+        # the fuzzer's tiny-step mutation on every positive number, one at a
+        # time: its 200 draws need not reach the one that hung, a lattice
+        # step of 1e-9 in reconstruct
+        monkeypatch.chdir(tmp_path)
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[name]
+        _edit_config(cfg, path, lambda old: old * 1e-9)
+        rc, out = self._run(tmp_path, name.split("/")[0], cfg)
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            assert list(out.iterdir()) == []
 
 
 class TestNonFiniteOutputs:

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +18,6 @@ from coorbit.fields import (
     lpm_norm,
     oscillation,
     tf_box,
-    tf_convolve,
     weight_reciprocal,
     young_check,
 )
@@ -289,99 +284,6 @@ class TestKernelOperator:
         other = build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 19, (1, -1))
         with pytest.raises(ValueError):
             op.apply(_random_field(other, 4))
-
-
-class TestTFConvolve:
-    @staticmethod
-    def _gauss_field(quad, sx, sw):
-        x, w = quad.node_points()
-        return GroupField(quad, np.exp(-(x / sx) ** 2 - (w / sw) ** 2))
-
-    def test_commutativity(self):
-        quad = cb.build_tf_quadrature(-6, 0.125, 97, -6, 0.125, 97)
-        F = self._gauss_field(quad, 1.0, 0.8)
-        G = self._gauss_field(quad, 0.7, 1.2)
-        FG = tf_convolve(F, G)
-        GF = tf_convolve(G, F)
-        assert np.max(np.abs(FG.values - GF.values)) <= 1e-10 * np.max(np.abs(FG.values))
-
-    def test_gaussian_variance_addition(self):
-        quad = cb.build_tf_quadrature(-8, 0.0625, 257, -8, 0.0625, 257)
-        F = self._gauss_field(quad, 1.0, 0.9)
-        G = self._gauss_field(quad, 1.2, 0.7)
-        out = tf_convolve(F, G)
-        # analytic: gaussians convolve to a gaussian with summed variances
-        sx = math.sqrt(1.0**2 + 1.2**2)
-        sw = math.sqrt(0.9**2 + 0.7**2)
-        amp = (math.sqrt(np.pi) * 1.0 * 1.2 / sx) * (math.sqrt(np.pi) * 0.9 * 0.7 / sw)
-        x, w = quad.node_points()
-        ana = amp * np.exp(-(x / sx) ** 2 - (w / sw) ** 2)
-        assert np.max(np.abs(out.values - ana)) <= 1e-4 * np.max(np.abs(ana))
-
-    def test_zero_kernel(self):
-        quad = cb.build_tf_quadrature(-4, 0.25, 33, -4, 0.25, 33)
-        F = self._gauss_field(quad, 1.0, 1.0)
-        Z = F.with_values(np.zeros_like(F.values))
-        assert np.max(np.abs(tf_convolve(F, Z).values)) == 0.0
-
-    def test_grid_mismatch(self):
-        q1 = cb.build_tf_quadrature(-4, 0.25, 33, -4, 0.25, 33)
-        q2 = cb.build_tf_quadrature(-4, 0.25, 31, -4, 0.25, 33)
-        F = self._gauss_field(q1, 1.0, 1.0)
-        G = self._gauss_field(q2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            tf_convolve(F, G)
-
-
-def _tf_convolve_fftconvolve(F, G):
-    """``tf_convolve`` as written on ``scipy.signal.fftconvolve``, the reference."""
-    from scipy.signal import fftconvolve
-
-    quad = F.quad
-    ox = int(round(-quad.x0 / quad.dx))
-    ow = int(round(-quad.w0 / quad.dw))
-    full = fftconvolve(F.values, G.values, mode="full")
-    out = np.zeros_like(F.values)
-    x_sel = np.arange(quad.n_x) + ox
-    w_sel = np.arange(quad.n_w) + ow
-    x_ok = (x_sel >= 0) & (x_sel < full.shape[0])
-    w_ok = (w_sel >= 0) & (w_sel < full.shape[1])
-    out[np.ix_(x_ok, w_ok)] = full[np.ix_(x_sel[x_ok], w_sel[w_ok])]
-    return out * (quad.dx * quad.dw)
-
-
-class TestTFConvolveAgainstScipy:
-    @pytest.mark.parametrize("chart", [
-        (-4.0, 0.25, 33, -4.0, 0.25, 33),    # odd, centred
-        (-4.0, 0.25, 32, -2.0, 0.5, 10),     # even
-        (0.0, 0.5, 1, -3.0, 0.25, 25),       # one-node x axis
-        (-2.0, 0.5, 9, 0.0, 1.0, 1),         # one-node w axis
-        (-1.5, 0.5, 12, 2.0, 0.25, 16),      # origins off centre, one positive
-        (1.0, 0.125, 40, -7.0, 0.5, 21),     # the window partly outside the full grid
-    ])
-    def test_matches_fftconvolve(self, chart):
-        quad = cb.build_tf_quadrature(*chart)
-        F = _random_field(quad, 5)
-        G = _random_field(quad, 6)
-        ref = _tf_convolve_fftconvolve(F, G)
-        out = tf_convolve(F, G).values
-        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_loads_no_scipy(self):
-        script = (
-            "import sys\n"
-            "import numpy as np\n"
-            "import coorbit as cb\n"
-            "quad = cb.build_tf_quadrature(-2, 0.5, 9, -2, 0.5, 9)\n"
-            "F = cb.GroupField(quad, np.ones(quad.shape))\n"
-            "cb.tf_convolve(F, F)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        src = str(Path(cb.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "[]"
 
 
 class TestOscillation:

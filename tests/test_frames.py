@@ -36,7 +36,7 @@ from coorbit.lattices import (
     seq_lpm_norm,
 )
 from coorbit.signals import inner
-from coorbit.voice import NotAdmissibleError, _fold_length, cwt, gabor_atom, stft
+from coorbit.voice import NotAdmissibleError, _fold_length, cwt, stft
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,8 @@ class TestGabor:
 def _atom_matrix(g, lat):
     """Oracle: one explicit atom ``M_w T_x g`` per lattice point, in lattice order."""
     xs, ws = lat.point_arrays()
-    return np.array([gabor_atom(g, float(x), float(w)).values for x, w in zip(xs, ws)])
+    return np.array([cb.modulate(cb.translate(g, float(x)), float(w)).values
+                     for x, w in zip(xs, ws)])
 
 
 def _rel(a, b):
@@ -705,15 +706,15 @@ class TestDesign:
             design_lattice(gauss, atom_chart, cb.symmetric_power(1.0))
 
     @pytest.mark.parametrize("key, value", [
-        ("alpha0", 1.0), ("alpha0", 0.5), ("alpha0", math.nan), ("beta0", 0.0),
-        ("beta0", -1.0), ("gamma", 0.0), ("gamma", -0.5), ("gamma", 1.0), ("gamma", 1.5),
-        ("max_steps", 0), ("max_steps", -3),
+        ("alpha0", 1.0), ("alpha0", 0.5), ("alpha0", math.nan), ("alpha0", math.inf),
+        ("beta0", 0.0), ("beta0", -1.0), ("beta0", math.inf), ("gamma", 0.0), ("gamma", -0.5),
+        ("gamma", 1.0), ("gamma", 1.5), ("max_steps", 0), ("max_steps", -3),
     ])
     def test_schedule_that_cannot_shrink_refused_first(self, s0_atom, atom_chart, monkeypatch,
                                                        key, value):
-        # gamma >= 1 would search to the cap; gamma <= 0, alpha0 <= 1 or
-        # beta0 <= 0 would fail in affine_box after the kernel was built;
-        # max_steps < 1 would be a search of no step
+        # gamma >= 1 would search to the cap; gamma <= 0, alpha0 <= 1,
+        # beta0 <= 0 or an infinite alpha0 or beta0 would fail in affine_box
+        # after the kernel was built; max_steps < 1 would be a search of no step
         calls = []
         for name in ("wavelet_atom_sufficient", "atom_kernel", "oscillation"):
             real = getattr(frames, name)

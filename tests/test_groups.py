@@ -12,12 +12,10 @@ from coorbit.fields import (
     convolve,
     involute,
     oscillation,
-    tf_convolve,
 )
 from coorbit.groups import (
     AFFINE_IDENTITY,
     AffinePoint,
-    HeisenbergPoint,
     affine_inv,
     _bilinear,
     _in_chart,
@@ -27,9 +25,6 @@ from coorbit.groups import (
     affine_field_interpolate,
     build_affine_quadrature,
     haar_integral,
-    heis_identity,
-    heis_inv,
-    heis_mul,
     left_translate_field,
     tf_field_interpolate,
 )
@@ -108,78 +103,6 @@ class TestAffineArithmetic:
         assert abs(
             affine_modular(affine_mul(p, q)) - affine_modular(p) * affine_modular(q)
         ) <= 1e-12 * affine_modular(p) * affine_modular(q)
-
-
-class TestHeisenbergArithmetic:
-    def test_neutral(self):
-        p = HeisenbergPoint((0.3,), (0.7,), 1j)
-        q = heis_mul(heis_identity(1), p)
-        assert q.x == p.x and q.omega == p.omega
-        assert abs(q.tau - p.tau) < 1e-12
-
-    def test_phase_example(self):
-        out = heis_mul(HeisenbergPoint((1,), (0,), 1), HeisenbergPoint((0,), (1,), 1))
-        assert out.x == (1.0,) and out.omega == (1.0,)
-        assert abs(out.tau - (-1)) < 1e-10
-
-    def test_order_sensitivity_against_formula(self):
-        # both orderings evaluated by direct substitution into the group law
-        p = HeisenbergPoint((0,), (1,), 1)
-        q = HeisenbergPoint((1,), (0,), 1)
-        out = heis_mul(p, q)
-        # phase exp(pi*i*(q.x*p.w - p.x*q.w)) = exp(pi*i) = -1
-        assert abs(out.tau - np.exp(1j * np.pi * 1.0)) < 1e-10
-
-    def test_inverse(self):
-        for p in [
-            heis_identity(1),
-            HeisenbergPoint((1,), (1,), 1j),
-            HeisenbergPoint((2,), (0,), 1),
-        ]:
-            e = heis_mul(p, heis_inv(p))
-            assert np.allclose(e.x, 0) and np.allclose(e.omega, 0)
-            assert abs(e.tau - 1) < 1e-12
-        inv = heis_inv(HeisenbergPoint((1,), (1,), 1j))
-        assert inv.x == (-1.0,) and inv.omega == (-1.0,)
-        assert abs(inv.tau - (-1j)) < 1e-12
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.integers(1, 3).flatmap(lambda d: st.builds(
-        HeisenbergPoint,
-        st.lists(st.floats(-50, 50), min_size=d, max_size=d),
-        st.lists(st.floats(-50, 50), min_size=d, max_size=d),
-        st.floats(0, 1).map(lambda turn: np.exp(2j * np.pi * turn)),
-    )))
-    def test_inverse_law_random(self, p):
-        e = heis_identity(p.d)
-        for out in (heis_mul(p, heis_inv(p)), heis_mul(heis_inv(p), p)):
-            assert out.x == e.x and out.omega == e.omega
-            assert abs(out.tau - 1) <= 1e-12
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            pts = [
-                HeisenbergPoint(
-                    rng.uniform(-3, 3, 2),
-                    rng.uniform(-3, 3, 2),
-                    np.exp(2j * np.pi * rng.uniform()),
-                )
-                for _ in range(3)
-            ]
-            lhs = heis_mul(heis_mul(pts[0], pts[1]), pts[2])
-            rhs = heis_mul(pts[0], heis_mul(pts[1], pts[2]))
-            assert np.allclose(lhs.x, rhs.x, atol=1e-12)
-            assert np.allclose(lhs.omega, rhs.omega, atol=1e-12)
-            assert abs(lhs.tau - rhs.tau) < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            heis_mul(heis_identity(1), heis_identity(2))
-
-    def test_unit_modulus_enforced(self):
-        with pytest.raises(ValueError):
-            HeisenbergPoint((0.0,), (0.0,), 1.5)
 
 
 class TestAffineQuadrature:
@@ -555,7 +478,6 @@ _WRONG_GROUP_CALLS = {
     "is_p_control": lambda: cb.is_p_control(cb.poly_tf(1, 1), cb.power_scale(1.0), 2.0),
     "convolve": lambda: convolve(_AFF_FIELD, _TF_FIELD),
     "KernelOperator": lambda: KernelOperator(_TF_FIELD),
-    "tf_convolve": lambda: tf_convolve(_TF_FIELD, _AFF_FIELD),
     "affine_field_interpolate": lambda: affine_field_interpolate(_TF_FIELD, 0.0, 1.0),
     "tf_field_interpolate": lambda: tf_field_interpolate(_AFF_FIELD, 0.0, 1.0),
     "covering_quadrature": lambda: covering_quadrature(_TF_LAT, _TF_U),
@@ -584,7 +506,6 @@ class TestOneGroupRule:
         ("is_p_control", "weight on 'tf' applied to the 'affine' group"),
         ("convolve", "kernel on 'tf' applied to the 'affine' group"),
         ("KernelOperator", "kernel on 'tf' applied to the 'affine' group"),
-        ("tf_convolve", "kernel on 'affine' applied to the 'tf' group"),
         ("affine_field_interpolate", "field on 'tf' applied to the 'affine' group"),
         ("tf_field_interpolate", "field on 'affine' applied to the 'tf' group"),
         ("covering_quadrature", "lattice on 'tf' applied to the 'affine' group"),

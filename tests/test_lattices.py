@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from coorbit.lattices import (
     AffineLattice,
     TFLattice,
     _cover_pairs,
+    _pair_sum,
     _tile_average,
     build_bupu,
     bupu_synthesize,
@@ -591,6 +593,146 @@ class TestCoverCountsBruteForce:
             w = np.concatenate([w, pw[i] + sw * beta_w / 2])
         counts = cover_counts(lat, U, x, w)
         assert np.array_equal(counts, _tf_brute_counts(lat, U, x, w))
+
+
+def _unclamped_affine_cover(lat, U, b, a):
+    """The affine cover as it was before its index ranges were cut to the window: the oracle.
+
+    It runs one pass per tile offset the neighbourhood allows, however
+    few of them the window holds.
+    """
+    nodes, tiles = [], []
+    ln_alpha = math.log(lat.alpha)
+    half_u = math.log(U.alpha) / (2 * ln_alpha)
+    half_b = U.beta / (2 * lat.beta)
+    for s_idx, sgn in enumerate(lat.signs):
+        sel = np.flatnonzero((np.sign(a) == sgn) & (a != 0))
+        if sel.size == 0:
+            continue
+        t = np.log(np.abs(a[sel])) / ln_alpha
+        j_lo = np.ceil(t - half_u - _TIE_EPS).astype(np.int64)
+        j_hi = np.floor(t + half_u + _TIE_EPS).astype(np.int64)
+        for dj in range(int(np.max(j_hi - j_lo, initial=-1)) + 1):
+            j = j_lo + dj
+            ok_j = (j <= j_hi) & (j >= lat.j_min) & (j <= lat.j_max)
+            if not np.any(ok_j):
+                continue
+            idx_j, jj = sel[ok_j], j[ok_j]
+            y = sgn * b[idx_j] * lat.alpha ** (-jj.astype(float)) / lat.beta
+            k_lo = np.ceil(y - half_b - _TIE_EPS).astype(np.int64)
+            k_hi = np.floor(y + half_b + _TIE_EPS).astype(np.int64)
+            for dk in range(int(np.max(k_hi - k_lo, initial=-1)) + 1):
+                k = k_lo + dk
+                ok_k = (k <= k_hi) & (k >= lat.k_min) & (k <= lat.k_max)
+                if np.any(ok_k):
+                    nodes.append(idx_j[ok_k])
+                    tiles.append(lat.flat_index(jj[ok_k], k[ok_k], s_idx))
+    return nodes, tiles
+
+
+def _unclamped_tf_cover(lat, U, x, w):
+    """The TF cover as it was before its index ranges were cut to the window: the oracle."""
+    nodes, tiles = [], []
+    gen_inv = np.linalg.inv(lat.scale * lat.generator)
+    base = gen_inv @ np.vstack([x, w])
+    n1_near = np.round(base[0]).astype(np.int64)
+    n2_near = np.round(base[1]).astype(np.int64)
+    corners = np.array([[sx * U.beta_x / 2, sw * U.beta_w / 2]
+                        for sx in (-1, 1) for sw in (-1, 1)]).T
+    reach = np.max(np.abs(gen_inv @ corners), axis=1)
+    r1, r2 = int(math.ceil(reach[0] + _TIE_EPS)), int(math.ceil(reach[1] + _TIE_EPS))
+    for d1 in range(-r1, r1 + 1):
+        for d2 in range(-r2, r2 + 1):
+            n1, n2 = n1_near + d1, n2_near + d2
+            ok = (n1 >= lat.n1_min) & (n1 <= lat.n1_max) & (n2 >= lat.n2_min) & (n2 <= lat.n2_max)
+            if not np.any(ok):
+                continue
+            px, pw = lat._points(n1, n2)
+            inside = np.flatnonzero(ok & (np.abs(x - px) <= U.beta_x / 2 + _TIE_EPS)
+                                    & (np.abs(w - pw) <= U.beta_w / 2 + _TIE_EPS))
+            if inside.size:
+                nodes.append(inside)
+                tiles.append(lat.flat_index(n1[inside], n2[inside]))
+    return nodes, tiles
+
+
+def _assert_cover_matches_unclamped(lat, U, c1, c2):
+    """Each point meets the same tiles in the same order as in the unclamped loop.
+
+    So its count and its tile sums are bit-identical; the sums add a
+    distinct value per tile, read off the tile index.
+    """
+    c1, c2 = np.asarray(c1, dtype=float).ravel(), np.asarray(c2, dtype=float).ravel()
+    old = _unclamped_affine_cover if lat.kind == "affine" else _unclamped_tf_cover
+    empty = [np.zeros(0, dtype=np.int64)]
+    ref_nodes, ref_tiles = (np.concatenate(empty + part) for part in old(lat, U, c1, c2))
+    nodes, tiles, n = _cover_pairs(lat, U, c1, c2)
+    assert np.array_equal(np.bincount(nodes, minlength=n), np.bincount(ref_nodes, minlength=n))
+    order, ref_order = np.argsort(nodes, kind="stable"), np.argsort(ref_nodes, kind="stable")
+    assert np.array_equal(tiles[order], ref_tiles[ref_order])
+
+    def tile_values(t):
+        return np.cos(0.618 * t) + 1j * np.sin(1.3 * t)
+
+    sums = _pair_sum(nodes, tile_values(tiles), n)
+    ref = _pair_sum(ref_nodes, tile_values(ref_tiles), n)
+    assert np.array_equal(sums.view(np.int64), ref.view(np.int64))
+
+
+class TestCoverBoundedByWindow:
+    """Tile covers loop over the window's offsets only and meet the same tiles in the same order."""
+
+    @pytest.mark.parametrize("lat, U, quad", [
+        (AffineLattice(1.5, 1e-9, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
+         build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
+        (TFLattice(np.eye(2), 1e-9, -4, 4, -4, 4), tf_box(0.5, 0.5),
+         build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)),
+    ], ids=["affine", "tf"])
+    def test_tiny_step_costs_what_the_window_allows(self, lat, U, quad):
+        # U spans about 2.5e8 lattice steps per axis: one pass per offset
+        # would not finish, and the window holds at most 170 tiles
+        start = time.process_time()
+        bupu = build_bupu(lat, U, quad)
+        assert time.process_time() - start < 1.0
+        c1, c2 = (np.ravel(c) for c in quad.node_points())
+        brute = _affine_brute_counts if lat.kind == "affine" else _tf_brute_counts
+        assert np.array_equal(bupu.counts.ravel(), brute(lat, U, c1, c2))
+
+    def test_criterion_09_lattice(self):
+        # step 16 of the default schedule, windowed as acceptance criterion 09 does, on its chart
+        alpha, beta = 1.0 + 0.7**15, 0.7**15
+        j_span = int(math.ceil(math.log(4) / math.log(alpha)))
+        k_span = int(math.ceil(2 / (beta * 0.25)))
+        lat = AffineLattice(alpha, beta, -j_span, j_span, -k_span, k_span, (1, -1))
+        quad = build_affine_quadrature(-2, 2, 512, 1 / 4, 4, 49, (1, -1))
+        _assert_cover_matches_unclamped(lat, affine_box(beta, alpha), *quad.node_points())
+
+    @_COVER
+    @given(st.floats(1.2, 3.0), st.floats(0.2, 2.0), st.integers(-3, 0), st.integers(0, 3),
+           st.integers(-6, 0), st.integers(0, 6), st.sampled_from([(1,), (-1,), (1, -1)]),
+           st.floats(0.3, 30.0), st.floats(0.3, 8.0), st.integers(0, 2**32 - 1))
+    def test_affine_matches_unclamped_loop(self, alpha, beta, j_min, j_max, k_min, k_max, signs,
+                                           rb, ra, seed):
+        # U up to 30 steps wide and 8 levels tall, so most ranges reach past the window
+        lat = AffineLattice(alpha, beta, j_min, j_max, k_min, k_max, signs)
+        rng = np.random.default_rng(seed)
+        a = rng.choice([-1.0, 1.0], 300) * alpha ** rng.uniform(j_min - ra, j_max + ra, 300)
+        b = a * beta * rng.uniform(k_min - rb, k_max + rb, 300)
+        _assert_cover_matches_unclamped(lat, affine_box(beta * rb, alpha**ra), b, a)
+
+    @_COVER
+    @given(st.floats(0.3, 1.5), st.floats(0.3, 1.5), st.floats(-0.25, 0.25),
+           st.floats(-0.25, 0.25), st.floats(0.5, 2.0), st.integers(-4, 0), st.integers(0, 4),
+           st.integers(-4, 0), st.integers(0, 4), st.floats(0.2, 20.0), st.floats(0.2, 20.0),
+           st.integers(0, 2**32 - 1))
+    def test_tf_matches_unclamped_loop(self, g00, g11, g01, g10, scale, n1_min, n1_max,
+                                       n2_min, n2_max, beta_x, beta_w, seed):
+        lat = TFLattice(np.array([[g00, g01], [g10, g11]]), scale, n1_min, n1_max, n2_min, n2_max)
+        rng = np.random.default_rng(seed)
+        px, pw = lat.point_arrays()
+        x = rng.uniform(px.min() - beta_x, px.max() + beta_x, 300)
+        w = rng.uniform(pw.min() - beta_w, pw.max() + beta_w, 300)
+        _assert_cover_matches_unclamped(lat, tf_box(beta_x, beta_w), x, w)
 
 
 class TestSerialization:

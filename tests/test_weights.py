@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.groups import AffinePoint, HeisenbergPoint, affine_inv
+from coorbit.groups import AffinePoint, affine_inv
 from coorbit.weights import (
     custom_weight,
-    eval_weight,
     eval_weight_at,
     is_p_control,
     moderateness_probe,
@@ -18,19 +17,24 @@ from coorbit.weights import (
 )
 
 
+def _at_point(w, p):
+    """The weight at one affine group point."""
+    return eval_weight_at(w, "affine", p.b, p.a)
+
+
 class TestEvaluation:
     def test_power_scale(self):
-        assert eval_weight(power_scale(2.0), AffinePoint(5, 0.5)) == pytest.approx(4.0)
+        assert eval_weight_at(power_scale(2.0), "affine", 5, 0.5) == pytest.approx(4.0)
 
     def test_symmetric_power(self):
-        assert eval_weight(symmetric_power(1.0), AffinePoint(0, 2)) == pytest.approx(2.5)
+        assert eval_weight_at(symmetric_power(1.0), "affine", 0, 2) == pytest.approx(2.5)
 
     def test_poly_tf(self):
-        assert eval_weight(poly_tf(1, 2), (1.0, 1.0)) == pytest.approx(8.0)
+        assert eval_weight_at(poly_tf(1, 2), "tf", 1.0, 1.0) == pytest.approx(8.0)
 
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
-            eval_weight(poly_tf(1, 1), AffinePoint(0, 1))
+            eval_weight_at(poly_tf(1, 1), "affine", 0, 1)
 
     @pytest.mark.parametrize("spec, kind, closed_form", [
         (power_scale(1.5), "affine", lambda b, a: np.abs(a) ** -1.5),
@@ -46,8 +50,8 @@ class TestEvaluation:
         c2 = rng.uniform(0.1, 5, 64) * rng.choice([-1, 1], 64)
         np.testing.assert_allclose(eval_weight_at(spec, kind, c1, c2), closed_form(c1, c2),
                                    rtol=1e-14)
-        assert eval_weight(spec, AffinePoint(c1[0], c2[0]) if kind == "affine"
-                           else (c1[0], c2[0])) == pytest.approx(closed_form(c1[0], c2[0]))
+        assert eval_weight_at(spec, kind, c1[0], c2[0]) == pytest.approx(
+            closed_form(c1[0], c2[0]))
 
     @pytest.mark.parametrize("spec, other", [
         (power_scale(1.0), "tf"), (symmetric_power(1.0), "tf"), (poly_tf(1, 1), "affine"),
@@ -61,10 +65,6 @@ class TestEvaluation:
     def test_probe_refuses_weights_on_two_groups(self):
         with pytest.raises(ValueError, match="applied to the 'affine' group"):
             moderateness_probe(power_scale(1.0), poly_tf(1, 1), 10)
-
-    def test_heisenberg_point_reads_euclidean_lengths(self):
-        p = HeisenbergPoint((3.0, -4.0), (12.0, 5.0), 1.0)
-        assert eval_weight(poly_tf(1, 1), p) == pytest.approx((1 + 5.0) * (1 + 13.0))
 
     def test_positive_everywhere(self):
         rng = np.random.default_rng(0)
@@ -149,13 +149,13 @@ class TestProbes:
             prod = cb.affine_mul(p, q)
             # m_s multiplicative
             m = power_scale(1.3)
-            assert eval_weight(m, prod) == pytest.approx(
-                eval_weight(m, p) * eval_weight(m, q), rel=1e-12
+            assert _at_point(m, prod) == pytest.approx(
+                _at_point(m, p) * _at_point(m, q), rel=1e-12
             )
             # w_rho inversion symmetric
             w = symmetric_power(0.8)
-            assert eval_weight(w, p) == pytest.approx(
-                eval_weight(w, affine_inv(p)), rel=1e-12
+            assert _at_point(w, p) == pytest.approx(
+                _at_point(w, affine_inv(p)), rel=1e-12
             )
 
     def test_poly_tf_evenness(self):
@@ -163,7 +163,7 @@ class TestProbes:
         v = poly_tf(1.2, 0.7)
         for _ in range(100):
             x, om = rng.uniform(-10, 10, 2)
-            assert eval_weight(v, (x, om)) == eval_weight(v, (-x, -om))
+            assert eval_weight_at(v, "tf", x, om) == eval_weight_at(v, "tf", -x, -om)
 
     def test_serialization(self):
         for spec in (power_scale(1.0), symmetric_power(2.0), poly_tf(1, 2)):
