@@ -336,7 +336,8 @@ def build_affine_quadrature(
 
     The b-grid is uniform on ``[b_lo, b_hi)``; the scale grid is
     log-uniform with ``n_scales`` nodes on ``[a_min, a_max]``, replicated
-    on each requested sign branch.
+    on each requested sign branch.  A chart whose largest weight, at
+    ``a_min``, is not finite is refused.
     """
     n_b, n_scales = _integer(n_b, "n_b"), _integer(n_scales, "n_scales")
     for key, value in (("b_lo", b_lo), ("b_hi", b_hi), ("a_min", a_min), ("a_max", a_max)):
@@ -347,7 +348,7 @@ def build_affine_quadrature(
         raise ValueError("need n_b >= 2 and n_scales >= 2")
     if b_hi <= b_lo:
         raise ValueError("need b_hi > b_lo")
-    return GroupQuadrature(
+    quad = GroupQuadrature(
         kind="affine",
         b_lo=float(b_lo),
         b_hi=float(b_hi),
@@ -357,6 +358,10 @@ def build_affine_quadrature(
         n_scales=n_scales,
         signs=_sign_branches(signs),
     )
+    if not math.isfinite(quad.db * quad.du / math.exp(quad.u_lo)):  # the largest weight
+        raise ValueError(f"the chart's Haar weight db*du/a_min is not finite "
+                         f"(db = {quad.db!r}, a_min = {a_min!r})")
+    return quad
 
 
 def build_tf_quadrature(

@@ -238,57 +238,54 @@ def _in_window(lo, hi, lo_min: int, hi_max: int):
     """Integer ranges ``[lo, hi]``, cut to the index window ``[lo_min, hi_max]``.
 
     A range outside the window comes back empty (``lo > hi``), and every
-    range spans at most the window, however far the float bounds reach.
+    range spans at most the window, however far the float bounds reach,
+    so what the ranges expand to is bounded by the window.  A bound that
+    is not finite is refused before the integer cast: it comes from a
+    lattice step too small for U's extent in index units to be a float,
+    or from a query point that is not finite.
     """
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("tile index range is not finite: the lattice step is too small "
+                         "for U, or a query point is not finite")
     return (np.clip(lo, lo_min, hi_max + 1).astype(np.int64),
             np.clip(hi, lo_min - 1, hi_max).astype(np.int64))
 
 
+def _expand(lo, hi):
+    """``(row, i)`` for every integer ``i`` in ``[lo[row], hi[row]]``, row by row, ascending."""
+    lengths = np.maximum(hi - lo + 1, 0)
+    row = np.repeat(np.arange(lengths.size), lengths)
+    first = np.cumsum(lengths) - lengths  # where each row's run starts
+    return row, np.arange(row.size) + (lo - first)[row]
+
+
 def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
-    """Tile-membership pairs ``(point, lattice flat index)``, one array each per pass.
+    """Tile-membership pairs ``(point, lattice flat index)``.
 
     A point ``(b, a)`` lies in the tile ``x_{j,k,eps} U`` iff the sign
     matches, ``alpha^{-j} |a|`` lies in ``[alpha_U^{-1/2}, alpha_U^{1/2}]``
     and ``|eps alpha^{-j} b - beta k| <= beta_U / 2``; both conditions
-    are solved for integer (j, k) directly.
+    are solved for integer (j, k) directly, so every pair is an incidence.
     """
-    nodes, tiles = [], []
     ln_alpha = math.log(lat.alpha)
     half_u = math.log(U.alpha) / (2 * ln_alpha)
     half_b = U.beta / (2 * lat.beta)
-
-    sign_index = {s: i for i, s in enumerate(lat.signs)}
-    for sgn, s_idx in sign_index.items():
-        sel = np.flatnonzero((np.sign(a) == sgn) & (a != 0))
-        if sel.size == 0:
-            continue
-        t = np.log(np.abs(a[sel])) / ln_alpha
-        j_lo, j_hi = _in_window(np.ceil(t - half_u - _TIE_EPS),
-                                np.floor(t + half_u + _TIE_EPS), lat.j_min, lat.j_max)
-        max_span_j = int(np.max(j_hi - j_lo, initial=-1)) + 1
-        for dj in range(max_span_j):
-            j = j_lo + dj
-            ok_j = j <= j_hi
-            if not np.any(ok_j):
-                continue
-            idx_j = sel[ok_j]
-            jj = j[ok_j]
-            y = sgn * b[idx_j] * lat.alpha ** (-jj.astype(float)) / lat.beta
-            k_lo, k_hi = _in_window(np.ceil(y - half_b - _TIE_EPS),
-                                    np.floor(y + half_b + _TIE_EPS), lat.k_min, lat.k_max)
-            max_span_k = int(np.max(k_hi - k_lo, initial=-1)) + 1
-            for dk in range(max_span_k):
-                k = k_lo + dk
-                ok_k = k <= k_hi
-                if not np.any(ok_k):
-                    continue
-                nodes.append(idx_j[ok_k])
-                tiles.append(lat.flat_index(jj[ok_k], k[ok_k], s_idx))
-    return nodes, tiles
+    sign = np.sign(a)
+    sel = np.flatnonzero(np.isin(sign, lat.signs))
+    t = np.log(np.abs(a[sel])) / ln_alpha
+    row, j = _expand(*_in_window(np.ceil(t - half_u - _TIE_EPS),
+                                 np.floor(t + half_u + _TIE_EPS), lat.j_min, lat.j_max))
+    node = sel[row]
+    y = sign[node] * b[node] * lat.alpha ** (-j.astype(float)) / lat.beta
+    row, k = _expand(*_in_window(np.ceil(y - half_b - _TIE_EPS),
+                                 np.floor(y + half_b + _TIE_EPS), lat.k_min, lat.k_max))
+    node, j = node[row], j[row]
+    eps_idx = np.where(sign[node] == lat.signs[0], 0, 1)  # every sign here is in lat.signs
+    return node, lat.flat_index(j, k, eps_idx)
 
 
 def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
-    nodes, tiles = [], []
+    """Tile-membership pairs ``(point, lattice flat index)``, kept from a box of candidates."""
     gen_inv = np.linalg.inv(lat.scale * lat.generator)
     # integer coordinates of candidate lattice points around each query
     near = np.round(gen_inv @ np.vstack([x, w]))
@@ -299,42 +296,29 @@ def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
     r1, r2 = np.ceil(reach + _TIE_EPS)
     n1_lo, n1_hi = _in_window(near[0] - r1, near[0] + r1, lat.n1_min, lat.n1_max)
     n2_lo, n2_hi = _in_window(near[1] - r2, near[1] + r2, lat.n2_min, lat.n2_max)
-    for d1 in range(int(np.max(n1_hi - n1_lo, initial=-1)) + 1):
-        for d2 in range(int(np.max(n2_hi - n2_lo, initial=-1)) + 1):
-            n1 = n1_lo + d1
-            n2 = n2_lo + d2
-            ok = (n1 <= n1_hi) & (n2 <= n2_hi)
-            if not np.any(ok):
-                continue
-            px, pw = lat._points(n1, n2)
-            inside = np.flatnonzero(
-                ok
-                & (np.abs(x - px) <= half_x)
-                & (np.abs(w - pw) <= half_w)
-            )
-            if inside.size:
-                nodes.append(inside)
-                tiles.append(lat.flat_index(n1[inside], n2[inside]))
-    return nodes, tiles
+    node, n1 = _expand(n1_lo, n1_hi)
+    row, n2 = _expand(n2_lo[node], n2_hi[node])
+    node, n1 = node[row], n1[row]
+    px, pw = lat._points(n1, n2)
+    inside = np.flatnonzero((np.abs(x[node] - px) <= half_x) & (np.abs(w[node] - pw) <= half_w))
+    return node[inside], lat.flat_index(n1[inside], n2[inside])
 
 
 def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     """Every ``(point, tile)`` incidence of the query points, and their number.
 
-    The order is fixed, pass by pass over the offsets from each point's
-    first tile in the lattice's window, so a point meets its tiles in
-    ascending index order, and every sum over a point's tiles adds them
-    in this order.  The passes are bounded by the window.  This is the one
-    membership code path behind cover counts, cover sums and the
-    partition's stored map.
+    The pairs come point by point, and each point meets its tiles in
+    ascending index order ((j, k) or (n1, n2)), so every sum over a
+    point's tiles adds them in this order.  The candidate ranges are cut
+    to the lattice's window first, so the work is bounded by the window.
+    This is the one membership code path behind cover counts, cover sums
+    and the partition's stored map.
     """
     _on_group(lat.kind, neighbourhood=U)
     c1 = np.asarray(c1, dtype=float).ravel()
     c2 = np.asarray(c2, dtype=float).ravel()
     cover = _affine_cover if lat.kind == "affine" else _tf_cover
-    nodes, tiles = cover(lat, U, c1, c2)
-    empty = [np.zeros(0, dtype=np.int64)]
-    return np.concatenate(empty + nodes), np.concatenate(empty + tiles), c1.size
+    return *cover(lat, U, c1, c2), c1.size
 
 
 def _pair_sum(nodes, values, n: int) -> np.ndarray:

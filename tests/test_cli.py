@@ -956,14 +956,19 @@ class TestWrongTypedConfig:
             self, tmp_path, monkeypatch, mexhat_file, gauss_file, truth_file, name, path):
         # the fuzzer's tiny-step mutation on every positive number, one at a
         # time: its 200 draws need not reach the one that hung, a lattice
-        # step of 1e-9 in reconstruct
+        # step of 1e-9 in reconstruct; then the number replaced by the
+        # smallest subnormal, which overflows a lattice step's index range
+        # and a chart's finest Haar weight
         monkeypatch.chdir(tmp_path)
-        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[name]
-        _edit_config(cfg, path, lambda old: old * 1e-9)
-        rc, out = self._run(tmp_path, name.split("/")[0], cfg)
-        assert rc in (0, 2, 3, 4)
-        if rc == 2:
-            assert list(out.iterdir()) == []
+        for tag, edit in (("scaled", lambda old: old * 1e-9), ("subnormal", lambda old: 5e-324)):
+            cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[name]
+            _edit_config(cfg, path, edit)
+            work = tmp_path / tag
+            work.mkdir()
+            rc, out = self._run(work, name.split("/")[0], cfg)
+            assert rc in (0, 2, 3, 4), tag
+            if rc == 2:
+                assert list(out.iterdir()) == [], tag
 
 
 class TestNonFiniteOutputs:

@@ -524,6 +524,8 @@ class TestCompiledStep:
 # documented slack of _TIE_EPS (index space for affine, plane units for TF),
 # so points exactly on a shared edge count for both tiles.
 _COVER = settings(max_examples=40, deadline=None, derandomize=True)
+# a NaN or inf cast to a tile index warns; the oracle cases fail on it
+_NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 _RATIO = st.one_of(st.just(1.0), st.floats(0.3, 2.5))  # U side over lattice step
 # half-side steps to the four edge midpoints and four corners of a tile
 _EDGE_STEPS = np.array([(p, q) for p in (-1, 0, 1) for q in (-1, 0, 1) if p or q],
@@ -552,6 +554,7 @@ def _tf_brute_counts(lat, U, x, w):
     return np.sum(inside, axis=0)
 
 
+@_NO_RUNTIME_WARNING
 class TestCoverCountsBruteForce:
     @_COVER
     @given(st.floats(1.2, 3.0), st.floats(0.2, 2.0), st.integers(-3, 0), st.integers(0, 3),
@@ -680,8 +683,9 @@ def _assert_cover_matches_unclamped(lat, U, c1, c2):
 
 
 class TestCoverBoundedByWindow:
-    """Tile covers loop over the window's offsets only and meet the same tiles in the same order."""
+    """Tile covers expand index ranges cut to the window and meet the same tiles in the same order."""
 
+    @_NO_RUNTIME_WARNING
     @pytest.mark.parametrize("lat, U, quad", [
         (AffineLattice(1.5, 1e-9, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
          build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
@@ -689,8 +693,8 @@ class TestCoverBoundedByWindow:
          build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)),
     ], ids=["affine", "tf"])
     def test_tiny_step_costs_what_the_window_allows(self, lat, U, quad):
-        # U spans about 2.5e8 lattice steps per axis: one pass per offset
-        # would not finish, and the window holds at most 170 tiles
+        # U spans about 2.5e8 lattice steps per axis: a range per node that
+        # long would not fit in memory, and the window holds at most 170 tiles
         start = time.process_time()
         bupu = build_bupu(lat, U, quad)
         assert time.process_time() - start < 1.0
@@ -698,6 +702,43 @@ class TestCoverBoundedByWindow:
         brute = _affine_brute_counts if lat.kind == "affine" else _tf_brute_counts
         assert np.array_equal(bupu.counts.ravel(), brute(lat, U, c1, c2))
 
+    @pytest.mark.parametrize("lat, U, quad", [
+        (AffineLattice(1.5, 5e-324, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
+         build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
+        (TFLattice(np.eye(2), 5e-324, -4, 4, -4, 4), tf_box(0.5, 0.5),
+         build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)),
+    ], ids=["affine", "tf"])
+    def test_subnormal_step_refused(self, lat, U, quad):
+        # U's extent in index units overflows: no index range is finite
+        with pytest.raises(ValueError, match="the lattice step is too small"):
+            build_bupu(lat, U, quad)
+
+    @_NO_RUNTIME_WARNING
+    @pytest.mark.parametrize("lat, U", [
+        (AffineLattice(1.5, 0.5, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5)),
+        (TFLattice(np.eye(2), 0.5, -4, 4, -4, 4), tf_box(0.5, 0.5)),
+    ], ids=["affine", "tf"])
+    def test_no_query_points(self, lat, U):
+        counts = cover_counts(lat, U, [], [])
+        assert counts.shape == (0,) and counts.dtype.kind == "i"
+
+    @_NO_RUNTIME_WARNING
+    @pytest.mark.parametrize("lat, U, quad", [
+        # in-window scales, shifts far past the k-window
+        (AffineLattice(1.5, 0.5, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
+         build_affine_quadrature(1000, 1010, 16, 0.5, 2.0, 5, (1, -1))),
+        # scales far past the j-window
+        (AffineLattice(1.5, 0.5, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
+         build_affine_quadrature(-2, 2, 16, 100.0, 200.0, 5, (1, -1))),
+        (TFLattice(np.eye(2), 0.5, -4, 4, -4, 4), tf_box(0.5, 0.5),
+         build_tf_quadrature(100.0, 0.25, 16, -2.0, 0.25, 16)),
+    ], ids=["affine-shifts", "affine-scales", "tf"])
+    def test_chart_outside_window_has_no_pairs(self, lat, U, quad):
+        nodes, tiles, n = _cover_pairs(lat, U, *quad.node_points())
+        assert nodes.size == tiles.size == 0
+        assert n == quad.n_nodes
+
+    @_NO_RUNTIME_WARNING
     def test_criterion_09_lattice(self):
         # step 16 of the default schedule, windowed as acceptance criterion 09 does, on its chart
         alpha, beta = 1.0 + 0.7**15, 0.7**15
@@ -707,6 +748,7 @@ class TestCoverBoundedByWindow:
         quad = build_affine_quadrature(-2, 2, 512, 1 / 4, 4, 49, (1, -1))
         _assert_cover_matches_unclamped(lat, affine_box(beta, alpha), *quad.node_points())
 
+    @_NO_RUNTIME_WARNING
     @_COVER
     @given(st.floats(1.2, 3.0), st.floats(0.2, 2.0), st.integers(-3, 0), st.integers(0, 3),
            st.integers(-6, 0), st.integers(0, 6), st.sampled_from([(1,), (-1,), (1, -1)]),
@@ -720,6 +762,7 @@ class TestCoverBoundedByWindow:
         b = a * beta * rng.uniform(k_min - rb, k_max + rb, 300)
         _assert_cover_matches_unclamped(lat, affine_box(beta * rb, alpha**ra), b, a)
 
+    @_NO_RUNTIME_WARNING
     @_COVER
     @given(st.floats(0.3, 1.5), st.floats(0.3, 1.5), st.floats(-0.25, 0.25),
            st.floats(-0.25, 0.25), st.floats(0.5, 2.0), st.integers(-4, 0), st.integers(0, 4),
