@@ -719,15 +719,5 @@ def besov_exponent(p, s):
 
     Exact over the rationals: integer and Fraction inputs stay Fractions.
     """
-    _exponent(p)
-    if isinstance(p, float) and math.isinf(p):
-        inv_p = Fraction(0) if isinstance(s, (int, Fraction)) else 0.0
-    elif isinstance(p, (int, Fraction)):
-        inv_p = Fraction(1, 1) / Fraction(p)
-    else:
-        inv_p = 1.0 / p
-    if isinstance(s, (int, Fraction)) and isinstance(inv_p, Fraction):
-        sigma = Fraction(s) - Fraction(1, 2) + inv_p
-    else:
-        sigma = s - 0.5 + float(inv_p)
-    return sigma, p, p
+    inv_p = 0 if _exponent(p) == math.inf else Fraction(1) / p
+    return s - Fraction(1, 2) + inv_p, p, p

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import NeighborhoodSpec, _p_norm, lpm_norm, unit_weight
+from .fields import NeighborhoodSpec, _p_norm, affine_box, lpm_norm, tf_box, unit_weight
 from .groups import (
     GroupField,
     GroupQuadrature,
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 _TIE_EPS = 1e-9  # index-space slack so shared tile boundaries count both sides
+_NOT_FINITE = ("tile index range is not finite: the lattice step is too small "
+               "for U, or a query point is not finite")
 _COVERING_MAX_NODES = 2_000_000  # covering_quadrature halves its b-nodes below this
 
 
@@ -240,13 +242,11 @@ def _in_window(lo, hi, lo_min: int, hi_max: int):
     A range outside the window comes back empty (``lo > hi``), and every
     range spans at most the window, however far the float bounds reach,
     so what the ranges expand to is bounded by the window.  A bound that
-    is not finite is refused before the integer cast: it comes from a
-    lattice step too small for U's extent in index units to be a float,
-    or from a query point that is not finite.
+    is not finite (a query point that is not finite, or one too far for
+    the step) is refused before the integer cast.
     """
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("tile index range is not finite: the lattice step is too small "
-                         "for U, or a query point is not finite")
+        raise ValueError(_NOT_FINITE)
     return (np.clip(lo, lo_min, hi_max + 1).astype(np.int64),
             np.clip(hi, lo_min - 1, hi_max).astype(np.int64))
 
@@ -259,6 +259,23 @@ def _expand(lo, hi):
     return row, np.arange(row.size) + (lo - first)[row]
 
 
+def _reach(lat, U: NeighborhoodSpec):
+    """U's half-extent along each index axis of ``lat`` ((j, k) or (n1, n2)), TF slack included.
+
+    It is the same for every point, so a step too small for it to be a float
+    (a subnormal ``beta`` or ``scale``) is refused before any per-point division.
+    """
+    if lat.kind == "affine":
+        reach = (math.log(U.alpha) / (2 * math.log(lat.alpha)), U.beta / (2 * lat.beta))
+    else:
+        half_x, half_w = U.beta_x / 2 + _TIE_EPS, U.beta_w / 2 + _TIE_EPS
+        corners = np.array([[sx * half_x, sw * half_w] for sx in (-1, 1) for sw in (-1, 1)]).T
+        reach = np.max(np.abs(np.linalg.inv(lat.scale * lat.generator) @ corners), axis=1)
+    if not np.all(np.isfinite(reach)):
+        raise ValueError(_NOT_FINITE)
+    return reach
+
+
 def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
     """Tile-membership pairs ``(point, lattice flat index)``.
 
@@ -267,12 +284,10 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
     and ``|eps alpha^{-j} b - beta k| <= beta_U / 2``; both conditions
     are solved for integer (j, k) directly, so every pair is an incidence.
     """
-    ln_alpha = math.log(lat.alpha)
-    half_u = math.log(U.alpha) / (2 * ln_alpha)
-    half_b = U.beta / (2 * lat.beta)
+    half_u, half_b = _reach(lat, U)
     sign = np.sign(a)
     sel = np.flatnonzero(np.isin(sign, lat.signs))
-    t = np.log(np.abs(a[sel])) / ln_alpha
+    t = np.log(np.abs(a[sel])) / math.log(lat.alpha)
     row, j = _expand(*_in_window(np.ceil(t - half_u - _TIE_EPS),
                                  np.floor(t + half_u + _TIE_EPS), lat.j_min, lat.j_max))
     node = sel[row]
@@ -285,19 +300,21 @@ def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
 
 
 def _tf_cover(lat: TFLattice, U: NeighborhoodSpec, x, w):
-    """Tile-membership pairs ``(point, lattice flat index)``, kept from a box of candidates."""
-    gen_inv = np.linalg.inv(lat.scale * lat.generator)
-    # integer coordinates of candidate lattice points around each query
-    near = np.round(gen_inv @ np.vstack([x, w]))
-    # radius in index space needed to cover the box U and its boundary slack
+    """Tile-membership pairs ``(point, lattice flat index)``, kept from a strip of candidates.
+
+    n1 spans U's reach; per (point, n1), n2 spans the strip of the coordinate
+    it moves faster along (``|A11|`` against ``|A01|``), widened by the slack.
+    """
+    g, c = lat.generator, lat.scale
     half_x, half_w = U.beta_x / 2 + _TIE_EPS, U.beta_w / 2 + _TIE_EPS
-    corners = np.array([[sx * half_x, sw * half_w] for sx in (-1, 1) for sw in (-1, 1)]).T
-    reach = np.max(np.abs(gen_inv @ corners), axis=1)
-    r1, r2 = np.ceil(reach + _TIE_EPS)
-    n1_lo, n1_hi = _in_window(near[0] - r1, near[0] + r1, lat.n1_min, lat.n1_max)
-    n2_lo, n2_hi = _in_window(near[1] - r2, near[1] + r2, lat.n2_min, lat.n2_max)
-    node, n1 = _expand(n1_lo, n1_hi)
-    row, n2 = _expand(n2_lo[node], n2_hi[node])
+    r1 = _reach(lat, U)[0] + _TIE_EPS
+    t = np.linalg.inv(c * g)[0] @ np.vstack([x, w])
+    node, n1 = _expand(*_in_window(np.ceil(t - r1), np.floor(t + r1), lat.n1_min, lat.n1_max))
+    ax = int(abs(g[1, 1]) >= abs(g[0, 1]))  # 1: the w-strip, 0: the x-strip
+    mid = ((x, w)[ax][node] / c - g[ax, 0] * n1) / g[ax, 1]
+    spread = (half_x, half_w)[ax] / abs(c * g[ax, 1]) + _TIE_EPS
+    row, n2 = _expand(*_in_window(np.ceil(mid - spread), np.floor(mid + spread),
+                                  lat.n2_min, lat.n2_max))
     node, n1 = node[row], n1[row]
     px, pw = lat._points(n1, n2)
     inside = np.flatnonzero((np.abs(x[node] - px) <= half_x) & (np.abs(w[node] - pw) <= half_w))
@@ -379,33 +396,32 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     """Max number of translates ``x_j K`` that meet one ``x_i K``.
 
     A finite lattice window is always relatively separated; the count is
-    its local finiteness constant.
-
-    Affine overlap is exact: ``x_i K`` meets ``x_j K`` iff the relative
-    point ``x_j^{-1} x_i = (btil, atil)`` has a positive scale ratio with
-    ``atil`` in ``[1/alpha_K, alpha_K]`` and ``|btil| <= (1 + atil)
-    beta_K / 2``; the TF condition is the difference box.
+    its local finiteness constant.  The candidates are the tile cover of
+    the lattice's own points, so the cost follows the pairs, not n^2.
+    TF: ``x_i K`` meets ``x_j K`` iff ``x_i`` lies in the tile of ``x_j``
+    under the box of doubled sides.  Affine: iff ``x_j^{-1} x_i = (btil,
+    atil)`` has ``atil > 0`` in ``[1/alpha_K - eps, alpha_K + eps]`` and
+    ``|btil| <= (1 + atil) beta_K / 2 + eps`` (``eps`` the slack).  Then
+    ``atil`` and ``1/atil`` are at most ``r = 1 / (1/alpha_K - eps)``, so
+    ``x_i`` lies in the tile of ``x_j`` under the box of scale side ``r^2``
+    and shift side ``(1 + r) beta_K + 2 eps``.  Each box is capped at the
+    window's own extent (affine: ratio ``alpha max|a| / min|a|``, shift
+    ``2 max|b| / min|a|``), which no pair exceeds, so it is finite for every
+    K; the cover's index slack absorbs rounding, and the test above decides.
     """
     _on_group(lat.kind, neighbourhood=K)
     b, a = lat.point_arrays()
-    n = b.size
-    max_count = 0
-    chunk = max(1, int(2e7) // max(n, 1))
-    for lo in range(0, n, chunk):
-        bi, ai = b[lo:lo + chunk, None], a[lo:lo + chunk, None]
-        if lat.kind == "affine":
-            atil = ai / a[None, :]
-            ok = (
-                (atil > 0)
-                & (atil >= 1.0 / K.alpha - _TIE_EPS)
-                & (atil <= K.alpha + _TIE_EPS)
-                & (np.abs((bi - b[None, :]) / a[None, :]) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS)
-            )
-        else:
-            ok = ((np.abs(bi - b[None, :]) <= K.beta_x + _TIE_EPS)
-                  & (np.abs(ai - a[None, :]) <= K.beta_w + _TIE_EPS))
-        max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
-    return max_count
+    if lat.kind == "tf":
+        sides = 2 * min(K.beta_x, float(np.ptp(b)) + 1), 2 * min(K.beta_w, float(np.ptp(a)) + 1)
+        return int(cover_counts(lat, tf_box(*sides), b, a).max())
+    a_min = float(np.min(np.abs(a)))
+    ratio = 1 / max(1 / K.alpha - _TIE_EPS, a_min / (lat.alpha * float(np.max(np.abs(a)))))
+    half = min((1 + ratio) * K.beta / 2, 2 * float(np.max(np.abs(b))) / a_min) + _TIE_EPS
+    i, j, n = _cover_pairs(lat, affine_box(2 * half, ratio**2), b, a)
+    atil = a[i] / a[j]
+    ok = ((atil > 0) & (atil >= 1.0 / K.alpha - _TIE_EPS) & (atil <= K.alpha + _TIE_EPS)
+          & (np.abs((b[i] - b[j]) / a[j]) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS))
+    return int(np.bincount(i[ok], minlength=n).max())
 
 
 @dataclass(frozen=True)
@@ -554,13 +570,9 @@ def norm_equivalence_check(
 
     bound, heuristic = _moderation_bound(m_eval, U)
     mass = U.haar_mass()
-    inv_q = 0.0 if p == 1 else (1.0 if math.isinf(p) else 1.0 - 1.0 / p)
-    if math.isinf(p):
-        lo = 1.0 / bound
-        hi = max(n_max, 1) * bound
-    else:
-        lo = mass ** (1.0 / p) / bound
-        hi = mass ** (1.0 / p) * max(n_max, 1) ** inv_q * bound
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    lo = mass**inv_p / bound
+    hi = mass**inv_p * max(n_max, 1) ** (1.0 - inv_p) * bound
     ratio = fld_norm / seq_norm
     passed = bool(lo * (1 - 0.02) <= ratio <= hi * (1 + 0.02))
     return NormEquivalenceReport(ratio, (lo, hi), passed, mass, n_max, heuristic)
@@ -644,9 +656,8 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
 def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
     """The chart nodes, flat in node order, and the mask of ``default_density_probe``'s."""
     _on_group(lat.kind, neighbourhood=U, chart=quad)
-    pts = quad.node_points()
-    c1 = np.asarray(pts[0], dtype=float).ravel()
-    c2 = np.asarray(pts[1], dtype=float).ravel()
+    _reach(lat, U)  # a step too small for U is refused before any per-node division
+    c1, c2 = (np.asarray(c, dtype=float).ravel() for c in quad.node_points())
     if lat.kind == "affine":
         a_lo = lat.alpha**lat.j_min * math.sqrt(lat.alpha)
         a_hi = lat.alpha**lat.j_max / math.sqrt(lat.alpha)
@@ -655,8 +666,7 @@ def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
         j_near = np.round(np.log(np.abs(c2)) / ln_alpha).astype(int)
         y = np.sign(c2) * c1 / (lat.alpha ** j_near.astype(float) * lat.beta)
         ok &= (y >= lat.k_min + 0.5) & (y <= lat.k_max - 0.5)
-        sign_ok = np.isin(np.sign(c2), np.asarray(lat.signs, dtype=float))
-        ok &= sign_ok
+        ok &= np.isin(np.sign(c2), np.asarray(lat.signs, dtype=float))
     else:
         x_pts, w_pts = lat.point_arrays()
         ok = (

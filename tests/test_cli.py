@@ -776,6 +776,16 @@ class TestWrongTypedConfig:
         assert named in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    def test_subnormal_lattice_step_prints_one_line(self, tmp_path, mexhat_file, gauss_file,
+                                                    truth_file):
+        # the step is refused before any per-node division, so no numpy warning precedes it
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))
+        cfg["reconstruct"]["lattice"]["beta"] = 5e-324
+        rc, err, out = self._run_child(tmp_path, "reconstruct", cfg["reconstruct"])
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and "the lattice step is too small" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("config, key, value", [
         ("cwt", "quadrature.n_b", 64.5),
         ("stft", "x_grid.count", 17.5),

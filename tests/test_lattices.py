@@ -1,9 +1,10 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
@@ -193,6 +194,32 @@ class TestDensity:
         assert small and grown
 
 
+def _pairwise_separation(lat, K):
+    """Every pair of lattice points through the overlap test, in chunks: the oracle."""
+    b, a = lat.point_arrays()
+    n = b.size
+    max_count = 0
+    chunk = max(1, int(2e7) // max(n, 1))
+    for lo in range(0, n, chunk):
+        bi, ai = b[lo:lo + chunk, None], a[lo:lo + chunk, None]
+        if lat.kind == "affine":
+            atil = ai / a[None, :]
+            ok = (
+                (atil > 0)
+                & (atil >= 1.0 / K.alpha - _TIE_EPS)
+                & (atil <= K.alpha + _TIE_EPS)
+                & (np.abs((bi - b[None, :]) / a[None, :]) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS)
+            )
+        else:
+            ok = ((np.abs(bi - b[None, :]) <= K.beta_x + _TIE_EPS)
+                  & (np.abs(ai - a[None, :]) <= K.beta_w + _TIE_EPS))
+        max_count = max(max_count, int(np.max(np.sum(ok, axis=1))))
+    return max_count
+
+
+_SEPARATION = settings(max_examples=60, deadline=None, derandomize=True)
+
+
 class TestSeparation:
     def test_lambda12_counts(self, lat12):
         count = is_relatively_separated(lat12, affine_box(1.0, 2.0))
@@ -212,6 +239,50 @@ class TestSeparation:
             lat = TFLattice(np.eye(2), c, -8, 8, -8, 8)
             count = is_relatively_separated(lat, tf_box(0.5, 0.5))
             assert count <= (math.ceil(1.0 / c) * 2 + 1) ** 2
+
+    @_SEPARATION
+    @given(st.floats(1 + 1e-7, 3.0), st.floats(1e-6, 2.0), st.integers(-3, 0), st.integers(0, 3),
+           st.integers(-8, 0), st.integers(0, 8), st.sampled_from([(1,), (-1,), (1, -1)]),
+           st.one_of(st.just(None), st.tuples(st.floats(0.2, 6.0), st.floats(0.2, 6.0))))
+    def test_affine_matches_pairwise_scan(self, alpha, beta, j_min, j_max, k_min, k_max, signs,
+                                          grow):
+        # grow None: K is the lattice's own box, so neighbours touch and the slack decides
+        lat = AffineLattice(alpha, beta, j_min, j_max, k_min, k_max, signs)
+        K = affine_box(beta, alpha) if grow is None else affine_box(beta * grow[0],
+                                                                    alpha ** grow[1])
+        assert is_relatively_separated(lat, K) == _pairwise_separation(lat, K)
+
+    @_SEPARATION
+    @given(st.floats(0.3, 1.5), st.floats(0.3, 1.5), st.floats(-0.6, 0.6), st.floats(-0.6, 0.6),
+           st.booleans(), st.floats(0.2, 2.0), st.integers(-5, 0), st.integers(0, 5),
+           st.one_of(st.just(None), st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0))))
+    def test_tf_matches_pairwise_scan(self, g00, g11, g01, g10, diagonal, scale, n_min, n_max,
+                                      sides):
+        # sides None: K is the box of one lattice step per axis (diagonal: neighbours touch)
+        off = 0.0 if diagonal else 1.0
+        gen = np.array([[g00, off * g01], [off * g10, g11]])
+        assume(abs(np.linalg.det(gen)) > 0.05)
+        lat = TFLattice(gen, scale, n_min, n_max, -n_max, -n_min)
+        K = tf_box(scale * g00, scale * g11) if sides is None else tf_box(*sides)
+        assert is_relatively_separated(lat, K) == _pairwise_separation(lat, K)
+
+    @pytest.mark.parametrize("K", [
+        affine_box(1e6, 1e10), affine_box(1e300, 1e300), affine_box(1.0, 1e9),
+        affine_box(1e-300, 1 + 1e-15), tf_box(1e308, 1e308), tf_box(0.4, 1.7e308),
+    ], ids=["alpha-past-1/eps", "huge", "alpha-1/eps", "tiny", "tf-huge", "tf-huge-w"])
+    def test_box_finite_for_any_K(self, lat12, K):
+        # 1/alpha_K - eps <= 0 leaves the scale ratio bounded only by the window's own
+        # span, and a TF side past half the largest float cannot be doubled
+        lat = lat12 if K.kind == "affine" else TFLattice([[1, 0.2], [0.1, 1]], 0.5, -5, 5, -4, 6)
+        assert is_relatively_separated(lat, K) == _pairwise_separation(lat, K)
+
+    def test_cost_follows_the_pairs(self):
+        # 49,282 points: the pairwise scan compares 2.4e9 pairs, the cover about 9 per point
+        lat = AffineLattice(1.1, 0.1, -20, 20, -300, 300, (1, -1))
+        start = time.process_time()
+        count = is_relatively_separated(lat, affine_box(0.1, 1.1))
+        assert time.process_time() - start < 1.0
+        assert count == 8
 
 
 class TestSampling:
@@ -776,6 +847,36 @@ class TestCoverBoundedByWindow:
         x = rng.uniform(px.min() - beta_x, px.max() + beta_x, 300)
         w = rng.uniform(pw.min() - beta_w, pw.max() + beta_w, 300)
         _assert_cover_matches_unclamped(lat, tf_box(beta_x, beta_w), x, w)
+
+    @_NO_RUNTIME_WARNING
+    @pytest.mark.parametrize("gen", [[[0.0, 1.0], [1.0, 0.0]], [[0.3, -0.9], [1.1, 0.2]],
+                                     [[0.2, 0.7], [-0.8, -0.5]], [[1.0, 0.5], [0.1, 0.5]]],
+                             ids=["swap", "x-strip", "x-strip-negative", "tie"])
+    @pytest.mark.parametrize("sides", [(0.3, 0.3), (0.7, 0.2), (4.0, 5.0)])
+    def test_tf_x_strip_matches_unclamped_loop(self, gen, sides):
+        # |A01| > |A11|: n2 is solved from the x-strip ("tie": |A01| == |A11| takes the w-strip)
+        lat = TFLattice(np.array(gen), 0.5, -6, 6, -5, 7)
+        rng = np.random.default_rng(11)
+        px, pw = lat.point_arrays()
+        x = np.concatenate([rng.uniform(px.min() - 1, px.max() + 1, 300), px + sides[0] / 2])
+        w = np.concatenate([rng.uniform(pw.min() - 1, pw.max() + 1, 300), pw - sides[1] / 2])
+        _assert_cover_matches_unclamped(lat, tf_box(*sides), x, w)
+        assert np.array_equal(cover_counts(lat, tf_box(*sides), x, w),
+                              _tf_brute_counts(lat, tf_box(*sides), x, w))
+
+    def test_dense_tf_cover_memory(self):
+        # 197,554 pairs on a 400 x 400 chart; a whole candidate box per node peaked at 99 MiB
+        quad = build_tf_quadrature(-5, 0.025, 400, -5, 0.025, 400)
+        lat = TFLattice([[1, 0.2], [0.1, 1]], 0.05, -130, 130, -130, 130)
+        pts = quad.node_points()
+        tracemalloc.start()
+        try:
+            nodes, _, _ = _cover_pairs(lat, tf_box(0.05, 0.05), *pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodes.size == 197_554
+        assert peak < 70 * 2**20
 
 
 class TestSerialization:
