@@ -17,13 +17,9 @@ Highlights:
 """
 
 from .groups import (
-    AFFINE_IDENTITY,
     AffinePoint,
     GroupField,
     GroupQuadrature,
-    affine_inv,
-    affine_modular,
-    affine_mul,
     build_affine_quadrature,
     build_tf_quadrature,
     haar_integral,

@@ -40,8 +40,11 @@ from .groups import (
     _finite_number,
     _in_chart,
     _in_chart_run,
+    _inverse,
     _object,
     _on_group,
+    _product,
+    _pullback,
     _read_chart,
     _read_rows,
     affine_field_interpolate,
@@ -202,9 +205,7 @@ def involute(F: GroupField, kind: str = "nabla") -> GroupField:
     """``F^v(x) = F(x^{-1})`` or ``F^nabla(x) = conj F(x^{-1})`` by interpolation."""
     if kind not in ("vee", "nabla"):
         raise ValueError("kind must be 'vee' or 'nabla'")
-    c1, c2 = F.quad.node_points()
-    inverse = (-c1 / c2, 1.0 / c2) if F.quad.kind == "affine" else (-c1, -c2)
-    vals, _ = _read_chart(F, *inverse)
+    vals, _ = _read_chart(F, *_inverse(F.quad.kind, F.quad.node_points()))
     if kind == "nabla":
         vals = np.conj(vals)
     return GroupField(F.quad, vals)
@@ -234,7 +235,7 @@ def _convolve_direct(F: GroupField, G: GroupField) -> np.ndarray:
     for idx in range(quad.n_nodes):
         bx = b_n.flat[idx]
         ax = a_n.flat[idx]
-        vals = affine_field_interpolate(G, (bx - fb) / fa, ax / fa)
+        vals = affine_field_interpolate(G, *_pullback("affine", (fb, fa), (bx, ax)))
         out[idx] = np.sum(fv * vals)
     return out.reshape(quad.shape)
 
@@ -468,7 +469,7 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
 
     def index(k, v):
         """Chart indices of the nodes moved by the offset with components ``k``, ``v``."""
-        return _chart_index(quad, *((v + k * c1, k * c2) if affine else (c1 + k, c2 + v)))
+        return _chart_index(quad, *_product(quad.kind, (v, k) if affine else (k, v), (c1, c2)))
 
     n0, n1 = planes.shape[1:]
     planes_t = [np.ascontiguousarray(plane.T) for plane in planes]

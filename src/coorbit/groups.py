@@ -9,6 +9,9 @@ The toolkit operates on two locally compact groups:
   phase factored out.  Every field and norm on it is phase-free, so its
   integrals are Lebesgue integrals over the plane.
 
+Each law is written once, elementwise on coordinate pairs (scalars or
+arrays): ``_product``, ``_inverse`` and ``_pullback`` (``y^{-1} x``).
+
 A :class:`GroupQuadrature` is a truncated chart of one of these groups
 together with per-node Haar weights.  A :class:`GroupField` attaches
 complex values to the nodes.  Everything here is immutable after
@@ -27,10 +30,6 @@ __all__ = [
     "AffinePoint",
     "GroupQuadrature",
     "GroupField",
-    "AFFINE_IDENTITY",
-    "affine_mul",
-    "affine_inv",
-    "affine_modular",
     "build_affine_quadrature",
     "build_tf_quadrature",
     "haar_integral",
@@ -54,22 +53,28 @@ class AffinePoint:
             raise ValueError("affine scale must be nonzero")
 
 
-AFFINE_IDENTITY = AffinePoint(0.0, 1.0)
+def _product(kind: str, p, q):
+    """Coordinates of the products ``p q``: affine ``(b1 + a1 b2, a1 a2)``, TF ``p + q``."""
+    (p1, p2), (q1, q2) = p, q
+    if kind == "affine":
+        return p1 + p2 * q1, p2 * q2
+    return p1 + q1, p2 + q2
 
 
-def affine_mul(p: AffinePoint, q: AffinePoint) -> AffinePoint:
-    """Group product ``(p.b + p.a*q.b, p.a*q.a)``."""
-    return AffinePoint(p.b + p.a * q.b, p.a * q.a)
+def _inverse(kind: str, p):
+    """Coordinates of the inverses ``p^{-1}``: affine ``(-b/a, 1/a)``, TF ``-p``."""
+    p1, p2 = p
+    if kind == "affine":
+        return -p1 / p2, 1.0 / p2
+    return -p1, -p2
 
 
-def affine_inv(p: AffinePoint) -> AffinePoint:
-    """Group inverse ``(-b/a, 1/a)``."""
-    return AffinePoint(-p.b / p.a, 1.0 / p.a)
-
-
-def affine_modular(p: AffinePoint) -> float:
-    """Modular function ``|a|`` (multiplicative on products)."""
-    return abs(p.a)
+def _pullback(kind: str, y, x):
+    """Coordinates of ``y^{-1} x``: affine ``((b - y_b)/y_a, a/y_a)``, TF ``x - y``."""
+    (y1, y2), (x1, x2) = y, x
+    if kind == "affine":
+        return (x1 - y1) / y2, x2 / y2
+    return x1 - y1, x2 - y2
 
 
 @dataclass(frozen=True)
@@ -545,13 +550,12 @@ def left_translate_field(F: GroupField, y) -> GroupField:
     recorded in ``meta["coverage"]``.
     """
     quad = F.quad
-    c1, c2 = quad.node_points()
     if quad.kind == "affine":
         if not isinstance(y, AffinePoint):
             raise ValueError("affine field needs an AffinePoint translation")
-        vals, mask = _read_chart(F, (c1 - y.b) / y.a, c2 / y.a)
-    else:
-        if not isinstance(y, (tuple, list, np.ndarray)):
-            raise ValueError("tf field needs an (x, w) translation")
-        vals, mask = _read_chart(F, c1 - float(y[0]), c2 - float(y[1]))
+        y = (y.b, y.a)
+    elif not isinstance(y, (tuple, list, np.ndarray)):
+        raise ValueError("tf field needs an (x, w) translation")
+    y = (float(y[0]), float(y[1]))
+    vals, mask = _read_chart(F, *_pullback(quad.kind, y, quad.node_points()))
     return GroupField(quad, vals, {"coverage": float(np.mean(mask))})

@@ -29,6 +29,7 @@ from .groups import (
     _integer,
     _integers,
     _on_group,
+    _pullback,
     _Report,
     _sign_branches,
     affine_field_interpolate,
@@ -418,9 +419,9 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     ratio = 1 / max(1 / K.alpha - _TIE_EPS, a_min / (lat.alpha * float(np.max(np.abs(a)))))
     half = min((1 + ratio) * K.beta / 2, 2 * float(np.max(np.abs(b))) / a_min) + _TIE_EPS
     i, j, n = _cover_pairs(lat, affine_box(2 * half, ratio**2), b, a)
-    atil = a[i] / a[j]
+    btil, atil = _pullback("affine", (b[j], a[j]), (b[i], a[i]))
     ok = ((atil > 0) & (atil >= 1.0 / K.alpha - _TIE_EPS) & (atil <= K.alpha + _TIE_EPS)
-          & (np.abs((b[i] - b[j]) / a[j]) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS))
+          & (np.abs(btil) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS))
     return int(np.bincount(i[ok], minlength=n).max())
 
 

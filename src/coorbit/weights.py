@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import _exponent, _finite_float, _object, _on_group
+from .groups import _exponent, _finite_float, _object, _on_group, _product
 
 __all__ = [
     "WeightSpec",
@@ -158,14 +158,6 @@ def _sample_points(group: str, samples: int, rng: np.random.Generator):
     x = rng.uniform(-_PROBE_TF_BOX, _PROBE_TF_BOX, samples)
     om = rng.uniform(-_PROBE_TF_BOX, _PROBE_TF_BOX, samples)
     return x, om
-
-
-def _product(group: str, p1, p2):
-    """Chart coordinates of the pointwise group products ``p1 p2``."""
-    if group == "affine":
-        (b1, a1), (b2, a2) = p1, p2
-        return b1 + a1 * b2, a1 * a2
-    return p1[0] + p2[0], p1[1] + p2[1]
 
 
 def _probe_pairs(group: str, samples: int, seed: int):

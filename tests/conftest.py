@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coorbit as cb
+from coorbit.groups import _inverse
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +44,11 @@ def s0_atom_normalized(s0_atom):
 def desk_quad():
     # desk scale: 64 log-spaced scales per sign on [1/16, 16], b-grid = signal grid
     return cb.build_affine_quadrature(-32, 32, 4096, 1 / 16, 16, 64, (1, -1))
+
+
+def affine_inv(p):
+    """The inverse of an ``AffinePoint``, by the library's one group law."""
+    return cb.AffinePoint(*_inverse("affine", (p.b, p.a)))
 
 
 def bump_field(quad, b0, u0, wb, wu, sign_idx=0):

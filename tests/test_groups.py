@@ -14,14 +14,13 @@ from coorbit.fields import (
     oscillation,
 )
 from coorbit.groups import (
-    AFFINE_IDENTITY,
     AffinePoint,
-    affine_inv,
     _bilinear,
     _in_chart,
+    _inverse,
+    _product,
+    _pullback,
     _read_rows,
-    affine_modular,
-    affine_mul,
     affine_field_interpolate,
     build_affine_quadrature,
     haar_integral,
@@ -31,78 +30,121 @@ from coorbit.groups import (
 from coorbit.lattices import cover_counts, covering_quadrature
 from coorbit.weights import eval_weight_at
 
-from conftest import bump_field
+from conftest import affine_inv, bump_field
 
 
-# affine points on the seeded tests' ranges, on both sign branches
-_AFFINE_POINT = st.builds(lambda b, a, s: AffinePoint(b, s * a),
-                          st.floats(-5, 5), st.floats(0.1, 4), st.sampled_from([1, -1]))
+# affine points on the seeded tests' ranges, on both sign branches, and TF points
+_AFFINE_POINT = st.tuples(st.floats(-5, 5), st.builds(lambda a, s: s * a, st.floats(0.1, 4),
+                                                      st.sampled_from([1, -1])))
+_TF_POINT = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
+_POINT = {"affine": _AFFINE_POINT, "tf": _TF_POINT}
+_IDENTITY = {"affine": (0.0, 1.0), "tf": (0.0, 0.0)}
+_LAW = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _close(p, q, scale):
+    """Coordinate pairs equal to roundoff at the size ``scale`` of their terms."""
+    return all(abs(u - v) <= 1e-12 * scale for u, v in zip(p, q, strict=True))
+
+
+def _size(kind, *points):
+    """One plus the largest coordinate (and affine inverse scale) of the points."""
+    return 1 + max(max(abs(c1), abs(c2), 1 / abs(c2) if kind == "affine" else 0)
+                   for c1, c2 in points)
 
 
 class TestAffineArithmetic:
     def test_neutral_element(self):
-        assert affine_mul(AFFINE_IDENTITY, AffinePoint(3, -1)) == AffinePoint(3, -1)
+        assert _product("affine", _IDENTITY["affine"], (3, -1)) == (3, -1)
 
     def test_product(self):
-        assert affine_mul(AffinePoint(1, 2), AffinePoint(3, -1)) == AffinePoint(7, -2)
+        assert _product("affine", (1, 2), (3, -1)) == (7, -2)
 
     def test_product_with_inverse_gives_identity(self):
-        p = affine_mul(AffinePoint(4, 2), AffinePoint(-2, 0.5))
-        assert p == AffinePoint(0, 1)
+        p = _product("affine", (4, 2), (-2, 0.5))
+        assert p == (0, 1)
 
     def test_inverse_values(self):
-        assert affine_inv(AFFINE_IDENTITY) == AFFINE_IDENTITY
-        assert affine_inv(AffinePoint(4, 2)) == AffinePoint(-2.0, 0.5)
-        assert affine_inv(AffinePoint(-3, -1)) == AffinePoint(-3, -1)
+        assert _inverse("affine", _IDENTITY["affine"]) == _IDENTITY["affine"]
+        assert _inverse("affine", (4, 2)) == (-2.0, 0.5)
+        assert _inverse("affine", (-3, -1)) == (-3, -1)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
             AffinePoint(1.0, 0.0)
-
-    def test_modular_function(self):
-        assert affine_modular(AFFINE_IDENTITY) == 1
-        assert affine_modular(AffinePoint(3, -2)) == 2
-        assert affine_modular(AffinePoint(5, 0.25)) == 0.25
 
     def test_associativity_random(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             b = rng.uniform(-5, 5, 3)
             a = rng.uniform(0.1, 4, 3) * rng.choice([-1, 1], 3)
-            p, q, r = (AffinePoint(bi, ai) for bi, ai in zip(b, a))
-            lhs = affine_mul(affine_mul(p, q), r)
-            rhs = affine_mul(p, affine_mul(q, r))
-            assert abs(lhs.b - rhs.b) <= 1e-12 * max(1, abs(lhs.b))
-            assert abs(lhs.a - rhs.a) <= 1e-12 * max(1, abs(lhs.a))
+            p, q, r = zip(b, a)
+            lhs = _product("affine", _product("affine", p, q), r)
+            rhs = _product("affine", p, _product("affine", q, r))
+            assert abs(lhs[0] - rhs[0]) <= 1e-12 * max(1, abs(lhs[0]))
+            assert abs(lhs[1] - rhs[1]) <= 1e-12 * max(1, abs(lhs[1]))
 
     def test_inverse_law_random(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            p = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.1, 4) * rng.choice([-1, 1]))
-            e = affine_mul(p, affine_inv(p))
-            assert abs(e.b) < 1e-12 and abs(e.a - 1) < 1e-12
-
-    def test_modular_homomorphism_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            p = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.1, 4) * rng.choice([-1, 1]))
-            q = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.1, 4) * rng.choice([-1, 1]))
-            assert abs(
-                affine_modular(affine_mul(p, q)) - affine_modular(p) * affine_modular(q)
-            ) <= 1e-12 * affine_modular(p) * affine_modular(q)
+            p = (rng.uniform(-5, 5), rng.uniform(0.1, 4) * rng.choice([-1, 1]))
+            e = _product("affine", p, _inverse("affine", p))
+            assert abs(e[0]) < 1e-12 and abs(e[1] - 1) < 1e-12
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_AFFINE_POINT)
     def test_inverse_law_hypothesis(self, p):
-        for e in (affine_mul(p, affine_inv(p)), affine_mul(affine_inv(p), p)):
-            assert abs(e.b) < 1e-12 and abs(e.a - 1) < 1e-12
+        for e in (_product("affine", p, _inverse("affine", p)),
+                  _product("affine", _inverse("affine", p), p)):
+            assert abs(e[0]) < 1e-12 and abs(e[1] - 1) < 1e-12
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_AFFINE_POINT, _AFFINE_POINT)
-    def test_modular_homomorphism_hypothesis(self, p, q):
-        assert abs(
-            affine_modular(affine_mul(p, q)) - affine_modular(p) * affine_modular(q)
-        ) <= 1e-12 * affine_modular(p) * affine_modular(q)
+
+@pytest.mark.parametrize("kind", ["affine", "tf"])
+class TestGroupLaw:
+    """The one law (``_product``, ``_inverse``, ``_pullback``) is a group law on both groups."""
+
+    @_LAW
+    @given(data=st.data())
+    def test_identity_is_neutral_on_both_sides(self, kind, data):
+        p = data.draw(_POINT[kind])
+        e = _IDENTITY[kind]
+        assert _product(kind, e, p) == p
+        assert _product(kind, p, e) == p
+
+    @_LAW
+    @given(data=st.data())
+    def test_inverse_is_two_sided(self, kind, data):
+        p = data.draw(_POINT[kind])
+        inv = _inverse(kind, p)
+        for e in (_product(kind, p, inv), _product(kind, inv, p)):
+            assert _close(e, _IDENTITY[kind], _size(kind, p))
+
+    @_LAW
+    @given(data=st.data())
+    def test_associative_to_roundoff(self, kind, data):
+        p, q, r = (data.draw(_POINT[kind]) for _ in range(3))
+        lhs = _product(kind, _product(kind, p, q), r)
+        rhs = _product(kind, p, _product(kind, q, r))
+        assert _close(lhs, rhs, _size(kind, p, q, r) ** 3)
+
+    @_LAW
+    @given(data=st.data())
+    def test_pullback_is_inverse_times_point(self, kind, data):
+        y, x = data.draw(_POINT[kind]), data.draw(_POINT[kind])
+        assert _close(_pullback(kind, y, x), _product(kind, _inverse(kind, y), x),
+                      _size(kind, y, x) ** 2)
+
+    def test_law_is_elementwise_on_arrays(self, kind):
+        # the library calls the law on whole coordinate arrays; each entry
+        # gets the arithmetic of the scalar call
+        rng = np.random.default_rng(3)
+        p, q = ((rng.uniform(-5, 5, 40), rng.uniform(0.1, 4, 40) * rng.choice([-1, 1], 40))
+                for _ in range(2))
+        for law, args in ((_product, (p, q)), (_inverse, (p,)), (_pullback, (p, q))):
+            arrays = law(kind, *args)
+            for n in range(40):
+                scalars = law(kind, *(tuple(float(c[n]) for c in arg) for arg in args))
+                assert (float(arrays[0][n]), float(arrays[1][n])) == scalars
 
 
 class TestAffineQuadrature:
@@ -226,7 +268,7 @@ class TestLeftTranslation:
     def test_identity_translation(self):
         quad = build_affine_quadrature(-4, 4, 64, 0.25, 4.0, 33, (1, -1))
         F = bump_field(quad, 0.0, 0.0, 1.0, 0.5)
-        G = left_translate_field(F, AFFINE_IDENTITY)
+        G = left_translate_field(F, AffinePoint(*_IDENTITY["affine"]))
         assert np.allclose(G.values, F.values, atol=1e-12)
         assert G.meta["coverage"] == 1.0
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import coorbit as cb
 from coorbit.fields import field_l2_norm, lpm_norm
-from coorbit.groups import AffinePoint, affine_inv, left_translate_field
+from coorbit.groups import AffinePoint, left_translate_field
 from coorbit.groups import affine_field_interpolate
 from coorbit.voice import (
     NotAdmissible,
@@ -24,7 +24,7 @@ from coorbit.voice import (
 from coorbit.signals import Spectrum, _complex_interp, _frequencies, fourier, inverse_fourier
 from coorbit.voice import _b_grid_matches, _TFOperator, _fold_length
 
-from conftest import chirp
+from conftest import affine_inv, chirp
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coorbit as cb
-from coorbit.groups import AffinePoint, affine_inv
+from coorbit.groups import _inverse, _product
 from coorbit.weights import (
     custom_weight,
     eval_weight_at,
@@ -18,8 +18,8 @@ from coorbit.weights import (
 
 
 def _at_point(w, p):
-    """The weight at one affine group point."""
-    return eval_weight_at(w, "affine", p.b, p.a)
+    """The weight at one affine group point ``(b, a)``."""
+    return eval_weight_at(w, "affine", *p)
 
 
 class TestEvaluation:
@@ -144,9 +144,9 @@ class TestProbes:
         from coorbit.weights import eval_weight_at
 
         for _ in range(200):
-            p = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.05, 8) * rng.choice([-1, 1]))
-            q = AffinePoint(rng.uniform(-5, 5), rng.uniform(0.05, 8) * rng.choice([-1, 1]))
-            prod = cb.affine_mul(p, q)
+            p = (rng.uniform(-5, 5), rng.uniform(0.05, 8) * rng.choice([-1, 1]))
+            q = (rng.uniform(-5, 5), rng.uniform(0.05, 8) * rng.choice([-1, 1]))
+            prod = _product("affine", p, q)
             # m_s multiplicative
             m = power_scale(1.3)
             assert _at_point(m, prod) == pytest.approx(
@@ -155,7 +155,7 @@ class TestProbes:
             # w_rho inversion symmetric
             w = symmetric_power(0.8)
             assert _at_point(w, p) == pytest.approx(
-                _at_point(w, affine_inv(p)), rel=1e-12
+                _at_point(w, _inverse("affine", p)), rel=1e-12
             )
 
     def test_poly_tf_evenness(self):
