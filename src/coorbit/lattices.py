@@ -62,6 +62,7 @@ _TIE_EPS = 1e-9  # index-space slack so shared tile boundaries count both sides
 _NOT_FINITE = ("tile index range is not finite: the lattice step is too small "
                "for U, or a query point is not finite")
 _COVERING_MAX_NODES = 2_000_000  # covering_quadrature halves its b-nodes below this
+_SEPARATION_PAIRS = 2**18  # about the most candidate pairs one separation chunk holds
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,26 @@ def _reach(lat, U: NeighborhoodSpec):
     return reach
 
 
+def _chart_reach(lat, U: NeighborhoodSpec, c1, c2) -> None:
+    """Refuse chart nodes whose extent in index units, U's reach added, is not finite.
+
+    The extent bounds every index the density probe and the covers compute
+    for the nodes.  It is taken in Python floats, which overflow to inf
+    without a warning, so a step too small for the chart is refused before
+    any per-node division.
+    """
+    reach, far = max(_reach(lat, U)), float(np.max(np.abs(c1)))
+    if lat.kind == "affine":
+        # a shift index is b alpha^-j / beta, at levels j within U's reach of log|a|
+        extent = far * math.sqrt(U.alpha) * float(lat.alpha) / float(np.min(np.abs(c2)))
+        extent /= float(lat.beta)
+    else:  # an index is inv(A) (x, w) / c, or a coordinate over c along a strip
+        extent = max(far, float(np.max(np.abs(c2)))) / float(lat.scale)
+        extent *= max(1.0, 2 * float(np.max(np.abs(np.linalg.inv(lat.generator)))))
+    if not math.isfinite(extent + reach):
+        raise ValueError(_NOT_FINITE)
+
+
 def _affine_cover(lat: AffineLattice, U: NeighborhoodSpec, b, a):
     """Tile-membership pairs ``(point, lattice flat index)``.
 
@@ -398,7 +419,9 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
 
     A finite lattice window is always relatively separated; the count is
     its local finiteness constant.  The candidates are the tile cover of
-    the lattice's own points, so the cost follows the pairs, not n^2.
+    the lattice's own points, so the cost follows the pairs, not n^2; the
+    points go through it in chunks, so memory stays bounded however many
+    points one K meets.
     TF: ``x_i K`` meets ``x_j K`` iff ``x_i`` lies in the tile of ``x_j``
     under the box of doubled sides.  Affine: iff ``x_j^{-1} x_i = (btil,
     atil)`` has ``atil > 0`` in ``[1/alpha_K - eps, alpha_K + eps]`` and
@@ -414,15 +437,26 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     b, a = lat.point_arrays()
     if lat.kind == "tf":
         sides = 2 * min(K.beta_x, float(np.ptp(b)) + 1), 2 * min(K.beta_w, float(np.ptp(a)) + 1)
-        return int(cover_counts(lat, tf_box(*sides), b, a).max())
-    a_min = float(np.min(np.abs(a)))
-    ratio = 1 / max(1 / K.alpha - _TIE_EPS, a_min / (lat.alpha * float(np.max(np.abs(a)))))
-    half = min((1 + ratio) * K.beta / 2, 2 * float(np.max(np.abs(b))) / a_min) + _TIE_EPS
-    i, j, n = _cover_pairs(lat, affine_box(2 * half, ratio**2), b, a)
-    btil, atil = _pullback("affine", (b[j], a[j]), (b[i], a[i]))
-    ok = ((atil > 0) & (atil >= 1.0 / K.alpha - _TIE_EPS) & (atil <= K.alpha + _TIE_EPS)
-          & (np.abs(btil) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS))
-    return int(np.bincount(i[ok], minlength=n).max())
+        box = tf_box(*sides)
+    else:
+        a_min = float(np.min(np.abs(a)))
+        ratio = 1 / max(1 / K.alpha - _TIE_EPS, a_min / (lat.alpha * float(np.max(np.abs(a)))))
+        half = min((1 + ratio) * K.beta / 2, 2 * float(np.max(np.abs(b))) / a_min) + _TIE_EPS
+        box = affine_box(2 * half, ratio**2)
+    # chunks of points that meet about _SEPARATION_PAIRS tiles at most; the
+    # box's reach bounds a point's tiles along each index axis
+    per_point = min(np.prod(2 * np.asarray(_reach(lat, box)) + 3), lat.n_points)
+    step = max(1, int(_SEPARATION_PAIRS // per_point))
+    count = 0
+    for start in range(0, b.size, step):
+        x = b[start:start + step], a[start:start + step]
+        i, j, n = _cover_pairs(lat, box, *x)
+        if lat.kind == "affine":
+            btil, atil = _pullback("affine", (b[j], a[j]), (x[0][i], x[1][i]))
+            i = i[(atil > 0) & (atil >= 1.0 / K.alpha - _TIE_EPS) & (atil <= K.alpha + _TIE_EPS)
+                  & (np.abs(btil) <= (1.0 + atil) * K.beta / 2 + _TIE_EPS)]
+        count = max(count, int(np.bincount(i, minlength=n).max()))
+    return count
 
 
 @dataclass(frozen=True)
@@ -657,8 +691,8 @@ def default_density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
 def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
     """The chart nodes, flat in node order, and the mask of ``default_density_probe``'s."""
     _on_group(lat.kind, neighbourhood=U, chart=quad)
-    _reach(lat, U)  # a step too small for U is refused before any per-node division
     c1, c2 = (np.asarray(c, dtype=float).ravel() for c in quad.node_points())
+    _chart_reach(lat, U, c1, c2)
     if lat.kind == "affine":
         a_lo = lat.alpha**lat.j_min * math.sqrt(lat.alpha)
         a_hi = lat.alpha**lat.j_max / math.sqrt(lat.alpha)

@@ -284,6 +284,19 @@ class TestSeparation:
         assert time.process_time() - start < 1.0
         assert count == 8
 
+    def test_memory_bounded_when_K_spans_the_window(self):
+        # every point meets half the window's tiles: 4,494 points, 10 M candidate
+        # pairs; holding them all at once peaked at 540 MiB traced
+        lat = AffineLattice(2.0, 1.0, -3, 3, -160, 160, (1, -1))
+        tracemalloc.start()
+        try:
+            count = is_relatively_separated(lat, affine_box(1e3, 1e3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2247
+        assert peak < 100 * 2**20
+
 
 class TestSampling:
     def test_constant_field(self, lat12, quad12):
@@ -778,9 +791,14 @@ class TestCoverBoundedByWindow:
          build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
         (TFLattice(np.eye(2), 5e-324, -4, 4, -4, 4), tf_box(0.5, 0.5),
          build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)),
-    ], ids=["affine", "tf"])
+        # U's extent is finite, the chart's is not: refused before any warning
+        (AffineLattice(1.5, 1.5e-308, -2, 2, -8, 8, (1, -1)), affine_box(0.5, 1.5),
+         build_affine_quadrature(-2, 2, 16, 0.5, 2.0, 5, (1, -1))),
+        (TFLattice(np.eye(2), 1e-308, -8, 8, -8, 8), tf_box(0.5, 0.5),
+         build_tf_quadrature(-2.0, 0.25, 16, -2.0, 0.25, 16)),
+    ], ids=["affine", "tf", "affine-chart", "tf-chart"])
     def test_subnormal_step_refused(self, lat, U, quad):
-        # U's extent in index units overflows: no index range is finite
+        # U's or the chart's extent in index units overflows: no index range is finite
         with pytest.raises(ValueError, match="the lattice step is too small"):
             build_bupu(lat, U, quad)
 
