@@ -168,14 +168,10 @@ def weight_reciprocal(w: WeightSpec) -> WeightSpec:
         return power_scale(-w.s)
     if w.family == "symmetric_power":
         rho = w.rho
-        return custom_weight(
-            lambda b, a: 1.0 / (a**rho + a ** (-rho)), "affine"
-        )
+        return custom_weight(lambda b, a: 1.0 / (a**rho + a ** (-rho)), "affine")
     if w.family == "poly_tf":
         r, s = w.r, w.s
-        return custom_weight(
-            lambda x, om: (1.0 + x) ** (-r) * (1.0 + om) ** (-s), "tf"
-        )
+        return custom_weight(lambda x, om: (1.0 + x) ** (-r) * (1.0 + om) ** (-s), "tf")
     ev = w.evaluator
     return custom_weight(lambda *args: 1.0 / ev(*args), w.group)
 
@@ -553,10 +549,8 @@ def young_check(
     checks = []
 
     def add(name, lhs, rhs):
-        checks.append(
-            {"name": name, "lhs": lhs, "rhs": rhs,
-             "pass": bool(lhs <= rhs * (1.0 + slack))}
-        )
+        checks.append({"name": name, "lhs": lhs, "rhs": rhs,
+                       "pass": bool(lhs <= rhs * (1.0 + slack))})
 
     add("algebra_l1w", lpm_norm(GF, 1.0, w), norm_G_w * norm_F_w)
     add("left_module", lpm_norm(GF, p, m), norm_G_w * norm_F_pm)

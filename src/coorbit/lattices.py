@@ -279,12 +279,10 @@ def _reach(lat, U: NeighborhoodSpec):
 
 
 def _chart_reach(lat, U: NeighborhoodSpec, c1, c2) -> None:
-    """Refuse chart nodes whose extent in index units, U's reach added, is not finite.
+    """Refuse nodes whose extent in index units, U's reach added, is not finite.
 
-    The extent bounds every index the density probe and the covers compute
-    for the nodes.  It is taken in Python floats, which overflow to inf
-    without a warning, so a step too small for the chart is refused before
-    any per-node division.
+    It bounds every index the probe and the covers compute for the nodes, in
+    Python floats (they overflow to inf silently), before any per-node division.
     """
     reach, far = max(_reach(lat, U)), float(np.max(np.abs(c1)))
     if lat.kind == "affine":
@@ -354,8 +352,7 @@ def _cover_pairs(lat, U: NeighborhoodSpec, c1, c2):
     and the partition's stored map.
     """
     _on_group(lat.kind, neighbourhood=U)
-    c1 = np.asarray(c1, dtype=float).ravel()
-    c2 = np.asarray(c2, dtype=float).ravel()
+    c1, c2 = (np.asarray(c, dtype=float).ravel() for c in (c1, c2))
     cover = _affine_cover if lat.kind == "affine" else _tf_cover
     return *cover(lat, U, c1, c2), c1.size
 
@@ -404,13 +401,10 @@ def is_U_dense(lat, U: NeighborhoodSpec, probe) -> DensityReport:
     ``probe`` is a pair of coordinate arrays.  Returns the first
     uncovered point (lowest index) as a witness on failure.
     """
-    c1 = np.asarray(probe[0], dtype=float).ravel()
-    c2 = np.asarray(probe[1], dtype=float).ravel()
-    counts = cover_counts(lat, U, c1, c2)
-    bad = np.flatnonzero(counts == 0)
+    c1, c2 = (np.asarray(c, dtype=float).ravel() for c in probe)
+    bad = np.flatnonzero(cover_counts(lat, U, c1, c2) == 0)
     if bad.size:
-        i = int(bad[0])
-        return DensityReport(False, (float(c1[i]), float(c2[i])))
+        return DensityReport(False, (float(c1[bad[0]]), float(c2[bad[0]])))
     return DensityReport(True)
 
 
@@ -419,9 +413,8 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
 
     A finite lattice window is always relatively separated; the count is
     its local finiteness constant.  The candidates are the tile cover of
-    the lattice's own points, so the cost follows the pairs, not n^2; the
-    points go through it in chunks, so memory stays bounded however many
-    points one K meets.
+    the lattice's own points, in chunks, so the cost follows the pairs, not
+    n^2, and memory stays bounded however many points one K meets.
     TF: ``x_i K`` meets ``x_j K`` iff ``x_i`` lies in the tile of ``x_j``
     under the box of doubled sides.  Affine: iff ``x_j^{-1} x_i = (btil,
     atil)`` has ``atil > 0`` in ``[1/alpha_K - eps, alpha_K + eps]`` and
@@ -436,15 +429,14 @@ def is_relatively_separated(lat, K: NeighborhoodSpec):
     _on_group(lat.kind, neighbourhood=K)
     b, a = lat.point_arrays()
     if lat.kind == "tf":
-        sides = 2 * min(K.beta_x, float(np.ptp(b)) + 1), 2 * min(K.beta_w, float(np.ptp(a)) + 1)
-        box = tf_box(*sides)
+        box = tf_box(2 * min(K.beta_x, float(np.ptp(b)) + 1),
+                     2 * min(K.beta_w, float(np.ptp(a)) + 1))
     else:
         a_min = float(np.min(np.abs(a)))
         ratio = 1 / max(1 / K.alpha - _TIE_EPS, a_min / (lat.alpha * float(np.max(np.abs(a)))))
         half = min((1 + ratio) * K.beta / 2, 2 * float(np.max(np.abs(b))) / a_min) + _TIE_EPS
         box = affine_box(2 * half, ratio**2)
-    # chunks of points that meet about _SEPARATION_PAIRS tiles at most; the
-    # box's reach bounds a point's tiles along each index axis
+    # each chunk meets at most about _SEPARATION_PAIRS tiles, by the box's reach per point
     per_point = min(np.prod(2 * np.asarray(_reach(lat, box)) + 3), lat.n_points)
     step = max(1, int(_SEPARATION_PAIRS // per_point))
     count = 0
@@ -535,16 +527,12 @@ def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> Gr
     a_max = float(np.max(a_abs) * math.sqrt(U.alpha))
     smallest_tile = float(np.min(a_abs)) * U.beta
     n_b = int(min(_COVERING_MAX_NODES, math.ceil((b_hi - b_lo) / smallest_tile * cells_per_tile)))
-    n_scales = int(
-        math.ceil((math.log(a_max) - math.log(a_min)) / math.log(U.alpha) * cells_per_tile)
-    ) + 1
-    signs = tuple(lat.signs)
-    while n_b * n_scales * len(signs) > _COVERING_MAX_NODES:
+    n_scales = int(math.ceil((math.log(a_max) - math.log(a_min)) / math.log(U.alpha)
+                             * cells_per_tile)) + 1
+    while n_b > 2 and n_b * n_scales * len(lat.signs) > _COVERING_MAX_NODES:
         n_b = max(2, n_b // 2)
-        if n_b == 2:
-            break
     return build_affine_quadrature(b_lo, b_hi, max(n_b, 2), a_min, a_max,
-                                   max(n_scales, 2), signs)
+                                   max(n_scales, 2), lat.signs)
 
 
 @dataclass(frozen=True)
@@ -704,12 +692,8 @@ def _density_probe(quad: GroupQuadrature, lat, U: NeighborhoodSpec):
         ok &= np.isin(np.sign(c2), np.asarray(lat.signs, dtype=float))
     else:
         x_pts, w_pts = lat.point_arrays()
-        ok = (
-            (c1 >= np.min(x_pts) + U.beta_x / 2)
-            & (c1 <= np.max(x_pts) - U.beta_x / 2)
-            & (c2 >= np.min(w_pts) + U.beta_w / 2)
-            & (c2 <= np.max(w_pts) - U.beta_w / 2)
-        )
+        ok = ((c1 >= np.min(x_pts) + U.beta_x / 2) & (c1 <= np.max(x_pts) - U.beta_x / 2)
+              & (c2 >= np.min(w_pts) + U.beta_w / 2) & (c2 <= np.max(w_pts) - U.beta_w / 2))
     return c1, c2, ok
 
 

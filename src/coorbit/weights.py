@@ -60,9 +60,8 @@ class WeightSpec:
             raise ValueError("rho must be >= 0")
         if self.family == "poly_tf" and (self.r < 0 or self.s < 0):
             raise ValueError("poly_tf exponents must be >= 0")
-        if self.family == "custom" and (
-            self.evaluator is None or self.group not in ("affine", "tf")
-        ):
+        if self.family == "custom" and (self.evaluator is None
+                                        or self.group not in ("affine", "tf")):
             raise ValueError("custom weight needs an evaluator and a group tag")
 
     @property
@@ -134,9 +133,7 @@ def is_p_control(w: WeightSpec, m: WeightSpec, p: float) -> bool:
     inv_q = 1.0 - inv_p
     if w.kind == "affine":
         if w.family != "symmetric_power" or m.family != "power_scale":
-            raise ValueError(
-                "affine control test expects symmetric_power vs power_scale"
-            )
+            raise ValueError("affine control test expects symmetric_power vs power_scale")
         return w.rho >= abs(m.s) + max(inv_p, inv_q)
     return w.r >= m.r and w.s >= m.s
 
@@ -192,11 +189,7 @@ def moderateness_probe(
     m_prod = eval_weight_at(m, group, *_product(group, p1, p2))
     left = m_prod / (eval_weight_at(w, group, *p1) * eval_weight_at(m, group, *p2))
     right = m_prod / (eval_weight_at(m, group, *p1) * eval_weight_at(w, group, *p2))
-    mx_left = float(np.max(left))
-    mx_right = float(np.max(right))
+    mx_left, mx_right = float(np.max(left)), float(np.max(right))
     mx = max(mx_left, mx_right)
-    return ProbeReport(
-        mx,
-        mx <= 1.0 + _PROBE_TOL,
-        detail={"max_left": mx_left, "max_right": mx_right},
-    )
+    return ProbeReport(mx, mx <= 1.0 + _PROBE_TOL,
+                       detail={"max_left": mx_left, "max_right": mx_right})

@@ -758,6 +758,9 @@ class TestWrongTypedConfig:
         # an int where a path belongs would be opened as a file descriptor
         ("frame-bounds", "lattice", 5, "lattice must be a file path"),
         ("moments", "signal", 0, "signal must be a file path"),
+        # a name that no branch reads
+        ("certify-atom", "kind", "shearlet", "unknown certification kind 'shearlet'"),
+        ("frame-bounds", "lattice", {"type": "hex"}, "unknown lattice type"),
     ])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, mexhat_file, gauss_file, truth_file,
                                      command, key, edit, named):
@@ -817,6 +820,8 @@ class TestWrongTypedConfig:
         ("cwt/weight", "weight.s", "nan"),
         ("design-lattice", "weight.rho", "nan"),
         ("design-lattice", "weight.rho", False),
+        # an integer beyond the float range
+        pytest.param("cwt", "quadrature.n_b", 10**400, id="cwt-quadrature.n_b-beyond-float"),
     ])
     def test_config_number_exit_2_naming_the_key(self, tmp_path, capsys, mexhat_file,
                                                  gauss_file, truth_file, config, key, value):

@@ -11,6 +11,7 @@ import coorbit as cb
 from coorbit.fields import affine_box, tf_box
 from coorbit.groups import GroupField, build_affine_quadrature, build_tf_quadrature
 from coorbit.lattices import (
+    _COVERING_MAX_NODES,
     _TIE_EPS,
     AffineLattice,
     TFLattice,
@@ -908,6 +909,28 @@ class TestSerialization:
         assert np.allclose(again.generator, lat.generator)
         assert again.to_dict() == lat.to_dict()
         assert again == lat and hash(again) == hash(lat)
+
+    @pytest.mark.parametrize("U", [affine_box(0.5, 1.5, 5), tf_box(0.25, 0.75, 9)],
+                             ids=["affine", "tf"])
+    def test_neighbourhood_roundtrip(self, U):
+        assert cb.NeighborhoodSpec.from_dict(U.to_dict()) == U
+
+
+class TestCoveringQuadrature:
+    def test_node_cap_halves_the_b_nodes(self):
+        # 543,000 b-nodes by the tile size: the chart would hold 2.7e8 nodes
+        lat = AffineLattice(1.1, 0.01, -20, 20, -1000, 1000, (1, -1))
+        quad = covering_quadrature(lat, affine_box(0.01, 1.1))
+        assert quad.n_nodes <= _COVERING_MAX_NODES < 2 * (quad.n_b + 1) * quad.n_scales * 2
+        b, a = lat.point_arrays()
+        assert quad.b_lo <= np.min(b) and quad.b_hi >= np.max(b)
+        assert quad.a_min <= np.min(np.abs(a)) and quad.a_max >= np.max(np.abs(a))
+
+    def test_node_cap_stops_at_two_b_nodes(self):
+        # six million scale nodes pass the cap on their own
+        lat = AffineLattice(1.0001, 0.5, -5, 5, -4, 4, (1, -1))
+        quad = covering_quadrature(lat, affine_box(0.5, 1 + 1e-9))
+        assert quad.n_b == 2 and quad.n_scales * 2 * 2 > _COVERING_MAX_NODES
 
 
 class TestLatticeIdentity:

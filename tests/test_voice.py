@@ -69,6 +69,16 @@ class TestAdmissibility:
         with pytest.raises(NotAdmissibleError):
             normalize_admissible(gauss.with_values(np.zeros(gauss.n)))
 
+    def test_underflowing_window_refused(self, mexhat):
+        # |psihat|^2 of a window scaled by 1e-170 lies below the float range, so C = 0.0
+        tiny = mexhat.with_values(mexhat.values * 1e-170)
+        assert admissibility_constant(tiny) == 0.0
+        with pytest.raises(NotAdmissibleError, match="cannot normalize a zero window"):
+            normalize_admissible(tiny)
+        quad = cb.build_affine_quadrature(-20, 20, 4096, 0.5, 2.0, 3, (1,))
+        with pytest.raises(NotAdmissibleError, match="admissibility constant must be positive"):
+            icwt(cb.GroupField(quad, np.ones(quad.shape)), tiny)
+
 
 class TestWaveletTransform:
     def test_kernel_value_at_identity(self, mexhat_desk_normalized):
