@@ -91,7 +91,7 @@ class TestAffineArithmetic:
             e = _product("affine", p, _inverse("affine", p))
             assert abs(e[0]) < 1e-12 and abs(e[1] - 1) < 1e-12
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @_LAW
     @given(_AFFINE_POINT)
     def test_inverse_law_hypothesis(self, p):
         for e in (_product("affine", p, _inverse("affine", p)),
