@@ -63,8 +63,7 @@ from .signals import (
 from .voice import (
     NotAdmissibleError,
     _TFOperator,
-    _stft_operator,
-    cwt,
+    _voice_operator,
     normalize_admissible,
     reproducing_kernel,
 )
@@ -386,18 +385,15 @@ def frame_bounds_empirical(
     node_weights = quad.node_weights()
     points = lat.point_arrays()
     point_weights = eval_weight_at(m, lat.kind, *points)
-    # every draw lands on one grid, so the STFT operator built on the first serves all
-    stft_op = None
+    # every draw lands on one grid, so the operator built on the first serves all
+    op = None
     ratios = []
     for _ in range(ensemble):
         for _attempt in range(10):
             f = random_bandlimited_signal(window, band, rng, envelope_width)
-            if quad.kind == "affine":
-                F = cwt(f, window, quad)
-            else:
-                if stft_op is None:
-                    stft_op = _stft_operator(f, window, quad)
-                F = GroupField(quad, stft_op.analyze(f.values).reshape(quad.shape))
+            if op is None:
+                op = _voice_operator(f, window, quad)
+            F = GroupField(quad, op.analyze(f.values).reshape(quad.shape))
             denom = _p_norm(F.values, chart_weights, p, node_weights)
             if denom > 0:
                 break
@@ -662,7 +658,12 @@ def gabor_tightness_probe(
     g: SampledSignal, lat: TFLattice, ensemble: int = 20, seed: int = 0,
     band: tuple = (0.1, 1.0), envelope_width: float | None = None,
 ) -> dict:
-    """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws."""
+    """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws; a bad
+    ``ensemble`` or a zero window raises before any draw."""
+    if ensemble < 1:
+        raise ValueError("ensemble must be >= 1")
+    if l2_norm(g) == 0.0:
+        raise ValueError("zero window")
     rng = np.random.default_rng(seed)
     op = GaborOperator(g, lat)
     ratios = []

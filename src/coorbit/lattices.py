@@ -61,7 +61,7 @@ __all__ = [
 _TIE_EPS = 1e-9  # index-space slack so shared tile boundaries count both sides
 _NOT_FINITE = ("tile index range is not finite: the lattice step is too small "
                "for U, or a query point is not finite")
-_COVERING_MAX_NODES = 2_000_000  # covering_quadrature halves its b-nodes below this
+_COVERING_MAX_NODES = 2_000_000  # covering_quadrature halves its b-nodes, then its scales, to this
 _SEPARATION_PAIRS = 2**18  # about the most candidate pairs one separation chunk holds
 
 
@@ -529,10 +529,13 @@ def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> Gr
     n_b = int(min(_COVERING_MAX_NODES, math.ceil((b_hi - b_lo) / smallest_tile * cells_per_tile)))
     n_scales = int(math.ceil((math.log(a_max) - math.log(a_min)) / math.log(U.alpha)
                              * cells_per_tile)) + 1
-    while n_b > 2 and n_b * n_scales * len(lat.signs) > _COVERING_MAX_NODES:
-        n_b = max(2, n_b // 2)
-    return build_affine_quadrature(b_lo, b_hi, max(n_b, 2), a_min, a_max,
-                                   max(n_scales, 2), lat.signs)
+    n_b, n_scales = max(n_b, 2), max(n_scales, 2)  # the chart's own floor, counted in the cap
+    while n_b * n_scales * len(lat.signs) > _COVERING_MAX_NODES:
+        if n_b > 2:
+            n_b = max(2, n_b // 2)
+        else:
+            n_scales = max(2, n_scales // 2)
+    return build_affine_quadrature(b_lo, b_hi, n_b, a_min, a_max, n_scales, lat.signs)
 
 
 @dataclass(frozen=True)

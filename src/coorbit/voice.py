@@ -1,4 +1,4 @@
-"""The two concrete voice transforms: wavelet transform and STFT.
+"""The two concrete voice transforms, wavelet transform and STFT, one operator each.
 
 The wavelet transform of ``f`` against ``psi`` is computed per scale in
 the Fourier domain,
@@ -7,8 +7,8 @@ the Fourier domain,
 
 which is the exact spectral form of ``<f, T_b D_a psi>`` and keeps the
 covariance in ``b`` exact up to DFT periodization.  Scale samples of
-``psihat`` come from a cubic spline on the window's spectrum, built once
-per spectrum.
+``psihat`` come from a cubic spline on the window's spectrum, which
+:class:`_WaveletOperator` builds once; ``icwt`` is its adjoint over ``C^2``.
 
 The STFT ``V(x, w) = dt * sum_t f(t) conj(g(t-x)) exp(-2 pi i t w)``,
 its adjoint ``istft`` and the Gabor frame operator of
@@ -25,7 +25,7 @@ phases never enter any field or norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,45 +132,16 @@ def _b_grid_matches(quad: GroupQuadrature, s: SampledSignal) -> bool:
 def cwt(f: SampledSignal, psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     """Wavelet transform of ``f`` against ``psi`` on an affine chart."""
     _on_group("affine", chart=quad)
-    if not f.same_grid(psi):
-        raise ValueError("f and psi must share grid parameters")
+    op = _voice_operator(f, psi, quad)
     meta: dict = {}
     _check_edge_decay(f, meta, "signal")
     _check_edge_decay(psi, meta, "analyzing window")
-
-    fhat = fourier(f)
-    psihat = fourier(psi)
-    # rows are built in the inverse FFT's input order: ifftshift permutes
-    # the grid, the spectrum and the t0 phase once, never a row
-    w, fvals = np.fft.ifftshift(fhat.grid()), np.fft.ifftshift(fhat.values)
-    phase = np.exp(2j * np.pi * f.t0 * w)
-
-    b_grid = quad.b_grid()
-    resample = not _b_grid_matches(quad, f)
-    out = np.empty(quad.shape, dtype=np.complex128)
-    # one row block serves both branches; on the signal's grid it is the output
-    buf = np.empty((quad.n_scales, f.n), dtype=np.complex128) if resample else None
-    scales = quad.scale_grid()
-    t = f.grid()
-    for s_idx, sgn in enumerate(quad.signs):
-        rows = out[s_idx] if buf is None else buf
-        for j, a in enumerate(sgn * scales):
-            rows[j] = math.sqrt(abs(a)) * fvals * np.conj(psihat.interpolate(a * w))
-        rows *= phase
-        np.fft.ifft(rows, axis=-1, out=rows)
-        rows /= f.dt
-        if resample:
-            for j in range(quad.n_scales):
-                out[s_idx, j] = _complex_interp(b_grid, t, rows[j])
-    return GroupField(quad, out, meta)
+    return GroupField(quad, op.analyze(f.values).reshape(quad.shape), meta)
 
 
 def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
-    """Inverse wavelet transform, scale-by-scale in the spectral domain.
-
-    Accumulates ``C^-2 |a|^(1/2) F_b[W(., a)](w) psihat(a w) du/|a|``
-    over all scale nodes and sign branches, then inverts one spectrum.
-    """
+    """Inverse wavelet transform: ``C^-2`` times the wavelet operator's adjoint,
+    divided in the spectral domain before the one inverse FFT."""
     quad = W.quad
     _on_group("affine", field=quad)
     if not _b_grid_matches(quad, psi):
@@ -178,25 +149,61 @@ def icwt(W: GroupField, psi: SampledSignal) -> SampledSignal:
     c_psi = _admissible_constant(psi, "icwt needs an admissible window")
     if c_psi <= 0:
         raise NotAdmissibleError("admissibility constant must be positive")
+    spec = _voice_operator(psi, psi, quad)._spectrum(W.values)
+    return inverse_fourier(replace(spec, values=spec.values / c_psi**2))
 
-    psihat = fourier(psi)
-    w, dw = _frequencies(psi.n, quad.db)
-    du = quad.du
-    scales = quad.scale_grid()
-    # kept in the forward FFT's output order: the grid and phase are permuted once
-    w_fft = np.fft.ifftshift(w)
-    db_phase = quad.db * np.exp(-2j * np.pi * quad.b_lo * w_fft)
 
-    acc = np.zeros(psi.n, dtype=np.complex128)
-    spec_rows = np.empty((quad.n_scales, psi.n), dtype=np.complex128)
-    for s_idx, sgn in enumerate(quad.signs):
-        # forward transform of every b-row at once, into the one row block
-        np.fft.fft(W.values[s_idx], axis=-1, out=spec_rows)
-        np.multiply(db_phase, spec_rows, out=spec_rows)
-        for row, a in zip(spec_rows, sgn * scales):
-            acc += math.sqrt(abs(a)) * row * psihat.interpolate(a * w_fft) * (du / abs(a))
-    acc /= c_psi**2
-    return inverse_fourier(Spectrum(w[0], dw, np.fft.fftshift(acc), t_origin=quad.b_lo))
+class _WaveletOperator:
+    """Wavelet analysis on an affine chart (``cwt`` on ``grid``'s samples, flat) and its
+    adjoint up to ``dt`` under the Haar weights (``icwt`` without ``C^-2``, on a chart
+    whose b-grid is the window's), built once; rows ``psihat(a w)`` are made per call."""
+
+    def __init__(self, psi: SampledSignal, quad: GroupQuadrature, grid: SampledSignal):
+        self.quad, self._grid, self._psihat = quad, grid, fourier(psi)
+        # both axes in FFT order: each grid and phase is permuted once, never a row
+        w, dw = _frequencies(grid.n, grid.dt)
+        self._w = np.fft.ifftshift(w[0] + dw * np.arange(grid.n))  # fourier(grid)'s grid
+        self._phase = np.exp(2j * np.pi * grid.t0 * self._w)
+        self._at = None if _b_grid_matches(quad, grid) else (quad.b_grid(), grid.grid())
+        self._ws, self._dws = _frequencies(psi.n, quad.db)
+        self._ws_fft = np.fft.ifftshift(self._ws)
+        self._db_phase = quad.db * np.exp(-2j * np.pi * quad.b_lo * self._ws_fft)
+
+    def analyze(self, v: np.ndarray) -> np.ndarray:
+        quad, grid = self.quad, self._grid
+        fvals = np.fft.ifftshift(fourier(grid.with_values(v)).values)
+        out = np.empty(quad.shape, dtype=np.complex128)
+        # one row block serves both branches; on the signal's grid it is the output
+        buf = None if self._at is None else np.empty((quad.n_scales, grid.n), np.complex128)
+        for s_idx, sgn in enumerate(quad.signs):
+            rows = out[s_idx] if buf is None else buf
+            for j, a in enumerate(sgn * quad.scale_grid()):
+                rows[j] = math.sqrt(abs(a)) * fvals * np.conj(self._psihat.interpolate(a * self._w))
+            rows *= self._phase
+            np.fft.ifft(rows, axis=-1, out=rows)
+            rows /= grid.dt
+            if buf is not None:
+                for j in range(quad.n_scales):
+                    out[s_idx, j] = _complex_interp(*self._at, rows[j])
+        return out.ravel()
+
+    def _spectrum(self, C: np.ndarray) -> Spectrum:
+        """The spectrum ``sum |a|^(1/2) F_b[C(., a)] psihat(a w) db du/|a|``."""
+        quad, C = self.quad, np.reshape(C, self.quad.shape)
+        acc = np.zeros(self._ws.size, dtype=np.complex128)
+        spec_rows = np.empty((quad.n_scales, self._ws.size), dtype=np.complex128)
+        for s_idx, sgn in enumerate(quad.signs):
+            # forward transform of every b-row at once, into the one row block
+            np.fft.fft(C[s_idx], axis=-1, out=spec_rows)
+            np.multiply(self._db_phase, spec_rows, out=spec_rows)
+            for row, a in zip(spec_rows, sgn * quad.scale_grid()):
+                acc += (math.sqrt(abs(a)) * row * self._psihat.interpolate(a * self._ws_fft)
+                        * (quad.du / abs(a)))
+        return Spectrum(self._ws[0], self._dws, np.fft.fftshift(acc), t_origin=quad.b_lo)
+
+    def synthesize(self, C: np.ndarray) -> np.ndarray:
+        """``analyze``'s adjoint up to ``dt``, for ``C`` in ``analyze``'s order."""
+        return inverse_fourier(self._spectrum(C)).values
 
 
 def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
@@ -208,7 +215,7 @@ def stft(f: SampledSignal, g: SampledSignal, x_grid, w_grid) -> GroupField:
     :class:`_TFOperator` analysis.
     """
     quad = build_tf_quadrature(*x_grid, *w_grid)
-    return GroupField(quad, _stft_operator(f, g, quad).analyze(f.values).reshape(quad.shape))
+    return GroupField(quad, _voice_operator(f, g, quad).analyze(f.values).reshape(quad.shape))
 
 
 # |M dw dt - 1| below which dw dt counts as exactly 1/M
@@ -254,15 +261,9 @@ class _TFOperator:
     ``analyze(v)[r, k] = dt sum_n v_n conj(R[r, n]) exp(-2 pi i t_n w_k)``
     and ``synthesize(C) = sum_r R[r] (C[r] @ exp(2 pi i w_k t_n))``, its
     adjoint up to the factor ``dt``.  When ``dw dt = 1/M``
-    (:func:`_fold_length`) the phase is ``t0 w_k + n dt w0 + n k / M`` and
-    both directions fold.  Analysis sums the rows of ``conj(R) v exp(-2 pi
-    i n dt w0)`` modulo ``M``, takes one length-``M`` FFT per row for
-    column ``k mod M`` and scales column k by ``exp(-2 pi i t0 w_k) dt``.
-    Synthesis sums the rows of ``conj(C) exp(-2 pi i t0 w_k)`` modulo
-    ``M``, takes one length-``M`` FFT per row, reads it at ``n mod M``,
-    multiplies by ``conj(R) exp(-2 pi i n dt w0)``, sums the rows and
-    conjugates.  Axes that do not fold take the dense product with
-    ``exp(-2 pi i t_n w_k)``.
+    (:func:`_fold_length`) the phase is ``t0 w_k + n dt w0 + n k / M``, so
+    both directions sum their rows modulo ``M`` and take one length-``M`` FFT
+    per row; other axes take the dense product with ``exp(-2 pi i t_n w_k)``.
     """
 
     def __init__(self, g: SampledSignal, xs, t0: float, dt: float,
@@ -313,22 +314,25 @@ class _TFOperator:
         return np.conj(out * pre, out=out)
 
 
-def _stft_operator(f: SampledSignal, g: SampledSignal, quad: GroupQuadrature) -> _TFOperator:
-    """The STFT operator of window ``g`` on the TF chart ``quad``, on ``f``'s grid."""
-    _on_group("tf", chart=quad)
+def _voice_operator(f: SampledSignal, g: SampledSignal, quad: GroupQuadrature):
+    """The voice transform of window ``g`` on chart ``quad``, on ``f``'s grid: a
+    :class:`_WaveletOperator` on an affine chart, a :class:`_TFOperator` on a TF chart."""
     if not f.same_grid(g):
-        raise ValueError("window must share the signal grid")
+        raise ValueError("f and psi must share grid parameters" if quad.kind == "affine"
+                         else "window must share the signal grid")
+    if quad.kind == "affine":
+        return _WaveletOperator(g, quad, f)
     return _TFOperator(g, quad.x_grid(), f.t0, f.dt, quad.w0, quad.dw, quad.n_w)
 
 
 def istft(V: GroupField, g: SampledSignal) -> SampledSignal:
     """``|g|^-2 sum V(x,w) M_w T_x g dx dw``: the STFT operator's adjoint, scaled."""
     quad = V.quad
-    op = _stft_operator(g, g, quad)
+    _on_group("tf", chart=quad)
     gnorm2 = l2_norm(g) ** 2
     if gnorm2 == 0.0:
         raise ValueError("zero window")
-    vals = op.synthesize(V.values) * (quad.dx * quad.dw) / gnorm2
+    vals = _voice_operator(g, g, quad).synthesize(V.values) * (quad.dx * quad.dw) / gnorm2
     return SampledSignal(g.t0, g.dt, vals)
 
 
@@ -337,4 +341,4 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
     if quad.kind == "affine":
         _admissible_constant(psi, "kernel needs an admissible window")
         return cwt(psi, psi, quad)
-    return GroupField(quad, _stft_operator(psi, psi, quad).analyze(psi.values).reshape(quad.shape))
+    return GroupField(quad, _voice_operator(psi, psi, quad).analyze(psi.values).reshape(quad.shape))

@@ -143,6 +143,29 @@ class TestGabor:
                                       band=(0.2, 1.2), envelope_width=2.5)
         assert probe["variation"] < 0.10
 
+    def test_tightness_probe_refuses_before_any_draw(self, g, lat, monkeypatch):
+        # the messages frame_bounds_empirical and gabor_frame_operator give
+        quad = build_tf_quadrature(-12, 0.125, 193, -4.0, 0.125, 65)
+        zero = g.with_values(np.zeros(g.n))
+        expected = []
+        for call in (lambda: frame_bounds_empirical(g, lat, ensemble=0, quad=quad),
+                     lambda: gabor_frame_operator(g, zero, lat)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            expected.append(str(exc.value))
+        assert expected == ["ensemble must be >= 1", "zero window"]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a draw or an operator ran before the refusal")
+
+        for stage in ("random_bandlimited_signal", "GaborOperator"):
+            monkeypatch.setattr(frames, stage, no_work)
+        cases = (((g, 0), expected[0]), ((g, -3), expected[0]), ((zero, 20), expected[1]))
+        for (window, ensemble), message in cases:
+            with pytest.raises(ValueError) as exc:
+                gabor_tightness_probe(window, lat, ensemble=ensemble)
+            assert str(exc.value) == message
+
     def test_synthesis_adjoint_roundtrip(self, g, lat):
         rng = np.random.default_rng(1)
         f = random_bandlimited_signal(g, (0.2, 1.0), rng, envelope_width=2.5)
@@ -334,6 +357,31 @@ def test_frame_bounds_ratios_bit_identical_affine(s0_atom_normalized, atom_chart
                                  quad=atom_chart, band=(0.2, 1.0))
     assert rep.ratios == _bounds_per_draw(s0_atom_normalized, lat, atom_chart, 2,
                                           (0.2, 1.0), None)
+
+
+@pytest.mark.parametrize("group", ["affine", "tf"])
+def test_frame_bounds_builds_one_operator(group, s0_atom_normalized, atom_chart, monkeypatch):
+    # every draw lands on one grid: the operator built on the first serves all
+    # the draws, and each ratio is still the public transform's, bit for bit
+    if group == "affine":
+        window, quad = s0_atom_normalized, atom_chart
+        lat, band, width = AffineLattice(2.0, 0.5, -2, 2, -12, 12, (1, -1)), (0.2, 1.0), None
+    else:
+        window = cb.gaussian(-16, 16, 2048)
+        quad = build_tf_quadrature(-12, 0.125, 193, -4.0, 0.125, 65)
+        lat, band, width = TFLattice.separable(0.5, 0.5, (-24, 24), (-12, 12)), (0.25, 1.0), 2.2
+    built = []
+    build = frames._voice_operator
+
+    def counting_build(*args):
+        built.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(frames, "_voice_operator", counting_build)
+    rep = frame_bounds_empirical(window, lat, p=2, ensemble=6, seed=8, quad=quad, band=band,
+                                 envelope_width=width)
+    assert built == [quad]
+    assert rep.ratios == _bounds_per_draw(window, lat, quad, 8, band, width)
 
 
 @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])

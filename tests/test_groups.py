@@ -568,7 +568,7 @@ class TestOneGroupRule:
         def no_work(*args, **kwargs):
             raise AssertionError("a kernel, transform or draw ran before the refusal")
 
-        for stage in ("atom_kernel", "cwt", "random_bandlimited_signal",
+        for stage in ("atom_kernel", "_voice_operator", "random_bandlimited_signal",
                       "wavelet_atom_sufficient"):
             monkeypatch.setattr(frames, stage, no_work)
         with pytest.raises(ValueError) as exc:

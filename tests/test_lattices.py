@@ -931,6 +931,8 @@ class TestCoveringQuadrature:
         lat = AffineLattice(1.0001, 0.5, -5, 5, -4, 4, (1, -1))
         quad = covering_quadrature(lat, affine_box(0.5, 1 + 1e-9))
         assert quad.n_b == 2
+        # then the scales halve: 2 x 5,999,707 x 2 nodes were 12x the cap
+        assert quad.n_nodes <= _COVERING_MAX_NODES
 
 
 class TestLatticeIdentity:

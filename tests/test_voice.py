@@ -22,7 +22,13 @@ from coorbit.voice import (
     stft,
 )
 from coorbit.signals import Spectrum, _complex_interp, _frequencies, fourier, inverse_fourier
-from coorbit.voice import _b_grid_matches, _TFOperator, _fold_length
+from coorbit.voice import (
+    _b_grid_matches,
+    _fold_length,
+    _TFOperator,
+    _voice_operator,
+    _WaveletOperator,
+)
 
 from conftest import affine_inv, chirp
 
@@ -215,24 +221,30 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+# (signal grid, chart): a 2x97x1024 chart on 4,096 samples, the on-grid
+# transform chart (n_b = n = 2048), and an odd-length signal under one
+# negative branch on its own grid
+_ROW_BLOCK_CHARTS = {
+    "resampled": ((-32, 32, 4096), (-4, 4, 1024, 1 / 8, 8, 97, (1, -1))),
+    "transform": ((-32, 32, 2048), (-32, 32, 2048, 1 / 16, 16, 64, (1, -1))),
+    "one_sign": ((-20.3, 20.1, 1001), (-20.3, 20.1, 1001, 0.2, 5, 9, (-1,))),
+}
+
+
+def _row_block_case(chart):
+    """The window, signal and chart of one ``_ROW_BLOCK_CHARTS`` entry."""
+    grid, chart_args = _ROW_BLOCK_CHARTS[chart]
+    psi = normalize_admissible(cb.mexican_hat(*grid))
+    f = chirp(psi.t0, psi.dt, psi.n, 5.0, 0.35, 0.004)
+    return psi, f, cb.build_affine_quadrature(*chart_args)
+
+
 class TestTransformRowBlock:
     """``cwt`` and ``icwt`` in one row block per call, bit for bit against fresh arrays."""
 
-    @pytest.mark.parametrize("chart", ["resampled", "transform", "one_sign"])
+    @pytest.mark.parametrize("chart", list(_ROW_BLOCK_CHARTS))
     def test_bit_identical_to_fresh_arrays(self, chart):
-        # (signal grid, chart): a 2x97x1024 chart on 4,096 samples, the
-        # on-grid transform chart (n_b = n = 2048), and an odd-length
-        # signal under one negative branch on its own grid
-        t_lo, t_hi, n, quad = {
-            "resampled": (-32, 32, 4096,
-                          cb.build_affine_quadrature(-4, 4, 1024, 1 / 8, 8, 97, (1, -1))),
-            "transform": (-32, 32, 2048,
-                          cb.build_affine_quadrature(-32, 32, 2048, 1 / 16, 16, 64, (1, -1))),
-            "one_sign": (-20.3, 20.1, 1001,
-                         cb.build_affine_quadrature(-20.3, 20.1, 1001, 0.2, 5, 9, (-1,))),
-        }[chart]
-        psi = normalize_admissible(cb.mexican_hat(t_lo, t_hi, n))
-        f = chirp(psi.t0, psi.dt, n, 5.0, 0.35, 0.004)
+        psi, f, quad = _row_block_case(chart)
         W = cwt(f, psi, quad)
         assert np.array_equal(_bits(W.values), _bits(_cwt_reference(f, psi, quad)))
         if chart != "resampled":
@@ -609,3 +621,67 @@ class TestReproducingKernel:
             assert isinstance(K, cb.GroupField)
             assert K.quad.kind == "tf"
             assert K.quad == quad
+
+
+def _tf_case(folds):
+    """A window, a draw on its grid (``dt`` can be one ulp off) and a TF chart's grids.
+
+    Criterion 10's chart folds (``dw dt = 1/512``); ``dw dt = 1/702.4`` does not.
+    """
+    from coorbit.frames import random_bandlimited_signal
+
+    g, grids, band, width = {
+        True: (cb.gaussian(-16, 16, 2048), ((-12, 0.125, 193), (-4.0, 0.125, 65)),
+               (0.25, 1.0), 2.2),
+        False: (cb.gaussian(-10, 10.5, 1800), ((-8, 0.125, 129), (-3.5, 0.125, 57)),
+                (0.2, 1.2), 3.0),
+    }[folds]
+    f = random_bandlimited_signal(g, band, np.random.default_rng(3), envelope_width=width)
+    return g, f, grids
+
+
+class TestVoiceOperator:
+    """One operator per group: analysis equal to the public transform, and its adjoint."""
+
+    @pytest.mark.parametrize("chart", list(_ROW_BLOCK_CHARTS))
+    def test_wavelet_analyze_is_cwt(self, chart):
+        psi, f, quad = _row_block_case(chart)
+        op = _voice_operator(f, psi, quad)
+        assert isinstance(op, _WaveletOperator)
+        assert np.array_equal(_bits(op.analyze(f.values)), _bits(cwt(f, psi, quad).values.ravel()))
+
+    @pytest.mark.parametrize("folds", [True, False])
+    def test_tf_analyze_is_stft(self, folds):
+        g, f, grids = _tf_case(folds)
+        quad = cb.build_tf_quadrature(*grids[0], *grids[1])
+        op = _voice_operator(f, g, quad)
+        assert isinstance(op, _TFOperator) and (op._fold is not None) == folds
+        assert np.array_equal(_bits(op.analyze(f.values)), _bits(stft(f, g, *grids).values.ravel()))
+
+    @pytest.mark.parametrize("group", ["affine", "tf"])
+    def test_adjoint_identity(self, group):
+        # affine: <analyze f, C> under the Haar weights; TF: a plain sum
+        if group == "affine":
+            psi, f, quad = _row_block_case("transform")
+            op, weights = _voice_operator(f, psi, quad), quad.node_weights().ravel()
+        else:
+            g, f, grids = _tf_case(True)
+            quad = cb.build_tf_quadrature(*grids[0], *grids[1])
+            op, weights = _voice_operator(f, g, quad), np.ones(quad.n_nodes)
+        rng = np.random.default_rng(11)
+        C = rng.normal(size=quad.n_nodes) + 1j * rng.normal(size=quad.n_nodes)
+        V = op.analyze(f.values)
+        lhs = np.sum(V * np.conj(C) * weights)
+        rhs = f.dt * np.sum(f.values * np.conj(op.synthesize(C)))
+        scale = math.sqrt(np.sum(np.abs(V) ** 2 * weights) * np.sum(np.abs(C) ** 2 * weights))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    def test_grid_refusal_keeps_each_transforms_message(self):
+        psi, f, quad = _row_block_case("transform")
+        off = cb.SampledSignal(f.t0 + f.dt / 2, f.dt, f.values)
+        with pytest.raises(ValueError, match="^f and psi must share grid parameters$"):
+            cwt(off, psi, quad)
+        g, f, grids = _tf_case(True)
+        off = cb.SampledSignal(f.t0 + f.dt / 2, f.dt, f.values)
+        with pytest.raises(ValueError, match="^window must share the signal grid$"):
+            stft(off, g, *grids)
