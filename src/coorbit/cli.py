@@ -30,7 +30,7 @@ from .frames import (
     DesignSearchError,
     ReconstructionDivergence,
     _certificate_from_kernel,
-    _iteration_cap,
+    _stopping_rule,
     atom_certificate,
     atom_kernel,
     design_lattice,
@@ -58,10 +58,10 @@ def _canon(obj):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canon(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.floating):  # a float first, so the inf rule below reads it too
+        obj = float(obj)
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -71,43 +71,30 @@ def _canon(obj):
 _FLOAT_BLOCK = 1 << 15
 
 
-def _json_chunks(obj, level: int = 0):
+def _json_chunks(obj: dict):
     """Text of ``json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)``, in pieces.
 
-    ``obj`` sits ``level`` deep.  Float lists and 1-D float arrays are
-    written in blocks, each one ``join`` of ``float.__repr__`` (the
-    repr ``json`` itself uses), instead of going element by element
-    through ``json``'s pure-Python indenting encoder.  Dicts with string
-    keys and other lists recurse; everything else goes to ``json.dumps``.
+    ``obj`` is one artifact: a dict with string keys.  A value that is a
+    1-D float array is written in blocks, each one ``join`` of
+    ``float.__repr__`` (the repr ``json`` itself uses), instead of going
+    element by element through ``json``'s pure-Python indenting encoder;
+    every other value goes to ``json.dumps``.
     """
-    pad = "\n" + " " * (level + 1)
-    if isinstance(obj, list) and obj and set(map(type, obj)) == {float}:
-        obj = np.array(obj)
-    if isinstance(obj, np.ndarray):
-        if not np.all(np.isfinite(obj)):
+    yield "{"
+    for i, key in enumerate(sorted(obj)):
+        yield ("," if i else "") + "\n " + json.dumps(key) + ": "
+        value = obj[key]
+        if not isinstance(value, np.ndarray):
+            # a string value holds no raw newline, so every newline is indentation
+            yield json.dumps(value, sort_keys=True, indent=1, allow_nan=False).replace("\n", "\n ")
+        elif not np.all(np.isfinite(value)):
             raise ValueError("non-finite value in a float array")
-        if obj.size == 0:
-            yield "[]"
-            return
-        sep = "," + pad
-        for lo in range(0, obj.size, _FLOAT_BLOCK):
-            yield ("[" if lo == 0 else ",") + pad + sep.join(
-                map(float.__repr__, obj[lo:lo + _FLOAT_BLOCK].tolist()))
-        yield pad[:-1] + "]"
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, item in enumerate(obj):
-            yield ("[" if i == 0 else ",") + pad
-            yield from _json_chunks(item, level + 1)
-        yield pad[:-1] + "]"
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        for i, key in enumerate(sorted(obj)):
-            yield ("{" if i == 0 else ",") + pad + json.dumps(key) + ": "
-            yield from _json_chunks(obj[key], level + 1)
-        yield pad[:-1] + "}"
-    else:
-        # a string value holds no raw newline, so every newline is indentation
-        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
-        yield text.replace("\n", "\n" + " " * level)
+        else:
+            for lo in range(0, value.size, _FLOAT_BLOCK):
+                yield ("[" if lo == 0 else ",") + "\n  " + ",\n  ".join(
+                    map(float.__repr__, value[lo:lo + _FLOAT_BLOCK].tolist()))
+            yield "\n ]" if value.size else "[]"
+    yield "\n}" if obj else "}"
 
 
 def _write_json(path: Path, obj) -> None:
@@ -115,7 +102,7 @@ def _write_json(path: Path, obj) -> None:
 
     The bytes are those of ``json.dump(obj, sort_keys=True, indent=1,
     allow_nan=False)`` plus a newline, after infinite scalars become the
-    strings ``"inf"``/``"-inf"``; 1-D float arrays are written as lists.
+    strings ``"inf"``/``"-inf"``; a top-level 1-D float array is written as a list.
     The JSON goes to a temporary file in the same directory, which
     replaces ``path`` only once it is complete.
     """
@@ -165,9 +152,24 @@ def _read_json(path, key: str) -> dict:
     return _object(d, f"{key} file {path}")
 
 
+def _known_keys(d: dict, keys, name: str) -> dict:
+    """The config object ``d`` itself, refused if it holds a key outside ``keys``."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    return d
+
+
+def _parsed(cls, d, name: str):
+    """``cls.from_dict(d)``, refused if ``d`` holds a key its ``to_dict()`` does not write."""
+    obj = cls.from_dict(d)
+    _known_keys(d, obj.to_dict(), name)
+    return obj
+
+
 def _tf_axis(cfg: dict, name: str) -> tuple:
     """An ``(origin, step, count)`` triple from the config object ``cfg[name]``."""
-    axis = _object(cfg[name], name)
+    axis = _known_keys(_object(cfg[name], name), ("origin", "step", "count"), name)
     return (_finite_float(axis["origin"], f"{name}.origin"),
             _finite_float(axis["step"], f"{name}.step"), _integer(axis["count"], f"{name}.count"))
 
@@ -180,7 +182,7 @@ def _weight_from(cfg: dict, kind: str) -> WeightSpec:
     """The config's weight, refused unless it lives on the group ``kind``; else the unit weight."""
     if "weight" not in cfg or cfg["weight"] is None:
         return unit_weight(kind)
-    weight = WeightSpec.from_dict(cfg["weight"])
+    weight = _parsed(WeightSpec, cfg["weight"], "weight")
     _on_group(kind, weight=weight)
     return weight
 
@@ -199,7 +201,8 @@ def _write_transform(out: Path, F: GroupField, weight: WeightSpec) -> int:
 
 def cmd_cwt(cfg: dict, out: Path) -> int:
     f, psi = _load_signal(cfg, "signal"), _load_signal(cfg, "atom")
-    quad, weight = GroupQuadrature.from_dict(cfg["quadrature"]), _weight_from(cfg, "affine")
+    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+    weight = _weight_from(cfg, "affine")
     return _write_transform(out, cwt(f, psi, quad), weight)
 
 
@@ -255,9 +258,9 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
     passed = True
     if kind == "wavelet":
         if "quadrature" in cfg:  # read, and refused off the affine group, before any work
-            quad = GroupQuadrature.from_dict(cfg["quadrature"])
+            quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
             weight = _weight_from(cfg, "affine")
-            U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
+            U = _parsed(NeighborhoodSpec, cfg["neighbourhood"], "neighbourhood")
             _on_group("affine", chart=quad, neighbourhood=U)
         if "rho" in cfg:
             suff = wavelet_atom_sufficient(psi, _finite_float(cfg["rho"], "rho"),
@@ -285,9 +288,10 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
 
 def cmd_design_lattice(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "atom")
-    quad = GroupQuadrature.from_dict(cfg["quadrature"])
+    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
     weight = _weight_from(cfg, "affine")
-    sched = _object(cfg.get("schedule", {}), "schedule")
+    sched = _known_keys(_object(cfg.get("schedule", {}), "schedule"),
+                        ("alpha0", "beta0", "gamma", "max_steps"), "schedule")
     try:
         result = design_lattice(
             psi, quad, weight,
@@ -314,16 +318,16 @@ def _load_lattice(value):
     """A lattice from its config value: the object itself or the path of a JSON file."""
     d = value if isinstance(value, dict) else _read_json(value, "lattice")
     if d.get("type") == "affine":
-        return AffineLattice.from_dict(d)
+        return _parsed(AffineLattice, d, "lattice")
     if d.get("type") == "tf":
-        return TFLattice.from_dict(d)
+        return _parsed(TFLattice, d, "lattice")
     raise ValueError("unknown lattice type")
 
 
 def cmd_frame_bounds(cfg: dict, out: Path) -> int:
     g = _load_signal(cfg, "window")
     lat = _load_lattice(cfg["lattice"])
-    quad = GroupQuadrature.from_dict(cfg["quadrature"])
+    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
         raise ValueError(f"band must be two numbers, got {band!r}")
@@ -340,12 +344,12 @@ def cmd_frame_bounds(cfg: dict, out: Path) -> int:
 
 
 def cmd_reconstruct(cfg: dict, out: Path) -> int:
-    tol = _finite_float(cfg.get("tol", 1e-3), "tol")
-    max_iter = _iteration_cap(_integer(cfg.get("max_iter", 100), "max_iter"))
+    tol, max_iter = _stopping_rule(_finite_float(cfg.get("tol", 1e-3), "tol"),
+                                   _integer(cfg.get("max_iter", 100), "max_iter"))
     psi = _load_signal(cfg, "atom")
-    quad = GroupQuadrature.from_dict(cfg["quadrature"])
+    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
     weight = _weight_from(cfg, "affine")
-    U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
+    U = _parsed(NeighborhoodSpec, cfg["neighbourhood"], "neighbourhood")
     lat = _load_lattice(cfg["lattice"])
     _on_group("affine", chart=quad, neighbourhood=U, lattice=lat)
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
@@ -446,9 +450,7 @@ def main(argv=None) -> int:
                 f"config version {cfg.get('version')!r} does not match {FORMAT_VERSION!r}")
         if cfg["command"] != args.command:
             raise ValueError(f"config command {cfg['command']!r} does not match {args.command!r}")
-        unknown = set(cfg) - keys - _COMMON_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        _known_keys(cfg, keys | _COMMON_KEYS, f"{args.command} config")
         return handler(cfg, Path(args.out_dir) / _stem(cfg.get("out", stem)))
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)

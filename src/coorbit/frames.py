@@ -40,7 +40,7 @@ from .fields import (
     oscillation,
     unit_weight,
 )
-from .groups import GroupField, GroupQuadrature, _exponent, _on_group, _Report
+from .groups import GroupField, GroupQuadrature, _exponent, _finite_number, _on_group, _Report
 from .lattices import (
     BUPU,
     AffineLattice,
@@ -161,11 +161,14 @@ class ReconstructionDivergence(RuntimeError):
         self.report = report
 
 
-def _iteration_cap(max_iter: int) -> int:
-    """``max_iter``, refused below 1: an iteration that takes no step would return its data."""
+def _stopping_rule(tol: float, max_iter: int) -> tuple:
+    """``(tol, max_iter)``, refused unless ``max_iter >= 1`` and ``tol >= 0``: a run
+    of no step would return its data, and no residual meets a negative or NaN tol."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    return max_iter
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    return tol, max_iter
 
 
 def _fixed_point(step, x0, norm_b: float, tol: float, max_iter: int, **tiles):
@@ -250,7 +253,7 @@ def wavelet_atom_sufficient(
     through order L; the verdict is ``rho < L - 1/2``.  On a finite grid
     integrability is automatic, so only magnitudes are reported.
     """
-    if rho < 0:
+    if _finite_number(rho, "rho") < 0:
         raise ValueError("rho must be >= 0")
     L = vanishing_moment_count(psi, tol)
     rep = moments(psi, L + 1)
@@ -293,7 +296,7 @@ def stft_window_sufficient(g: SampledSignal, r: float, s: float) -> WindowSuffic
     that the outer 10% of each grid carries less than 1% of the weighted
     L1 mass -- a boxcar window fails through its sinc spectrum.
     """
-    if r < 0 or s < 0:
+    if _finite_number(r, "r") < 0 or _finite_number(s, "s") < 0:
         raise ValueError("r and s must be >= 0")
     alpha = 2 * r + 2.0
     beta = 2 * s + 2.0
@@ -429,9 +432,10 @@ def neumann_reconstruct(
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
     the partition's tile counts.  The kernel is applied through one
     :class:`~coorbit.fields.KernelOperator`, built after the samples are
-    read and before the first iteration; ``max_iter < 1`` raises first.
+    read and before the first iteration; ``max_iter < 1`` and a negative
+    or NaN ``tol`` raise first.
     """
-    _iteration_cap(max_iter)
+    _stopping_rule(tol, max_iter)
     if certificate is None and not allow_uncertified:
         raise ValueError(
             "no certificate supplied; pass allow_uncertified=True to override"
@@ -696,12 +700,15 @@ def frame_operator_invert(
     contracts at rate ``(B-A)/(B+A)``; near-tight frames converge in a
     handful of steps.  Bounds too small for the frame make it diverge,
     which raises as in :func:`neumann_reconstruct`.  The frame operator
-    is built once per call, as one :class:`GaborOperator`, after ``max_iter`` is checked.
+    is built once per call, as one :class:`GaborOperator`, after ``max_iter``,
+    ``tol``, the bounds and the window are checked; a zero window raises.
     """
-    _iteration_cap(max_iter)
+    _stopping_rule(tol, max_iter)
     a, b = bounds
     if not (0 < a <= b < math.inf):
         raise ValueError("need finite frame bounds 0 < a <= b < inf")
+    if l2_norm(g) == 0.0:
+        raise ValueError("zero window")
     if not y.same_grid(g):
         raise ValueError("window must share the signal grid")
     lam = 2.0 / (a + b)

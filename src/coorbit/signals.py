@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import _complex_samples, _finite_float, _finite_number
+from .groups import _complex_samples, _finite_float, _finite_number, _integer
 
 __all__ = [
     "SampledSignal",
@@ -271,6 +271,7 @@ def _complex_interp(tq, t, values):
 
 def translate(f: SampledSignal, x: float) -> SampledSignal:
     """``(T_x f)(t) = f(t - x)``; a shift by whole steps ``dt`` is exact, others interpolate."""
+    _finite_number(x, "x")
     return f.with_values(_translate_into(np.zeros(f.n, dtype=np.complex128), f, x))
 
 
@@ -287,12 +288,12 @@ def _translate_into(out: np.ndarray, f: SampledSignal, x: float) -> np.ndarray:
 
 def modulate(f: SampledSignal, omega: float) -> SampledSignal:
     """``(M_w f)(t) = exp(2*pi*i*t*w) f(t)`` (exact)."""
-    return f.with_values(np.exp(2j * np.pi * f.grid() * omega) * f.values)
+    return f.with_values(np.exp(2j * np.pi * f.grid() * _finite_number(omega, "omega")) * f.values)
 
 
 def dilate(f: SampledSignal, a: float) -> SampledSignal:
     """``(D_a f)(t) = |a|^(-1/2) f(t/a)``, linear interpolation off-grid."""
-    if a == 0:
+    if _finite_number(a, "a") == 0:
         raise ValueError("dilation scale must be nonzero")
     vals = _complex_interp(f.grid() / a, f.grid(), f.values)
     return f.with_values(vals / np.sqrt(abs(a)))
@@ -319,6 +320,7 @@ def moments(psi: SampledSignal, k_max: int) -> MomentReport:
     Values are window-truncated quantities; the report records the
     window so tail sensitivity can be probed by widening the grid.
     """
+    k_max = _integer(k_max, "k_max")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     t = psi.grid()
@@ -337,7 +339,7 @@ def vanishing_moment_count(psi: SampledSignal, tol: float) -> int:
     The tolerance is relative to the matching absolute moment, which
     makes the test invariant under scaling of psi and of the time axis.
     """
-    if tol <= 0:
+    if _finite_number(tol, "tol") <= 0:
         raise ValueError("tol must be positive")
     rep = moments(psi, _MAX_MOMENT_COUNT)
     for k in range(_MAX_MOMENT_COUNT + 1):

@@ -83,15 +83,15 @@ class WeightSpec:
 
 
 def power_scale(s: float) -> WeightSpec:
-    return WeightSpec(family="power_scale", s=float(s))
+    return WeightSpec(family="power_scale", s=_finite_float(s, "s"))
 
 
 def symmetric_power(rho: float) -> WeightSpec:
-    return WeightSpec(family="symmetric_power", rho=float(rho))
+    return WeightSpec(family="symmetric_power", rho=_finite_float(rho, "rho"))
 
 
 def poly_tf(r: float, s: float) -> WeightSpec:
-    return WeightSpec(family="poly_tf", r=float(r), s=float(s))
+    return WeightSpec(family="poly_tf", r=_finite_float(r, "r"), s=_finite_float(s, "s"))
 
 
 def custom_weight(evaluator: Callable, group: str) -> WeightSpec:

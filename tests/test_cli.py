@@ -779,6 +779,33 @@ class TestWrongTypedConfig:
         assert named in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, key, extra", [
+        ("cwt", "quadrature", {"n_scale": 9}),
+        ("cwt/weight", "weight", {"rho": 2}),
+        ("certify-atom", "neighbourhood", {"n_sample": 3}),
+        ("reconstruct", "lattice", {"sign": [1]}),
+        ("reconstruct", "lattice file", {"sign": [1]}),
+        ("design-lattice", "schedule", {"gama": 0.5}),
+        ("stft", "x_grid", {"cont": 17}),
+        ("stft", "w_grid", {"origen": -2.0}),
+    ])
+    def test_unknown_nested_key_exit_2_naming_it(self, tmp_path, capsys, mexhat_file,
+                                                 gauss_file, truth_file, command, key, extra):
+        # a key no parser reads would otherwise be dropped: the run would go
+        # on with its default
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[command]
+        name = key.split()[0]
+        cfg[name] = {**cfg[name], **extra}
+        if key.endswith("file"):
+            path = tmp_path / "lattice.json"
+            write_json(path, cfg[name])
+            cfg[name] = str(path)
+        rc, out = self._run(tmp_path, command.split("/")[0], cfg)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"unknown {name} keys: {sorted(extra)}" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_subnormal_lattice_step_prints_one_line(self, tmp_path, mexhat_file, gauss_file,
                                                     truth_file):
         # the step is refused before any per-node division, so no numpy warning precedes it:
@@ -1026,28 +1053,30 @@ _SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16,
                    -1e16, 1e-300, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.0]
 _floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
+# an artifact's top-level values: 1-D float arrays, among them an empty
+# one and one longer than a block, and report values nested in lists and
+# dicts, where an infinity becomes a string
+_float_arrays = st.one_of(
+    st.lists(_floats, max_size=40).map(lambda v: np.array(v, dtype=float)),
+    st.builds(lambda n: np.resize(np.array(_SPECIAL_FLOATS), n),
+              st.sampled_from([0, cli._FLOAT_BLOCK + 1])))
+_report_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=5),
+              st.sampled_from([math.inf, -math.inf])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
 
 
 class TestJsonWriter:
     """The writer's text equals ``json.dumps(..., sort_keys=True, indent=1)``."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(_floats, max_size=40), st.integers(0, 3))
-    def test_float_arrays_and_lists(self, values, level):
-        ref = json.dumps(values, sort_keys=True, indent=1, allow_nan=False)
-        ref = ref.replace("\n", "\n" + " " * level)
-        assert "".join(_json_chunks(values, level)) == ref
-        assert "".join(_json_chunks(np.array(values, dtype=float), level)) == ref
-
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.recursive(
-        st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=5)),
-        lambda inner: st.one_of(st.lists(inner, max_size=4),
-                                st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-        max_leaves=20))
-    def test_nested_objects(self, obj):
-        ref = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
-        assert "".join(_json_chunks(obj)) == ref
+    @given(st.dictionaries(st.text(max_size=4), st.one_of(_float_arrays, _report_values),
+                           max_size=5))
+    def test_artifacts(self, obj):
+        # what _write_json writes before its final newline
+        assert "".join(_json_chunks(cli._canon(obj))) + "\n" == _json_dump_text(obj)
 
     def test_array_longer_than_one_block(self):
         rng = np.random.default_rng(0)
@@ -1063,6 +1092,15 @@ class TestJsonWriter:
         ref = json.dumps({"a": {2: [1.5], 1: {}}, "b": [[], [], [{}]], "c": []},
                          sort_keys=True, indent=1)
         assert "".join(_json_chunks(obj)) == ref
+
+    def test_numpy_and_python_infinities_read_alike(self, tmp_path):
+        values = {"np": np.float64(-np.inf), "py": math.inf, "list": [np.float64(np.inf)],
+                  "half": np.float32(0.5), "count": np.int64(3)}
+        assert cli._canon(values) == {"np": "-inf", "py": "inf", "list": ["inf"],
+                                      "half": 0.5, "count": 3}
+        path = tmp_path / "report.json"
+        _write_json(path, values)
+        assert json.loads(path.read_text()) == cli._canon(values)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_array_refused(self, tmp_path, bad):
@@ -1258,6 +1296,23 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)])
         assert (rc, builds) == (2, [])
         assert "max_iter must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", [-1, -1e-300])
+    def test_negative_tol_exit_2_before_any_file_is_read(self, tmp_path, capsys, tol):
+        # no residual meets a negative tol, so every iteration would run;
+        # the atom and field paths do not exist, so any read would say so
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(tmp_path / "no_atom.json"), "quadrature": dict(_TINY_AFFINE),
+            "neighbourhood": dict(_TINY_U), "lattice": str(tmp_path / "no_lattice.json"),
+            "field": str(tmp_path / "no_field.json"), "tol": tol, "max_iter": 25,
+        })
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_gaussian_atom_not_admissible(self, tmp_path, gauss_file, capsys):

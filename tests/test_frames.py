@@ -224,6 +224,24 @@ class TestGabor:
         _, rep = frame_operator_invert(g, g, lat, (2.82, 2.83), tol=0.0, max_iter=1)
         assert (builds, rep.iterations) == ([1], 1)
 
+    def test_unmeetable_stop_builds_no_operator(self, g, lat, monkeypatch):
+        # no residual meets a negative or NaN tol, and a zero window leaves
+        # the residual at its first value: every step would run, unconverged
+        builds = []
+
+        class Counted(frames.GaborOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "GaborOperator", Counted)
+        for tol in (-1e-8, math.nan):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                frame_operator_invert(g, g, lat, (2.82, 2.83), tol=tol)
+        with pytest.raises(ValueError, match="zero window"):
+            frame_operator_invert(g, g.with_values(np.zeros(g.n)), lat, (2.82, 2.83))
+        assert builds == []
+
     @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.inf, math.inf),
                                         (1.0, math.nan)])
     def test_non_finite_bounds_rejected(self, g, lat, bounds):
@@ -685,6 +703,23 @@ class TestNeumann:
         for max_iter in (0, -5):
             with pytest.raises(ValueError, match="max_iter must be >= 1"):
                 neumann_reconstruct(bupu.active_samples(W), bupu, K, max_iter=max_iter,
+                                    allow_uncertified=True)
+        assert builds == []
+
+    def test_negative_or_nan_tol_builds_no_kernel_operator(self, designed_loop, monkeypatch):
+        # no residual meets such a tol, so every one of max_iter steps would run
+        quad, K, lat, bupu, W = designed_loop
+        builds = []
+
+        class Counted(frames.KernelOperator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "KernelOperator", Counted)
+        for tol in (-1e-3, math.nan):
+            with pytest.raises(ValueError, match="tol must be >= 0"):
+                neumann_reconstruct(bupu.active_samples(W), bupu, K, tol=tol,
                                     allow_uncertified=True)
         assert builds == []
 

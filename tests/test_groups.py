@@ -596,3 +596,44 @@ class TestOneExponentRule:
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_inside_accepted(self, entry, p):
         self._ENTRIES[entry](p)
+
+
+class TestOneNumberRule:
+    """A non-finite or fractional scalar raises one ``ValueError`` naming its parameter."""
+
+    _ENTRIES = {
+        "translate": lambda v: cb.translate(_PSI, v),
+        "dilate": lambda v: cb.dilate(_PSI, v),
+        "modulate": lambda v: cb.modulate(_PSI, v),
+        "vanishing_moment_count": lambda v: cb.vanishing_moment_count(_PSI, v),
+        "moments": lambda v: cb.moments(_PSI, v),
+        "wavelet_atom_sufficient/rho": lambda v: cb.wavelet_atom_sufficient(_PSI, v),
+        "wavelet_atom_sufficient/tol": lambda v: cb.wavelet_atom_sufficient(_PSI, 1.0, v),
+        "stft_window_sufficient/r": lambda v: cb.stft_window_sufficient(_PSI, v, 0.0),
+        "stft_window_sufficient/s": lambda v: cb.stft_window_sufficient(_PSI, 0.0, v),
+        "symmetric_power": cb.symmetric_power,
+        "poly_tf/r": lambda v: cb.poly_tf(v, 0.0),
+        "poly_tf/s": lambda v: cb.poly_tf(0.0, v),
+        "power_scale": cb.power_scale,
+    }
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ("translate", np.inf, "x must be finite, got inf"),
+        ("translate", np.nan, "x must be finite, got nan"),
+        ("dilate", np.nan, "a must be finite, got nan"),
+        ("modulate", np.inf, "omega must be finite, got inf"),
+        ("vanishing_moment_count", np.nan, "tol must be finite, got nan"),
+        ("moments", 2.5, "k_max must be an integer, got 2.5"),
+        ("wavelet_atom_sufficient/rho", np.nan, "rho must be finite, got nan"),
+        ("wavelet_atom_sufficient/tol", -np.inf, "tol must be finite, got -inf"),
+        ("stft_window_sufficient/r", np.nan, "r must be finite, got nan"),
+        ("stft_window_sufficient/s", np.inf, "s must be finite, got inf"),
+        ("symmetric_power", np.nan, "rho must be finite, got nan"),
+        ("poly_tf/r", np.nan, "r must be finite, got nan"),
+        ("poly_tf/s", -np.inf, "s must be finite, got -inf"),
+        ("power_scale", np.inf, "s must be finite, got inf"),
+    ])
+    def test_refused_naming_the_parameter(self, entry, value, message):
+        with pytest.raises(ValueError) as exc:
+            self._ENTRIES[entry](value)
+        assert str(exc.value) == message
