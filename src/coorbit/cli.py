@@ -39,7 +39,15 @@ from .frames import (
     stft_window_sufficient,
     wavelet_atom_sufficient,
 )
-from .groups import GroupField, GroupQuadrature, _finite_float, _integer, _object, _on_group
+from .groups import (
+    GroupField,
+    GroupQuadrature,
+    _finite_float,
+    _integer,
+    _known_keys,
+    _object,
+    _on_group,
+)
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
 from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
@@ -152,24 +160,9 @@ def _read_json(path, key: str) -> dict:
     return _object(d, f"{key} file {path}")
 
 
-def _known_keys(d: dict, keys, name: str) -> dict:
-    """The config object ``d`` itself, refused if it holds a key outside ``keys``."""
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {unknown}")
-    return d
-
-
-def _parsed(cls, d, name: str):
-    """``cls.from_dict(d)``, refused if ``d`` holds a key its ``to_dict()`` does not write."""
-    obj = cls.from_dict(d)
-    _known_keys(d, obj.to_dict(), name)
-    return obj
-
-
 def _tf_axis(cfg: dict, name: str) -> tuple:
     """An ``(origin, step, count)`` triple from the config object ``cfg[name]``."""
-    axis = _known_keys(_object(cfg[name], name), ("origin", "step", "count"), name)
+    axis = _known_keys(cfg[name], ("origin", "step", "count"), name)
     return (_finite_float(axis["origin"], f"{name}.origin"),
             _finite_float(axis["step"], f"{name}.step"), _integer(axis["count"], f"{name}.count"))
 
@@ -182,7 +175,7 @@ def _weight_from(cfg: dict, kind: str) -> WeightSpec:
     """The config's weight, refused unless it lives on the group ``kind``; else the unit weight."""
     if "weight" not in cfg or cfg["weight"] is None:
         return unit_weight(kind)
-    weight = _parsed(WeightSpec, cfg["weight"], "weight")
+    weight = WeightSpec.from_dict(cfg["weight"])
     _on_group(kind, weight=weight)
     return weight
 
@@ -201,7 +194,7 @@ def _write_transform(out: Path, F: GroupField, weight: WeightSpec) -> int:
 
 def cmd_cwt(cfg: dict, out: Path) -> int:
     f, psi = _load_signal(cfg, "signal"), _load_signal(cfg, "atom")
-    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+    quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     return _write_transform(out, cwt(f, psi, quad), weight)
 
@@ -225,9 +218,8 @@ def cmd_admissibility(cfg: dict, out: Path) -> int:
 
 def cmd_moments(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "signal")
-    k_max = _integer(cfg.get("k_max", 4), "k_max")
     tol = _finite_float(cfg.get("tol", 1e-6), "tol")
-    rep = moments(psi, k_max).to_dict()
+    rep = moments(psi, cfg.get("k_max", 4)).to_dict()
     rep["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
     _write_json(Path(f"{out}.json"), rep)
     return _EXIT_OK
@@ -258,9 +250,9 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
     passed = True
     if kind == "wavelet":
         if "quadrature" in cfg:  # read, and refused off the affine group, before any work
-            quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+            quad = GroupQuadrature.from_dict(cfg["quadrature"])
             weight = _weight_from(cfg, "affine")
-            U = _parsed(NeighborhoodSpec, cfg["neighbourhood"], "neighbourhood")
+            U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
             _on_group("affine", chart=quad, neighbourhood=U)
         if "rho" in cfg:
             suff = wavelet_atom_sufficient(psi, _finite_float(cfg["rho"], "rho"),
@@ -288,10 +280,10 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
 
 def cmd_design_lattice(cfg: dict, out: Path) -> int:
     psi = _load_signal(cfg, "atom")
-    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+    quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
-    sched = _known_keys(_object(cfg.get("schedule", {}), "schedule"),
-                        ("alpha0", "beta0", "gamma", "max_steps"), "schedule")
+    sched = _known_keys(cfg.get("schedule", {}), ("alpha0", "beta0", "gamma", "max_steps"),
+                        "schedule")
     try:
         result = design_lattice(
             psi, quad, weight,
@@ -318,16 +310,16 @@ def _load_lattice(value):
     """A lattice from its config value: the object itself or the path of a JSON file."""
     d = value if isinstance(value, dict) else _read_json(value, "lattice")
     if d.get("type") == "affine":
-        return _parsed(AffineLattice, d, "lattice")
+        return AffineLattice.from_dict(d)
     if d.get("type") == "tf":
-        return _parsed(TFLattice, d, "lattice")
+        return TFLattice.from_dict(d)
     raise ValueError("unknown lattice type")
 
 
 def cmd_frame_bounds(cfg: dict, out: Path) -> int:
     g = _load_signal(cfg, "window")
     lat = _load_lattice(cfg["lattice"])
-    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+    quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
         raise ValueError(f"band must be two numbers, got {band!r}")
@@ -335,7 +327,7 @@ def cmd_frame_bounds(cfg: dict, out: Path) -> int:
     report = frame_bounds_empirical(
         g, lat, p=_finite_float(cfg.get("p", 2.0), "p"),
         m=_weight_from(cfg, quad.kind),
-        ensemble=_integer(cfg.get("ensemble", 20), "ensemble"),
+        ensemble=cfg.get("ensemble", 20),
         seed=_integer(cfg.get("seed", 0), "seed"),
         quad=quad, band=band,
     )
@@ -345,11 +337,11 @@ def cmd_frame_bounds(cfg: dict, out: Path) -> int:
 
 def cmd_reconstruct(cfg: dict, out: Path) -> int:
     tol, max_iter = _stopping_rule(_finite_float(cfg.get("tol", 1e-3), "tol"),
-                                   _integer(cfg.get("max_iter", 100), "max_iter"))
+                                   cfg.get("max_iter", 100))
     psi = _load_signal(cfg, "atom")
-    quad = _parsed(GroupQuadrature, cfg["quadrature"], "quadrature")
+    quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
-    U = _parsed(NeighborhoodSpec, cfg["neighbourhood"], "neighbourhood")
+    U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
     lat = _load_lattice(cfg["lattice"])
     _on_group("affine", chart=quad, neighbourhood=U, lattice=lat)
     truth = GroupField.from_dict(_read_json(cfg["field"], "field"))

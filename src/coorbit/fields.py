@@ -40,7 +40,9 @@ from .groups import (
     _finite_number,
     _in_chart,
     _in_chart_run,
+    _integer,
     _inverse,
+    _known_keys,
     _object,
     _on_group,
     _product,
@@ -77,6 +79,8 @@ __all__ = [
 
 _SPECTRA_BYTE_LIMIT = 256 * 2**20  # KernelOperator streams its spectra above this
 _DEFAULT_OSC_SAMPLES = 7
+# each neighbourhood kind's box sides, its keys besides "kind" and "n_samples"
+_U_KEYS = {"affine": ("beta", "alpha"), "tf": ("beta_x", "beta_w")}
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,7 @@ class NeighborhoodSpec:
                 raise ValueError("tf neighbourhood needs positive box sides")
         else:
             raise ValueError(f"unknown neighbourhood kind {self.kind!r}")
-        if not isinstance(self.n_samples, (int, np.integer)):
-            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
+        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples"))
         if self.n_samples < 2:
             raise ValueError("need at least two sample points per axis")
 
@@ -131,23 +134,18 @@ class NeighborhoodSpec:
         return dx.ravel(), dw.ravel()
 
     def to_dict(self) -> dict:
-        if self.kind == "affine":
-            return {"kind": "affine", "beta": self.beta, "alpha": self.alpha,
-                    "n_samples": self.n_samples}
-        return {"kind": "tf", "beta_x": self.beta_x, "beta_w": self.beta_w,
+        return {"kind": self.kind, **{key: getattr(self, key) for key in _U_KEYS[self.kind]},
                 "n_samples": self.n_samples}
 
     @staticmethod
     def from_dict(d: dict) -> "NeighborhoodSpec":
-        def num(key):
-            return _finite_number(d[key], f"neighbourhood.{key}")
-
-        n_samples = _object(d, "neighbourhood").get("n_samples", _DEFAULT_OSC_SAMPLES)
-        if d["kind"] == "affine":
-            return affine_box(num("beta"), num("alpha"), n_samples)
-        if d["kind"] == "tf":
-            return tf_box(num("beta_x"), num("beta_w"), n_samples)
-        raise ValueError(f"unknown neighbourhood kind {d['kind']!r}")
+        kind = _object(d, "neighbourhood")["kind"]
+        if not isinstance(kind, str) or kind not in _U_KEYS:
+            raise ValueError(f"unknown neighbourhood kind {kind!r}")
+        _known_keys(d, ("kind", *_U_KEYS[kind], "n_samples"), "neighbourhood")
+        sides = {key: _finite_number(d[key], f"neighbourhood.{key}") for key in _U_KEYS[kind]}
+        return NeighborhoodSpec(kind, n_samples=d.get("n_samples", _DEFAULT_OSC_SAMPLES),
+                                **sides)
 
 
 def affine_box(beta: float, alpha: float, n_samples: int = _DEFAULT_OSC_SAMPLES) -> NeighborhoodSpec:

@@ -40,7 +40,15 @@ from .fields import (
     oscillation,
     unit_weight,
 )
-from .groups import GroupField, GroupQuadrature, _exponent, _finite_number, _on_group, _Report
+from .groups import (
+    GroupField,
+    GroupQuadrature,
+    _exponent,
+    _finite_number,
+    _integer,
+    _on_group,
+    _Report,
+)
 from .lattices import (
     BUPU,
     AffineLattice,
@@ -162,8 +170,10 @@ class ReconstructionDivergence(RuntimeError):
 
 
 def _stopping_rule(tol: float, max_iter: int) -> tuple:
-    """``(tol, max_iter)``, refused unless ``max_iter >= 1`` and ``tol >= 0``: a run
-    of no step would return its data, and no residual meets a negative or NaN tol."""
+    """``(tol, max_iter)`` with ``max_iter`` read as an integer, refused unless ``max_iter >= 1``
+    and ``tol >= 0``: a run of no step would return its data, and no residual meets a
+    negative or NaN tol."""
+    max_iter = _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol >= 0:
@@ -377,6 +387,7 @@ def frame_bounds_empirical(
     whose transform norm vanishes are redrawn (at most ten times each).  A bad
     ``ensemble`` or ``p``, or a lattice off the chart's group, raises before any draw.
     """
+    ensemble = _integer(ensemble, "ensemble")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     _exponent(p)
@@ -435,7 +446,7 @@ def neumann_reconstruct(
     read and before the first iteration; ``max_iter < 1`` and a negative
     or NaN ``tol`` raise first.
     """
-    _stopping_rule(tol, max_iter)
+    tol, max_iter = _stopping_rule(tol, max_iter)
     if certificate is None and not allow_uncertified:
         raise ValueError(
             "no certificate supplied; pass allow_uncertified=True to override"
@@ -550,6 +561,7 @@ def design_lattice(
     is built when the schedule cannot shrink or takes no step, or when the
     chart or the weight is not on the affine group.
     """
+    max_steps = _integer(max_steps, "max_steps")
     for key, value, ok in (("alpha0", alpha0, 1 < alpha0 < math.inf),
                            ("beta0", beta0, 0 < beta0 < math.inf),
                            ("gamma", gamma, 0 < gamma < 1),
@@ -664,6 +676,7 @@ def gabor_tightness_probe(
 ) -> dict:
     """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws; a bad
     ``ensemble`` or a zero window raises before any draw."""
+    ensemble = _integer(ensemble, "ensemble")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     if l2_norm(g) == 0.0:
@@ -703,7 +716,7 @@ def frame_operator_invert(
     is built once per call, as one :class:`GaborOperator`, after ``max_iter``,
     ``tol``, the bounds and the window are checked; a zero window raises.
     """
-    _stopping_rule(tol, max_iter)
+    tol, max_iter = _stopping_rule(tol, max_iter)
     a, b = bounds
     if not (0 < a <= b < math.inf):
         raise ValueError("need finite frame bounds 0 < a <= b < inf")

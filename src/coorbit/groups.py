@@ -187,45 +187,22 @@ class GroupQuadrature:
         return x, w
 
     def to_dict(self) -> dict:
-        if self.kind == "affine":
-            return {
-                "group": "affine",
-                "b_lo": self.b_lo,
-                "b_hi": self.b_hi,
-                "n_b": self.n_b,
-                "a_min": self.a_min,
-                "a_max": self.a_max,
-                "n_scales": self.n_scales,
-                "signs": [int(s) for s in self.signs],
-            }
-        return {
-            "group": "tf",
-            "x0": self.x0,
-            "dx": self.dx,
-            "n_x": self.n_x,
-            "w0": self.w0,
-            "dw": self.dw,
-            "n_w": self.n_w,
-        }
+        """The chart's group and its builder's arguments, by parameter name."""
+        d = {"group": self.kind}
+        for key in _CHART_KEYS[self.kind]:
+            value = getattr(self, key)
+            d[key] = list(value) if isinstance(value, tuple) else value
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "GroupQuadrature":
-        def num(key):
-            return _finite_float(d[key], f"quadrature.{key}")
-
-        def count(key):
-            return _integer(d[key], f"quadrature.{key}")
-
-        if _object(d, "quadrature").get("group") == "affine":
-            return build_affine_quadrature(
-                num("b_lo"), num("b_hi"), count("n_b"), num("a_min"), num("a_max"),
-                count("n_scales"), _integers(d["signs"], "quadrature.signs"),
-            )
-        if d.get("group") == "tf":
-            return build_tf_quadrature(
-                num("x0"), num("dx"), count("n_x"), num("w0"), num("dw"), count("n_w")
-            )
-        raise ValueError("unknown quadrature serialization")
+        group = _object(d, "quadrature").get("group")
+        if not isinstance(group, str) or group not in _CHART_KEYS:
+            raise ValueError("unknown quadrature serialization")
+        keys = _CHART_KEYS[group]
+        _known_keys(d, ("group", *keys), "quadrature")
+        build = build_affine_quadrature if group == "affine" else build_tf_quadrature
+        return build(**{key: read(d[key], f"quadrature.{key}") for key, read in keys.items()})
 
 
 def _finite_number(value, key: str):
@@ -277,11 +254,29 @@ def _object(value, key: str) -> dict:
     return value
 
 
+def _known_keys(d, keys, name: str) -> dict:
+    """``d`` itself, refused unless it is an object whose keys all lie in ``keys``."""
+    unknown = sorted(set(_object(d, name)) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {unknown}")
+    return d
+
+
 def _integers(values, key: str) -> tuple:
     """A config list of integers as a tuple of ``int``."""
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{key} must be a list of integers, got {values!r}")
     return tuple(_integer(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
+# each chart group's keys, the parameters of its builder, with the rule that reads each
+_CHART_KEYS = {
+    "affine": {"b_lo": _finite_float, "b_hi": _finite_float, "n_b": _integer,
+               "a_min": _finite_float, "a_max": _finite_float, "n_scales": _integer,
+               "signs": _integers},
+    "tf": {"x0": _finite_float, "dx": _finite_float, "n_x": _integer,
+           "w0": _finite_float, "dw": _finite_float, "n_w": _integer},
+}
 
 
 def _finite_floats(values, key: str) -> np.ndarray:
@@ -417,6 +412,7 @@ class GroupField:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupField":
+        _known_keys(d, ("quadrature", "re", "im"), "field")
         quad = GroupQuadrature.from_dict(d["quadrature"])
         return GroupField(quad, _complex_samples(d).reshape(quad.shape))
 

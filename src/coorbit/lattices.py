@@ -28,6 +28,7 @@ from .groups import (
     _finite_number,
     _integer,
     _integers,
+    _known_keys,
     _on_group,
     _pullback,
     _Report,
@@ -127,12 +128,14 @@ class AffineLattice:
 
     @staticmethod
     def from_dict(d: dict) -> "AffineLattice":
-        return AffineLattice(
+        lat = AffineLattice(
             _finite_number(d["alpha"], "lattice.alpha"),
             _finite_number(d["beta"], "lattice.beta"),
             *_index_range(d["j"], "lattice.j"), *_index_range(d["k"], "lattice.k"),
             _integers(d.get("signs", (1, -1)), "lattice.signs"),
         )
+        _known_keys(d, lat.to_dict(), "lattice")
+        return lat
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +215,11 @@ class TFLattice:
             raise ValueError(f"lattice.generator must be 2x2, got {d['generator']!r}")
         for (r, c), v in np.ndenumerate(gen):
             _finite_number(v, f"lattice.generator[{r}][{c}]")
-        return TFLattice(gen.astype(float), _finite_number(d["scale"], "lattice.scale"),
-                         *_index_range(d["n1"], "lattice.n1"),
-                         *_index_range(d["n2"], "lattice.n2"))
+        lat = TFLattice(gen.astype(float), _finite_number(d["scale"], "lattice.scale"),
+                        *_index_range(d["n1"], "lattice.n1"),
+                        *_index_range(d["n2"], "lattice.n2"))
+        _known_keys(d, lat.to_dict(), "lattice")
+        return lat
 
 
 def _index_range(value, key: str) -> tuple:
@@ -518,6 +523,9 @@ def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
 def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> GroupQuadrature:
     """Affine chart that contains every tile of the (finite) lattice."""
     _on_group("affine", lattice=lat, neighbourhood=U)
+    cells_per_tile = _integer(cells_per_tile, "cells_per_tile")
+    if cells_per_tile < 1:
+        raise ValueError(f"cells_per_tile must be >= 1, got {cells_per_tile!r}")
     b, a = lat.point_arrays()
     half_b = np.abs(a) * U.beta / 2
     b_lo = float(np.min(b - half_b))

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import _complex_samples, _finite_float, _finite_number, _integer
+from .groups import _complex_samples, _finite_float, _finite_number, _integer, _known_keys
 
 __all__ = [
     "SampledSignal",
@@ -95,6 +95,7 @@ class SampledSignal:
 
     @staticmethod
     def from_dict(d: dict) -> "SampledSignal":
+        _known_keys(d, ("t0", "dt", "re", "im"), "signal")
         return SampledSignal(_finite_float(d["t0"], "t0"), _finite_float(d["dt"], "dt"),
                              _complex_samples(d))
 

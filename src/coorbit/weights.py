@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import _exponent, _finite_float, _object, _on_group, _product
+from .groups import _exponent, _finite_float, _integer, _known_keys, _object, _on_group, _product
 
 __all__ = [
     "WeightSpec",
@@ -56,6 +56,10 @@ class WeightSpec:
     group: str = ""  # set for custom; implied otherwise
 
     def __post_init__(self):
+        if self.family not in (*_FAMILIES, "custom"):
+            raise ValueError(f"unknown weight family {self.family!r}")
+        for key in _FAMILIES.get(self.family, (None, ()))[1]:  # a custom weight has none
+            object.__setattr__(self, key, _finite_float(getattr(self, key), key))
         if self.family == "symmetric_power" and self.rho < 0:
             raise ValueError("rho must be >= 0")
         if self.family == "poly_tf" and (self.r < 0 or self.s < 0):
@@ -78,20 +82,21 @@ class WeightSpec:
         fam = _object(d, "weight")["family"]
         if not isinstance(fam, str) or fam not in _FAMILIES:
             raise ValueError(f"unknown weight family {fam!r}")
+        _known_keys(d, ("family", *_FAMILIES[fam][1]), "weight")
         params = {k: _finite_float(d[k], f"weight.{k}") for k in _FAMILIES[fam][1]}
         return WeightSpec(fam, **params)
 
 
 def power_scale(s: float) -> WeightSpec:
-    return WeightSpec(family="power_scale", s=_finite_float(s, "s"))
+    return WeightSpec(family="power_scale", s=s)
 
 
 def symmetric_power(rho: float) -> WeightSpec:
-    return WeightSpec(family="symmetric_power", rho=_finite_float(rho, "rho"))
+    return WeightSpec(family="symmetric_power", rho=rho)
 
 
 def poly_tf(r: float, s: float) -> WeightSpec:
-    return WeightSpec(family="poly_tf", r=_finite_float(r, "r"), s=_finite_float(s, "s"))
+    return WeightSpec(family="poly_tf", r=r, s=s)
 
 
 def custom_weight(evaluator: Callable, group: str) -> WeightSpec:
@@ -159,6 +164,7 @@ def _sample_points(group: str, samples: int, rng: np.random.Generator):
 
 def _probe_pairs(group: str, samples: int, seed: int):
     """Two seeded point samples on the probe box of ``group``."""
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)

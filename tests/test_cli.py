@@ -788,6 +788,11 @@ class TestWrongTypedConfig:
         ("design-lattice", "schedule", {"gama": 0.5}),
         ("stft", "x_grid", {"cont": 17}),
         ("stft", "w_grid", {"origen": -2.0}),
+        # the input files a config names: read by their type's own reader
+        ("moments", "signal file", {"dtt": 5}),
+        ("cwt", "atom file", {"t_0": 0.0}),
+        ("stft", "window file", {"step": 0.5}),
+        ("reconstruct", "field file", {"values": [1.0]}),
     ])
     def test_unknown_nested_key_exit_2_naming_it(self, tmp_path, capsys, mexhat_file,
                                                  gauss_file, truth_file, command, key, extra):
@@ -795,15 +800,18 @@ class TestWrongTypedConfig:
         # on with its default
         cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[command]
         name = key.split()[0]
+        if isinstance(cfg[name], str):  # a file the config names: edit a copy
+            cfg[name] = json.loads(Path(cfg[name]).read_text())
         cfg[name] = {**cfg[name], **extra}
         if key.endswith("file"):
-            path = tmp_path / "lattice.json"
+            path = tmp_path / f"edited-{name}.json"
             write_json(path, cfg[name])
             cfg[name] = str(path)
         rc, out = self._run(tmp_path, command.split("/")[0], cfg)
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"unknown {name} keys: {sorted(extra)}" in err and "Traceback" not in err
+        reader = "signal" if name in ("atom", "window") else name
+        assert f"unknown {reader} keys: {sorted(extra)}" in err and "Traceback" not in err
         assert list(out.iterdir()) == []
 
     def test_subnormal_lattice_step_prints_one_line(self, tmp_path, mexhat_file, gauss_file,

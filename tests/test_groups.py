@@ -599,7 +599,8 @@ class TestOneExponentRule:
 
 
 class TestOneNumberRule:
-    """A non-finite or fractional scalar raises one ``ValueError`` naming its parameter."""
+    """A non-finite, fractional or too small scalar, or an unknown weight family, raises one
+    ``ValueError`` naming it."""
 
     _ENTRIES = {
         "translate": lambda v: cb.translate(_PSI, v),
@@ -615,6 +616,25 @@ class TestOneNumberRule:
         "poly_tf/r": lambda v: cb.poly_tf(v, 0.0),
         "poly_tf/s": lambda v: cb.poly_tf(0.0, v),
         "power_scale": cb.power_scale,
+        "WeightSpec/family": cb.WeightSpec,
+        "WeightSpec/rho": lambda v: cb.WeightSpec("symmetric_power", rho=v),
+        "WeightSpec/s": lambda v: cb.WeightSpec("power_scale", s=v),
+        # counts: each read as an integer, then held to its lower bound
+        "frame_operator_invert": lambda v: cb.frame_operator_invert(
+            _PSI, _PSI, _TF_LAT, (1.0, 1.0), max_iter=v),
+        "neumann_reconstruct": lambda v: cb.neumann_reconstruct(None, None, None, max_iter=v),
+        "frame_bounds_empirical": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, ensemble=v, quad=_AFF_QUAD),
+        "gabor_tightness_probe": lambda v: cb.gabor_tightness_probe(_PSI, _TF_LAT, ensemble=v),
+        "submultiplicativity_probe": lambda v: cb.submultiplicativity_probe(
+            cb.symmetric_power(1.0), samples=v),
+        "moderateness_probe": lambda v: cb.moderateness_probe(
+            cb.power_scale(1.0), cb.symmetric_power(2.0), samples=v),
+        "design_lattice": lambda v: cb.design_lattice(
+            _PSI, _AFF_QUAD, cb.power_scale(0.0), max_steps=v),
+        "covering_quadrature": lambda v: covering_quadrature(_AFF_LAT, _AFF_U, v),
+        "NeighborhoodSpec": lambda v: NeighborhoodSpec.from_dict({**_AFF_U.to_dict(),
+                                                                  "n_samples": v}),
     }
 
     @pytest.mark.parametrize("entry, value, message", [
@@ -632,8 +652,50 @@ class TestOneNumberRule:
         ("poly_tf/r", np.nan, "r must be finite, got nan"),
         ("poly_tf/s", -np.inf, "s must be finite, got -inf"),
         ("power_scale", np.inf, "s must be finite, got inf"),
+        ("WeightSpec/family", "bogus", "unknown weight family 'bogus'"),
+        ("WeightSpec/rho", np.nan, "rho must be finite, got nan"),
+        ("WeightSpec/s", np.inf, "s must be finite, got inf"),
+        ("frame_operator_invert", 2.5, "max_iter must be an integer, got 2.5"),
+        ("neumann_reconstruct", 2.5, "max_iter must be an integer, got 2.5"),
+        ("frame_bounds_empirical", True, "ensemble must be a number, got True"),
+        ("frame_bounds_empirical", 2.5, "ensemble must be an integer, got 2.5"),
+        ("gabor_tightness_probe", 2.5, "ensemble must be an integer, got 2.5"),
+        ("submultiplicativity_probe", 2.5, "samples must be an integer, got 2.5"),
+        ("moderateness_probe", 2.5, "samples must be an integer, got 2.5"),
+        ("design_lattice", 2.5, "max_steps must be an integer, got 2.5"),
+        ("covering_quadrature", 0, "cells_per_tile must be >= 1, got 0"),
+        ("covering_quadrature", -3, "cells_per_tile must be >= 1, got -3"),
+        ("covering_quadrature", 2.5, "cells_per_tile must be an integer, got 2.5"),
+        ("NeighborhoodSpec", 7.5, "n_samples must be an integer, got 7.5"),
     ])
     def test_refused_naming_the_parameter(self, entry, value, message):
         with pytest.raises(ValueError) as exc:
             self._ENTRIES[entry](value)
         assert str(exc.value) == message
+
+    def test_count_with_no_fractional_part_reads_as_an_int(self):
+        U = NeighborhoodSpec.from_dict({**_AFF_U.to_dict(), "n_samples": 7.0})
+        assert U.n_samples == 7 and type(U.n_samples) is int
+
+
+# every reader, with the name its refusal gives; a "/tf" entry is the reader's other kind
+_READERS = {
+    "quadrature": _AFF_QUAD, "quadrature/tf": _TF_QUAD,
+    "neighbourhood": _AFF_U, "neighbourhood/tf": _TF_U,
+    "weight": cb.symmetric_power(1.0), "weight/tf": cb.poly_tf(1.0, 2.0),
+    "lattice": _AFF_LAT, "lattice/tf": _TF_LAT,
+    "signal": _PSI, "field": _AFF_FIELD,
+}
+
+
+class TestOneReaderRule:
+    """Every ``from_dict`` reads its own ``to_dict()`` and refuses a key it never reads."""
+
+    @pytest.mark.parametrize("name", sorted(_READERS))
+    def test_own_dict_read_and_unknown_key_named(self, name):
+        obj = _READERS[name]
+        d = obj.to_dict()
+        assert type(obj).from_dict(d).to_dict() == d
+        with pytest.raises(ValueError) as exc:
+            type(obj).from_dict({**d, "extra": 1})
+        assert str(exc.value) == f"unknown {name.split('/')[0]} keys: ['extra']"
