@@ -156,7 +156,7 @@ def _read_json(path, key: str) -> dict:
         except json.JSONDecodeError:
             raise
         except ValueError as exc:  # a NaN/Infinity token: name the file
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{key} file {path}: {exc}") from None
     return _object(d, f"{key} file {path}")
 
 
@@ -167,8 +167,15 @@ def _tf_axis(cfg: dict, name: str) -> tuple:
             _finite_float(axis["step"], f"{name}.step"), _integer(axis["count"], f"{name}.count"))
 
 
-def _load_signal(cfg: dict, key: str) -> SampledSignal:
-    return SampledSignal.from_dict(_read_json(cfg[key], key))
+def _load(cfg: dict, key: str, reader=SampledSignal.from_dict):
+    """``reader`` applied to the object in the file the config's ``key`` names; a refusal
+    names the key and the path, as ``_read_json``'s own refusals do."""
+    path = cfg[key]
+    d = _read_json(path, key)
+    try:
+        return reader(d)
+    except ValueError as exc:
+        raise ValueError(f"{key} file {path}: {exc}") from None
 
 
 def _weight_from(cfg: dict, kind: str) -> WeightSpec:
@@ -193,23 +200,22 @@ def _write_transform(out: Path, F: GroupField, weight: WeightSpec) -> int:
 
 
 def cmd_cwt(cfg: dict, out: Path) -> int:
-    f, psi = _load_signal(cfg, "signal"), _load_signal(cfg, "atom")
+    f, psi = _load(cfg, "signal"), _load(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     return _write_transform(out, cwt(f, psi, quad), weight)
 
 
 def cmd_stft(cfg: dict, out: Path) -> int:
-    f, g = _load_signal(cfg, "signal"), _load_signal(cfg, "window")
+    f, g = _load(cfg, "signal"), _load(cfg, "window")
     grids, weight = (_tf_axis(cfg, "x_grid"), _tf_axis(cfg, "w_grid")), _weight_from(cfg, "tf")
     return _write_transform(out, stft(f, g, *grids), weight)
 
 
 def cmd_admissibility(cfg: dict, out: Path) -> int:
-    c = admissibility_constant(_load_signal(cfg, "atom"))
+    c = admissibility_constant(_load(cfg, "atom"))
     if isinstance(c, NotAdmissible):
-        rep = {"admissible": False, "dc_magnitude": c.dc_magnitude,
-               "peak_magnitude": c.peak_magnitude}
+        rep = {"admissible": False, **c.to_dict()}
     else:
         rep = {"admissible": True, "constant": c}
     _write_json(Path(f"{out}.json"), rep)
@@ -217,7 +223,7 @@ def cmd_admissibility(cfg: dict, out: Path) -> int:
 
 
 def cmd_moments(cfg: dict, out: Path) -> int:
-    psi = _load_signal(cfg, "signal")
+    psi = _load(cfg, "signal")
     tol = _finite_float(cfg.get("tol", 1e-6), "tol")
     rep = moments(psi, cfg.get("k_max", 4)).to_dict()
     rep["vanishing_moment_count"] = vanishing_moment_count(psi, tol)
@@ -245,7 +251,7 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
     if alone:
         raise ValueError(f"certify-atom reads config keys {alone} only together with "
                          f"{sorted({_CERTIFY_PARTNERS[k] for k in alone})}")
-    psi = _load_signal(cfg, "atom")
+    psi = _load(cfg, "atom")
     rep: dict = {"kind": kind}
     passed = True
     if kind == "wavelet":
@@ -279,7 +285,7 @@ def cmd_certify_atom(cfg: dict, out: Path) -> int:
 
 
 def cmd_design_lattice(cfg: dict, out: Path) -> int:
-    psi = _load_signal(cfg, "atom")
+    psi = _load(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     sched = _known_keys(cfg.get("schedule", {}), ("alpha0", "beta0", "gamma", "max_steps"),
@@ -306,9 +312,8 @@ def cmd_design_lattice(cfg: dict, out: Path) -> int:
     return _EXIT_OK
 
 
-def _load_lattice(value):
-    """A lattice from its config value: the object itself or the path of a JSON file."""
-    d = value if isinstance(value, dict) else _read_json(value, "lattice")
+def _lattice(d: dict):
+    """A lattice from its serialization, by its ``type``."""
     if d.get("type") == "affine":
         return AffineLattice.from_dict(d)
     if d.get("type") == "tf":
@@ -316,9 +321,16 @@ def _load_lattice(value):
     raise ValueError("unknown lattice type")
 
 
+def _load_lattice(cfg: dict):
+    """The config's lattice: the object itself or the path of a JSON file."""
+    if isinstance(cfg["lattice"], dict):
+        return _lattice(cfg["lattice"])
+    return _load(cfg, "lattice", _lattice)
+
+
 def cmd_frame_bounds(cfg: dict, out: Path) -> int:
-    g = _load_signal(cfg, "window")
-    lat = _load_lattice(cfg["lattice"])
+    g = _load(cfg, "window")
+    lat = _load_lattice(cfg)
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     band = cfg.get("band", (0.1, 1.0))
     if not isinstance(band, (list, tuple)) or len(band) != 2:
@@ -338,13 +350,13 @@ def cmd_frame_bounds(cfg: dict, out: Path) -> int:
 def cmd_reconstruct(cfg: dict, out: Path) -> int:
     tol, max_iter = _stopping_rule(_finite_float(cfg.get("tol", 1e-3), "tol"),
                                    cfg.get("max_iter", 100))
-    psi = _load_signal(cfg, "atom")
+    psi = _load(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
     U = NeighborhoodSpec.from_dict(cfg["neighbourhood"])
-    lat = _load_lattice(cfg["lattice"])
+    lat = _load_lattice(cfg)
     _on_group("affine", chart=quad, neighbourhood=U, lattice=lat)
-    truth = GroupField.from_dict(_read_json(cfg["field"], "field"))
+    truth = _load(cfg, "field", GroupField.from_dict)
     if truth.quad != quad:
         raise ValueError("field must be sampled on the chart given as quadrature")
     # the partition refuses a lattice that is not U-dense before any kernel is built

@@ -49,6 +49,7 @@ from .groups import (
     _pullback,
     _read_chart,
     _read_rows,
+    _Report,
     affine_field_interpolate,
 )
 from .weights import (
@@ -498,17 +499,15 @@ def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
 
 
 @dataclass(frozen=True)
-class YoungReport:
+class YoungReport(_Report):
     checks: tuple  # of dicts {name, lhs, rhs, pass}
     slack: float
+
+    _derived = ("passed",)
 
     @property
     def passed(self) -> bool:
         return all(c["pass"] for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"slack": self.slack, "pass": self.passed,
-                "checks": [dict(c) for c in self.checks]}
 
 
 def young_check(

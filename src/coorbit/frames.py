@@ -44,10 +44,13 @@ from .groups import (
     GroupField,
     GroupQuadrature,
     _exponent,
+    _finite_float,
     _finite_number,
     _integer,
     _on_group,
+    _real,
     _Report,
+    _seeded,
 )
 from .lattices import (
     BUPU,
@@ -110,12 +113,14 @@ _TRUNCATION_CAVEAT = (
 
 
 @dataclass(frozen=True)
-class FrameCertificate:
+class FrameCertificate(_Report):
     kernel_l1w: float
     osc_l1w: float
     U: NeighborhoodSpec
-    wspec: WeightSpec
-    chart: dict
+    weight: WeightSpec
+    chart: GroupQuadrature
+
+    _derived = ("q", "passed", "caveat")
 
     @property
     def q(self) -> float:
@@ -130,18 +135,6 @@ class FrameCertificate:
         n = self.U.n_samples
         return (f"{_TRUNCATION_CAVEAT}; osc_l1w takes the sup over the {n}x{n} = {n * n} "
                 "sampled offsets of U, a lower estimate of the sup over U")
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel_l1w": self.kernel_l1w,
-            "osc_l1w": self.osc_l1w,
-            "q": self.q,
-            "pass": self.passed,
-            "U": self.U.to_dict(),
-            "weight": self.wspec.to_dict(),
-            "chart": dict(self.chart),
-            "caveat": self.caveat,
-        }
 
 
 @dataclass(frozen=True)
@@ -170,13 +163,14 @@ class ReconstructionDivergence(RuntimeError):
 
 
 def _stopping_rule(tol: float, max_iter: int) -> tuple:
-    """``(tol, max_iter)`` with ``max_iter`` read as an integer, refused unless ``max_iter >= 1``
-    and ``tol >= 0``: a run of no step would return its data, and no residual meets a
-    negative or NaN tol."""
+    """``(tol, max_iter)`` with ``tol`` read as a finite float and ``max_iter`` as an integer,
+    refused unless ``max_iter >= 1`` and ``tol >= 0``: a run of no step would return its data,
+    no residual meets a negative or NaN tol, and every residual meets an infinite one."""
     max_iter = _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol >= 0:
+    tol = _finite_float(tol, "tol")
+    if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     return tol, max_iter
 
@@ -215,8 +209,7 @@ def _certificate_from_kernel(K, w, U, kernel_l1w=None) -> FrameCertificate:
     """Certificate of kernel ``K`` for ``U`` on its chart; ``kernel_l1w`` skips the norm."""
     if kernel_l1w is None:
         kernel_l1w = lpm_norm(K, 1.0, w)
-    return FrameCertificate(kernel_l1w, lpm_norm(oscillation(K, U), 1.0, w), U, w,
-                            K.quad.to_dict())
+    return FrameCertificate(kernel_l1w, lpm_norm(oscillation(K, U), 1.0, w), U, w, K.quad)
 
 
 def atom_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
@@ -332,10 +325,10 @@ def random_bandlimited_signal(
     the samples decay inside the window; normalized to unit L2 norm.
     ``envelope_width`` defaults to a sixth of the window's span.
     """
-    w_lo, w_hi = band
+    w_lo, w_hi = (_real(w, f"band[{i}]") for i, w in enumerate(band))
     if not (0 <= w_lo < w_hi):
         raise ValueError("need 0 <= w_lo < w_hi")
-    if envelope_width is not None and not envelope_width > 0:
+    if envelope_width is not None and not _real(envelope_width, "envelope_width") > 0:
         raise ValueError(f"envelope_width must be positive, got {envelope_width!r}")
     w_c, dw = _frequencies(template.n, template.dt)
     w = w_c[0] + dw * np.arange(template.n)  # Spectrum.grid() of fourier(template)
@@ -385,14 +378,15 @@ def frame_bounds_empirical(
     transform sampled on the lattice against the chart ``L^p_m`` norm of
     the transform itself; the empirical bounds are the extremes.  Draws
     whose transform norm vanishes are redrawn (at most ten times each).  A bad
-    ``ensemble`` or ``p``, or a lattice off the chart's group, raises before any draw.
+    ``ensemble``, ``p`` or ``seed``, or a lattice off the chart's group, raises before any
+    draw.
     """
     ensemble = _integer(ensemble, "ensemble")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     _exponent(p)
     _on_group(quad.kind, lattice=lat)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     # what every draw shares, as lpm_norm, sample_field and seq_lpm_norm compute it
     m = m if m is not None else unit_weight(quad.kind)
     chart_weights = eval_weight_at(m, quad.kind, *quad.node_points())
@@ -483,7 +477,7 @@ def neumann_reconstruct(
 
 
 @dataclass(frozen=True)
-class DesignResult:
+class DesignResult(_Report):
     alpha: float
     beta: float
     certificate: FrameCertificate
@@ -505,16 +499,6 @@ class DesignResult:
         reach = max(abs(quad.b_lo), abs(quad.b_hi)) / (self.beta * self.alpha**j_lo)
         k_span = int(math.ceil(reach - 0.5))
         return AffineLattice(self.alpha, self.beta, j_lo, j_hi, -k_span, k_span, quad.signs)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "steps": self.steps,
-            "q_history": list(self.q_history),
-            "q_steps": list(self.q_steps),
-            "certificate": self.certificate.to_dict(),
-        }
 
 
 def _first_pass(n_steps: int, passes) -> int | None:
@@ -562,6 +546,7 @@ def design_lattice(
     chart or the weight is not on the affine group.
     """
     max_steps = _integer(max_steps, "max_steps")
+    alpha0, beta0, gamma = _real(alpha0, "alpha0"), _real(beta0, "beta0"), _real(gamma, "gamma")
     for key, value, ok in (("alpha0", alpha0, 1 < alpha0 < math.inf),
                            ("beta0", beta0, 0 < beta0 < math.inf),
                            ("gamma", gamma, 0 < gamma < 1),
@@ -675,13 +660,13 @@ def gabor_tightness_probe(
     band: tuple = (0.1, 1.0), envelope_width: float | None = None,
 ) -> dict:
     """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws; a bad
-    ``ensemble`` or a zero window raises before any draw."""
+    ``ensemble`` or ``seed`` or a zero window raises before any draw."""
     ensemble = _integer(ensemble, "ensemble")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     if l2_norm(g) == 0.0:
         raise ValueError("zero window")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     op = GaborOperator(g, lat)
     ratios = []
     for _ in range(ensemble):
@@ -717,7 +702,7 @@ def frame_operator_invert(
     ``tol``, the bounds and the window are checked; a zero window raises.
     """
     tol, max_iter = _stopping_rule(tol, max_iter)
-    a, b = bounds
+    a, b = (_real(bound, f"bounds[{i}]") for i, bound in enumerate(bounds))
     if not (0 < a <= b < math.inf):
         raise ValueError("need finite frame bounds 0 < a <= b < inf")
     if l2_norm(g) == 0.0:

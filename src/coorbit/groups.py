@@ -22,6 +22,7 @@ node-index order so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -205,14 +206,18 @@ class GroupQuadrature:
         return build(**{key: read(d[key], f"quadrature.{key}") for key, read in keys.items()})
 
 
+def _real(value, key: str):
+    """``value`` itself if it is a real number, NaN and the infinities included; a bool or a
+    string raises.  The range check after it names what a NaN or an infinity breaks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _finite_number(value, key: str):
     """``value`` itself if it is a finite real number; a bool or a string raises."""
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise ValueError(f"{key} must be a number, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        finite = math.isfinite(_real(value, key))
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
@@ -226,16 +231,26 @@ def _finite_float(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """``value`` as an ``int``; a float reads only if it has no fractional part."""
-    _finite_number(value, key)
-    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+    """``value`` as an ``int``; a float or a ``Fraction`` reads only if it has no fractional
+    part."""
+    if _finite_number(value, key) != int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
+def _seeded(seed) -> np.random.Generator:
+    """The generator of ``seed``, read as a count: ``2.0`` draws what ``2`` draws, and a
+    fractional or negative seed raises."""
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _exponent(p):
-    """``p`` itself if it lies in ``[1, inf]``; ``p < 1``, ``-inf`` and NaN raise."""
-    if not 1 <= p:
+    """``p`` itself if it is a real number in ``[1, inf]``; a bool, a string, ``p < 1``,
+    ``-inf`` and NaN raise.  A ``Fraction`` reads."""
+    if not 1 <= _real(p, "p"):
         raise ValueError(f"p must lie in [1, inf], got {p!r}")
     return p
 
@@ -311,14 +326,20 @@ def _sign_branches(signs) -> tuple:
 
 
 class _Report:
-    """Base of the report dataclasses whose artifact is their fields, and nothing else."""
+    """Base of the result records whose artifact is their fields, then the properties
+    named in ``_derived``, and nothing else."""
+
+    _derived = ()  # names of properties written after the fields
 
     def to_dict(self) -> dict:
-        """Fields by name, ``passed`` as "pass", tuples as lists."""
+        """Fields, then ``_derived``, by name; ``passed`` as "pass", tuples as lists, and a
+        value with its own ``to_dict`` (a spec, a chart, a nested record) as that dict."""
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out["pass" if f.name == "passed" else f.name] = (
+        for name in (*(f.name for f in fields(self)), *self._derived):
+            value = getattr(self, name)
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            out["pass" if name == "passed" else name] = (
                 list(value) if isinstance(value, tuple) else value)
         return out
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupField, GroupQuadrature, _on_group, build_tf_quadrature
+from .groups import GroupField, GroupQuadrature, _on_group, _Report, build_tf_quadrature
 from .signals import (
     SampledSignal,
     Spectrum,
@@ -59,7 +59,7 @@ _EDGE_DECAY_WARN = 1e-8
 
 
 @dataclass(frozen=True)
-class NotAdmissible:
+class NotAdmissible(_Report):
     """Typed outcome: the admissibility integral diverges (nonzero DC)."""
 
     dc_magnitude: float

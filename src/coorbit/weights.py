@@ -20,7 +20,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import _exponent, _finite_float, _integer, _known_keys, _object, _on_group, _product
+from .groups import (
+    _exponent,
+    _finite_float,
+    _integer,
+    _known_keys,
+    _object,
+    _on_group,
+    _product,
+    _seeded,
+)
 
 __all__ = [
     "WeightSpec",
@@ -167,7 +176,7 @@ def _probe_pairs(group: str, samples: int, seed: int):
     samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     return _sample_points(group, samples, rng), _sample_points(group, samples, rng)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import coorbit as cb
 from coorbit import cli
 from coorbit.cli import _json_chunks, _write_json, main
-from coorbit.fields import lpm_norm
+from coorbit.fields import YoungReport, lpm_norm
 from coorbit.groups import GroupField
 
 
@@ -812,6 +812,8 @@ class TestWrongTypedConfig:
         assert rc == 2
         reader = "signal" if name in ("atom", "window") else name
         assert f"unknown {reader} keys: {sorted(extra)}" in err and "Traceback" not in err
+        if key.endswith("file"):  # which of the files a config names is at fault
+            assert f"{name} file {cfg[name]}: unknown {reader} keys" in err
         assert list(out.iterdir()) == []
 
     def test_subnormal_lattice_step_prints_one_line(self, tmp_path, mexhat_file, gauss_file,
@@ -1118,6 +1120,37 @@ class TestJsonWriter:
         with pytest.raises(ValueError):
             _write_json(path, {"re": [1.0, math.nan]})
         assert list(tmp_path.iterdir()) == []
+
+
+def test_result_records_keep_their_layout(tmp_path, gauss_file):
+    """Each result record writes the keys and values its artifacts have always held."""
+    psi = cb.mexican_hat(-16, 16, 1024)
+    quad = cb.GroupQuadrature.from_dict(_TINY_AFFINE)
+    w, U = cb.symmetric_power(1.0), cb.NeighborhoodSpec.from_dict(_TINY_U)
+    cert = cb.atom_certificate(psi, quad, w, U)
+    cert_layout = {"kernel_l1w": cert.kernel_l1w, "osc_l1w": cert.osc_l1w, "q": cert.q,
+                   "pass": cert.passed, "U": U.to_dict(), "weight": w.to_dict(),
+                   "chart": quad.to_dict(), "caveat": cert.caveat}
+    design = cb.DesignResult(1.5, 0.5, cert, 3, (2.0, 1.25, cert.q), (1, 2, 3))
+    design_layout = {"alpha": 1.5, "beta": 0.5, "steps": 3, "q_history": [2.0, 1.25, cert.q],
+                     "q_steps": [1, 2, 3], "certificate": cert_layout}
+    checks = ({"name": "algebra", "lhs": 1.0, "rhs": 2.0, "pass": True},
+              {"name": "left", "lhs": 3.0, "rhs": 2.0, "pass": False})
+    young_layout = {"slack": 0.05, "pass": False, "checks": [dict(c) for c in checks]}
+    for record, layout in ((cert, cert_layout), (design, design_layout),
+                           (YoungReport(checks, 0.05), young_layout)):
+        assert json.dumps(record.to_dict(), sort_keys=True) == json.dumps(layout, sort_keys=True)
+    # a refusal is written by the admissibility command, after its verdict
+    path, g = gauss_file
+    refusal = cb.admissibility_constant(g)
+    assert isinstance(refusal, cb.NotAdmissible)
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"version": "coorbit/1", "command": "admissibility", "atom": str(path)})
+    assert main(["admissibility", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "admissibility.json").read_text())
+    layout = {"admissible": False, "dc_magnitude": refusal.dc_magnitude,
+              "peak_magnitude": refusal.peak_magnitude}
+    assert json.dumps(written, sort_keys=True) == json.dumps(layout, sort_keys=True)
 
 
 class TestReconstructCommand:

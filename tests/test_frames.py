@@ -235,8 +235,8 @@ class TestGabor:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(frames, "GaborOperator", Counted)
-        for tol in (-1e-8, math.nan):
-            with pytest.raises(ValueError, match="tol must be >= 0"):
+        for tol, message in ((-1e-8, "tol must be >= 0"), (math.nan, "tol must be finite")):
+            with pytest.raises(ValueError, match=message):
                 frame_operator_invert(g, g, lat, (2.82, 2.83), tol=tol)
         with pytest.raises(ValueError, match="zero window"):
             frame_operator_invert(g, g.with_values(np.zeros(g.n)), lat, (2.82, 2.83))
@@ -717,8 +717,8 @@ class TestNeumann:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(frames, "KernelOperator", Counted)
-        for tol in (-1e-3, math.nan):
-            with pytest.raises(ValueError, match="tol must be >= 0"):
+        for tol, message in ((-1e-3, "tol must be >= 0"), (math.nan, "tol must be finite")):
+            with pytest.raises(ValueError, match=message):
                 neumann_reconstruct(bupu.active_samples(W), bupu, K, tol=tol,
                                     allow_uncertified=True)
         assert builds == []
@@ -908,6 +908,8 @@ class TestBesovExponent:
         sigma, _, _ = besov_exponent(3, Fraction(2, 7))
         assert sigma == Fraction(2, 7) - Fraction(1, 2) + Fraction(1, 3)
         assert isinstance(sigma, Fraction)
+        # a Fraction p passes the exponent rule's number test
+        assert besov_exponent(Fraction(4, 3), 0)[0] == Fraction(1, 4)
 
     def test_float_path(self):
         sigma, _, _ = besov_exponent(2.0, 0.25)

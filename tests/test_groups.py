@@ -635,6 +635,30 @@ class TestOneNumberRule:
         "covering_quadrature": lambda v: covering_quadrature(_AFF_LAT, _AFF_U, v),
         "NeighborhoodSpec": lambda v: NeighborhoodSpec.from_dict({**_AFF_U.to_dict(),
                                                                   "n_samples": v}),
+        # scalars read by the library itself, not only by the CLI
+        "frame_operator_invert/tol": lambda v: cb.frame_operator_invert(
+            _PSI, _PSI, _TF_LAT, (1.0, 1.0), tol=v),
+        "frame_operator_invert/bounds": lambda v: cb.frame_operator_invert(
+            _PSI, _PSI, _TF_LAT, (v, 1.0)),
+        "frame_bounds_empirical/p": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, p=v, quad=_AFF_QUAD),
+        "lpm_norm": lambda v: cb.lpm_norm(_AFF_FIELD, v),
+        "design_lattice/gamma": lambda v: cb.design_lattice(
+            _PSI, _AFF_QUAD, cb.power_scale(0.0), gamma=v),
+        "design_lattice/alpha0": lambda v: cb.design_lattice(
+            _PSI, _AFF_QUAD, cb.power_scale(0.0), alpha0=v),
+        "frame_bounds_empirical/band": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, quad=_AFF_QUAD, band=(v, 1.0)),
+        "frame_bounds_empirical/envelope_width": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, quad=_AFF_QUAD, envelope_width=v),
+        # seeds: read as counts, before any draw
+        "frame_bounds_empirical/seed": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, seed=v, quad=_AFF_QUAD),
+        "gabor_tightness_probe/seed": lambda v: cb.gabor_tightness_probe(_PSI, _TF_LAT, seed=v),
+        "submultiplicativity_probe/seed": lambda v: cb.submultiplicativity_probe(
+            cb.symmetric_power(1.0), seed=v),
+        "moderateness_probe/seed": lambda v: cb.moderateness_probe(
+            cb.power_scale(1.0), cb.symmetric_power(2.0), seed=v),
     }
 
     @pytest.mark.parametrize("entry, value, message", [
@@ -667,6 +691,23 @@ class TestOneNumberRule:
         ("covering_quadrature", -3, "cells_per_tile must be >= 1, got -3"),
         ("covering_quadrature", 2.5, "cells_per_tile must be an integer, got 2.5"),
         ("NeighborhoodSpec", 7.5, "n_samples must be an integer, got 7.5"),
+        ("frame_operator_invert/tol", "a", "tol must be a number, got 'a'"),
+        # every residual meets an infinite tol: one step would report convergence
+        ("frame_operator_invert/tol", np.inf, "tol must be finite, got inf"),
+        ("frame_operator_invert/bounds", "a", "bounds[0] must be a number, got 'a'"),
+        ("frame_bounds_empirical/p", "2", "p must be a number, got '2'"),
+        ("lpm_norm", "2", "p must be a number, got '2'"),
+        ("lpm_norm", True, "p must be a number, got True"),
+        ("design_lattice/gamma", "0.5", "gamma must be a number, got '0.5'"),
+        ("design_lattice/alpha0", None, "alpha0 must be a number, got None"),
+        ("frame_bounds_empirical/band", "a", "band[0] must be a number, got 'a'"),
+        ("frame_bounds_empirical/envelope_width", "2", "envelope_width must be a number, got '2'"),
+        *[(f"{entry}/seed", value, message)
+          for entry in ("frame_bounds_empirical", "gabor_tightness_probe",
+                        "submultiplicativity_probe", "moderateness_probe")
+          for value, message in ((2.5, "seed must be an integer, got 2.5"),
+                                 (True, "seed must be a number, got True"),
+                                 (-1, "seed must be >= 0, got -1"))],
     ])
     def test_refused_naming_the_parameter(self, entry, value, message):
         with pytest.raises(ValueError) as exc:
@@ -676,6 +717,11 @@ class TestOneNumberRule:
     def test_count_with_no_fractional_part_reads_as_an_int(self):
         U = NeighborhoodSpec.from_dict({**_AFF_U.to_dict(), "n_samples": 7.0})
         assert U.n_samples == 7 and type(U.n_samples) is int
+
+    def test_seed_with_no_fractional_part_draws_as_the_int(self):
+        ratios = [cb.frame_bounds_empirical(_PSI, _AFF_LAT, ensemble=2, seed=seed,
+                                            quad=_AFF_QUAD).ratios for seed in (2, 2.0)]
+        assert ratios[0] == ratios[1]
 
 
 # every reader, with the name its refusal gives; a "/tf" entry is the reader's other kind
