@@ -288,8 +288,8 @@ def cmd_design_lattice(cfg: dict, out: Path) -> int:
     psi = _load(cfg, "atom")
     quad = GroupQuadrature.from_dict(cfg["quadrature"])
     weight = _weight_from(cfg, "affine")
-    sched = _known_keys(cfg.get("schedule", {}), ("alpha0", "beta0", "gamma", "max_steps"),
-                        "schedule")
+    sched = _known_keys(cfg.get("schedule", {}), (), "schedule",
+                        optional=("alpha0", "beta0", "gamma", "max_steps"))
     try:
         result = design_lattice(
             psi, quad, weight,
@@ -403,6 +403,13 @@ _COMMANDS = {
 _COMMON_KEYS = {"version", "command", "seed", "out"}
 
 
+class _Config(dict):
+    """A run config: reading a key it lacks raises a ``ValueError`` that names the key."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing config keys: {[key]}")
+
+
 def _stem(value) -> str:
     """The config's ``out``: one file name inside ``--out-dir``, never a path."""
     if not isinstance(value, str) or value in ("", ".", "..") or {"/", os.sep} & set(value):
@@ -432,7 +439,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _read_json(args.config, "config") if args.config else {"version": FORMAT_VERSION}
+        cfg = _Config(_read_json(args.config, "config") if args.config
+                      else {"version": FORMAT_VERSION})
     except (OSError, ValueError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return _EXIT_IO
@@ -454,7 +462,7 @@ def main(argv=None) -> int:
                 f"config version {cfg.get('version')!r} does not match {FORMAT_VERSION!r}")
         if cfg["command"] != args.command:
             raise ValueError(f"config command {cfg['command']!r} does not match {args.command!r}")
-        _known_keys(cfg, keys | _COMMON_KEYS, f"{args.command} config")
+        _known_keys(cfg, (), f"{args.command} config", optional=keys | _COMMON_KEYS)
         return handler(cfg, Path(args.out_dir) / _stem(cfg.get("out", stem)))
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
@@ -465,7 +473,7 @@ def main(argv=None) -> int:
     except NotAdmissibleError as exc:
         print(f"not admissible: {exc}", file=sys.stderr)
         return _EXIT_CERT
-    except (ValueError, KeyError, MemoryError) as exc:  # MemoryError: a chart too large
+    except (ValueError, MemoryError) as exc:  # MemoryError: a chart too large
         print(f"invalid input: {exc}", file=sys.stderr)
         return _EXIT_IO
 

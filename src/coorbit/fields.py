@@ -36,20 +36,19 @@ import numpy as np
 from .groups import (
     GroupField,
     _chart_index,
+    _count,
     _exponent,
     _finite_number,
-    _in_chart,
     _in_chart_run,
-    _integer,
     _inverse,
     _known_keys,
-    _object,
     _on_group,
     _product,
     _pullback,
     _read_chart,
     _read_rows,
     _Report,
+    _tag,
     affine_field_interpolate,
 )
 from .weights import (
@@ -111,9 +110,7 @@ class NeighborhoodSpec:
                 raise ValueError("tf neighbourhood needs positive box sides")
         else:
             raise ValueError(f"unknown neighbourhood kind {self.kind!r}")
-        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples"))
-        if self.n_samples < 2:
-            raise ValueError("need at least two sample points per axis")
+        object.__setattr__(self, "n_samples", _count(self.n_samples, "n_samples", 2))
 
     def haar_mass(self) -> float:
         if self.kind == "affine":
@@ -140,10 +137,8 @@ class NeighborhoodSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "NeighborhoodSpec":
-        kind = _object(d, "neighbourhood")["kind"]
-        if not isinstance(kind, str) or kind not in _U_KEYS:
-            raise ValueError(f"unknown neighbourhood kind {kind!r}")
-        _known_keys(d, ("kind", *_U_KEYS[kind], "n_samples"), "neighbourhood")
+        kind = _tag(d, "kind", _U_KEYS, "neighbourhood")
+        _known_keys(d, ("kind", *_U_KEYS[kind]), "neighbourhood", optional=("n_samples",))
         sides = {key: _finite_number(d[key], f"neighbourhood.{key}") for key in _U_KEYS[kind]}
         return NeighborhoodSpec(kind, n_samples=d.get("n_samples", _DEFAULT_OSC_SAMPLES),
                                 **sides)
@@ -295,13 +290,11 @@ def _kernel_blocks(quad):
             # test (snap included) that the direct sum's interpolation applies;
             # both index arrays are monotone, so what is kept is one run
             fb_all = (ms * db / scales[j] - quad.b_lo) / db
-            kept_b = np.flatnonzero(_in_chart(fb_all, n_b))
+            cols = _in_chart_run(fb_all, n_b)
             fu_all = (u - u[j] - quad.u_lo) / du
-            kept_u = np.flatnonzero(_in_chart(fu_all, n_u))
-            if kept_b.size == 0 or kept_u.size == 0:
+            rows = _in_chart_run(fu_all, n_u)
+            if cols.start >= cols.stop or rows.start >= rows.stop:
                 continue
-            cols = slice(kept_b[0], kept_b[-1] + 1)
-            rows = slice(kept_u[0], kept_u[-1] + 1)
             w_j = db * du / scales[j]
             yield p, j, rows, cols, w_j, fu_all[rows], fb_all[cols]
 

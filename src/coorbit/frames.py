@@ -43,6 +43,7 @@ from .fields import (
 from .groups import (
     GroupField,
     GroupQuadrature,
+    _count,
     _exponent,
     _finite_float,
     _finite_number,
@@ -166,9 +167,7 @@ def _stopping_rule(tol: float, max_iter: int) -> tuple:
     """``(tol, max_iter)`` with ``tol`` read as a finite float and ``max_iter`` as an integer,
     refused unless ``max_iter >= 1`` and ``tol >= 0``: a run of no step would return its data,
     no residual meets a negative or NaN tol, and every residual meets an infinite one."""
-    max_iter = _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _count(max_iter, "max_iter", 1)
     tol = _finite_float(tol, "tol")
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
@@ -325,10 +324,10 @@ def random_bandlimited_signal(
     the samples decay inside the window; normalized to unit L2 norm.
     ``envelope_width`` defaults to a sixth of the window's span.
     """
-    w_lo, w_hi = (_real(w, f"band[{i}]") for i, w in enumerate(band))
+    w_lo, w_hi = (_finite_number(w, f"band[{i}]") for i, w in enumerate(band))
     if not (0 <= w_lo < w_hi):
         raise ValueError("need 0 <= w_lo < w_hi")
-    if envelope_width is not None and not _real(envelope_width, "envelope_width") > 0:
+    if envelope_width is not None and not _finite_number(envelope_width, "envelope_width") > 0:
         raise ValueError(f"envelope_width must be positive, got {envelope_width!r}")
     w_c, dw = _frequencies(template.n, template.dt)
     w = w_c[0] + dw * np.arange(template.n)  # Spectrum.grid() of fourier(template)
@@ -381,9 +380,7 @@ def frame_bounds_empirical(
     ``ensemble``, ``p`` or ``seed``, or a lattice off the chart's group, raises before any
     draw.
     """
-    ensemble = _integer(ensemble, "ensemble")
-    if ensemble < 1:
-        raise ValueError("ensemble must be >= 1")
+    ensemble = _count(ensemble, "ensemble", 1)
     _exponent(p)
     _on_group(quad.kind, lattice=lat)
     rng = _seeded(seed)
@@ -661,9 +658,7 @@ def gabor_tightness_probe(
 ) -> dict:
     """Spread of ``<S f, f> / ||f||^2`` over random band-limited draws; a bad
     ``ensemble`` or ``seed`` or a zero window raises before any draw."""
-    ensemble = _integer(ensemble, "ensemble")
-    if ensemble < 1:
-        raise ValueError("ensemble must be >= 1")
+    ensemble = _count(ensemble, "ensemble", 1)
     if l2_norm(g) == 0.0:
         raise ValueError("zero window")
     rng = _seeded(seed)

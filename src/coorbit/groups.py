@@ -50,7 +50,8 @@ class AffinePoint:
     a: float
 
     def __post_init__(self):
-        if self.a == 0:
+        _finite_number(self.b, "b")
+        if _finite_number(self.a, "a") == 0:
             raise ValueError("affine scale must be nonzero")
 
 
@@ -197,9 +198,7 @@ class GroupQuadrature:
 
     @staticmethod
     def from_dict(d: dict) -> "GroupQuadrature":
-        group = _object(d, "quadrature").get("group")
-        if not isinstance(group, str) or group not in _CHART_KEYS:
-            raise ValueError("unknown quadrature serialization")
+        group = _tag(d, "group", _CHART_KEYS, "quadrature")
         keys = _CHART_KEYS[group]
         _known_keys(d, ("group", *keys), "quadrature")
         build = build_affine_quadrature if group == "affine" else build_tf_quadrature
@@ -238,13 +237,17 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _count(value, key: str, least: int) -> int:
+    """``value`` read as an integer by :func:`_integer`, refused below ``least``."""
+    count = _integer(value, key)
+    if count < least:
+        raise ValueError(f"{key} must be >= {least}, got {count}")
+    return count
+
+
 def _seeded(seed) -> np.random.Generator:
-    """The generator of ``seed``, read as a count: ``2.0`` draws what ``2`` draws, and a
-    fractional or negative seed raises."""
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    """The generator of ``seed``, read as a count: ``2.0`` draws what ``2`` draws."""
+    return np.random.default_rng(_count(seed, "seed", 0))
 
 
 def _exponent(p):
@@ -269,12 +272,26 @@ def _object(value, key: str) -> dict:
     return value
 
 
-def _known_keys(d, keys, name: str) -> dict:
-    """``d`` itself, refused unless it is an object whose keys all lie in ``keys``."""
-    unknown = sorted(set(_object(d, name)) - set(keys))
+def _known_keys(d, keys, name: str, optional=()) -> dict:
+    """``d`` itself, refused unless it is an object that holds every one of ``keys`` and no
+    key outside ``keys`` and ``optional``."""
+    unknown = sorted(set(_object(d, name)) - set(keys) - set(optional))
     if unknown:
         raise ValueError(f"unknown {name} keys: {unknown}")
+    missing = sorted(set(keys) - set(d))
+    if missing:
+        raise ValueError(f"missing {name} keys: {missing}")
     return d
+
+
+def _tag(d, key: str, tags, name: str) -> str:
+    """``d[key]``, the tag that says which of ``tags`` the object ``d`` serializes; a
+    missing key and an unknown tag raise, naming ``name``."""
+    if key not in _object(d, name):
+        raise ValueError(f"missing {name} keys: {[key]}")
+    if not isinstance(d[key], str) or d[key] not in tags:
+        raise ValueError(f"unknown {name} {key} {d[key]!r}")
+    return d[key]
 
 
 def _integers(values, key: str) -> tuple:
@@ -360,13 +377,11 @@ def build_affine_quadrature(
     on each requested sign branch.  A chart whose largest weight, at
     ``a_min``, is not finite is refused.
     """
-    n_b, n_scales = _integer(n_b, "n_b"), _integer(n_scales, "n_scales")
+    n_b, n_scales = _count(n_b, "n_b", 2), _count(n_scales, "n_scales", 2)
     for key, value in (("b_lo", b_lo), ("b_hi", b_hi), ("a_min", a_min), ("a_max", a_max)):
         _finite_number(value, key)
     if not (0 < a_min < a_max):
         raise ValueError("need 0 < a_min < a_max")
-    if n_b < 2 or n_scales < 2:
-        raise ValueError("need n_b >= 2 and n_scales >= 2")
     if b_hi <= b_lo:
         raise ValueError("need b_hi > b_lo")
     quad = GroupQuadrature(
@@ -389,10 +404,10 @@ def build_tf_quadrature(
     x0: float, dx: float, n_x: int, w0: float, dw: float, n_w: int
 ) -> GroupQuadrature:
     """Uniform chart of the time-frequency plane, weight ``dx*dw``."""
-    n_x, n_w = _integer(n_x, "n_x"), _integer(n_w, "n_w")
+    n_x, n_w = _count(n_x, "n_x", 1), _count(n_w, "n_w", 1)
     for key, value in (("x0", x0), ("dx", dx), ("w0", w0), ("dw", dw)):
         _finite_number(value, key)
-    if dx <= 0 or dw <= 0 or n_x < 1 or n_w < 1:
+    if dx <= 0 or dw <= 0:
         raise ValueError("invalid TF grid")
     return GroupQuadrature(
         kind="tf", x0=float(x0), dx=float(dx), n_x=n_x,
@@ -573,6 +588,6 @@ def left_translate_field(F: GroupField, y) -> GroupField:
         y = (y.b, y.a)
     elif not isinstance(y, (tuple, list, np.ndarray)):
         raise ValueError("tf field needs an (x, w) translation")
-    y = (float(y[0]), float(y[1]))
+    y = (_finite_float(y[0], "y[0]"), _finite_float(y[1], "y[1]"))
     vals, mask = _read_chart(F, *_pullback(quad.kind, y, quad.node_points()))
     return GroupField(quad, vals, {"coverage": float(np.mean(mask))})

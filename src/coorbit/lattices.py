@@ -25,6 +25,7 @@ from .fields import NeighborhoodSpec, _p_norm, affine_box, lpm_norm, tf_box, uni
 from .groups import (
     GroupField,
     GroupQuadrature,
+    _count,
     _finite_number,
     _integer,
     _integers,
@@ -128,14 +129,13 @@ class AffineLattice:
 
     @staticmethod
     def from_dict(d: dict) -> "AffineLattice":
-        lat = AffineLattice(
+        _known_keys(d, ("alpha", "beta", "j", "k"), "lattice", optional=("type", "signs"))
+        return AffineLattice(
             _finite_number(d["alpha"], "lattice.alpha"),
             _finite_number(d["beta"], "lattice.beta"),
             *_index_range(d["j"], "lattice.j"), *_index_range(d["k"], "lattice.k"),
             _integers(d.get("signs", (1, -1)), "lattice.signs"),
         )
-        _known_keys(d, lat.to_dict(), "lattice")
-        return lat
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +164,7 @@ class TFLattice:
 
     @staticmethod
     def separable(a_x: float, b_w: float, n1, n2) -> "TFLattice":
-        if a_x <= 0 or b_w <= 0:
+        if _finite_number(a_x, "a_x") <= 0 or _finite_number(b_w, "b_w") <= 0:
             raise ValueError("separable steps must be positive")
         return TFLattice(np.diag([a_x, b_w]), 1.0, n1[0], n1[1], n2[0], n2[1])
 
@@ -210,16 +210,15 @@ class TFLattice:
 
     @staticmethod
     def from_dict(d: dict) -> "TFLattice":
+        _known_keys(d, ("generator", "scale", "n1", "n2"), "lattice", optional=("type",))
         gen = np.asarray(d["generator"], dtype=object)
         if gen.shape != (2, 2):
             raise ValueError(f"lattice.generator must be 2x2, got {d['generator']!r}")
         for (r, c), v in np.ndenumerate(gen):
             _finite_number(v, f"lattice.generator[{r}][{c}]")
-        lat = TFLattice(gen.astype(float), _finite_number(d["scale"], "lattice.scale"),
-                        *_index_range(d["n1"], "lattice.n1"),
-                        *_index_range(d["n2"], "lattice.n2"))
-        _known_keys(d, lat.to_dict(), "lattice")
-        return lat
+        return TFLattice(gen.astype(float), _finite_number(d["scale"], "lattice.scale"),
+                         *_index_range(d["n1"], "lattice.n1"),
+                         *_index_range(d["n2"], "lattice.n2"))
 
 
 def _index_range(value, key: str) -> tuple:
@@ -523,9 +522,7 @@ def seq_lpm_norm(c, p: float, m: WeightSpec | None, lat) -> float:
 def covering_quadrature(lat, U: NeighborhoodSpec, cells_per_tile: int = 6) -> GroupQuadrature:
     """Affine chart that contains every tile of the (finite) lattice."""
     _on_group("affine", lattice=lat, neighbourhood=U)
-    cells_per_tile = _integer(cells_per_tile, "cells_per_tile")
-    if cells_per_tile < 1:
-        raise ValueError(f"cells_per_tile must be >= 1, got {cells_per_tile!r}")
+    cells_per_tile = _count(cells_per_tile, "cells_per_tile", 1)
     b, a = lat.point_arrays()
     half_b = np.abs(a) * U.beta / 2
     b_lo = float(np.min(b - half_b))

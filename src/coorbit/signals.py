@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import _complex_samples, _finite_float, _finite_number, _integer, _known_keys
+from .groups import _complex_samples, _count, _finite_float, _finite_number, _known_keys
 
 __all__ = [
     "SampledSignal",
@@ -189,6 +189,7 @@ def _not_a_knot_slopes(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
+    n = _count(n, "n", 2)
     dt = (t_hi - t_lo) / n
     t = t_lo + dt * np.arange(n)
     return SampledSignal(t_lo, dt, fn(t))
@@ -224,6 +225,7 @@ def signal_from_spectrum_profile(
     zero bin is forced to ``profile``'s limit at 0 if finite, else 0)
     and inverted; handy for atoms given by a closed-form ``psi_hat``.
     """
+    n = _count(n, "n", 2)
     w, dw = _frequencies(n, (t_hi - t_lo) / n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.asarray(profile(w), dtype=np.complex128)
@@ -321,9 +323,7 @@ def moments(psi: SampledSignal, k_max: int) -> MomentReport:
     Values are window-truncated quantities; the report records the
     window so tail sensitivity can be probed by widening the grid.
     """
-    k_max = _integer(k_max, "k_max")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    k_max = _count(k_max, "k_max", 0)
     t = psi.grid()
     mom = []
     amom = []
@@ -363,8 +363,7 @@ def derivative(psi: SampledSignal, order: int = 1) -> SampledSignal:
     grid's highest bins, which carry only discretization noise for the
     smooth signals this is meant for.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = _count(order, "order", 1)
     spec = fourier(psi)
     w = spec.grid()
     w_cut = _DERIVATIVE_KEEP_FRACTION * np.max(np.abs(w))

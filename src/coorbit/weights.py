@@ -21,14 +21,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import (
+    _count,
     _exponent,
     _finite_float,
-    _integer,
     _known_keys,
-    _object,
     _on_group,
     _product,
     _seeded,
+    _tag,
 )
 
 __all__ = [
@@ -88,9 +88,7 @@ class WeightSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "WeightSpec":
-        fam = _object(d, "weight")["family"]
-        if not isinstance(fam, str) or fam not in _FAMILIES:
-            raise ValueError(f"unknown weight family {fam!r}")
+        fam = _tag(d, "family", _FAMILIES, "weight")
         _known_keys(d, ("family", *_FAMILIES[fam][1]), "weight")
         params = {k: _finite_float(d[k], f"weight.{k}") for k in _FAMILIES[fam][1]}
         return WeightSpec(fam, **params)
@@ -173,9 +171,7 @@ def _sample_points(group: str, samples: int, rng: np.random.Generator):
 
 def _probe_pairs(group: str, samples: int, seed: int):
     """Two seeded point samples on the probe box of ``group``."""
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count(samples, "samples", 1)
     rng = _seeded(seed)
     return _sample_points(group, samples, rng), _sample_points(group, samples, rng)
 

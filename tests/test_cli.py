@@ -816,6 +816,39 @@ class TestWrongTypedConfig:
             assert f"{name} file {cfg[name]}: unknown {reader} keys" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, key, dropped", [
+        ("moments", "signal file", "re"),
+        ("stft", "x_grid", "count"),
+        ("cwt", "quadrature", "b_lo"),
+        ("reconstruct", "lattice", "alpha"),
+        # a key of the config itself
+        ("moments", "config", "signal"),
+        ("certify-atom", "config", "neighbourhood"),
+    ])
+    def test_missing_key_exit_2_naming_it(self, tmp_path, capsys, mexhat_file, gauss_file,
+                                          truth_file, command, key, dropped):
+        # named as missing, where a bare KeyError would print only the key
+        cfg = self._configs(str(mexhat_file[0]), str(gauss_file[0]), str(truth_file))[command]
+        name = key.split()[0]
+        if name == "config":
+            del cfg[dropped]
+        else:
+            if isinstance(cfg[name], str):  # a file the config names: edit a copy
+                cfg[name] = json.loads(Path(cfg[name]).read_text())
+            del cfg[name][dropped]
+        if key.endswith("file"):
+            path = tmp_path / f"edited-{name}.json"
+            write_json(path, cfg[name])
+            cfg[name] = str(path)
+        rc, out = self._run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert rc == 2
+        reader = "signal" if key.endswith("file") else name
+        assert f"missing {reader} keys: ['{dropped}']" in err and "Traceback" not in err
+        if key.endswith("file"):
+            assert f"{name} file {cfg[name]}: missing" in err
+        assert list(out.iterdir()) == []
+
     def test_subnormal_lattice_step_prints_one_line(self, tmp_path, mexhat_file, gauss_file,
                                                     truth_file):
         # the step is refused before any per-node division, so no numpy warning precedes it:

@@ -153,14 +153,15 @@ class TestGabor:
             with pytest.raises(ValueError) as exc:
                 call()
             expected.append(str(exc.value))
-        assert expected == ["ensemble must be >= 1", "zero window"]
+        assert expected == ["ensemble must be >= 1, got 0", "zero window"]
 
         def no_work(*args, **kwargs):
             raise AssertionError("a draw or an operator ran before the refusal")
 
         for stage in ("random_bandlimited_signal", "GaborOperator"):
             monkeypatch.setattr(frames, stage, no_work)
-        cases = (((g, 0), expected[0]), ((g, -3), expected[0]), ((zero, 20), expected[1]))
+        cases = (((g, 0), expected[0]), ((g, -3), "ensemble must be >= 1, got -3"),
+                 ((zero, 20), expected[1]))
         for (window, ensemble), message in cases:
             with pytest.raises(ValueError) as exc:
                 gabor_tightness_probe(window, lat, ensemble=ensemble)
@@ -458,20 +459,22 @@ def test_random_draws_bit_identical_to_transforming_the_template(template, band,
 
 
 def test_envelope_width_none_is_the_default_and_nonpositive_refused(g, lat):
-    # None takes a sixth of the span; 0.0 is not read as None, and a
-    # negative width, whose envelope is that of its absolute value, is refused
+    # None takes a sixth of the span; 0.0 is not read as None, a negative
+    # width, whose envelope is that of its absolute value, is refused, and
+    # NaN is refused by the number rule
     f = random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4))
     t = f.grid()
     same = random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4),
                                      envelope_width=(t[-1] - t[0]) / 6)
     assert np.array_equal(f.values.view(np.int64), same.values.view(np.int64))
     quad = build_tf_quadrature(-12, 0.125, 193, -4.0, 0.125, 65)
-    for width in (0.0, -0.0, -2.2, math.nan):
-        with pytest.raises(ValueError, match="envelope_width must be positive"):
+    for width, message in ((0.0, "positive"), (-0.0, "positive"), (-2.2, "positive"),
+                           (math.nan, "finite")):
+        with pytest.raises(ValueError, match=f"envelope_width must be {message}"):
             random_bandlimited_signal(g, (0.25, 1.0), np.random.default_rng(4), width)
-        with pytest.raises(ValueError, match="envelope_width must be positive"):
+        with pytest.raises(ValueError, match=f"envelope_width must be {message}"):
             frame_bounds_empirical(g, lat, ensemble=2, quad=quad, envelope_width=width)
-        with pytest.raises(ValueError, match="envelope_width must be positive"):
+        with pytest.raises(ValueError, match=f"envelope_width must be {message}"):
             gabor_tightness_probe(g, lat, ensemble=2, envelope_width=width)
 
 

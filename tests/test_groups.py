@@ -635,6 +635,14 @@ class TestOneNumberRule:
         "covering_quadrature": lambda v: covering_quadrature(_AFF_LAT, _AFF_U, v),
         "NeighborhoodSpec": lambda v: NeighborhoodSpec.from_dict({**_AFF_U.to_dict(),
                                                                   "n_samples": v}),
+        "derivative": lambda v: cb.derivative(_PSI, v),
+        "gaussian": lambda v: cb.gaussian(n=v),
+        "mexican_hat": lambda v: cb.mexican_hat(n=v),
+        "haar_wavelet": lambda v: cb.haar_wavelet(n=v),
+        "signal_from_spectrum_profile": lambda v: cb.signal_from_spectrum_profile(
+            lambda w: np.exp(-np.pi * w * w), n=v),
+        "build_affine_quadrature": lambda v: build_affine_quadrature(-2, 2, v, 0.5, 2.0, 5),
+        "build_tf_quadrature": lambda v: cb.build_tf_quadrature(-2.0, 0.25, v, -2.0, 0.25, 16),
         # scalars read by the library itself, not only by the CLI
         "frame_operator_invert/tol": lambda v: cb.frame_operator_invert(
             _PSI, _PSI, _TF_LAT, (1.0, 1.0), tol=v),
@@ -651,6 +659,14 @@ class TestOneNumberRule:
             _PSI, _AFF_LAT, quad=_AFF_QUAD, band=(v, 1.0)),
         "frame_bounds_empirical/envelope_width": lambda v: cb.frame_bounds_empirical(
             _PSI, _AFF_LAT, quad=_AFF_QUAD, envelope_width=v),
+        "frame_bounds_empirical/band[1]": lambda v: cb.frame_bounds_empirical(
+            _PSI, _AFF_LAT, quad=_AFF_QUAD, band=(0.1, v)),
+        "gabor_tightness_probe/envelope_width": lambda v: cb.gabor_tightness_probe(
+            _PSI, _TF_LAT, envelope_width=v),
+        "AffinePoint/b": lambda v: AffinePoint(v, 1.0),
+        "AffinePoint/a": lambda v: AffinePoint(0.0, v),
+        "left_translate_field/tf": lambda v: left_translate_field(_TF_FIELD, (v, 0.0)),
+        "TFLattice.separable": lambda v: cb.TFLattice.separable(v, 0.5, (-4, 4), (-4, 4)),
         # seeds: read as counts, before any draw
         "frame_bounds_empirical/seed": lambda v: cb.frame_bounds_empirical(
             _PSI, _AFF_LAT, seed=v, quad=_AFF_QUAD),
@@ -702,6 +718,27 @@ class TestOneNumberRule:
         ("design_lattice/alpha0", None, "alpha0 must be a number, got None"),
         ("frame_bounds_empirical/band", "a", "band[0] must be a number, got 'a'"),
         ("frame_bounds_empirical/envelope_width", "2", "envelope_width must be a number, got '2'"),
+        # an infinite band edge or envelope gives draws that do not decay in the window
+        ("frame_bounds_empirical/band[1]", np.inf, "band[1] must be finite, got inf"),
+        ("frame_bounds_empirical/envelope_width", np.inf, "envelope_width must be finite, got inf"),
+        ("gabor_tightness_probe/envelope_width", np.inf, "envelope_width must be finite, got inf"),
+        # a NaN translation would read as an all-zero field of coverage 0
+        ("AffinePoint/b", np.nan, "b must be finite, got nan"),
+        ("AffinePoint/a", np.nan, "a must be finite, got nan"),
+        ("left_translate_field/tf", np.nan, "y[0] must be finite, got nan"),
+        ("TFLattice.separable", "a", "a_x must be a number, got 'a'"),
+        ("TFLattice.separable", True, "a_x must be a number, got True"),
+        # counts the library reads, each held to its lower bound by one rule
+        ("derivative", 1.5, "order must be an integer, got 1.5"),
+        ("derivative", True, "order must be a number, got True"),
+        ("derivative", "2", "order must be a number, got '2'"),
+        ("derivative", 0, "order must be >= 1, got 0"),
+        *[(entry, value, message)
+          for entry in ("gaussian", "mexican_hat", "haar_wavelet", "signal_from_spectrum_profile")
+          for value, message in ((2.5, "n must be an integer, got 2.5"),
+                                 (1, "n must be >= 2, got 1"))],
+        ("build_affine_quadrature", 1, "n_b must be >= 2, got 1"),
+        ("build_tf_quadrature", 0, "n_x must be >= 1, got 0"),
         *[(f"{entry}/seed", value, message)
           for entry in ("frame_bounds_empirical", "gabor_tightness_probe",
                         "submultiplicativity_probe", "moderateness_probe")
@@ -734,6 +771,10 @@ _READERS = {
 }
 
 
+# the keys a reader fills in when they are absent
+_OPTIONAL_KEYS = {"neighbourhood": ("n_samples",), "lattice": ("type", "signs")}
+
+
 class TestOneReaderRule:
     """Every ``from_dict`` reads its own ``to_dict()`` and refuses a key it never reads."""
 
@@ -745,3 +786,14 @@ class TestOneReaderRule:
         with pytest.raises(ValueError) as exc:
             type(obj).from_dict({**d, "extra": 1})
         assert str(exc.value) == f"unknown {name.split('/')[0]} keys: ['extra']"
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name in sorted(_READERS) for key in _READERS[name].to_dict()
+        if key not in _OPTIONAL_KEYS.get(name.split("/")[0], ())])
+    def test_missing_key_named(self, name, key):
+        obj = _READERS[name]
+        d = obj.to_dict()
+        del d[key]
+        with pytest.raises(ValueError) as exc:
+            type(obj).from_dict(d)
+        assert str(exc.value) == f"missing {name.split('/')[0]} keys: ['{key}']"
