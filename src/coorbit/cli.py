@@ -42,6 +42,7 @@ from .frames import (
 from .groups import (
     GroupField,
     GroupQuadrature,
+    _count,
     _finite_float,
     _integer,
     _known_keys,
@@ -164,7 +165,7 @@ def _tf_axis(cfg: dict, name: str) -> tuple:
     """An ``(origin, step, count)`` triple from the config object ``cfg[name]``."""
     axis = _known_keys(cfg[name], ("origin", "step", "count"), name)
     return (_finite_float(axis["origin"], f"{name}.origin"),
-            _finite_float(axis["step"], f"{name}.step"), _integer(axis["count"], f"{name}.count"))
+            _finite_float(axis["step"], f"{name}.step"), _count(axis["count"], f"{name}.count", 1))
 
 
 def _load(cfg: dict, key: str, reader=SampledSignal.from_dict):

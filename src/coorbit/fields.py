@@ -247,19 +247,6 @@ def _fft_len(quad) -> int:
     return _next_fast_len(2 * quad.n_b)
 
 
-def _sign_routes(quad, p: int):
-    """``(input, output, flipped)`` branch positions that kernel plane ``p`` joins.
-
-    Plane ``sigma`` takes an input on branch ``s`` to the output branch
-    ``sigma * s``.  A negative-scale input is read b-reversed and its
-    output reversed back (``flipped``): its blocks are the positive-scale
-    blocks of the same plane, b-reversed.
-    """
-    sigma = quad.signs[p]
-    return [(quad.signs.index(s), quad.signs.index(sigma * s), s < 0)
-            for s in quad.signs if sigma * s in quad.signs]
-
-
 def _kernel_blocks(quad):
     """Geometry of the fast path's kernel blocks, grouped by kernel plane.
 
@@ -270,10 +257,12 @@ def _kernel_blocks(quad):
     in the u-range.  The input scale ``-s_j`` needs no block of its own: its
     b-indices ``(m db / a_in - b_lo) / db`` over the symmetric offsets
     ``m`` are those of ``s_j`` reversed, exactly, so its block is this one
-    b-reversed (see :func:`_sign_routes`).  Planes that join no pair of
-    the chart's branches are skipped.  Yields ``(p, j, rows, cols, w_j, fu,
-    fb)``; ``p`` is the plane's branch position, and ``fu`` and ``fb`` are
-    the kernel's fractional indices of the rows and the columns.
+    b-reversed.  Plane ``sigma`` takes input branch ``s`` to output branch
+    ``sigma * s``, so it joins every branch of the chart or, for the
+    negative plane of a one-sign chart, none; that plane is skipped.
+    Yields ``(p, j, rows, cols, fu, fb)``; ``p`` is the plane's branch
+    position, and ``fu`` and ``fb`` are the kernel's fractional indices of
+    the rows and the columns.
     """
     n_b = quad.n_b
     n_u = quad.n_scales
@@ -282,8 +271,8 @@ def _kernel_blocks(quad):
     u = quad.u_grid()
     scales = np.exp(u)
     ms = np.arange(-(n_b - 1), n_b)
-    for p in range(len(quad.signs)):
-        if not _sign_routes(quad, p):
+    for p, sigma in enumerate(quad.signs):
+        if sigma < 0 and len(quad.signs) == 1:
             continue
         for j in range(n_u):
             # kernel b-index of each node offset m, kept by the same in-chart
@@ -295,8 +284,7 @@ def _kernel_blocks(quad):
             rows = _in_chart_run(fu_all, n_u)
             if cols.start >= cols.stop or rows.start >= rows.stop:
                 continue
-            w_j = db * du / scales[j]
-            yield p, j, rows, cols, w_j, fu_all[rows], fb_all[cols]
+            yield p, j, rows, cols, fu_all[rows], fb_all[cols]
 
 
 def _spectra_nbytes(quad) -> int:
@@ -306,65 +294,61 @@ def _spectra_nbytes(quad) -> int:
 
 
 def _kernel_reads(G: GroupField):
-    """``(p, j, rows, cols, w_j, block)``: the kernel read at each block's points.
+    """``(p, j, rows, cols, block)``: the kernel read at each block's points.
 
     Log-scale rows are blended first, then b-columns, so each value equals
     :func:`~coorbit.groups._bilinear` at the same indices bit for bit.
     """
-    for p, j, rows, cols, w_j, fu, fb in _kernel_blocks(G.quad):
-        yield p, j, rows, cols, w_j, _read_rows(_read_rows(G.values[p], fu).T, fb).T
+    for p, j, rows, cols, fu, fb in _kernel_blocks(G.quad):
+        yield p, j, rows, cols, _read_rows(_read_rows(G.values[p], fu).T, fb).T
 
 
 def _kernel_spectra(G: GroupField):
-    """``(p, j, rows, w_j, spectrum)`` of every nonzero kernel block.
+    """``(p, j, rows, spectrum)`` of every nonzero kernel block.
 
     The block is zero-padded to the FFT length and transformed along b.
     """
     L = _fft_len(G.quad)
-    for p, j, rows, cols, w_j, block in _kernel_reads(G):
+    for p, j, rows, cols, block in _kernel_reads(G):
         if not np.any(block):
             continue
         gm = np.zeros((block.shape[0], L), dtype=np.complex128)
         gm[:, cols] = block
-        yield p, j, rows, w_j, np.fft.fft(gm, axis=-1, out=gm)
+        yield p, j, rows, np.fft.fft(gm, axis=-1, out=gm)
 
 
 def _apply_spectra(F: GroupField, spectra) -> np.ndarray:
     """``F * G`` from G's block spectra, one FFT correlation per block and input branch.
 
-    The spectra come grouped by kernel plane, stored or streamed.  Each
-    plane's block for input scale ``j`` meets F's row ``j`` on every
-    input branch the plane joins (:func:`_sign_routes`), negative-scale
-    rows b-reversed: the block spectrum times ``w_j`` times the row's
-    spectrum goes into one product buffer and is summed into that
-    branch's accumulator in the frequency domain, leaving the spectrum
-    intact.  One inverse FFT per accumulated row follows, and the result
-    is added to its output branch, reversed back for a reversed input.
+    Every row of F is zero-padded to the FFT length, negative-scale rows
+    b-reversed, and transformed once, times its Haar weight.  The spectra
+    come grouped by kernel plane, stored or streamed.  Each plane's block
+    for input scale ``j`` meets F's row ``j`` on every input branch: the
+    block spectrum times the row's spectrum is summed into that branch's
+    accumulator in the frequency domain, leaving the spectrum intact.  One
+    inverse FFT per plane follows, and each branch's result is added to
+    its output branch, reversed back for a reversed input.
     """
     quad = F.quad
     n_b = quad.n_b
-    L = _fft_len(quad)
+    signs = quad.signs
+    x = np.zeros((len(signs), quad.n_scales, _fft_len(quad)), dtype=np.complex128)
+    for k, s in enumerate(signs):
+        x[k, :, :n_b] = F.values[k, :, ::-1] if s < 0 else F.values[k]
+    np.fft.fft(x, axis=-1, out=x)
+    x *= quad.node_weights()[:, :, :1]
     out = np.zeros(quad.shape, dtype=np.complex128)
-    acc = np.empty((2, quad.n_scales, L), dtype=np.complex128)
-    rows_hat = np.empty((2, L), dtype=np.complex128)
-    buf = np.empty((quad.n_scales, L), dtype=np.complex128)
+    acc = np.empty_like(x)
+    buf = np.empty_like(x[0])
     for p, blocks in itertools.groupby(spectra, key=lambda block: block[0]):
-        routes = _sign_routes(quad, p)
-        n = len(routes)
-        acc[:n] = 0
-        x = rows_hat[:n]
-        for _, j, rows, w_j, spec in blocks:
-            x[:, n_b:] = 0
-            for k, (si, _, flipped) in enumerate(routes):
-                x[k, :n_b] = F.values[si, j, ::-1] if flipped else F.values[si, j]
-            np.fft.fft(x, axis=-1, out=x)
-            x *= w_j
-            for k in range(n):
-                acc[k, rows] += np.multiply(spec, x[k], out=buf[: len(spec)])
-        for k, (_, so, flipped) in enumerate(routes):
-            np.fft.ifft(acc[k], axis=-1, out=acc[k])
+        acc[:] = 0
+        for _, j, rows, spec in blocks:
+            for k in range(len(signs)):
+                acc[k, rows] += np.multiply(spec, x[k, j], out=buf[: len(spec)])
+        np.fft.ifft(acc, axis=-1, out=acc)
+        for k, s in enumerate(signs):
             window = acc[k, :, n_b - 1 : 2 * n_b - 1]
-            out[so] += window[:, ::-1] if flipped else window
+            out[signs.index(signs[p] * s)] += window[:, ::-1] if s < 0 else window
     return out
 
 

@@ -375,10 +375,11 @@ def frame_bounds_empirical(
 
     For each draw ``f``, the ratio is the discrete ``l^p_m`` norm of the
     transform sampled on the lattice against the chart ``L^p_m`` norm of
-    the transform itself; the empirical bounds are the extremes.  Draws
-    whose transform norm vanishes are redrawn (at most ten times each).  A bad
-    ``ensemble``, ``p`` or ``seed``, or a lattice off the chart's group, raises before any
-    draw.
+    the transform itself; the empirical bounds are the extremes.  Every draw
+    puts random amplitudes on each bin of one band, so a vanishing transform
+    norm says that the window and the chart see none of that band, whatever
+    the draw: the first such draw raises.  A bad ``ensemble``, ``p`` or
+    ``seed``, or a lattice off the chart's group, raises before any draw.
     """
     ensemble = _count(ensemble, "ensemble", 1)
     _exponent(p)
@@ -394,16 +395,13 @@ def frame_bounds_empirical(
     op = None
     ratios = []
     for _ in range(ensemble):
-        for _attempt in range(10):
-            f = random_bandlimited_signal(window, band, rng, envelope_width)
-            if op is None:
-                op = _voice_operator(f, window, quad)
-            F = GroupField(quad, op.analyze(f.values).reshape(quad.shape))
-            denom = _p_norm(F.values, chart_weights, p, node_weights)
-            if denom > 0:
-                break
-        else:
-            raise ValueError("could not draw a test signal with nonzero transform")
+        f = random_bandlimited_signal(window, band, rng, envelope_width)
+        if op is None:
+            op = _voice_operator(f, window, quad)
+        F = GroupField(quad, op.analyze(f.values).reshape(quad.shape))
+        denom = _p_norm(F.values, chart_weights, p, node_weights)
+        if not denom > 0:
+            raise ValueError("a test signal has zero transform on the chart")
         samples, _ = _interpolate_at(F, lat, *points)
         ratios.append(_p_norm(samples, point_weights, p) / denom)
     ratios = tuple(float(r) for r in ratios)
@@ -720,5 +718,6 @@ def besov_exponent(p, s):
 
     Exact over the rationals: integer and Fraction inputs stay Fractions.
     """
+    s = _finite_number(s, "s")
     inv_p = 0 if _exponent(p) == math.inf else Fraction(1) / p
     return s - Fraction(1, 2) + inv_p, p, p

@@ -188,9 +188,23 @@ def _not_a_knot_slopes(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.array(rhs, dtype=d.dtype)
 
 
-def _grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
+def _grid_step(t_lo, t_hi, n) -> tuple:
+    """``n`` and the step of ``n`` samples on ``[t_lo, t_hi)``, each read by its number rule.
+
+    The step is refused unless positive and finite: a span that overflows
+    or a step that underflows to zero would sample no grid.
+    """
     n = _count(n, "n", 2)
+    t_lo, t_hi = _finite_number(t_lo, "t_lo"), _finite_number(t_hi, "t_hi")
     dt = (t_hi - t_lo) / n
+    if not 0 < dt < np.inf:
+        raise ValueError(f"t_hi must exceed t_lo by a finite positive step, "
+                         f"got t_lo={t_lo!r}, t_hi={t_hi!r}, n={n}")
+    return n, dt
+
+
+def _grid_signal(t_lo: float, t_hi: float, n: int, fn) -> SampledSignal:
+    n, dt = _grid_step(t_lo, t_hi, n)
     t = t_lo + dt * np.arange(n)
     return SampledSignal(t_lo, dt, fn(t))
 
@@ -225,8 +239,8 @@ def signal_from_spectrum_profile(
     zero bin is forced to ``profile``'s limit at 0 if finite, else 0)
     and inverted; handy for atoms given by a closed-form ``psi_hat``.
     """
-    n = _count(n, "n", 2)
-    w, dw = _frequencies(n, (t_hi - t_lo) / n)
+    n, dt = _grid_step(t_lo, t_hi, n)
+    w, dw = _frequencies(n, dt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.asarray(profile(w), dtype=np.complex128)
     vals[~np.isfinite(vals)] = 0.0

@@ -866,6 +866,8 @@ class TestWrongTypedConfig:
         ("cwt", "quadrature.n_b", 64.5),
         ("stft", "x_grid.count", 17.5),
         ("stft", "x_grid.count", "17"),
+        ("stft", "x_grid.count", 0),
+        ("stft", "w_grid.count", -2),
         ("stft", "w_grid.step", "inf"),
         ("stft", "x_grid.origin", "nan"),
         ("frame-bounds/affine", "lattice.alpha", "2"),

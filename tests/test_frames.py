@@ -503,6 +503,27 @@ class TestFrameBounds:
                                      band=(0.2, 1.2), envelope_width=3.0)
         assert rep.a_hat == rep.b_hat
 
+    @pytest.mark.parametrize("group", ["affine", "tf"])
+    def test_zero_window_raises_at_the_first_draw(self, monkeypatch, group):
+        # every draw shares one band, so a zero transform is the window's, not the draw's
+        window = cb.gaussian(-8, 8, 256).with_values(np.zeros(256))
+        if group == "affine":
+            quad = build_affine_quadrature(-8, 8, 64, 0.25, 4, 9, (1, -1))
+            lat = AffineLattice(2.0, 0.5, -2, 2, -8, 8, (1, -1))
+        else:
+            quad = build_tf_quadrature(-6, 0.25, 49, -2.0, 0.25, 17)
+            lat = TFLattice.separable(0.5, 0.5, (-8, 8), (-4, 4))
+        draws = []
+
+        def counted(*args):
+            draws.append(1)
+            return random_bandlimited_signal(*args)
+
+        monkeypatch.setattr(frames, "random_bandlimited_signal", counted)
+        with pytest.raises(ValueError, match="a test signal has zero transform on the chart"):
+            frame_bounds_empirical(window, lat, ensemble=3, quad=quad)
+        assert len(draws) == 1
+
     def test_upper_bound_law(self, s0_atom_normalized, atom_chart, atom_kernel):
         # empirical upper ratio <= analytic N * C * (osc + kernel) bound
         psi = s0_atom_normalized

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ import coorbit as cb
 from coorbit.fields import (
     KernelOperator,
     NeighborhoodSpec,
+    _apply_spectra,
+    _fft_len,
     _kernel_blocks,
     _kernel_reads,
+    _kernel_spectra,
     convolve,
     involute,
     oscillation,
@@ -432,7 +437,52 @@ def _assert_oscillation_matches_reference(G, U):
     assert np.array_equal(osc.real, _reference_oscillation(G, U))
 
 
+def _reference_apply_spectra(F, spectra):
+    """``F * G`` by one FFT of F's row per block and input branch, the row times the Haar
+    weight ``db du / a_j`` after its FFT, and one inverse FFT per branch a plane joins."""
+    quad = F.quad
+    n_b = quad.n_b
+    L = _fft_len(quad)
+    scales = np.exp(quad.u_grid())
+    out = np.zeros(quad.shape, dtype=np.complex128)
+    acc = np.empty((2, quad.n_scales, L), dtype=np.complex128)
+    rows_hat = np.empty((2, L), dtype=np.complex128)
+    buf = np.empty((quad.n_scales, L), dtype=np.complex128)
+    for p, blocks in itertools.groupby(spectra, key=lambda block: block[0]):
+        sigma = quad.signs[p]
+        routes = [(quad.signs.index(s), quad.signs.index(sigma * s), s < 0)
+                  for s in quad.signs if sigma * s in quad.signs]
+        n = len(routes)
+        acc[:n] = 0
+        x = rows_hat[:n]
+        for _, j, rows, spec in blocks:
+            x[:, n_b:] = 0
+            for k, (si, _, flipped) in enumerate(routes):
+                x[k, :n_b] = F.values[si, j, ::-1] if flipped else F.values[si, j]
+            np.fft.fft(x, axis=-1, out=x)
+            x *= quad.db * quad.du / scales[j]
+            for k in range(n):
+                acc[k, rows] += np.multiply(spec, x[k], out=buf[: len(spec)])
+        for k, (_, so, flipped) in enumerate(routes):
+            np.fft.ifft(acc[k], axis=-1, out=acc[k])
+            window = acc[k, :, n_b - 1 : 2 * n_b - 1]
+            out[so] += window[:, ::-1] if flipped else window
+    return out
+
+
 class TestBilinearGrid:
+    @_PROPERTY
+    @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
+    def test_apply_spectra_matches_per_route_reference(self, quad, seed):
+        # F's rows transformed once per apply, against once per block and branch: the
+        # same products summed in the same order, so the same bits, stored or streamed
+        F = cb.GroupField(quad, _random_values(quad.shape, seed))
+        G = cb.GroupField(quad, _random_values(quad.shape, seed + 1))
+        ref = _reference_apply_spectra(F, _kernel_spectra(G)).view(np.int64)
+        stored = list(_kernel_spectra(G))
+        for spectra in (stored, stored, _kernel_spectra(G)):
+            assert np.array_equal(_apply_spectra(F, spectra).view(np.int64), ref)
+
     @_PROPERTY
     @given(_AFFINE_CHART, st.integers(0, 2**32 - 1))
     def test_kernel_blocks_match_scattered_kernel(self, quad, seed):
@@ -454,7 +504,7 @@ class TestBilinearGrid:
         n_b = quad.n_b
         ms = np.arange(-(n_b - 1), n_b)
         scales = quad.scale_grid()
-        for (p, j, _, cols, _, block), (*_, fu, _) in zip(
+        for (p, j, _, cols, block), (*_, fu, _) in zip(
                 _kernel_reads(G), _kernel_blocks(quad), strict=True):
             padded = np.zeros((block.shape[0], 2 * n_b - 1), dtype=complex)
             padded[:, cols] = block
@@ -598,6 +648,9 @@ class TestOneExponentRule:
         self._ENTRIES[entry](p)
 
 
+_STEP = "t_hi must exceed t_lo by a finite positive step"
+
+
 class TestOneNumberRule:
     """A non-finite, fractional or too small scalar, or an unknown weight family, raises one
     ``ValueError`` naming it."""
@@ -641,6 +694,15 @@ class TestOneNumberRule:
         "haar_wavelet": lambda v: cb.haar_wavelet(n=v),
         "signal_from_spectrum_profile": lambda v: cb.signal_from_spectrum_profile(
             lambda w: np.exp(-np.pi * w * w), n=v),
+        # the bounds of a signal's grid: finite numbers a finite positive step apart
+        "gaussian/t_lo": lambda v: cb.gaussian(v, 16, 64),
+        "gaussian/t_hi": lambda v: cb.gaussian(16, v, 64),
+        "gaussian/span": lambda v: cb.gaussian(-v, v, 64),
+        "mexican_hat/t_hi": lambda v: cb.mexican_hat(0, v, 64),
+        "haar_wavelet/t_lo": lambda v: cb.haar_wavelet(v, 2, 64),
+        "signal_from_spectrum_profile/t_lo": lambda v: cb.signal_from_spectrum_profile(
+            lambda w: np.exp(-np.pi * w * w), v, 32, 64),
+        "besov_exponent/s": lambda v: cb.besov_exponent(2, v),
         "build_affine_quadrature": lambda v: build_affine_quadrature(-2, 2, v, 0.5, 2.0, 5),
         "build_tf_quadrature": lambda v: cb.build_tf_quadrature(-2.0, 0.25, v, -2.0, 0.25, 16),
         # scalars read by the library itself, not only by the CLI
@@ -737,6 +799,22 @@ class TestOneNumberRule:
           for entry in ("gaussian", "mexican_hat", "haar_wavelet", "signal_from_spectrum_profile")
           for value, message in ((2.5, "n must be an integer, got 2.5"),
                                  (1, "n must be >= 2, got 1"))],
+        ("gaussian/t_lo", "a", "t_lo must be a number, got 'a'"),
+        ("gaussian/t_hi", np.nan, "t_hi must be finite, got nan"),
+        ("gaussian/t_hi", True, "t_hi must be a number, got True"),
+        ("gaussian/t_hi", -16, f"{_STEP}, got t_lo=16, t_hi=-16, n=64"),
+        ("gaussian/t_hi", 16, f"{_STEP}, got t_lo=16, t_hi=16, n=64"),
+        # a span that overflows, and a step that underflows to zero
+        ("gaussian/span", 1e308, f"{_STEP}, got t_lo=-1e+308, t_hi=1e+308, n=64"),
+        ("gaussian/span", 5e-324, f"{_STEP}, got t_lo=-5e-324, t_hi=5e-324, n=64"),
+        ("mexican_hat/t_hi", np.inf, "t_hi must be finite, got inf"),
+        ("haar_wavelet/t_lo", None, "t_lo must be a number, got None"),
+        ("signal_from_spectrum_profile/t_lo", -np.inf, "t_lo must be finite, got -inf"),
+        ("signal_from_spectrum_profile/t_lo", 32, f"{_STEP}, got t_lo=32, t_hi=32, n=64"),
+        ("besov_exponent/s", np.nan, "s must be finite, got nan"),
+        ("besov_exponent/s", np.inf, "s must be finite, got inf"),
+        ("besov_exponent/s", True, "s must be a number, got True"),
+        ("besov_exponent/s", "a", "s must be a number, got 'a'"),
         ("build_affine_quadrature", 1, "n_b must be >= 2, got 1"),
         ("build_tf_quadrature", 0, "n_x must be >= 1, got 0"),
         *[(f"{entry}/seed", value, message)
