@@ -56,6 +56,8 @@ from .signals import (
 from .voice import (
     NotAdmissible,
     NotAdmissibleError,
+    PaddedPeriod,
+    ReproducingProjector,
     admissibility_constant,
     cwt,
     icwt,

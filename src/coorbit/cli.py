@@ -51,7 +51,8 @@ from .groups import (
 )
 from .lattices import AffineLattice, TFLattice, build_bupu
 from .signals import SampledSignal, moments, vanishing_moment_count
-from .voice import NotAdmissible, NotAdmissibleError, admissibility_constant, cwt, stft
+from .voice import (NotAdmissible, NotAdmissibleError, ReproducingProjector,
+                    admissibility_constant, cwt, stft)
 from .weights import WeightSpec
 
 FORMAT_VERSION = "coorbit/1"
@@ -367,9 +368,11 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
               "hold no chart node", file=sys.stderr)
     K = atom_kernel(psi, quad)
     cert = _certificate_from_kernel(K, weight, U)
+    # F * K as V_psi V_psi^* F: the loop never builds K's spectra
+    projector = ReproducingProjector(psi, quad)
     try:
         rec, report = neumann_reconstruct(
-            bupu.active_samples(truth), bupu, K,
+            bupu.active_samples(truth), bupu, projector,
             tol=tol,
             max_iter=max_iter,
             certificate=cert,
@@ -377,12 +380,14 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
             ground_truth=truth,
         )
     except ReconstructionDivergence as exc:
-        _write_json(Path(f"{out}.report.json"), exc.report.to_dict())
+        _write_json(Path(f"{out}.report.json"),
+                    {**exc.report.to_dict(), "projector": projector.period.to_dict()})
         print(str(exc), file=sys.stderr)
         return _EXIT_DIVERGED
     _write_field(Path(f"{out}.field.json"), rec)
     rep = report.to_dict()
     rep["certificate"] = cert.to_dict()
+    rep["projector"] = projector.period.to_dict()
     _write_json(Path(f"{out}.report.json"), rep)
     return _EXIT_OK
 

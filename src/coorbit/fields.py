@@ -232,6 +232,8 @@ def _convolve_direct(F: GroupField, G: GroupField) -> np.ndarray:
 
 def _next_fast_len(n: int) -> int:
     """Smallest 11-smooth length ``>= n``: the lengths pocketfft transforms fastest."""
+    if n < 1:
+        raise ValueError(f"an FFT length must be >= 1, got {n}")
     while True:
         k = n
         for p in (2, 3, 5, 7, 11):

@@ -411,7 +411,7 @@ def frame_bounds_empirical(
 def neumann_reconstruct(
     samples: SampledSequence | np.ndarray,
     bupu: BUPU,
-    K: GroupField,
+    K,
     tol: float = 1e-3,
     max_iter: int = 100,
     certificate: FrameCertificate | None = None,
@@ -430,10 +430,10 @@ def neumann_reconstruct(
     chart-truncated estimate and may be optimistic, so garbage is never
     returned silently.  Each iteration reads F only at the tiles that
     hold chart nodes (``BUPU.sample_synthesize``); the report carries
-    the partition's tile counts.  The kernel is applied through one
-    :class:`~coorbit.fields.KernelOperator`, built after the samples are
-    read and before the first iteration; ``max_iter < 1`` and a negative
-    or NaN ``tol`` raise first.
+    the partition's tile counts.  ``K`` is the kernel, applied by one :class:`KernelOperator`
+    built after the samples are read and before the first iteration, or a built projector
+    with ``.apply`` and ``.quad`` (:class:`~coorbit.voice.ReproducingProjector`);
+    ``max_iter < 1`` and a negative or NaN ``tol`` raise first.
     """
     tol, max_iter = _stopping_rule(tol, max_iter)
     if certificate is None and not allow_uncertified:
@@ -449,7 +449,7 @@ def neumann_reconstruct(
 
     # synthesized first: refused samples never pay for the kernel operator
     Y = bupu_synthesize(samples, bupu)
-    project = KernelOperator(K).apply
+    project = (KernelOperator(K) if isinstance(K, GroupField) else K).apply
     tiles = {
         "lattice_points": bupu.lattice.n_points,
         "active_tiles": int(bupu.active_tiles.size),

@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .fields import _next_fast_len
 from .groups import GroupField, GroupQuadrature, _on_group, _Report, build_tf_quadrature
 from .signals import (
     SampledSignal,
@@ -52,10 +53,13 @@ __all__ = [
     "admissibility_constant",
     "normalize_admissible",
     "reproducing_kernel",
+    "PaddedPeriod",
+    "ReproducingProjector",
 ]
 
 _DC_TOLERANCE = 1e-6
 _EDGE_DECAY_WARN = 1e-8
+_PERIOD_TAIL = 1e-3  # psi's energy share a projector's period may drop: reconstruct's tol
 
 
 @dataclass(frozen=True)
@@ -342,3 +346,50 @@ def reproducing_kernel(psi: SampledSignal, quad: GroupQuadrature) -> GroupField:
         _admissible_constant(psi, "kernel needs an admissible window")
         return cwt(psi, psi, quad)
     return GroupField(quad, _voice_operator(psi, psi, quad).analyze(psi.values).reshape(quad.shape))
+
+
+@dataclass(frozen=True)
+class PaddedPeriod(_Report):
+    """A :class:`ReproducingProjector`'s b-period, its samples, and the energy it drops."""
+
+    period: float
+    samples: int
+    tail_energy_fraction: float
+
+
+class ReproducingProjector:
+    """``F -> V_psi V_psi^* F`` on an affine chart, on one zero-padded b-period, built once.
+
+    With ``psi`` normalized as :func:`~coorbit.frames.atom_kernel` does, this is ``F * K``
+    by the reproducing formula, without K's chart truncation.  The period is the smallest
+    fast length, at the chart's step, holding the chart widened at each end by ``a_max``
+    times psi's radius: the smallest ``|t|`` beyond which at most ``_PERIOD_TAIL`` of psi's
+    energy lies.  Rows ``|a|^(1/2) psihat(a w)`` come once from ``fourier(psi)``'s spline.
+    """
+
+    def __init__(self, psi: SampledSignal, quad: GroupQuadrature):
+        _on_group("affine", chart=quad)
+        psi = normalize_admissible(psi)
+        r, share = np.abs(psi.grid()), np.abs(psi.values) ** 2
+        share /= share.sum()
+        order = np.argsort(r)
+        radius = r[order][np.searchsorted(np.cumsum(share[order]), 1.0 - _PERIOD_TAIL)]
+        n = _next_fast_len(quad.n_b + math.ceil(2 * quad.a_max * radius / quad.db))
+        tail = float(share[r > (n - quad.n_b) * quad.db / (2 * quad.a_max)].sum())
+        self.quad, self.period = quad, PaddedPeriod(n * quad.db, n, tail)
+        a = np.multiply.outer(quad.signs, quad.scale_grid())[..., None]
+        rows = np.sqrt(np.abs(a)) * fourier(psi).interpolate(a * np.fft.fftfreq(n, quad.db))
+        self._analysis = np.conj(rows)
+        # Haar weight db du/|a| times the frequency step 1/(n db); ifft divides by n
+        self._synthesis = rows * (quad.du / np.abs(a))
+
+    def apply(self, F: GroupField) -> GroupField:
+        if F.quad != self.quad:
+            raise ValueError("field chart must match the projector's chart")
+        x = np.fft.fft(F.values, n=self.period.samples, axis=-1)
+        x *= self._synthesis
+        # the spectrum of V_psi^* F, read by every analysis row
+        np.multiply(self._analysis, x.reshape(-1, x.shape[-1]).sum(axis=0), out=x)
+        np.fft.ifft(x, axis=-1, out=x)
+        meta = {"truncation": {"period_tail_energy_fraction": self.period.tail_energy_fraction}}
+        return GroupField(F.quad, x[..., :F.quad.n_b].copy(), meta)

@@ -1219,7 +1219,7 @@ class TestReconstructCommand:
                          "signs": [1, -1]},
             "field": str(field_path), "tol": 1e-4, "max_iter": 100,
         })
-        # the self-kernel is built once, for the certificate and the loop
+        # the self-kernel is built once, for the certificate; the loop projects without it
         calls = []
         cwt_once = cb.voice.cwt
 
@@ -1256,15 +1256,26 @@ class TestReconstructCommand:
         # ln(alpha) = 0.0047 against du = 0.058: one warning on stderr
         assert rep["tiles_finer_than_cells"] is True
         assert capsys.readouterr().err.count("finer than chart cells") == 1
+        # the projector's period, as built from the same atom and chart
+        period = cb.ReproducingProjector(psi, qobj).period
+        assert rep["projector"] == period.to_dict()
+        assert rep["projector"]["samples"] * qobj.db == rep["projector"]["period"]
+        assert 0 <= rep["projector"]["tail_energy_fraction"] <= 1e-3
 
     def test_divergence_exit_4(self, tmp_path, mexhat_file, monkeypatch, capsys):
-        # a kernel scaled far above idempotence makes the loop expansive, as in
+        # a projector scaled far above idempotence makes the loop expansive, as in
         # test_divergence_detection: exit 4, the report written, no field
         atom, psi = mexhat_file
         quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
                 "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
         K = cb.atom_kernel(psi, cb.GroupQuadrature.from_dict(quad))
-        monkeypatch.setattr(cli, "atom_kernel", lambda *_: K.with_values(25.0 * K.values))
+
+        class Expansive(cli.ReproducingProjector):
+            def apply(self, F):
+                P = super().apply(F)
+                return P.with_values(25.0 * P.values)
+
+        monkeypatch.setattr(cli, "ReproducingProjector", Expansive)
         field_path = tmp_path / "field.json"
         write_json(field_path, K.to_dict())
         cfg = tmp_path / "cfg.json"
@@ -1281,7 +1292,33 @@ class TestReconstructCommand:
         assert "residual grew" in capsys.readouterr().err
         rep = json.loads((out / "reconstruct.report.json").read_text())
         assert rep["converged"] is False and rep["iterations"] >= 3
+        assert set(rep["projector"]) == {"period", "samples", "tail_energy_fraction"}
         assert not (out / "reconstruct.field.json").exists()
+
+    def test_two_runs_write_byte_identical_artifacts(self, tmp_path, mexhat_file):
+        # one config, run twice: every file of the second run equals the first's
+        atom, psi = mexhat_file
+        quad = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 64,
+                "a_min": 0.5, "a_max": 2.0, "n_scales": 9, "signs": [1, -1]}
+        field_path = tmp_path / "field.json"
+        write_json(field_path, cb.atom_kernel(psi, cb.GroupQuadrature.from_dict(quad)).to_dict())
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {
+            "version": "coorbit/1", "command": "reconstruct",
+            "atom": str(atom), "quadrature": quad,
+            "neighbourhood": {"kind": "affine", "beta": 0.2, "alpha": 1.2},
+            "lattice": {"type": "affine", "alpha": 1.2, "beta": 0.2,
+                        "j": [-4, 4], "k": [-22, 22], "signs": [1, -1]},
+            "field": str(field_path),
+        })
+        runs = [tmp_path / name for name in ("first", "second")]
+        for out in runs:
+            assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        names = sorted(path.name for path in runs[0].iterdir())
+        assert names == ["reconstruct.field.json", "reconstruct.report.json"]
+        assert sorted(path.name for path in runs[1].iterdir()) == names
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("refused, message", [
         (None, None),
@@ -1316,15 +1353,21 @@ class TestReconstructCommand:
         kernel_once = cli.atom_kernel
 
         def counting_kernel(*args, **kwargs):
-            calls.append(1)
+            calls.append("atom_kernel")
             return kernel_once(*args, **kwargs)
 
+        class Counted(cli.ReproducingProjector):
+            def __init__(self, *args, **kwargs):
+                calls.append("ReproducingProjector")
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(cli, "atom_kernel", counting_kernel)
+        monkeypatch.setattr(cli, "ReproducingProjector", Counted)
         out = tmp_path / "out"
         out.mkdir()
         rc = main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)])
         if message is None:
-            assert (rc, calls) == (0, [1])
+            assert (rc, calls) == (0, ["atom_kernel", "ReproducingProjector"])
             return
         assert (rc, calls) == (2, [])
         err = capsys.readouterr().err
@@ -1361,8 +1404,9 @@ class TestReconstructCommand:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(frames, "KernelOperator", Counted)
-        # refused on reading, before the partition, the kernel and the certificate
-        for name in ("build_bupu", "atom_kernel"):
+        # refused on reading, before the partition, the kernel, the certificate and
+        # the projector
+        for name in ("build_bupu", "atom_kernel", "ReproducingProjector"):
             real = getattr(cli, name)
             monkeypatch.setattr(cli, name,
                                 lambda *a, _real=real, _name=name, **k: builds.append(_name)
@@ -1375,9 +1419,18 @@ class TestReconstructCommand:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("tol", [-1, -1e-300])
-    def test_negative_tol_exit_2_before_any_file_is_read(self, tmp_path, capsys, tol):
+    def test_negative_tol_exit_2_before_any_file_is_read(self, tmp_path, monkeypatch, capsys,
+                                                          tol):
         # no residual meets a negative tol, so every iteration would run;
-        # the atom and field paths do not exist, so any read would say so
+        # the atom and field paths do not exist, so any read would say so,
+        # and neither the kernel operator nor the projector is built
+        from coorbit import frames
+
+        builds = []
+        for module, name in ((frames, "KernelOperator"), (cli, "ReproducingProjector")):
+            monkeypatch.setattr(module, name,
+                                lambda *a, _real=getattr(module, name), _name=name, **k:
+                                builds.append(_name) or _real(*a, **k))
         cfg = tmp_path / "cfg.json"
         write_json(cfg, {
             "version": "coorbit/1", "command": "reconstruct",
@@ -1390,6 +1443,7 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+        assert builds == []
 
     def test_gaussian_atom_not_admissible(self, tmp_path, gauss_file, capsys):
         # a Gaussian has a nonzero mean: exit 3, and no report is written

@@ -234,6 +234,13 @@ def test_next_fast_len_matches_scipy():
     assert [fields._next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
+@pytest.mark.parametrize("n", [0, -1, -7])
+def test_next_fast_len_refuses_lengths_below_one(n):
+    # 0 % p == 0 for every p: the search would never return
+    with pytest.raises(ValueError, match=f"an FFT length must be >= 1, got {n}"):
+        fields._next_fast_len(n)
+
+
 class TestKernelOperator:
     @pytest.fixture(scope="class")
     def chart_kernels(self):

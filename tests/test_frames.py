@@ -36,7 +36,7 @@ from coorbit.lattices import (
     seq_lpm_norm,
 )
 from coorbit.signals import inner
-from coorbit.voice import NotAdmissibleError, _fold_length, cwt, stft
+from coorbit.voice import NotAdmissibleError, ReproducingProjector, _fold_length, cwt, stft
 
 
 @pytest.fixture(scope="module")
@@ -746,6 +746,58 @@ class TestNeumann:
                 neumann_reconstruct(bupu.active_samples(W), bupu, K, tol=tol,
                                     allow_uncertified=True)
         assert builds == []
+
+    def test_refused_input_reaches_no_projector(self, designed_loop, s0_atom_normalized,
+                                                monkeypatch):
+        # the operator form: every refusal of the kernel form comes before the
+        # projector is applied, and no kernel operator is ever built
+        quad, K, lat, bupu, W = designed_loop
+        P = ReproducingProjector(s0_atom_normalized, quad)
+        events = []
+
+        class Counted(frames.KernelOperator):
+            def __init__(self, *args, **kwargs):
+                events.append("KernelOperator")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "KernelOperator", Counted)
+        monkeypatch.setattr(P, "apply", lambda F, _apply=P.apply: events.append("apply")
+                            or _apply(F))
+        other = AffineLattice(lat.alpha * 1.01, lat.beta, lat.j_min, lat.j_max,
+                              lat.k_min, lat.k_max, lat.signs)
+        moved = cb.GroupQuadrature.from_dict({**quad.to_dict(), "b_lo": quad.b_lo + quad.db,
+                                              "b_hi": quad.b_hi + quad.db})
+        active = bupu.active_samples(W)
+        refused = (
+            (np.zeros(bupu.active_tiles.size + 1), {}, "got .* coefficients"),
+            (np.zeros((lat.n_points, 1)), {}, "1-D vector"),
+            (sample_field(W, other), {}, "another lattice"),
+            (active, {"ground_truth": GroupField(moved, W.values)}, "ground truth chart"),
+            (active, {"max_iter": 0}, "max_iter must be >= 1"),
+            (active, {"tol": -1e-3}, "tol must be >= 0"),
+            (active, {"tol": math.nan}, "tol must be finite"),
+        )
+        for samples, kwargs, message in refused:
+            with pytest.raises(ValueError, match=message):
+                neumann_reconstruct(samples, bupu, P, allow_uncertified=True, **kwargs)
+        assert events == []
+        # Y, then one step
+        neumann_reconstruct(active, bupu, P, max_iter=1, allow_uncertified=True)
+        assert events == ["apply", "apply"]
+
+    def test_projector_form_matches_the_kernel_form(self, designed_loop, s0_atom_normalized):
+        # V_psi V_psi^* in place of F * K: the same iterations and contraction,
+        # and a truth error no larger than the stored kernel's
+        quad, K, lat, bupu, W = designed_loop
+        runs = [neumann_reconstruct(bupu.active_samples(W), bupu, project, tol=1e-3,
+                                    allow_uncertified=True, ground_truth=W)
+                for project in (K, ReproducingProjector(s0_atom_normalized, quad))]
+        (_, by_kernel), (_, by_projector) = runs
+        assert by_projector.converged and by_kernel.converged
+        assert by_projector.iterations == by_kernel.iterations
+        assert np.allclose(by_projector.contraction_ratios(), by_kernel.contraction_ratios(),
+                           atol=0.01)
+        assert by_projector.final_relative_error <= by_kernel.final_relative_error
 
     def test_all_tiles_active_readings_agree(self):
         # a coarse lattice under a chart that reaches past its window: every

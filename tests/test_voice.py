@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit.fields import field_l2_norm, lpm_norm
+from coorbit import voice
+from coorbit.fields import _next_fast_len, field_l2_norm, lpm_norm
 from coorbit.groups import AffinePoint, left_translate_field
 from coorbit.groups import affine_field_interpolate
 from coorbit.voice import (
     NotAdmissible,
     NotAdmissibleError,
+    ReproducingProjector,
     admissibility_constant,
     cwt,
     icwt,
@@ -685,3 +687,67 @@ class TestVoiceOperator:
         off = cb.SampledSignal(f.t0 + f.dt / 2, f.dt, f.values)
         with pytest.raises(ValueError, match="^window must share the signal grid$"):
             stft(off, g, *grids)
+
+
+_PROJECTOR_ATOM = cb.mexican_hat(-16, 16, 512)
+
+
+class TestReproducingProjector:
+    """``V_psi V_psi^*`` on a padded period: self-adjoint, and the period its rule names."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([(1,), (-1,), (1, -1), (-1, 1)]), st.integers(2, 48),
+           st.integers(2, 9), st.floats(0.05, 0.9), st.floats(1.1, 8.0),
+           st.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, signs, n_b, n_scales, a_min, a_max, seed):
+        # <P F, G> = <F, P G> under the Haar weights, on every sign order
+        quad = cb.build_affine_quadrature(-2, 2, n_b, a_min, a_max, n_scales, signs)
+        P = ReproducingProjector(_PROJECTOR_ATOM, quad)
+        rng = np.random.default_rng(seed)
+        F, G = (cb.GroupField(quad, rng.normal(size=quad.shape) + 1j * rng.normal(size=quad.shape))
+                for _ in range(2))
+        w = quad.node_weights()
+        lhs = np.sum(P.apply(F).values * np.conj(G.values) * w)
+        rhs = np.sum(F.values * np.conj(P.apply(G).values) * w)
+        scale = math.sqrt(np.sum(np.abs(F.values) ** 2 * w) * np.sum(np.abs(G.values) ** 2 * w))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    def test_period_is_the_smallest_fast_length_past_the_atom_reach(self, s0_atom):
+        # the chart widened at each end by a_max times psi's radius drops at most
+        # _PERIOD_TAIL of psi's energy; one fast length less drops more
+        quad = cb.build_affine_quadrature(-2, 2, 512, 0.25, 4, 49, (1, -1))
+        period = ReproducingProjector(s0_atom, quad).period
+        psi = normalize_admissible(s0_atom)
+        energy = np.abs(psi.values) ** 2
+
+        def dropped(n):
+            reach = (n - quad.n_b) * quad.db / (2 * quad.a_max)
+            return np.sum(energy[np.abs(psi.grid()) > reach]) / np.sum(energy)
+
+        n = period.samples
+        shorter = max(m for m in range(quad.n_b, n) if _next_fast_len(m) == m)
+        assert _next_fast_len(n) == n and dropped(shorter) > voice._PERIOD_TAIL
+        assert period.tail_energy_fraction == pytest.approx(dropped(n), rel=1e-12)
+        assert 0 < period.tail_energy_fraction <= voice._PERIOD_TAIL
+        assert period.period == n * quad.db
+        # well past twice the chart's length (8, the stored kernel's FFT length),
+        # where the gap to K*W had not converged
+        assert 12 <= period.period <= 32
+
+    def test_result_carries_the_dropped_tail(self, s0_atom):
+        quad = cb.build_affine_quadrature(-2, 2, 64, 0.25, 4, 9, (1, -1))
+        P = ReproducingProjector(s0_atom, quad)
+        rng = np.random.default_rng(3)
+        out = P.apply(cb.GroupField(quad, rng.normal(size=quad.shape)))
+        assert out.meta == {"truncation": {"period_tail_energy_fraction":
+                                           P.period.tail_energy_fraction}}
+
+    def test_refusals(self, s0_atom, gauss):
+        quad = cb.build_affine_quadrature(-2, 2, 64, 0.25, 4, 9, (1, -1))
+        with pytest.raises(ValueError, match="'tf'"):
+            ReproducingProjector(s0_atom, cb.build_tf_quadrature(-2, 0.5, 9, -2, 0.5, 9))
+        with pytest.raises(NotAdmissibleError):
+            ReproducingProjector(gauss, quad)
+        other = cb.build_affine_quadrature(-2, 2, 64, 0.25, 4, 9, (1,))
+        with pytest.raises(ValueError, match="field chart must match the projector's chart"):
+            ReproducingProjector(s0_atom, quad).apply(cb.GroupField(other, np.ones(other.shape)))
