@@ -29,10 +29,8 @@ from .fields import NeighborhoodSpec, lpm_norm, unit_weight
 from .frames import (
     DesignSearchError,
     ReconstructionDivergence,
-    _certificate_from_kernel,
     _stopping_rule,
     atom_certificate,
-    atom_kernel,
     design_lattice,
     frame_bounds_empirical,
     neumann_reconstruct,
@@ -366,8 +364,7 @@ def cmd_reconstruct(cfg: dict, out: Path) -> int:
     if bupu.tiles_finer_than_cells:
         print("warning: lattice tiles are finer than chart cells; most tiles "
               "hold no chart node", file=sys.stderr)
-    K = atom_kernel(psi, quad)
-    cert = _certificate_from_kernel(K, weight, U)
+    cert = atom_certificate(psi, quad, weight, U)
     # F * K as V_psi V_psi^* F: the loop never builds K's spectra
     projector = ReproducingProjector(psi, quad)
     try:

@@ -38,6 +38,7 @@ from .groups import (
     _chart_index,
     _count,
     _exponent,
+    _finite_float,
     _finite_number,
     _in_chart_run,
     _inverse,
@@ -77,7 +78,6 @@ __all__ = [
     "weight_reciprocal",
 ]
 
-_SPECTRA_BYTE_LIMIT = 256 * 2**20  # KernelOperator streams its spectra above this
 _DEFAULT_OSC_SAMPLES = 7
 # each neighbourhood kind's box sides, its keys besides "kind" and "n_samples"
 _U_KEYS = {"affine": ("beta", "alpha"), "tf": ("beta_x", "beta_w")}
@@ -289,12 +289,6 @@ def _kernel_blocks(quad):
             yield p, j, rows, cols, fu_all[rows], fb_all[cols]
 
 
-def _spectra_nbytes(quad) -> int:
-    """Bytes the kernel's block spectra take if stored, before any FFT."""
-    n_rows = sum(rows.stop - rows.start for _, _, rows, *_ in _kernel_blocks(quad))
-    return n_rows * _fft_len(quad) * np.dtype(np.complex128).itemsize
-
-
 def _kernel_reads(G: GroupField):
     """``(p, j, rows, cols, block)``: the kernel read at each block's points.
 
@@ -387,30 +381,22 @@ class KernelOperator:
     """Right convolution with a fixed kernel, ``F -> F * K``, built once.
 
     The fast path's kernel block spectra depend on K alone, so they are
-    computed here once and reused by every :meth:`apply`: one per kernel
-    plane and positive input scale, up to ``n_signs * n_scales**2`` rows of
-    the FFT length.  When storing them would take more than
-    ``_SPECTRA_BYTE_LIMIT`` bytes, each apply streams them through the
-    same loop, as :func:`convolve` does (bounded memory).  ``apply(F)``
-    equals ``convolve(F, K)`` bit for bit, truncation report included.
+    computed here once and held for every :meth:`apply`: one per kernel
+    plane and positive input scale, 16 bytes per row of the FFT length,
+    up to ``n_signs * n_scales**2`` rows.  A one-shot product streams them
+    instead (:func:`convolve`).  ``apply(F)`` equals ``convolve(F, K)`` bit
+    for bit, truncation report included.
     """
 
     def __init__(self, K: GroupField):
         _on_group("affine", kernel=K.quad)
         self.K = K
         self._right_edge = _edge_l1_fraction(K)
-        stored = _spectra_nbytes(K.quad) <= _SPECTRA_BYTE_LIMIT
-        self._spectra = list(_kernel_spectra(K)) if stored else None
-
-    @property
-    def stored(self) -> bool:
-        """Whether the block spectra are held rather than streamed."""
-        return self._spectra is not None
+        self._spectra = list(_kernel_spectra(K))
 
     def apply(self, F: GroupField) -> GroupField:
         _check_affine_pair(F, self.K)
-        spectra = self._spectra if self.stored else _kernel_spectra(self.K)
-        return _with_truncation(F, _apply_spectra(F, spectra), self._right_edge)
+        return _with_truncation(F, _apply_spectra(F, self._spectra), self._right_edge)
 
 
 def oscillation(G: GroupField, U: NeighborhoodSpec) -> GroupField:
@@ -506,9 +492,13 @@ def young_check(
     * right:     ||F * G^vee||_{Lp_m}  <= ||F||_{Lp_m} ||G||_{L1_w}
     * duality:   ||F * H^vee||_{Linf_{1/w}} <= ||F||_{Lp_m} ||H||_{Lq_{1/m}}
 
-    The slack absorbs quadrature and interpolation error; violations
-    beyond it indicate a defect, not a tolerance issue.
+    The slack, a finite number ``>= 0``, absorbs quadrature and
+    interpolation error; violations beyond it indicate a defect, not a
+    matter of tolerance.
     """
+    slack = _finite_float(slack, "slack")
+    if slack < 0:
+        raise ValueError(f"slack must be >= 0, got {slack}")
     if not is_p_control(w, m, p):
         raise ValueError("w is not a p-control-weight of m")
     q = math.inf if p == 1 else (1.0 if math.isinf(p) else p / (p - 1.0))

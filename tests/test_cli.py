@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coorbit as cb
-from coorbit import cli
+from coorbit import cli, frames
 from coorbit.cli import _json_chunks, _write_json, main
 from coorbit.fields import YoungReport, lpm_norm
 from coorbit.groups import GroupField
@@ -606,7 +606,7 @@ class TestNonFiniteInputs:
         def no_kernel(*args, **kwargs):
             raise AssertionError("the kernel was built from a non-finite input")
 
-        monkeypatch.setattr("coorbit.cli.atom_kernel", no_kernel)
+        monkeypatch.setattr("coorbit.frames.atom_kernel", no_kernel)
         out = tmp_path / "out"
         out.mkdir()
         assert main(["reconstruct", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -1350,7 +1350,7 @@ class TestReconstructCommand:
             "field": str(field_path), "max_iter": 2,
         })
         calls = []
-        kernel_once = cli.atom_kernel
+        kernel_once = frames.atom_kernel
 
         def counting_kernel(*args, **kwargs):
             calls.append("atom_kernel")
@@ -1361,7 +1361,7 @@ class TestReconstructCommand:
                 calls.append("ReproducingProjector")
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "atom_kernel", counting_kernel)
+        monkeypatch.setattr(frames, "atom_kernel", counting_kernel)
         monkeypatch.setattr(cli, "ReproducingProjector", Counted)
         out = tmp_path / "out"
         out.mkdir()
@@ -1406,9 +1406,10 @@ class TestReconstructCommand:
         monkeypatch.setattr(frames, "KernelOperator", Counted)
         # refused on reading, before the partition, the kernel, the certificate and
         # the projector
-        for name in ("build_bupu", "atom_kernel", "ReproducingProjector"):
-            real = getattr(cli, name)
-            monkeypatch.setattr(cli, name,
+        for module, name in ((cli, "build_bupu"), (frames, "atom_kernel"),
+                             (cli, "ReproducingProjector")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name, **k: builds.append(_name)
                                 or _real(*a, **k))
         out = tmp_path / "out"

@@ -4,9 +4,9 @@ A new discretisation is admitted only if it converges to the operator it
 replaces as the chart grows.  Each row applies two operators to one field,
 cuts both results back to a common chart, and reads the Haar-weighted
 relative gap.  The rows pin today's pair on the s0 atom: the padded-period
-projector ``V_psi V_psi^*`` against the stored kernel's ``F * K``.  Their gap
-is K's own chart truncation, so it does not move with the projector's period
-and falls when K's b-range is widened.
+projector ``V_psi V_psi^*`` against the kernel's ``F * K``.  Their gap is K's
+own chart truncation, so it does not move with the projector's period or
+with the chart's refinement, and falls when K's b-range is widened.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ S0_CHART = {"group": "affine", "b_lo": -2.0, "b_hi": 2.0, "n_b": 512,
             "a_min": 0.25, "a_max": 4.0, "n_scales": 49, "signs": [1, -1]}
 # K's b-range doubled at the same step; the scales are the chart's
 WIDE_B = {**S0_CHART, "b_lo": -4.0, "b_hi": 4.0, "n_b": 1024}
+# the s0 chart's ranges at about half its b-step and half its log-scale step
+REFINED = {**S0_CHART, "n_b": 1024, "n_scales": 97}
 
 
 def _gap(A: GroupField, B: GroupField) -> float:
@@ -79,3 +81,20 @@ def test_gap_falls_when_the_kernel_chart_is_widened(s0_case):
     PW = _cut(ReproducingProjector(psi, wide).apply(Wp), quad)
     KW_wide = _cut(fields.convolve(Wp, cb.atom_kernel(psi, wide)), quad)
     assert narrow >= 4 * _gap(PW, KW_wide)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gap_is_flat_under_refinement(s0_atom_normalized, seed):
+    # halving both chart steps leaves K's b-truncation where it was: the gap
+    # reads 3.870e-3 -> 3.877e-3 for draw 0 and 3.872e-3 -> 3.878e-3 for draw 1.
+    # The refined K is convolved, streaming spectra that would take 441 MiB held
+    psi = s0_atom_normalized
+    f = cb.random_bandlimited_signal(psi, (0.45, 1.1), np.random.default_rng(seed),
+                                     envelope_width=0.6)
+    gaps = []
+    for chart in (S0_CHART, REFINED):
+        quad = cb.GroupQuadrature.from_dict(chart)
+        W = cb.cwt(f, psi, quad)
+        gaps.append(_gap(ReproducingProjector(psi, quad).apply(W),
+                         fields.convolve(W, cb.atom_kernel(psi, quad))))
+    assert max(gaps) <= 1.05 * min(gaps)

@@ -260,31 +260,26 @@ class TestKernelOperator:
     def test_stored_matches_convolve_bit_for_bit(self, chart_kernels):
         for K in chart_kernels:
             op = KernelOperator(K)
-            assert op.stored
             # the second apply also shows the first left the stored spectra intact
             for seed in (1, 2):
                 F = _random_field(K.quad, seed)
                 self._assert_same(op.apply(F), convolve(F, K))
 
-    def test_streamed_matches_convolve_bit_for_bit(self, chart_kernels, monkeypatch):
-        # below zero: the (-1,) chart's kernel has no block, so storing it takes 0 bytes
-        monkeypatch.setattr(fields, "_SPECTRA_BYTE_LIMIT", -1)
-        for K in chart_kernels:
-            op = KernelOperator(K)
-            assert not op.stored
-            F = _random_field(K.quad, 3)
-            self._assert_same(op.apply(F), convolve(F, K))
-
     def test_two_sign_spectra_take_twice_one_sign(self, chart_kernels):
         # one block per (kernel plane, input scale): a negative input scale
-        # reuses the positive one's block reversed, so two signs cost 2x, not
+        # reuses the positive one's block reversed, so two signs hold 2x, not
         # 4x, and a (-1,) chart, whose kernel plane joins no branches, none
-        one = fields._spectra_nbytes(build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, (1,)))
+        def block_rows(quad):
+            return sum(rows.stop - rows.start for _, _, rows, *_ in fields._kernel_blocks(quad))
+
+        one = block_rows(build_affine_quadrature(-16, 16, 96, 1 / 4, 4, 17, (1,)))
+        assert one > 0
         for K, factor in zip(chart_kernels, (2, 0, 2), strict=True):
-            nbytes = fields._spectra_nbytes(K.quad)
-            assert nbytes == factor * one
+            rows = block_rows(K.quad)
+            assert rows == factor * one
+            # 16 bytes per block row of the FFT length; a zero block is not held
             held = sum(spec.nbytes for *_, spec in KernelOperator(K)._spectra)
-            assert held <= nbytes
+            assert held <= 16 * fields._fft_len(K.quad) * rows
 
     def test_other_chart_refused(self, chart_kernel):
         op = KernelOperator(chart_kernel)

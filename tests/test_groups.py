@@ -737,6 +737,8 @@ class TestOneNumberRule:
             cb.symmetric_power(1.0), seed=v),
         "moderateness_probe/seed": lambda v: cb.moderateness_probe(
             cb.power_scale(1.0), cb.symmetric_power(2.0), seed=v),
+        "young_check": lambda v: cb.young_check(_AFF_FIELD, _AFF_FIELD, 2.0, cb.power_scale(1.0),
+                                                cb.symmetric_power(2.0), slack=v),
     }
 
     @pytest.mark.parametrize("entry, value, message", [
@@ -823,6 +825,13 @@ class TestOneNumberRule:
           for value, message in ((2.5, "seed must be an integer, got 2.5"),
                                  (True, "seed must be a number, got True"),
                                  (-1, "seed must be >= 0, got -1"))],
+        # an infinite slack passes every inequality whatever the norms, a negative one none
+        ("young_check", np.inf, "slack must be finite, got inf"),
+        ("young_check", np.nan, "slack must be finite, got nan"),
+        ("young_check", True, "slack must be a number, got True"),
+        ("young_check", "a", "slack must be a number, got 'a'"),
+        ("young_check", None, "slack must be a number, got None"),
+        ("young_check", -0.1, "slack must be >= 0, got -0.1"),
     ])
     def test_refused_naming_the_parameter(self, entry, value, message):
         with pytest.raises(ValueError) as exc:
