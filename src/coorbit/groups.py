@@ -206,20 +206,21 @@ class GroupQuadrature:
 
 
 def _real(value, key: str):
-    """``value`` itself if it is a real number, NaN and the infinities included; a bool or a
-    string raises.  The range check after it names what a NaN or an infinity breaks."""
+    """``value`` itself if it is a real number, NaN and the infinities included; a bool, a
+    string and an int or ``Fraction`` beyond the float range raise.  The range check after it
+    names what a NaN or an infinity breaks."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # its repr may run to thousands of digits, so it is not quoted
+        raise ValueError(f"{key} must lie within the float range") from None
     return value
 
 
 def _finite_number(value, key: str):
     """``value`` itself if it is a finite real number; a bool or a string raises."""
-    try:
-        finite = math.isfinite(_real(value, key))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not math.isfinite(_real(value, key)):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return value
 

@@ -378,18 +378,18 @@ class ReproducingProjector:
         tail = float(share[r > (n - quad.n_b) * quad.db / (2 * quad.a_max)].sum())
         self.quad, self.period = quad, PaddedPeriod(n * quad.db, n, tail)
         a = np.multiply.outer(quad.signs, quad.scale_grid())[..., None]
-        rows = np.sqrt(np.abs(a)) * fourier(psi).interpolate(a * np.fft.fftfreq(n, quad.db))
-        self._analysis = np.conj(rows)
+        self._rows = np.sqrt(np.abs(a)) * fourier(psi).interpolate(a * np.fft.fftfreq(n, quad.db))
         # Haar weight db du/|a| times the frequency step 1/(n db); ifft divides by n
-        self._synthesis = rows * (quad.du / np.abs(a))
+        self._weight = quad.du / np.abs(a)
 
     def apply(self, F: GroupField) -> GroupField:
         if F.quad != self.quad:
             raise ValueError("field chart must match the projector's chart")
-        x = np.fft.fft(F.values, n=self.period.samples, axis=-1)
-        x *= self._synthesis
-        # the spectrum of V_psi^* F, read by every analysis row
-        np.multiply(self._analysis, x.reshape(-1, x.shape[-1]).sum(axis=0), out=x)
+        x = np.fft.fft(F.values * self._weight, n=self.period.samples, axis=-1)
+        x *= self._rows
+        # the spectrum of V_psi^* F, then every analysis row conj(rows) times it, in x
+        spectrum = x.reshape(-1, x.shape[-1]).sum(axis=0)
+        np.multiply(np.conjugate(self._rows, out=x), spectrum, out=x)
         np.fft.ifft(x, axis=-1, out=x)
         meta = {"truncation": {"period_tail_energy_fraction": self.period.tail_energy_fraction}}
         return GroupField(F.quad, x[..., :F.quad.n_b].copy(), meta)

@@ -739,6 +739,18 @@ class TestOneNumberRule:
             cb.power_scale(1.0), cb.symmetric_power(2.0), seed=v),
         "young_check": lambda v: cb.young_check(_AFF_FIELD, _AFF_FIELD, 2.0, cb.power_scale(1.0),
                                                 cb.symmetric_power(2.0), slack=v),
+        # exponents and bounds an int beyond the float range would overflow
+        "seq_lpm_norm": lambda v: cb.seq_lpm_norm(np.ones(_AFF_LAT.n_points), v, None, _AFF_LAT),
+        "norm_equivalence_check": lambda v: cb.norm_equivalence_check(
+            np.ones(_AFF_LAT.n_points), v, None, _AFF_LAT, _AFF_U),
+        "is_p_control": lambda v: cb.is_p_control(cb.symmetric_power(2.0), cb.power_scale(1.0), v),
+        "young_check/p": lambda v: cb.young_check(_AFF_FIELD, _AFF_FIELD, v, cb.power_scale(1.0),
+                                                  cb.symmetric_power(2.0)),
+        "frame_operator_invert/bounds[1]": lambda v: cb.frame_operator_invert(
+            _PSI, _PSI, _TF_LAT, (1.0, v)),
+        "design_lattice/beta0": lambda v: cb.design_lattice(
+            _PSI, _AFF_QUAD, cb.power_scale(0.0), beta0=v),
+        "besov_exponent/p": lambda v: cb.besov_exponent(v, 1),
     }
 
     @pytest.mark.parametrize("entry, value, message", [
@@ -832,6 +844,14 @@ class TestOneNumberRule:
         ("young_check", "a", "slack must be a number, got 'a'"),
         ("young_check", None, "slack must be a number, got None"),
         ("young_check", -0.1, "slack must be >= 0, got -0.1"),
+        *[pytest.param(entry, 10**400, f"{key} must lie within the float range",
+                       id=f"{entry}-10**400")
+          for entry, key in (("lpm_norm", "p"), ("seq_lpm_norm", "p"),
+                             ("norm_equivalence_check", "p"), ("is_p_control", "p"),
+                             ("young_check/p", "p"), ("frame_bounds_empirical/p", "p"),
+                             ("frame_operator_invert/bounds[1]", "bounds[1]"),
+                             ("design_lattice/alpha0", "alpha0"),
+                             ("design_lattice/beta0", "beta0"), ("besov_exponent/p", "p"))],
     ])
     def test_refused_naming_the_parameter(self, entry, value, message):
         with pytest.raises(ValueError) as exc:

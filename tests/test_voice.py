@@ -734,6 +734,24 @@ class TestReproducingProjector:
         # where the gap to K*W had not converged
         assert 12 <= period.period <= 32
 
+    @pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+    def test_one_row_array_applies_as_two(self, s0_atom, signs):
+        # the reference stores conj(rows) and rows du/|a| apart and weights after the FFT
+        quad = cb.build_affine_quadrature(-2, 2, 64, 0.25, 4, 9, signs)
+        P = ReproducingProjector(s0_atom, quad)
+        n = P.period.samples
+        stored = [v for v in vars(P).values() if isinstance(v, np.ndarray) and v.shape[-1] == n]
+        assert sum(v.nbytes for v in stored) == 16 * len(signs) * quad.n_scales * n
+        a = np.multiply.outer(quad.signs, quad.scale_grid())[..., None]
+        rows = np.sqrt(np.abs(a)) * fourier(normalize_admissible(s0_atom)).interpolate(
+            a * np.fft.fftfreq(n, quad.db))
+        analysis, synthesis = np.conj(rows), rows * (quad.du / np.abs(a))
+        rng = np.random.default_rng(7)
+        F = cb.GroupField(quad, rng.normal(size=quad.shape) + 1j * rng.normal(size=quad.shape))
+        x = np.fft.fft(F.values, n=n, axis=-1) * synthesis
+        ref = np.fft.ifft(analysis * x.reshape(-1, n).sum(axis=0), axis=-1)[..., :quad.n_b]
+        assert np.linalg.norm(P.apply(F).values - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_result_carries_the_dropped_tail(self, s0_atom):
         quad = cb.build_affine_quadrature(-2, 2, 64, 0.25, 4, 9, (1, -1))
         P = ReproducingProjector(s0_atom, quad)
